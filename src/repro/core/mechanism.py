@@ -152,7 +152,13 @@ def program_as_mechanism(program: Program) -> ProtectionMechanism:
     policies through which Q already factors (cf. Example 5's logon
     program, which is *unsound* as its own mechanism).
     """
-    return ProtectionMechanism(program, program, name=f"{program.name}-as-M")
+    return ProtectionMechanism(program, program,
+                               name=program_mechanism_name(program.name))
+
+
+def program_mechanism_name(program_name: str) -> str:
+    """The name :func:`program_as_mechanism` gives Q used unprotected."""
+    return f"{program_name}-as-M"
 
 
 def null_mechanism(program: Program,

@@ -75,13 +75,7 @@ def initial_environment(flowchart: Flowchart,
             f"flowchart {flowchart.name} takes {flowchart.arity} inputs, "
             f"got {len(inputs)}"
         )
-    env: Dict[str, int] = {name: 0 for name in flowchart.program_variables()}
-    # Variables that are read but never assigned are program variables
-    # too — the start box initialises them to 0 like any other.
-    for name in flowchart.read_variables():
-        if name not in flowchart.input_variables:
-            env.setdefault(name, 0)
-    env[flowchart.output_variable] = 0
+    env = flowchart.start_environment()
     for name, value in zip(flowchart.input_variables, inputs):
         env[name] = int(value)
     return env

@@ -17,6 +17,7 @@ Execution itself lives in :mod:`repro.flowchart.interpreter`.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..core.errors import FlowchartError
@@ -121,6 +122,36 @@ class Flowchart:
                                  for box in self.boxes.values())
         return start_id
 
+    # -- run-invariant structure ----------------------------------------
+    #
+    # Read by every run and fixed at construction (nothing mutates
+    # ``boxes``), so computed once per flowchart -- on first use rather
+    # than at validation, because ``repro serve`` validates a fresh
+    # flowchart per request and discards most of them after interning.
+
+    @cached_property
+    def _policy_change_ids(self) -> Tuple[NodeId, ...]:
+        return tuple(node_id for node_id, box in self.boxes.items()
+                     if isinstance(box, PolicyChangeBox))
+
+    @cached_property
+    def _box_reads(self) -> Dict[NodeId, Tuple[str, ...]]:
+        return {node_id: tuple(box.read_variables())
+                for node_id, box in self.boxes.items()}
+
+    @cached_property
+    def _env_template(self) -> Dict[str, int]:
+        # Program variables, variables read but never assigned (the
+        # start box zeroes them like any other), the output, then the
+        # inputs -- all 0 until a run binds the inputs.
+        template: Dict[str, int] = dict.fromkeys(self.program_variables(), 0)
+        for name in self.read_variables():
+            if name not in self.input_variables:
+                template.setdefault(name, 0)
+        template[self.output_variable] = 0
+        template.update(dict.fromkeys(self.input_variables, 0))
+        return template
+
     # -- structural queries ---------------------------------------------
 
     @property
@@ -152,8 +183,8 @@ class Flowchart:
                      if isinstance(box, AssignBox))
 
     def policy_change_ids(self) -> Tuple[NodeId, ...]:
-        return tuple(node_id for node_id, box in self.boxes.items()
-                     if isinstance(box, PolicyChangeBox))
+        """Policy-change boxes in box order (cached)."""
+        return self._policy_change_ids
 
     def downgrade_ids(self) -> Tuple[NodeId, ...]:
         return tuple(node_id for node_id, box in self.boxes.items()
@@ -202,6 +233,14 @@ class Flowchart:
         for box in self.boxes.values():
             result |= box.read_variables()
         return frozenset(result)
+
+    def box_reads(self) -> Dict[NodeId, Tuple[str, ...]]:
+        """Each box's read variables (cached; callers must not mutate)."""
+        return self._box_reads
+
+    def start_environment(self) -> Dict[str, int]:
+        """A fresh copy of the start-box environment, inputs still 0."""
+        return dict(self._env_template)
 
     def input_index(self, variable: str) -> Optional[int]:
         """1-based input position of a variable, or None if not an input."""

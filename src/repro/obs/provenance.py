@@ -186,7 +186,8 @@ def _label_text(label) -> str:
 def explain(flowchart: "Flowchart", policy: "AllowPolicy",
             point: Sequence[int], timed: bool = False,
             forgetting: bool = True,
-            fuel: int = DEFAULT_FUEL) -> Explanation:
+            fuel: int = DEFAULT_FUEL,
+            value_cap: Optional[int] = None) -> Explanation:
     """Replay ``point`` under surveillance and derive its provenance.
 
     Records every visited box's entry label state via the ``surveil``
@@ -195,6 +196,10 @@ def explain(flowchart: "Flowchart", policy: "AllowPolicy",
     offending indices flowed (a dependence slice over labels — a step
     whose label lacks an offending index cannot lie on its propagation
     path, since labels are monotone joins of their sources).
+
+    ``fuel`` and ``value_cap`` must be the replayed mechanism's own
+    budgets (``value_cap=None`` defers to ``REPRO_VALUE_CAP``), or the
+    replay can fault where the mechanism's run did not.
     """
     from ..core.errors import FuelExhaustedError
     from ..flowchart.boxes import AssignBox, DecisionBox
@@ -213,7 +218,7 @@ def explain(flowchart: "Flowchart", policy: "AllowPolicy",
         # recorded — counting it again would double every metric.
         run = surveil(flowchart, point, allowed, timed=timed,
                       forgetting=forgetting, fuel=fuel, observer=observer,
-                      record=False)
+                      record=False, value_cap=value_cap)
     except FuelExhaustedError as error:
         site = records[-1][0] if records else None
         return Explanation(

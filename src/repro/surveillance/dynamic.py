@@ -43,11 +43,13 @@ from ..core.policy import AllowPolicy
 from ..core.program import Program
 from ..flowchart.boxes import (AssignBox, DecisionBox, DowngradeBox, HaltBox,
                                PolicyChangeBox, RecvBox, SendBox)
+from ..flowchart.batchpath import _ROWS_MEMO
 from ..flowchart.interpreter import DEFAULT_FUEL, as_program, initial_environment
 from ..flowchart.program import Flowchart
 from ..obs import runtime as _obs
-from ..robustness.faults import default_value_cap, resolve_value_cap
-from .labels import EMPTY, Label, join, permitted, singleton
+from ..robustness.faults import (cap_notice, default_value_cap, fuel_notice,
+                                 message_notice, resolve_value_cap)
+from .labels import Label, from_mask, to_mask
 
 
 class SurveillanceRun:
@@ -89,6 +91,144 @@ Observer = Callable[[str, Dict[str, Label], Label], None]
 PolicyObserver = Callable[[str, Dict[str, Label], Label, Label, int], None]
 
 
+def _walk(flowchart: Flowchart, inputs: Sequence[int], allowed: Optional[int],
+          timed: bool, forgetting: bool, fuel: int,
+          value_cap: Optional[int], record: bool,
+          first_test: Optional[List[Tuple[int, int]]] = None,
+          watch: Optional[Callable] = None):
+    """The box rules over bitmask labels (bit i-1 ⇔ input index i).
+
+    The labels x̄ and C̄ never depend on the policy: J is read only by
+    the rule-4 halt check and the timed rule-3′ guard, and only until a
+    ``policy_change`` installs a policy of the program's own.  So
+    ``allowed`` is J's mask for a run under one policy, or None for the
+    *policy-free* walk that serves every J at once: until the first
+    policy change it takes no guard, appends ``(step, indices)`` to
+    ``first_test`` when input indices first enter a test label, and
+    leaves the halt check to the caller.
+
+    Returns ``(steps, value, labels, pc, active, epoch, early)``:
+    ``active`` is the policy mask in force at the end (None while a
+    policy-free walk is still in epoch 0), ``early`` is True when a
+    timed guard stopped the run (``value`` is then None).  Declared
+    faults raise.  ``watch(node, labels, pc, active, epoch)`` sees each
+    box on arrival, before it acts.
+    """
+    if len(inputs) != flowchart.arity:
+        raise ArityMismatchError(
+            f"flowchart {flowchart.name} takes {flowchart.arity} inputs, "
+            f"got {len(inputs)}"
+        )
+    cap = (default_value_cap() if value_cap is None
+           else resolve_value_cap(value_cap))
+    bound = (1 << cap) if cap is not None else None
+    env = initial_environment(flowchart, inputs)
+    labels: Dict[str, int] = dict.fromkeys(env, 0)
+    for position, name in enumerate(flowchart.input_variables):
+        labels[name] = 1 << position
+    boxes = flowchart.boxes
+    reads = flowchart.box_reads()
+    pc = 0
+    active = allowed
+    epoch = 0
+    tested = 0  # indices already in an epoch-0 test label
+    # Typed channels under surveillance: each message carries its label
+    # (v̄ ∪ C̄ at the send site) inside the envelope — the distributed-
+    # setting soundness requirement (Almeida Matos & Cederquist).
+    channels: Dict[str, List[Tuple[int, int]]] = {}
+    steps = 0
+    current = boxes[flowchart.start_id].successors()[0]
+    while True:
+        if steps >= fuel:
+            if _obs.active and record:
+                _obs.record_fuel_exhausted(flowchart.name, fuel)
+            raise FuelExhaustedError(fuel,
+                                     f"surveilled {flowchart.name} exceeded "
+                                     f"{fuel} steps on {tuple(inputs)!r}")
+        box = boxes[current]
+        if watch is not None:
+            watch(current, labels, pc, active, epoch)
+        steps += 1
+        if isinstance(box, AssignBox):
+            # v̄ := w̄1 ∪ ... ∪ w̄p ∪ C̄ — replacing (surveillance allows
+            # forgetting) or accumulating (high-water mark).
+            incoming = pc
+            for name in reads[current]:
+                incoming |= labels[name]
+            target = box.target
+            labels[target] = (incoming if forgetting
+                              else labels[target] | incoming)
+            value = box.expression.eval(env)
+            env[target] = value
+            if bound is not None and (value >= bound or value <= -bound):
+                if _obs.active and record:
+                    _obs.record_value_cap_exceeded(flowchart.name, cap)
+                raise ValueCapExceededError(
+                    cap, f"surveilled {flowchart.name} assigned a value "
+                         f"wider than {cap} bits on {tuple(inputs)!r}")
+            current = box.next
+        elif isinstance(box, DecisionBox):
+            test = 0
+            for name in reads[current]:
+                test |= labels[name]
+            if timed:
+                if active is None:
+                    fresh = test & ~tested
+                    if fresh:
+                        tested |= fresh
+                        first_test.append((steps, fresh))
+                elif test & ~active:
+                    # Theorem 3′: a disallowed variable is about to be
+                    # tested — halt immediately with a violation notice.
+                    return steps, None, labels, pc, active, epoch, True
+            pc |= test
+            current = box.true_next if box.predicate.eval(env) else box.false_next
+        elif isinstance(box, HaltBox):
+            return (steps, env[flowchart.output_variable], labels, pc,
+                    active, epoch, False)
+        elif isinstance(box, PolicyChangeBox):
+            active = to_mask(box.allowed)
+            epoch += 1
+            if _obs.active and record:
+                _obs.emit("policy_changed", program=flowchart.name,
+                          epoch=epoch, allowed=sorted(box.allowed))
+            current = box.next
+        elif isinstance(box, DowngradeBox):
+            labels[box.variable] &= ~to_mask(box.indices)
+            if _obs.active and record:
+                _obs.emit("downgrade_applied", program=flowchart.name,
+                          variable=box.variable,
+                          dropped=sorted(box.indices))
+            current = box.next
+        elif isinstance(box, SendBox):
+            # The envelope label is v̄ ∪ C̄: a receive learns both the
+            # sent value and the control context that reached the send.
+            channels.setdefault(box.channel, []).append(
+                (env[box.variable], labels[box.variable] | pc))
+            current = box.next
+        elif isinstance(box, RecvBox):
+            queue = channels.get(box.channel)
+            if not queue:
+                raise MessageError(
+                    f"empty:{box.channel}",
+                    f"surveilled {flowchart.name} received on empty channel "
+                    f"{box.channel!r} on {tuple(inputs)!r}")
+            value, message_label = queue.pop(0)
+            env[box.variable] = value
+            incoming = message_label | pc
+            labels[box.variable] = (incoming if forgetting
+                                    else labels[box.variable] | incoming)
+            current = box.next
+        else:  # pragma: no cover - StartBox is never re-entered
+            current = box.successors()[0]
+
+
+def _notice(epoch: int, has_epochs: bool) -> ViolationNotice:
+    """Λ, epoch-tagged (``Λ@e<n>``) only where the program has epochs:
+    classic programs keep the paper's plain Λ bit-for-bit."""
+    return ViolationNotice(f"Λ@e{epoch}" if has_epochs else "Λ")
+
+
 def surveil(flowchart: Flowchart, inputs: Sequence[int], allowed: Label,
             timed: bool = False, forgetting: bool = True,
             fuel: int = DEFAULT_FUEL,
@@ -114,7 +254,7 @@ def surveil(flowchart: Flowchart, inputs: Sequence[int], allowed: Label,
         Optional callback invoked as ``observer(node_id, labels,
         pc_label)`` when control *arrives* at each box, before the box
         acts — the dynamic counterpart of a static analysis's entry
-        state.  The labels dict is live; observers must not mutate it.
+        state.  ``labels`` maps every variable to its label set.
         Used by the flowlint test suite to check the static influence
         fixpoint dominates every dynamic label at every visited PC.
     record:
@@ -135,142 +275,141 @@ def surveil(flowchart: Flowchart, inputs: Sequence[int], allowed: Label,
     admitted intransitive edge).  Violation notices on flowcharts that
     contain policy changes are epoch-tagged (``Λ@e<n>``): a notice
     issued under a different policy regime is a different output.
+
+    The walk itself is the policy-free one of :func:`policy_free_runs`
+    with J fixed, so the guard stops at J's first failing test.
     """
-    if len(inputs) != flowchart.arity:
-        raise ArityMismatchError(
-            f"flowchart {flowchart.name} takes {flowchart.arity} inputs, "
-            f"got {len(inputs)}"
-        )
+    watch = None
+    if observer is not None or policy_observer is not None:
+        def watch(node, masks, pc, active, epoch):
+            labels = {name: from_mask(mask) for name, mask in masks.items()}
+            pc_label = from_mask(pc)
+            if observer is not None:
+                observer(node, labels, pc_label)
+            if policy_observer is not None:
+                policy_observer(node, labels, pc_label,
+                                allowed if epoch == 0 else from_mask(active),
+                                epoch)
+
+    steps, value, labels, pc, active, epoch, early = _walk(
+        flowchart, inputs, to_mask(allowed), timed, forgetting, fuel,
+        value_cap, record, watch=watch)
+    # Rule 4: the halt check is ȳ ∪ C̄ ⊆ J.  C̄ must participate:
+    # reaching *this* halt (rather than issuing a notice on some other
+    # path) is itself information, and Example 4 demands that "any
+    # decision made by M to output a violation notice can depend only
+    # on allowed data".  J is the policy *in force now* — the van Delft
+    # et al. completion-time rule.
+    violated = early or bool(
+        (labels[flowchart.output_variable] | pc) & ~active)
+    has_epochs = bool(flowchart.policy_change_ids())
+    outcome: Union[int, ViolationNotice] = (
+        _notice(epoch, has_epochs) if violated else value)
+    if _obs.active and record:
+        if violated and has_epochs:
+            _obs.emit("epoch_violation", program=flowchart.name, epoch=epoch)
+        _obs.record_surveil_run(flowchart.name, steps, violated=violated,
+                                timed=timed, halted_early=early)
+    return SurveillanceRun(
+        outcome, steps,
+        {name: from_mask(mask) for name, mask in labels.items()},
+        from_mask(pc), halted_early=early, epoch=epoch,
+        final_allowed=allowed if epoch == 0 else from_mask(active))
+
+
+class PolicyFreeRun:
+    """One point's policy-free labelled run: it decides every allow(J).
+
+    ``fault`` is the run's declared-fault notice (``Λ!fuel[N]``,
+    ``Λ!cap[C]``, ``Λ!msg[...]``) or None.  Otherwise the run stopped
+    after ``steps`` steps at a halt with output ``value``, or — after a
+    policy change — at a failing timed guard (``early``).  ``mask`` is
+    the halt's ȳ ∪ C̄; ``active`` is the policy in force at the end
+    (None: still epoch 0, so the halt check is J's own);
+    ``first_test`` lists, in step order, the steps at which input
+    indices first entered an epoch-0 test label (timed runs only).
+    """
+
+    __slots__ = ("fault", "value", "steps", "mask", "active", "epoch",
+                 "early", "first_test", "has_epochs")
+
+    def output(self, allowed: int, time_observable: bool):
+        """The mechanism's output under allow(J), J given as a mask.
+
+        Exactly what :func:`surveillance_mechanism` returns for J (a
+        time-observable mechanism stamps notices ``Λ@t`` and passes
+        ``(value, steps)``), with declared faults as their notices.
+        """
+        for step, indices in self.first_test:
+            if indices & ~allowed:
+                # J's first failing timed guard, ahead of anything later.
+                if time_observable:
+                    return ViolationNotice(f"Λ@{step}")
+                return _notice(0, self.has_epochs)
+        if self.fault is not None:
+            return self.fault
+        if self.early:
+            violated = True
+        else:
+            in_force = allowed if self.active is None else self.active
+            violated = self.mask & ~in_force
+        if violated:
+            if time_observable:
+                return ViolationNotice(f"Λ@{self.steps}")
+            return _notice(self.epoch, self.has_epochs)
+        if time_observable:
+            return (self.value, self.steps)
+        return self.value
+
+
+def _policy_free_run(flowchart: Flowchart, point: Tuple[int, ...],
+                     timed: bool, forgetting: bool, fuel: int,
+                     value_cap: Optional[int]) -> PolicyFreeRun:
+    run = PolicyFreeRun()
+    first_test: List[Tuple[int, int]] = []
+    run.fault = run.value = run.active = None
+    run.steps = run.mask = run.epoch = 0
+    run.early = False
+    run.first_test = first_test
+    run.has_epochs = bool(flowchart.policy_change_ids())
+    try:
+        (run.steps, run.value, labels, pc, run.active, run.epoch,
+         run.early) = _walk(flowchart, point, None, timed, forgetting, fuel,
+                            value_cap, False, first_test=first_test)
+    except FuelExhaustedError as error:
+        run.fault = fuel_notice(error.fuel)
+    except ValueCapExceededError as error:
+        run.fault = cap_notice(error.cap)
+    except MessageError as error:
+        run.fault = message_notice(error.detail)
+    else:
+        run.mask = labels[flowchart.output_variable] | pc
+    return run
+
+
+def policy_free_runs(flowchart: Flowchart, points: Sequence[Tuple[int, ...]],
+                     timed: bool = False, forgetting: bool = True,
+                     fuel: int = DEFAULT_FUEL,
+                     value_cap: Optional[int] = None) -> List[PolicyFreeRun]:
+    """One policy-free labelled run per point, shared by every policy.
+
+    A sweep decides all 2^k allow-policies of a flowchart from these
+    runs by bitmask tests (:meth:`PolicyFreeRun.output`) instead of
+    re-walking each point once per policy.  The list is kept in the
+    batch tier's rows memo under the flowchart, the exact point
+    tuple, and the budgets, so every policy of a pair gets the same
+    runs; :func:`repro.flowchart.fastpath.clear_result_memo` drops it.
+    ``points`` must be tuples.
+    """
     cap = (default_value_cap() if value_cap is None
            else resolve_value_cap(value_cap))
-    bound = (1 << cap) if cap is not None else None
-    env = initial_environment(flowchart, inputs)
-    labels: Dict[str, Label] = {name: EMPTY for name in env}
-    for position, name in enumerate(flowchart.input_variables, 1):
-        labels[name] = singleton(position)
-    pc_label: Label = EMPTY
-    active_allowed: Label = allowed
-    epoch = 0
-    # Typed channels under surveillance: each message carries its label
-    # (v̄ ∪ C̄ at the send site) inside the envelope — the distributed-
-    # setting soundness requirement (Almeida Matos & Cederquist).
-    channels: Dict[str, List[Tuple[int, Label]]] = {}
-    # Epoch-tagged notices only where epochs exist: classic programs
-    # keep the paper's plain Λ bit-for-bit.
-    has_epochs = bool(flowchart.policy_change_ids())
-
-    def notice() -> ViolationNotice:
-        return ViolationNotice(f"Λ@e{epoch}" if has_epochs else "Λ")
-
-    steps = 0
-    current = flowchart.boxes[flowchart.start_id].successors()[0]
-    while True:
-        if steps >= fuel:
-            if _obs.active and record:
-                _obs.record_fuel_exhausted(flowchart.name, fuel)
-            raise FuelExhaustedError(fuel,
-                                     f"surveilled {flowchart.name} exceeded "
-                                     f"{fuel} steps on {tuple(inputs)!r}")
-        box = flowchart.boxes[current]
-        if observer is not None:
-            observer(current, labels, pc_label)
-        if policy_observer is not None:
-            policy_observer(current, labels, pc_label, active_allowed, epoch)
-        steps += 1
-        if isinstance(box, HaltBox):
-            # Rule 4: the halt check is ȳ ∪ C̄ ⊆ J.  C̄ must participate:
-            # reaching *this* halt (rather than issuing a notice on some
-            # other path) is itself information, and Example 4 demands
-            # that "any decision made by M to output a violation notice
-            # can depend only on allowed information".  J is the policy
-            # *in force now* — the van Delft et al. completion-time rule.
-            output_label = join(labels[flowchart.output_variable], pc_label)
-            if permitted(output_label, active_allowed):
-                outcome: Union[int, ViolationNotice] = env[flowchart.output_variable]
-            else:
-                outcome = notice()
-                if _obs.active and record and has_epochs:
-                    _obs.emit("epoch_violation", program=flowchart.name,
-                              epoch=epoch)
-            if _obs.active and record:
-                _obs.record_surveil_run(
-                    flowchart.name, steps,
-                    violated=isinstance(outcome, ViolationNotice),
-                    timed=timed, halted_early=False)
-            return SurveillanceRun(outcome, steps, dict(labels), pc_label,
-                                   halted_early=False, epoch=epoch,
-                                   final_allowed=active_allowed)
-        if isinstance(box, AssignBox):
-            incoming = join(*(labels[name] for name in box.expression.variables()),
-                            pc_label)
-            if forgetting:
-                labels[box.target] = incoming
-            else:
-                labels[box.target] = join(labels[box.target], incoming)
-            value = box.expression.eval(env)
-            env[box.target] = value
-            if bound is not None and (value >= bound or value <= -bound):
-                if _obs.active and record:
-                    _obs.record_value_cap_exceeded(flowchart.name, cap)
-                raise ValueCapExceededError(
-                    cap, f"surveilled {flowchart.name} assigned a value "
-                         f"wider than {cap} bits on {tuple(inputs)!r}")
-            current = box.next
-        elif isinstance(box, DecisionBox):
-            test_label = join(*(labels[name] for name in box.predicate.variables()))
-            if timed and not permitted(test_label, active_allowed):
-                # Theorem 3': a disallowed variable is about to be
-                # tested — halt immediately with a violation notice.
-                if _obs.active and record:
-                    if has_epochs:
-                        _obs.emit("epoch_violation", program=flowchart.name,
-                                  epoch=epoch)
-                    _obs.record_surveil_run(flowchart.name, steps,
-                                            violated=True, timed=True,
-                                            halted_early=True)
-                return SurveillanceRun(notice(), steps,
-                                       dict(labels), pc_label,
-                                       halted_early=True, epoch=epoch,
-                                       final_allowed=active_allowed)
-            pc_label = join(pc_label, test_label)
-            current = box.true_next if box.predicate.eval(env) else box.false_next
-        elif isinstance(box, PolicyChangeBox):
-            active_allowed = frozenset(box.allowed)
-            epoch += 1
-            if _obs.active and record:
-                _obs.emit("policy_changed", program=flowchart.name,
-                          epoch=epoch, allowed=sorted(box.allowed))
-            current = box.next
-        elif isinstance(box, DowngradeBox):
-            labels[box.variable] = labels[box.variable] - frozenset(box.indices)
-            if _obs.active and record:
-                _obs.emit("downgrade_applied", program=flowchart.name,
-                          variable=box.variable,
-                          dropped=sorted(box.indices))
-            current = box.next
-        elif isinstance(box, SendBox):
-            # The envelope label is v̄ ∪ C̄: a receive learns both the
-            # sent value and the control context that reached the send.
-            channels.setdefault(box.channel, []).append(
-                (env[box.variable], join(labels[box.variable], pc_label)))
-            current = box.next
-        elif isinstance(box, RecvBox):
-            queue = channels.get(box.channel)
-            if not queue:
-                raise MessageError(
-                    f"empty:{box.channel}",
-                    f"surveilled {flowchart.name} received on empty channel "
-                    f"{box.channel!r} on {tuple(inputs)!r}")
-            value, message_label = queue.pop(0)
-            env[box.variable] = value
-            incoming = join(message_label, pc_label)
-            if forgetting:
-                labels[box.variable] = incoming
-            else:
-                labels[box.variable] = join(labels[box.variable], incoming)
-            current = box.next
-        else:  # pragma: no cover - StartBox is never re-entered
-            current = box.successors()[0]
+    key = (flowchart, tuple(points), fuel, cap, "surveil", timed, forgetting)
+    runs = _ROWS_MEMO.get(key)
+    if runs is None:
+        runs = [_policy_free_run(flowchart, point, timed, forgetting, fuel,
+                                 cap) for point in points]
+        _ROWS_MEMO.put(key, runs)
+    return runs
 
 
 def _allowed_of(policy: AllowPolicy) -> Label:
@@ -280,6 +419,13 @@ def _allowed_of(policy: AllowPolicy) -> Label:
             f"got {type(policy).__name__}"
         )
     return policy.allowed
+
+
+def surveillance_name(flowchart: Flowchart, policy: AllowPolicy,
+                      timed: bool = False, forgetting: bool = True) -> str:
+    """The name :func:`surveillance_mechanism` gives its mechanism."""
+    variant = "M'" if timed else ("M-hw" if not forgetting else "M-s")
+    return f"{variant}({flowchart.name}, {policy.name})"
 
 
 def surveillance_mechanism(flowchart: Flowchart, policy: AllowPolicy,
@@ -326,7 +472,7 @@ def surveillance_mechanism(flowchart: Flowchart, policy: AllowPolicy,
                 from ..obs.provenance import explain
                 explanation = explain(flowchart, policy, inputs,
                                       timed=timed, forgetting=forgetting,
-                                      fuel=fuel)
+                                      fuel=fuel, value_cap=value_cap)
                 _obs.emit("explanation", **explanation.event_fields())
             if time_observable:
                 # Notices issued at different times are different
@@ -337,8 +483,7 @@ def surveillance_mechanism(flowchart: Flowchart, policy: AllowPolicy,
             return (run.outcome, run.steps)
         return run.outcome
 
-    variant = "M'" if timed else ("M-hw" if not forgetting else "M-s")
-    label = name or f"{variant}({flowchart.name}, {policy.name})"
+    label = name or surveillance_name(flowchart, policy, timed, forgetting)
     return ProtectionMechanism(mechanism_fn, protected, name=label)
 
 

@@ -23,7 +23,7 @@ from ..core.policy import AllowPolicy
 from ..core.program import Program
 from ..flowchart.interpreter import DEFAULT_FUEL
 from ..flowchart.program import Flowchart
-from .dynamic import surveillance_mechanism
+from .dynamic import surveillance_mechanism, surveillance_name
 
 
 def highwater_mechanism(flowchart: Flowchart, policy: AllowPolicy,
@@ -44,6 +44,6 @@ def highwater_mechanism(flowchart: Flowchart, policy: AllowPolicy,
     return surveillance_mechanism(
         flowchart, policy, domain, output_model=output_model, timed=timed,
         forgetting=False, fuel=fuel, program=program,
-        name=name or f"M-hw({flowchart.name}, {policy.name})",
+        name=name or surveillance_name(flowchart, policy, forgetting=False),
         value_cap=value_cap, backend=backend,
     )

@@ -332,11 +332,13 @@ def instrumented_mechanism(flowchart: Flowchart, policy: AllowPolicy,
                 # bench E04), so provenance is backend-independent.
                 from ..obs.provenance import explain
                 explanation = explain(flowchart, policy, inputs,
-                                      timed=timed, fuel=fuel)
+                                      timed=timed, fuel=fuel,
+                                      value_cap=value_cap)
                 _obs.emit("explanation", **explanation.event_fields())
             if time_observable:
                 original_steps = _original_steps(flowchart, inputs,
-                                                 policy, timed, fuel)
+                                                 policy, timed, fuel,
+                                                 value_cap)
                 return ViolationNotice(f"Λ@{original_steps}")
             if has_epochs:
                 # Epoch-tagged notice, read from the _s_epoch register —
@@ -349,13 +351,19 @@ def instrumented_mechanism(flowchart: Flowchart, policy: AllowPolicy,
             return (result.value, original.steps)
         return result.value
 
-    variant = "M'-inst" if timed else "M-inst"
-    label = name or f"{variant}({flowchart.name}, {policy.name})"
+    label = name or instrumented_name(flowchart, policy, timed)
     return ProtectionMechanism(mechanism_fn, protected, name=label)
 
 
+def instrumented_name(flowchart: Flowchart, policy: AllowPolicy,
+                      timed: bool = False) -> str:
+    """The name :func:`instrumented_mechanism` gives its mechanism."""
+    variant = "M'-inst" if timed else "M-inst"
+    return f"{variant}({flowchart.name}, {policy.name})"
+
+
 def _original_steps(flowchart: Flowchart, inputs, policy: AllowPolicy,
-                    timed: bool, fuel: int) -> int:
+                    timed: bool, fuel: int, value_cap: Optional[int]) -> int:
     """Steps of Q completed before the violation (for notice stamping).
 
     Delegates to the interpreter-level surveillance run, which counts
@@ -364,5 +372,5 @@ def _original_steps(flowchart: Flowchart, inputs, policy: AllowPolicy,
     from .dynamic import surveil
 
     run = surveil(flowchart, inputs, policy.allowed, timed=timed, fuel=fuel,
-                  record=False)
+                  record=False, value_cap=value_cap)
     return run.steps

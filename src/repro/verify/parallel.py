@@ -16,7 +16,10 @@ first output seen and whether the chunk itself witnessed a conflict.
 Merging chunks (in domain order) compares class representatives across
 chunk boundaries, so the merged soundness verdict is exactly the serial
 factorization verdict — the per-point outputs are shared between the
-soundness check and the accepts count, never recomputed.
+soundness check and the accepts count, never recomputed.  Under
+``backend="batch"`` a registered family's task instead decides its
+chunk from runs made once per point with no policy, which every policy
+of the pair shares (:func:`_evaluate_chunk_batch`).
 
 Fuel
 ----
@@ -86,6 +89,7 @@ from __future__ import annotations
 import os
 import pickle
 import time
+from operator import itemgetter
 from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor,
                                 ProcessPoolExecutor, ThreadPoolExecutor,
                                 wait)
@@ -94,17 +98,23 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from ..core.domains import ProductDomain
 from ..core.errors import (FuelExhaustedError, MessageError, ReproError,
                            SweepInterruptedError, ValueCapExceededError)
-from ..core.mechanism import ViolationNotice, is_violation
-from ..core.policy import AllowPolicy
+from ..core.mechanism import (ViolationNotice, is_violation,
+                              program_mechanism_name)
+from ..core.policy import AllowPolicy, allow
 from ..flowchart.batchpath import K_CAP, K_FUEL, K_OK, execute_batch
 from ..flowchart.fastpath import resolve_backend
 from ..flowchart.interpreter import DEFAULT_FUEL
 from ..flowchart.program import Flowchart
 from ..obs import runtime as _obs
-from ..obs.audit import (AuditLedger, budget_fingerprint, decision_payload,
-                         merge_segments)
+from ..obs.audit import (AuditLedger, budget_fingerprint, classify_notice,
+                         decision_payload, merge_segments)
 from ..robustness.faults import (cap_notice, crash_notice, fuel_notice,
                                  message_notice, resolve_value_cap)
+from ..surveillance.dynamic import policy_free_runs, surveillance_name
+from ..surveillance.instrument import (EPOCH_VAR, PC_LABEL, VIOLATION_FLAG,
+                                       instrument, instrumented_name,
+                                       surveillance_variable)
+from ..surveillance.labels import to_mask
 from . import chaos
 from .checkpoint import (CheckpointWriter, config_fingerprint, encode_value,
                          load_checkpoint)
@@ -214,12 +224,9 @@ def evaluate_chunk(mechanism, policy, points: Iterable[Tuple],
     """
     if plan is None:
         plan = chaos.current_plan()
-    classes: Dict = {}
-    accepts = 0
-    conflict = False
-    evaluated = 0
+    points = list(points)
+    outputs = []
     for point in points:
-        evaluated += 1
         if plan is not None and plan.poisons(point):
             raise MemoryError(f"chaos poison point {tuple(point)!r}")
         point_span = _obs.span_begin("point", parent=span, push=True,
@@ -239,22 +246,23 @@ def evaluate_chunk(mechanism, policy, points: Iterable[Tuple],
                         getattr(mechanism, "name", "?"), error.cap)
             except MessageError as error:
                 output = message_notice(error.detail)
-            accepted = not is_violation(output)
         finally:
             _obs.span_finish(point_span)
-        if accepted:
-            accepts += 1
-        policy_value = policy(*point)
-        if policy_value not in classes:
-            classes[policy_value] = output
-        elif not conflict and classes[policy_value] != output:
-            conflict = True
-    return ChunkSummary(accepts, classes, conflict)
+        outputs.append(output)
+    return _summarize_outputs(policy, points, outputs)
 
 
-#: Factory families the batch tier can evaluate whole-chunk: their
-#: per-point output is a pure function of one flowchart execution.
-_BATCH_FAMILIES = ("program", "surveillance")
+#: Factory families the batch path evaluates whole-chunk.  Each runs a
+#: grid point once with no policy and decides all 2^k allow-policies of
+#: a pair from that run: ``program`` and ``surveillance`` execute on the
+#: batch tier (surveillance as the allow-all instrumented flowchart),
+#: the label-walk families below as interpreter-level walks.
+_BATCH_FAMILIES = ("program", "surveillance", "timed", "highwater")
+
+#: The label-walk families: ``(timed, forgetting, time_observable)`` of
+#: the mechanism their :data:`FACTORIES` entry builds.
+_WALK_FAMILIES = {"timed": (True, True, True),
+                  "highwater": (False, False, False)}
 
 _VIOL_KIND = 3  # merged outcome code for a surveillance violation
 
@@ -269,64 +277,55 @@ def _cpu_count() -> Optional[int]:
     return _CPU_COUNT
 
 
-def _batch_outcome(lane: int, outkind, values, fuel_out, cap_out, viol_out):
-    """Decode one lane's merged outcome code into the mechanism output."""
-    code = int(outkind[lane])
-    if code == K_FUEL:
-        return fuel_out
-    if code == K_CAP:
-        return cap_out
-    if code == _VIOL_KIND:
-        return viol_out
-    return int(values[lane])
+def _class_key(policy) -> Callable[[Tuple], Tuple]:
+    """``point -> policy(*point)``; an allow-policy's projection is read
+    straight off the point tuple instead of through the policy call."""
+    if not isinstance(policy, AllowPolicy):
+        return lambda point: policy(*point)
+    columns = [index - 1 for index in policy.indices]
+    if len(columns) > 1:
+        return itemgetter(*columns)
+    if columns:
+        column = columns[0]
+        return lambda point: (point[column],)
+    return lambda point: ()
 
 
-def _summarize_batch_vector(rows, view, policy: AllowPolicy, points,
-                            flowchart, fuel_out, cap_out, viol_out,
-                            surveillance: bool) -> Optional[ChunkSummary]:
+def _summarize_outputs(policy, points, outputs,
+                       backend: Optional[str] = None) -> ChunkSummary:
+    """ChunkSummary of per-point outputs, in domain order."""
+    classes: Dict = {}
+    accepts = 0
+    conflict = False
+    class_key = _class_key(policy)
+    for point, output in zip(points, outputs):
+        if not is_violation(output):
+            accepts += 1
+        policy_value = class_key(point)
+        if policy_value not in classes:
+            classes[policy_value] = output
+        elif not conflict and classes[policy_value] != output:
+            conflict = True
+    return ChunkSummary(accepts, classes, conflict, backend=backend)
+
+
+def _summarize_vector(np_mod, pts, policy: AllowPolicy, outkind, vals,
+                      output: Callable) -> ChunkSummary:
     """Vectorized ChunkSummary for an AllowPolicy batch (numpy lanes).
 
-    Groups lanes by the policy projection with one ``np.unique`` instead
-    of a Python dict insert per point.  Returns None when the points
-    cannot columnize (callers fall back to the scalar walk).
+    Lane ``i``'s output is ``output(outkind[i], vals[i])``, and lanes
+    with equal codes and values have equal outputs.  Groups lanes by
+    the policy projection with one ``np.unique`` instead of a Python
+    dict insert per point.
     """
-    np_mod, kinds, values = view
-    pts = rows.input_matrix
-    if pts is None:
-        try:
-            pts = np_mod.asarray(points, dtype=np_mod.int64)
-        except (OverflowError, ValueError):  # oversized inputs: be safe
-            return None
-    # (outkind, accepts, vals) depend on the rows alone, never on the
-    # policy; the rows memo serves one BatchResult to all 2^k policies
-    # of a pair, so compute them once and park them on the result.
-    cached = rows.summary_cache
-    if cached is not None:
-        outkind, accepts, vals = cached
-    else:
-        outkind = kinds
-        if surveillance:
-            from ..surveillance.instrument import VIOLATION_FLAG
-            violated = ((kinds == K_OK)
-                        & (rows.env_column(VIOLATION_FLAG) == 1))
-            outkind = np_mod.where(violated, _VIOL_KIND, kinds)
-        ok = outkind == K_OK
-        accepts = int(ok.sum())
-        vals = np_mod.where(ok, values, 0)
-        rows.summary_cache = (outkind, accepts, vals)
-    if surveillance and _obs.active:
-        violations = int((outkind == _VIOL_KIND).sum())
-        for _ in range(violations):
-            _obs.record_violation(flowchart.name, "instrumented",
-                                  timed=False)
+    accepts = int((outkind == K_OK).sum())
     columns = [index - 1 for index in policy.indices]
     if not columns:
         # allow(): a single policy class, represented by the first lane.
         conflict = bool(((outkind != outkind[0]) | (vals != vals[0])).any())
-        representative = _batch_outcome(0, outkind, values, fuel_out,
-                                        cap_out, viol_out)
-        return ChunkSummary(accepts, {(): representative}, conflict,
-                            backend="batch")
+        return ChunkSummary(accepts, {(): output(int(outkind[0]),
+                                                 int(vals[0]))},
+                            conflict, backend="batch")
     projection = pts[:, columns]
     # Mixed-radix encode the projected columns into one int64 key per
     # lane: a 1-D np.unique is far cheaper than the axis=0 row path,
@@ -356,8 +355,7 @@ def _summarize_batch_vector(rows, view, policy: AllowPolicy, points,
             for u in np_mod.argsort(first, kind="stable"):
                 lane = int(first[u])
                 key = tuple(int(part) for part in unique_rows[u])
-                classes[key] = _batch_outcome(lane, outkind, values,
-                                              fuel_out, cap_out, viol_out)
+                classes[key] = output(int(outkind[lane]), int(vals[lane]))
             return ChunkSummary(accepts, classes, conflict,
                                 backend="batch")
     _, first, inverse = np_mod.unique(keys, return_index=True,
@@ -378,21 +376,75 @@ def _summarize_batch_vector(rows, view, policy: AllowPolicy, points,
     # class representatives come out in first-seen (domain) order by
     # sorting the first-occurrence lane indices.
     order = np_mod.sort(first)
-    key_rows = projection[order].tolist()
-    codes = outkind[order].tolist()
-    reps = values[order].tolist()
     classes = {}
-    for key_row, code, rep in zip(key_rows, codes, reps):
-        if code == K_FUEL:
-            output = fuel_out
-        elif code == K_CAP:
-            output = cap_out
-        elif code == _VIOL_KIND:
-            output = viol_out
-        else:
-            output = rep
-        classes[tuple(key_row)] = output
+    for key_row, code, val in zip(projection[order].tolist(),
+                                  outkind[order].tolist(),
+                                  vals[order].tolist()):
+        classes[tuple(key_row)] = output(code, val)
     return ChunkSummary(accepts, classes, conflict, backend="batch")
+
+
+def _decide_surveillance(rows, np_mod, flowchart: Flowchart, allowed: int,
+                         fuel: int, has_epochs: bool):
+    """(outkind, vals) of allow(J) over an allow-all instrumented batch.
+
+    Rule 4 for J is ``ȳ ∪ C̄ ⊆ J`` on every epoch-0 lane (a lane past a
+    policy change keeps the verdict the installed policy gave it).  A
+    J-violation the allow-all run did not take runs one box longer
+    (``_viol := 1``), so on a lane that halted in exactly ``fuel``
+    steps it runs out of fuel instead.
+
+    The policy-independent columns — ``mask`` (ȳ ∪ C̄ where J decides,
+    else 0), ``starves`` (halted in exactly ``fuel`` steps),
+    ``settled_viol`` (``_viol`` set by an installed policy), ``epoch``
+    and the ok lanes' ``vals`` — are parked on the BatchResult, which
+    the rows memo hands to every policy of the pair.
+    """
+    if rows.summary_cache is None:
+        ok = rows.kinds == K_OK
+        mask = (rows.env_column(surveillance_variable(
+            flowchart.output_variable)) | rows.env_column(PC_LABEL))
+        epoch, settled_viol = 0, None
+        if has_epochs:
+            epoch = rows.env_column(EPOCH_VAR)
+            settled_viol = ok & (epoch > 0) & (
+                rows.env_column(VIOLATION_FLAG) == 1)
+            ok &= epoch == 0
+        rows.summary_cache = (np_mod.where(ok, mask, 0),
+                              rows.lane_steps == fuel, settled_viol, epoch,
+                              np_mod.where(rows.kinds == K_OK,
+                                           rows.values, 0))
+    mask, starves, settled_viol, epoch, vals = rows.summary_cache
+    over = (mask & ~allowed) != 0
+    starved = over & starves
+    violated = over & ~starves
+    if settled_viol is not None:
+        violated |= settled_viol
+    outkind = np_mod.where(violated, _VIOL_KIND,
+                           np_mod.where(starved, K_FUEL, rows.kinds))
+    vals = np_mod.where(violated, epoch, np_mod.where(starved, 0, vals))
+    return outkind, vals
+
+
+def _batch_lane(rows, i: int, flowchart: Flowchart, allowed: Optional[int],
+                fuel: int, has_epochs: bool) -> Tuple[int, int]:
+    """Lane ``i``'s (code, val): for a surveillance batch (``allowed`` is
+    J's mask) the scalar twin of :func:`_decide_surveillance`."""
+    kind = rows.kind(i)
+    if kind != K_OK:
+        return kind, 0
+    if allowed is None:
+        return K_OK, rows.value(i)
+    epoch = rows.env_value(i, EPOCH_VAR) if has_epochs else 0
+    if epoch:
+        if rows.env_value(i, VIOLATION_FLAG) == 1:
+            return _VIOL_KIND, epoch
+    elif (rows.env_value(i, surveillance_variable(flowchart.output_variable))
+          | rows.env_value(i, PC_LABEL)) & ~allowed:
+        if rows.steps(i) == fuel:
+            return K_FUEL, 0
+        return _VIOL_KIND, 0
+    return K_OK, rows.value(i)
 
 
 def _evaluate_chunk_batch(flowchart: Flowchart, family: str, policy,
@@ -402,79 +454,134 @@ def _evaluate_chunk_batch(flowchart: Flowchart, family: str, policy,
                           plan: Optional[chaos.FaultPlan] = None,
                           lane_engine: Optional[str] = None
                           ) -> ChunkSummary:
-    """Evaluate a whole chunk on the batch tier; summarise for the merge.
+    """Evaluate a whole chunk from shared runs; summarise for the merge.
 
-    Supports the ``program`` and ``surveillance`` factory families —
-    the two whose per-point output is a pure function of one flowchart
-    execution (surveillance reads the instrumented flowchart's
-    ``_viol`` flag from the final environment).  The summary is
-    row-identical to :func:`evaluate_chunk` over the same points: same
-    accepts, same first-seen class representatives in domain order,
-    same conflict flag, same ``Λ!fuel[N]`` / ``Λ!cap[C]`` notices.
+    The summary is row-identical to :func:`evaluate_chunk` over the
+    same points with the family's per-policy mechanism: same accepts,
+    same first-seen class representatives in domain order, same
+    conflict flag, same ``Λ``/``Λ@e{n}``/``Λ@t``/``Λ!fuel[N]``/
+    ``Λ!cap[C]`` notices.  Every point runs once with no policy — the
+    labels x̄ and C̄ never depend on J — and the rows memo hands that
+    run to every policy of the pair, which then costs only a bitmask
+    decision:
 
-    A chaos poison point raises ``MemoryError`` *before* any lane
+    - ``program`` runs the flowchart on the batch tier;
+    - ``surveillance`` runs ``instrument(flowchart, allow(1..k))`` on
+      the batch tier and decides J from its final masks
+      (:func:`_decide_surveillance`);
+    - ``timed`` and ``highwater`` take the interpreter-level
+      :func:`~repro.surveillance.dynamic.policy_free_runs`.
+
+    A chaos poison point raises ``MemoryError`` *before* anything
     executes; the caller's quarantine machinery then bisects the chunk
     per-point exactly as it would a per-point chunk, so quarantined
     rows agree across backends.  ``span`` is accepted for signature
-    symmetry: the batch tier emits chunk-level events
+    symmetry: the batch path emits chunk-level events
     (``batch_compiled`` / ``batch_fallback``), not per-point spans.
     """
-    del span  # no per-point spans on the batch tier
+    del span  # no per-point spans on the batch path
     if plan is None:
         plan = chaos.current_plan()
     if plan is not None:
         for point in points:
             if plan.poisons(point):
                 raise MemoryError(f"chaos poison point {tuple(point)!r}")
+    if family in _WALK_FAMILIES:
+        return _evaluate_walk_chunk(flowchart, family, policy, points, fuel,
+                                    value_cap, mechanism_name)
     surveillance = family == "surveillance"
+    target, allowed = flowchart, None
     if surveillance:
-        from ..surveillance.instrument import VIOLATION_FLAG, instrument
-        target = instrument(flowchart, policy)
-    else:
-        target = flowchart
+        arity = flowchart.arity
+        target = instrument(flowchart, allow(*range(1, arity + 1),
+                                             arity=arity))
+        allowed = to_mask(policy.allowed)
     rows = execute_batch(target, points, fuel=fuel, value_cap=value_cap,
                          engine=lane_engine, need_env=surveillance)
     fuel_out = fuel_notice(fuel)
     cap_out = cap_notice(rows.cap) if rows.cap is not None else None
-    viol_out = ViolationNotice("Λ") if surveillance else None
-    if _obs.active:
-        for i in range(len(points)):
-            kind = rows.kind(i)
-            if kind == K_FUEL:
-                _obs.record_fuel_exhausted(mechanism_name, fuel)
-            elif kind == K_CAP:
-                _obs.record_value_cap_exceeded(mechanism_name, rows.cap)
+    has_epochs = surveillance and bool(flowchart.policy_change_ids())
+
+    def output(code: int, val: int):
+        if code == K_OK:
+            return val
+        if code == K_FUEL:
+            return fuel_out
+        if code == K_CAP:
+            return cap_out
+        return ViolationNotice(f"Λ@e{val}" if has_epochs else "Λ")
+
     view = rows.vector_view()
+    pts = None
     if view is not None and isinstance(policy, AllowPolicy):
-        summary = _summarize_batch_vector(rows, view, policy, points,
-                                          flowchart, fuel_out, cap_out,
-                                          viol_out, surveillance)
-        if summary is not None:
-            return summary
-    classes: Dict = {}
-    accepts = 0
-    conflict = False
-    for i, point in enumerate(points):
-        kind = rows.kind(i)
-        if kind == K_FUEL:
-            output = fuel_out
-        elif kind == K_CAP:
-            output = cap_out
-        elif surveillance and rows.env_value(i, VIOLATION_FLAG) == 1:
-            output = viol_out
-            if _obs.active:
-                _obs.record_violation(flowchart.name, "instrumented",
-                                      timed=False)
+        np_mod = view[0]
+        pts = rows.input_matrix
+        if pts is None:
+            try:
+                pts = np_mod.asarray(points, dtype=np_mod.int64)
+            except (OverflowError, ValueError):  # oversized inputs
+                pts = None
+    if pts is not None:
+        if surveillance:
+            outkind, vals = _decide_surveillance(rows, np_mod, flowchart,
+                                                 allowed, fuel, has_epochs)
         else:
-            output = rows.value(i)
-        if not is_violation(output):
-            accepts += 1
-        policy_value = policy(*point)
-        if policy_value not in classes:
-            classes[policy_value] = output
-        elif not conflict and classes[policy_value] != output:
-            conflict = True
-    return ChunkSummary(accepts, classes, conflict, backend="batch")
+            # Policy-independent: computed once per BatchResult.
+            if rows.summary_cache is None:
+                rows.summary_cache = (rows.kinds, np_mod.where(
+                    rows.kinds == K_OK, rows.values, 0))
+            outkind, vals = rows.summary_cache
+        if _obs.active:
+            _record_lanes(outkind.tolist(), flowchart, mechanism_name, fuel,
+                          rows.cap)
+        return _summarize_vector(np_mod, pts, policy, outkind, vals, output)
+    lanes = [_batch_lane(rows, i, flowchart, allowed, fuel, has_epochs)
+             for i in range(len(points))]
+    if _obs.active:
+        _record_lanes([code for code, _ in lanes], flowchart,
+                      mechanism_name, fuel, rows.cap)
+    return _summarize_outputs(policy, points,
+                              [output(code, val) for code, val in lanes],
+                              "batch")
+
+
+def _record_lanes(codes, flowchart: Flowchart, mechanism_name: str,
+                  fuel: int, cap: Optional[int]) -> None:
+    """The per-decision fault and violation metrics of a batch chunk."""
+    for code in codes:
+        if code == K_FUEL:
+            _obs.record_fuel_exhausted(mechanism_name, fuel)
+        elif code == K_CAP:
+            _obs.record_value_cap_exceeded(mechanism_name, cap)
+        elif code == _VIOL_KIND:
+            _obs.record_violation(flowchart.name, "instrumented",
+                                  timed=False)
+
+
+def _evaluate_walk_chunk(flowchart: Flowchart, family: str, policy,
+                         points: List[Tuple], fuel: int,
+                         value_cap: Optional[int],
+                         mechanism_name: str) -> ChunkSummary:
+    """A label-walk family's chunk, decided from policy-free runs."""
+    timed, forgetting, time_observable = _WALK_FAMILIES[family]
+    runs = policy_free_runs(flowchart, points, timed=timed,
+                            forgetting=forgetting, fuel=fuel,
+                            value_cap=value_cap)
+    allowed = to_mask(policy.allowed)
+    outputs = [run.output(allowed, time_observable) for run in runs]
+    if _obs.active:
+        for output in outputs:
+            kind = classify_notice(str(output)) if is_violation(
+                output) else None
+            if kind == "fuel":
+                _obs.record_fuel_exhausted(mechanism_name, fuel)
+            elif kind == "cap":
+                _obs.record_value_cap_exceeded(mechanism_name, value_cap)
+            elif kind is not None:
+                _obs.record_violation(flowchart.name, "surveillance",
+                                      timed=timed)
+    # The walk is interpreter-level whatever the sweep's backend.
+    return _summarize_outputs(policy, points, outputs, "interpreted")
 
 
 def _merge_summaries(parts: Sequence[ChunkSummary]) -> ChunkSummary:
@@ -634,6 +741,46 @@ FACTORIES: Dict[str, Callable] = {
 }
 
 
+#: The name each registered family's mechanism carries, from the rule
+#: its constructor applies: a sweep labels its rows without building a
+#: mechanism that only the per-point path would call.
+FACTORY_NAMES: Dict[str, Callable] = {
+    "program": lambda flowchart, policy: program_mechanism_name(
+        flowchart.name),
+    "surveillance": instrumented_name,
+    "timed": lambda flowchart, policy: surveillance_name(
+        flowchart, policy, timed=True),
+    "highwater": lambda flowchart, policy: surveillance_name(
+        flowchart, policy, forgetting=False),
+}
+
+
+class _LazyMechanism:
+    """A pair's mechanism, built on its first per-point call.
+
+    Stands in for the mechanism where a batch evaluator normally
+    decides the chunk and only quarantine bisection calls per point.
+    """
+
+    __slots__ = ("_build", "_mechanism")
+
+    def __init__(self, build: Callable[[], object]) -> None:
+        self._build = build
+        self._mechanism = None
+
+    def _get(self):
+        if self._mechanism is None:
+            self._mechanism = self._build()
+        return self._mechanism
+
+    def __call__(self, *point):
+        return self._get()(*point)
+
+    @property
+    def name(self) -> str:
+        return self._get().name
+
+
 def resolve_factory(factory) -> Callable:
     """A named family or a ``(flowchart, policy, domain[, fuel])`` callable."""
     if callable(factory):
@@ -653,7 +800,10 @@ def _chunk(points: List[Tuple], size: int) -> List[List[Tuple]]:
 
 
 def _run_pair_task(payload: bytes) -> Tuple[int, int, ChunkSummary]:
-    """Process-pool entry: rebuild the mechanism, evaluate one chunk.
+    """Process-pool entry: evaluate one chunk.
+
+    The batch evaluator needs no mechanism; the per-point path rebuilds
+    it from the registered factory.
 
     ``span_id`` is the parent-side chunk span: fork-started workers
     inherit the parent's attached sinks, so their point spans (and leaf
@@ -676,13 +826,13 @@ def _run_pair_task(payload: bytes) -> Tuple[int, int, ChunkSummary]:
     if inject_failure:
         raise _InjectedWorkerFailure(
             f"injected failure for chunk ({pair_index}, {chunk_index})")
-    mechanism = FACTORIES[factory_name](flowchart, policy, domain, fuel,
-                                        value_cap=value_cap, backend=backend)
     if batch_family is not None:
         return pair_index, chunk_index, _evaluate_chunk_batch(
             flowchart, batch_family, policy, points, fuel, value_cap,
-            mechanism.name, span=span_id, plan=plan,
-            lane_engine=lane_engine)
+            FACTORY_NAMES[batch_family](flowchart, policy), span=span_id,
+            plan=plan, lane_engine=lane_engine)
+    mechanism = FACTORIES[factory_name](flowchart, policy, domain, fuel,
+                                        value_cap=value_cap, backend=backend)
     return pair_index, chunk_index, evaluate_chunk(mechanism, policy, points,
                                                    span=span_id, plan=plan)
 
@@ -784,10 +934,11 @@ def parallel_soundness_sweep(
         Execution tier for chunk evaluation (default: the
         ``REPRO_BACKEND`` resolution, see
         :func:`repro.flowchart.fastpath.resolve_backend`).
-        ``"batch"`` dispatches whole chunks into the vectorized batch
-        evaluator for the ``program`` and ``surveillance`` factory
-        families; other families, provenance-enabled runs, and
-        quarantine bisections degrade to per-point evaluation.  Each
+        ``"batch"`` evaluates whole chunks of the registered families
+        from one policy-free run per point, shared by every policy of
+        a pair (:func:`_evaluate_chunk_batch`); callable factories,
+        provenance-enabled runs, and quarantine bisections degrade to
+        per-point evaluation.  Each
         :class:`~repro.verify.enumerate.SweepResult` reports which
         backends actually ran its chunks via ``result.backends``.
     lane_engine:
@@ -837,22 +988,24 @@ def parallel_soundness_sweep(
     factory = resolve_factory(mechanism_factory)
     workers = max_workers or _cpu_count() or 1
 
+    if isinstance(mechanism_factory, str):
+        family: Optional[str] = mechanism_factory
+    else:
+        family = next((name for name, fn in FACTORIES.items()
+                       if fn is factory), None)
     # Whole-chunk batch evaluation engages only for the factory
-    # families whose outputs the batch tier can reproduce; provenance
+    # families whose outputs the batch path can reproduce; provenance
     # (explain) needs the per-point machinery, so it degrades too.
     batch_family: Optional[str] = None
-    if backend == "batch" and not _obs.explain_active:
-        if isinstance(mechanism_factory, str):
-            family = mechanism_factory
-        else:
-            family = next((name for name, fn in FACTORIES.items()
-                           if fn is factory), None)
-        if family in _BATCH_FAMILIES and not any(
-                flowchart.has_channels() for flowchart in flowcharts):
-            # Channel programs stay per-point: the surveillance batch
-            # family runs *instrumented* flowcharts, and literal
-            # instrumentation cannot model labelled channel queues.
-            batch_family = family
+    if (backend == "batch" and not _obs.explain_active
+            and family in _BATCH_FAMILIES
+            and (family in _WALK_FAMILIES or not any(
+                flowchart.has_channels() for flowchart in flowcharts))):
+        # Channel programs stay off the batch tier: literal
+        # instrumentation cannot model labelled channel queues, and a
+        # lane's channel fault is not one the tier totalizes.  The
+        # label walks carry both.
+        batch_family = family
     # The tier for chunks evaluated per-point: under backend="batch"
     # that work degrades to the compiled engine — the same target the
     # batch tier itself retires hazardous lanes to — rather than to
@@ -861,6 +1014,10 @@ def parallel_soundness_sweep(
     # degraded chunks.
     point_backend = "compiled" if backend == "batch" else backend
     mech_backend = point_backend if backend_requested else None
+    # The tier a chunk's per-point evaluation really ran on: the
+    # label-walk families' mechanisms walk interpreter-level whatever
+    # the backend.
+    point_tier = "interpreted" if family in _WALK_FAMILIES else point_backend
 
     # Materialise the (flowchart, policy) pair list once, in sweep order.
     pairs: List[Tuple[Flowchart, AllowPolicy, ProductDomain]] = []
@@ -942,12 +1099,40 @@ def parallel_soundness_sweep(
                 pair_spans[pair_index] = handle
         return handle
 
+    mechanisms: Dict[int, object] = {}
+    namer = FACTORY_NAMES.get(family) if family is not None else None
+
+    def mechanism_for(pair_index: int):
+        mechanism = mechanisms.get(pair_index)
+        if mechanism is None:
+            flowchart, policy, domain = pairs[pair_index]
+            mechanism = build_mechanism(factory, flowchart, policy, domain,
+                                        fuel, value_cap=value_cap,
+                                        backend=mech_backend)
+            mechanisms[pair_index] = mechanism
+        return mechanism
+
+    def point_mechanism(pair_index: int):
+        """What a chunk's per-point evaluation calls.  When the batch
+        evaluator decides the chunk, only quarantine bisection does, so
+        the mechanism is built on that first call."""
+        if batch_family is None:
+            return mechanism_for(pair_index)
+        return _LazyMechanism(lambda: mechanism_for(pair_index))
+
+    def name_for(pair_index: int) -> str:
+        if namer is None:
+            return mechanism_for(pair_index).name
+        flowchart, policy, _ = pairs[pair_index]
+        return namer(flowchart, policy)
+
     def finish_pair(pair_index: int, sound: bool, accepts: int,
-                    mechanism_name: str, pair_seconds: float,
+                    pair_seconds: float,
                     backends: Optional[Dict[str, int]] = None) -> None:
         flowchart, policy, domain = pairs[pair_index]
-        result = SweepResult(flowchart.name, policy.name, mechanism_name,
-                             sound, accepts, len(domain), backends=backends)
+        result = SweepResult(flowchart.name, policy.name,
+                             name_for(pair_index), sound, accepts,
+                             len(domain), backends=backends)
         results_by_pair[pair_index] = result
         completed_pairs[0] += 1
         pair_span = pair_spans.pop(pair_index, None)
@@ -984,27 +1169,10 @@ def parallel_soundness_sweep(
         if _obs.active:
             _obs.inc("sweep.chunks_scheduled", len(pairs))
         # Every policy of a flowchart sweeps the same domain object;
-        # materialise its point list once, not once per pair.  The
-        # "program" family's mechanism ignores the policy entirely
-        # (the policy only partitions outputs), so it is likewise
-        # built once per (flowchart, domain) and shared across pairs.
+        # materialise its point list once, not once per pair.
         points_by_domain: Dict[int, List[Tuple]] = {}
-        mechanism_by_domain: Dict[int, object] = {}
         for pair_index, (flowchart, policy, domain) in enumerate(pairs):
             pair_started = time.perf_counter()
-            if batch_family == "program":
-                mechanism = mechanism_by_domain.get(id(domain))
-                if mechanism is None:
-                    mechanism = build_mechanism(factory, flowchart, policy,
-                                                domain, fuel,
-                                                value_cap=value_cap,
-                                                backend=mech_backend)
-                    mechanism_by_domain[id(domain)] = mechanism
-            else:
-                mechanism = build_mechanism(factory, flowchart, policy,
-                                            domain, fuel,
-                                            value_cap=value_cap,
-                                            backend=mech_backend)
             points = points_by_domain.get(id(domain))
             if points is None:
                 points = list(domain)
@@ -1017,15 +1185,15 @@ def parallel_soundness_sweep(
             batch_eval = None
             if batch_family is not None:
                 batch_eval = (lambda fc=flowchart, po=policy, pt=points,
-                              nm=mechanism.name, sp=span_id:
+                              nm=name_for(pair_index), sp=span_id:
                               _evaluate_chunk_batch(fc, batch_family, po, pt,
                                                     fuel, value_cap, nm,
                                                     span=sp))
             summary = quarantine_chunk(
-                mechanism, policy, points, pair_index, 0,
+                point_mechanism(pair_index), policy, points, pair_index, 0,
                 span=span_id, evaluate=batch_eval)
             if summary.backend is None:
-                summary.backend = point_backend
+                summary.backend = point_tier
             _obs.span_finish(chunk_span, accepts=summary.accepts)
             # One chunk per pair: folding a single summary through
             # merge_chunks rebuilds its class dict only to rediscover
@@ -1034,7 +1202,7 @@ def parallel_soundness_sweep(
             if _obs.active:
                 _obs.inc("sweep.chunks_done")
                 _obs.record_chunk_evaluated(len(points), summary.accepts)
-            finish_pair(pair_index, sound, accepts, mechanism.name,
+            finish_pair(pair_index, sound, accepts,
                         time.perf_counter() - pair_started,
                         backends={summary.backend: 1})
             if audit_ledger is not None:
@@ -1086,7 +1254,6 @@ def parallel_soundness_sweep(
         else:
             factory_name = mechanism_factory
 
-    mechanisms: Dict[int, object] = {}
     # Chunk spans are supervised in the parent (opened at first submit,
     # closed when the summary lands), so a process-pool sweep — whose
     # workers run with observability off — still yields one rooted
@@ -1106,25 +1273,12 @@ def parallel_soundness_sweep(
                 chunk_spans[key] = handle
         return handle
 
-    def mechanism_for(pair_index: int):
-        mechanism = mechanisms.get(pair_index)
-        if mechanism is None:
-            flowchart, policy, domain = pairs[pair_index]
-            mechanism = build_mechanism(factory, flowchart, policy, domain,
-                                        fuel, value_cap=value_cap,
-                                        backend=mech_backend)
-            mechanisms[pair_index] = mechanism
-        return mechanism
-
     def batch_evaluator(pair_index: int, points: List[Tuple],
-                        span_id: Optional[str],
-                        plan: Optional[chaos.FaultPlan] = None):
+                        span_id: Optional[str]):
         flowchart, policy, _ = pairs[pair_index]
         return _evaluate_chunk_batch(flowchart, batch_family, policy, points,
-                                     fuel, value_cap,
-                                     mechanism_for(pair_index).name,
-                                     span=span_id, plan=plan,
-                                     lane_engine=lane_engine)
+                                     fuel, value_cap, name_for(pair_index),
+                                     span=span_id, lane_engine=lane_engine)
 
     def run_chunk_inline(pair_index: int, chunk_index: int,
                          points: List[Tuple]) -> ChunkSummary:
@@ -1138,11 +1292,11 @@ def parallel_soundness_sweep(
         batch_eval = None
         if batch_family is not None:
             batch_eval = lambda: batch_evaluator(pair_index, points, span_id)
-        summary = quarantine_chunk(mechanism_for(pair_index), policy, points,
-                                   pair_index, chunk_index, span=span_id,
-                                   evaluate=batch_eval)
+        summary = quarantine_chunk(point_mechanism(pair_index), policy,
+                                   points, pair_index, chunk_index,
+                                   span=span_id, evaluate=batch_eval)
         if summary.backend is None:
-            summary.backend = point_backend
+            summary.backend = point_tier
         return summary
 
     def pair_backend_counts(pair_index: int) -> Dict[str, int]:
@@ -1172,7 +1326,6 @@ def parallel_soundness_sweep(
                        for index in range(len(per_pair_chunks[pair_index]))]
             sound, accepts = merge_chunks(ordered)
             finish_pair(pair_index, sound, accepts,
-                        mechanism_for(pair_index).name,
                         pair_seconds[pair_index] or
                         (time.perf_counter() - pair_started_wall),
                         backends=pair_backend_counts(pair_index))
@@ -1183,7 +1336,7 @@ def parallel_soundness_sweep(
         if key in summaries:  # late duplicate from an abandoned future
             return
         if summary.backend is None:
-            summary.backend = point_backend
+            summary.backend = point_tier
         summaries[key] = summary
         if ckpt_writer is not None:
             ckpt_writer.write_chunk(key[0], key[1], summary)
@@ -1334,8 +1487,7 @@ def parallel_soundness_sweep(
                     ordered = [summaries[(pair_index, index)] for index
                                in range(len(per_pair_chunks[pair_index]))]
                     sound, accepts = merge_chunks(ordered)
-                    finish_pair(pair_index, sound, accepts,
-                                mechanism_for(pair_index).name, 0.0,
+                    finish_pair(pair_index, sound, accepts, 0.0,
                                 backends=pair_backend_counts(pair_index))
             ckpt_writer = CheckpointWriter(checkpoint, descriptor,
                                            fresh=False,

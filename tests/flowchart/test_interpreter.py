@@ -43,6 +43,14 @@ class TestExecution:
         env = initial_environment(straightline(), (3, 4))
         assert env == {"x1": 3, "x2": 4, "r": 0, "y": 0}
 
+    def test_initialisation_never_shares_the_cached_template(self):
+        flowchart = straightline()
+        first = initial_environment(flowchart, (3, 4))
+        first["r"] = 99
+        assert initial_environment(flowchart, (5, 6)) == {
+            "x1": 5, "x2": 6, "r": 0, "y": 0}
+        assert list(first) == list(flowchart.start_environment())
+
     def test_output_defaults_to_zero(self):
         boxes = {"start": StartBox("halt"), "halt": HaltBox()}
         flowchart = Flowchart(boxes, ["x1"], name="empty")

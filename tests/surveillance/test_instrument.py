@@ -4,9 +4,11 @@ import pytest
 
 from repro.core import ProductDomain, allow, allow_none, is_violation
 from repro.core.errors import ArityMismatchError
+from repro.core.observability import VALUE_AND_TIME, VALUE_ONLY
 from repro.flowchart import library
 from repro.flowchart.boxes import AssignBox, DecisionBox, HaltBox
 from repro.flowchart.interpreter import as_program, execute
+from repro.robustness.faults import VALUE_CAP_ENV, reset_value_cap_cache
 from repro.surveillance.dynamic import surveillance_mechanism
 from repro.surveillance.instrument import (PC_LABEL, VIOLATION_FLAG,
                                            instrument,
@@ -77,24 +79,46 @@ class TestEquivalenceWithDynamic:
     """The ablation: instrumentation and interpreter-level tracking are
     extensionally the same mechanism."""
 
-    @pytest.mark.parametrize("timed", [False, True])
-    def test_agreement_across_suite(self, timed):
-        for flowchart in library.paper_figures():
-            domain = ProductDomain.integer_grid(0, 2, flowchart.arity)
-            program = as_program(flowchart, domain)
-            for policy in all_allow_policies(flowchart.arity):
-                dynamic = surveillance_mechanism(
-                    flowchart, policy, domain, timed=timed, program=program)
-                literal = instrumented_mechanism(
-                    flowchart, policy, domain, timed=timed, program=program)
-                for point in domain:
-                    dynamic_output = dynamic(*point)
-                    literal_output = literal(*point)
-                    assert (is_violation(dynamic_output)
-                            == is_violation(literal_output)), (
-                        flowchart.name, policy.name, point)
-                    if not is_violation(dynamic_output):
-                        assert dynamic_output == literal_output
+    @pytest.mark.parametrize("timed, output_model, value_cap", [
+        pytest.param(False, VALUE_ONLY, None, id="False"),
+        pytest.param(True, VALUE_ONLY, None, id="True"),
+        # A time-observable mechanism stamps notices Λ@t from a replay
+        # of Q, which must run under the mechanism's own cap, not the
+        # lower REPRO_VALUE_CAP default: 0..12 outgrows 3 bits.
+        pytest.param(False, VALUE_AND_TIME, 64,
+                     id="time-observable-explicit-cap"),
+    ])
+    def test_agreement_across_suite(self, timed, output_model, value_cap,
+                                    monkeypatch):
+        high = 2
+        if value_cap is not None:
+            monkeypatch.setenv(VALUE_CAP_ENV, "3")
+            reset_value_cap_cache()
+            high = 12
+        try:
+            for flowchart in library.paper_figures():
+                domain = ProductDomain.integer_grid(0, high, flowchart.arity)
+                program = as_program(flowchart, domain, output_model,
+                                     value_cap=value_cap)
+                for policy in all_allow_policies(flowchart.arity):
+                    dynamic = surveillance_mechanism(
+                        flowchart, policy, domain, output_model,
+                        timed=timed, program=program, value_cap=value_cap)
+                    literal = instrumented_mechanism(
+                        flowchart, policy, domain, output_model,
+                        timed=timed, program=program, value_cap=value_cap)
+                    for point in domain:
+                        dynamic_output = dynamic(*point)
+                        literal_output = literal(*point)
+                        assert (is_violation(dynamic_output)
+                                == is_violation(literal_output)), (
+                            flowchart.name, policy.name, point)
+                        if (output_model.time_observable
+                                or not is_violation(dynamic_output)):
+                            assert dynamic_output == literal_output
+        finally:
+            monkeypatch.delenv(VALUE_CAP_ENV, raising=False)
+            reset_value_cap_cache()
 
     def test_contract_holds(self):
         mechanism = instrumented_mechanism(library.forgetting_program(),
