@@ -40,12 +40,10 @@ Eleven sections:
 
 ``batch``
     The Gen-2 batch tier: the micro kernel evaluated through
-    ``execute_batch`` (NumPy lanes and pure-python lanes) against the
-    per-point compiled loop, and the PR5 ``guards.sweep_uncapped``
-    sweep re-run under ``backend="batch"``.  The PR claims ≥ 5× sweep
-    throughput over the ``BENCH_PR5.json`` ``sweep_uncapped`` best on
-    the NumPy path, and that pure-python batch lanes are no slower
-    than the compiled per-point tier.
+    ``execute_batch`` against the per-point compiled loop, and the PR5
+    ``guards.sweep_uncapped`` sweep re-run under ``backend="batch"``.
+    The PR claims ≥ 5× sweep throughput over the ``BENCH_PR5.json``
+    ``sweep_uncapped`` best on NumPy lanes.
 
 ``provenance``
     The cost of the PR's audit features on a serial soundness sweep:
@@ -123,22 +121,6 @@ def forced_backend(backend: str):
         else:
             os.environ[fastpath.BACKEND_ENV] = saved
         fastpath.reset_backend_cache()
-
-
-@contextlib.contextmanager
-def forced_lanes(engine: str):
-    """Pin the batch tier's lane engine (numpy or python)."""
-    saved = os.environ.get(batchpath.LANES_ENV)
-    os.environ[batchpath.LANES_ENV] = engine
-    batchpath.reset_lane_engine_cache()
-    try:
-        yield
-    finally:
-        if saved is None:
-            os.environ.pop(batchpath.LANES_ENV, None)
-        else:
-            os.environ[batchpath.LANES_ENV] = saved
-        batchpath.reset_lane_engine_cache()
 
 
 def fresh_caches() -> None:
@@ -647,7 +629,7 @@ def bench_batch(repeats: int) -> dict:
     import json
 
     from repro import obs
-    from repro.flowchart.batchpath import execute_batch
+    from repro.flowchart.batchpath import compile_batch, execute_batch
 
     obs.disable()
     grid = ProductDomain.integer_grid(1, 24, 2)
@@ -661,26 +643,21 @@ def bench_batch(repeats: int) -> dict:
                                    backend="compiled").steps
         return total
 
-    def batch_kernel(engine):
-        def run():
-            rows = execute_batch(flowchart, points, engine=engine)
-            return sum(rows.steps(i) for i in range(len(points)))
-        return run
+    def batch_kernel():
+        rows = execute_batch(flowchart, points)
+        return sum(rows.steps(i) for i in range(len(points)))
 
     expected = compiled_kernel()
-    engines = [engine for engine in ("numpy", "python")
-               if engine != "numpy"
-               or batchpath.resolve_lane_engine("auto") == "numpy"]
-    for engine in engines:
-        fresh_caches()
-        assert batch_kernel(engine)() == expected, engine
+    fresh_caches()
+    assert batch_kernel() == expected
 
+    # Timings are keyed by the lanes the batch ran on ("compiled"
+    # without numpy), the same paths earlier reports used.
+    lanes = compile_batch(flowchart).engine
     compiled = time_callable(compiled_kernel, repeats=repeats,
                              setup=fresh_caches)
-    kernel_timings = {
-        engine: time_callable(batch_kernel(engine), repeats=repeats,
-                              setup=fresh_caches)
-        for engine in engines}
+    kernel_batch = {lanes: time_callable(batch_kernel, repeats=repeats,
+                                         setup=fresh_caches)}
 
     # Built once: both compile caches key on flowchart identity, and
     # fresh_caches deliberately keeps compiled artifacts warm across
@@ -689,15 +666,12 @@ def bench_batch(repeats: int) -> dict:
     sweep_programs = [library.forgetting_program(),
                       library.parity_program()]
 
-    def sweep(backend, engine=None):
+    def sweep(backend):
         def run():
-            manager = (forced_lanes(engine) if engine
-                       else contextlib.nullcontext())
-            with manager:
-                return parallel_soundness_sweep(
-                    sweep_programs,
-                    "program", grid=wide_grid, executor="serial",
-                    backend=backend)
+            return parallel_soundness_sweep(
+                sweep_programs,
+                "program", grid=wide_grid, executor="serial",
+                backend=backend)
         return run
 
     # The batch sweep's verdicts must be row-identical to the per-point
@@ -708,40 +682,36 @@ def bench_batch(repeats: int) -> dict:
 
     fresh_caches()
     compiled_rows = rows_of(sweep("compiled")())
-    for engine in engines:
-        fresh_caches()
-        assert rows_of(sweep("batch", engine)()) == compiled_rows, engine
+    fresh_caches()
+    assert rows_of(sweep("batch")()) == compiled_rows
 
     sweep_compiled = time_callable(sweep("compiled"), repeats=repeats,
                                    setup=fresh_caches)
-    sweep_timings = {
-        engine: time_callable(sweep("batch", engine), repeats=repeats,
-                              setup=fresh_caches)
-        for engine in engines}
+    sweep_batch = {lanes: time_callable(sweep("batch"), repeats=repeats,
+                                        setup=fresh_caches)}
 
     section = {
         "flowchart": flowchart.name,
         "points": len(grid),
-        "lane_engines": engines,
+        "lanes": lanes,
         "kernel_compiled_s": compiled,
-        "kernel_batch_s": kernel_timings,
+        "kernel_batch_s": kernel_batch,
         "kernel_speedup": {
-            engine: round(compiled["best"] / timing["best"], 2)
-            for engine, timing in kernel_timings.items()},
+            lanes: round(compiled["best"] / kernel_batch[lanes]["best"], 2)},
         "sweep_compiled_s": sweep_compiled,
-        "sweep_batch_s": sweep_timings,
+        "sweep_batch_s": sweep_batch,
         "sweep_speedup_vs_compiled": {
-            engine: round(sweep_compiled["best"] / timing["best"], 2)
-            for engine, timing in sweep_timings.items()},
+            lanes: round(sweep_compiled["best"] / sweep_batch[lanes]["best"],
+                         2)},
         "notes": (
             "kernel_* is the 576-point gcd grid: one execute_batch call "
             "against the per-point compiled loop. sweep_* is the PR5 "
             "guards.sweep_uncapped shape (forgetting + parity x all "
             "allow policies, serial executor) under --backend batch, "
             "with programs constructed once so compiled artifacts stay "
-            "warm across reps (the fresh_caches contract). "
-            "Lane engines are pinned via REPRO_BATCH_LANES; the numpy "
-            "entry is omitted when numpy is not importable."),
+            "warm across reps (the fresh_caches contract). Without "
+            "numpy the batch tier has no lanes of its own and runs every "
+            "point on the compiled tier (lanes: compiled)."),
     }
 
     # The headline claim: the batch sweep (NumPy lanes) beats the
@@ -749,19 +719,16 @@ def bench_batch(repeats: int) -> dict:
     # the per-point compiled tier, recorded by the previous PR on this
     # machine — by at least 5x.
     pr5_path = REPO_ROOT / "BENCH_PR5.json"
-    if pr5_path.exists() and "numpy" in sweep_timings:
+    if pr5_path.exists() and lanes == "numpy":
         with open(pr5_path) as handle:
             pr5 = json.load(handle)
         pr5_best = (pr5.get("guards", {})
                     .get("sweep_uncapped_s", {}).get("best"))
         if pr5_best is not None:
-            speedup = round(pr5_best / sweep_timings["numpy"]["best"], 2)
+            speedup = round(pr5_best / sweep_batch[lanes]["best"], 2)
             section["pr5_sweep_uncapped_best_s"] = pr5_best
             section["sweep_speedup_vs_pr5"] = speedup
             section["sweep_speedup_at_least_5x_vs_pr5"] = speedup >= 5.0
-    if "python" in sweep_timings:
-        section["python_lanes_no_slower_than_compiled"] = (
-            sweep_timings["python"]["best"] <= sweep_compiled["best"])
     return section
 
 
@@ -1213,9 +1180,6 @@ def main(argv=None) -> int:
     if "sweep_speedup_at_least_5x_vs_pr5" in batch:
         claims["batch_sweep_speedup_at_least_5x_vs_pr5"] = (
             batch["sweep_speedup_at_least_5x_vs_pr5"])
-    if "python_lanes_no_slower_than_compiled" in batch:
-        claims["batch_python_no_slower_than_compiled"] = (
-            batch["python_lanes_no_slower_than_compiled"])
     if "lint_overhead_under_10pct_vs_pr6" in flowlint:
         claims["flowlint_overhead_under_10pct_vs_pr6"] = (
             flowlint["lint_overhead_under_10pct_vs_pr6"])
@@ -1321,9 +1285,6 @@ def main(argv=None) -> int:
     if batch.get("sweep_speedup_at_least_5x_vs_pr5") is False:
         print("WARNING: batch sweep speedup below the claimed 5x over "
               "the PR5 sweep_uncapped baseline", file=sys.stderr)
-    if batch.get("python_lanes_no_slower_than_compiled") is False:
-        print("WARNING: pure-python batch lanes slower than the "
-              "compiled per-point tier", file=sys.stderr)
     if not distributed["rows_match_serial"]:
         print("ERROR: a distributed run diverged from the serial row",
               file=sys.stderr)

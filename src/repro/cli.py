@@ -824,7 +824,7 @@ def command_serve(args) -> int:
     config = ServerConfig(
         host=args.host, port=args.port, tenants=tenants,
         fuel=args.fuel, value_cap=args.value_cap,
-        backend=args.backend or "batch", lane_engine=args.lanes,
+        backend=args.backend or "batch",
         executor=args.executor, jobs=args.jobs,
         batch_window_ms=args.batch_window_ms,
         cache_size=args.cache_size, workers=args.workers,
@@ -1298,11 +1298,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="server default value cap (default: "
                                    "REPRO_VALUE_CAP, read once at startup)")
     _add_backend_argument(serve_parser)
-    serve_parser.add_argument("--lanes", choices=("auto", "numpy", "python"),
-                              default=None,
-                              help="batch-tier lane engine (default: "
-                                   "REPRO_BATCH_LANES, read once at "
-                                   "startup)")
     serve_parser.add_argument("--executor", choices=("auto", "serial",
                                                      "thread", "process"),
                               default="thread",

@@ -23,8 +23,7 @@ from .interpreter import (DEFAULT_FUEL, ExecutionResult, as_program,
                           execute, initial_environment, running_time)
 from .fastpath import (BACKENDS, CompiledFlowchart, compile_flowchart,
                        execute_compiled, resolve_backend, run_flowchart)
-from .batchpath import (execute_batch, execute_batch_single,
-                        resolve_lane_engine)
+from .batchpath import execute_batch, execute_batch_single
 from .builder import FlowchartBuilder, Label
 from .structured import (Assign, Body, Downgrade, If, PolicyChange, Recv,
                          Send, Skip, Stmt, StructuredProgram, While,
@@ -55,7 +54,7 @@ __all__ = [
     "BACKENDS", "CompiledFlowchart", "compile_flowchart",
     "execute_compiled", "resolve_backend", "run_flowchart",
     # batch tier
-    "execute_batch", "execute_batch_single", "resolve_lane_engine",
+    "execute_batch", "execute_batch_single",
     # building
     "FlowchartBuilder", "Label", "StructuredProgram", "Stmt", "Skip",
     "Assign", "If", "While", "PolicyChange", "Downgrade", "Send", "Recv",

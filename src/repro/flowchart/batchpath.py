@@ -12,21 +12,16 @@ each group runs its block's vectorized body, so lanes that take
 different branches (or exit loops at different trip counts) simply end
 up in different groups.
 
-Two lane engines implement the block bodies:
-
-``numpy``
-    int64 columns with NumPy ufuncs (selected automatically when NumPy
-    imports).  Exactness is protected twice over: a *static* per-block
-    bit-width analysis proves no intermediate can overflow int64 given
-    the per-flowchart entry invariant ``|v| <= 2**E``, and a *dynamic*
-    block-exit guard retires any lane whose value outgrows ``2**E`` to
-    the per-lane fallback below.  Flowcharts the analysis cannot bound
-    (or with more than 63 environment variables, the ``touched``
-    bitmask width) compile on the python engine instead.
-
-``python``
-    plain Python lists of unbounded ints — bit-exact by construction,
-    used when NumPy is absent or via ``REPRO_BATCH_LANES=python``.
+Lanes are int64 NumPy columns and block bodies are NumPy ufuncs.
+Exactness is protected twice over: a *static* per-block bit-width
+analysis proves no intermediate can overflow int64 given the
+per-flowchart entry invariant ``|v| <= 2**E``, and a *dynamic*
+block-exit guard retires any lane whose value outgrows ``2**E`` to the
+per-lane fallback below.  A flowchart the analysis cannot bound (or
+with more than 63 environment variables, the ``touched`` bitmask
+width) compiles to no blocks at all, and so does every flowchart when
+NumPy is not importable: each of its lanes runs on the compiled tier,
+so NumPy stays optional.
 
 Per-lane fidelity mirrors the fastpath dual machines exactly: the
 uncapped machine does one bulk ``steps + n > fuel`` check per block,
@@ -37,20 +32,18 @@ cap and box *j > i* blows the fuel faults with the cap — the same
 that fault retire from the active mask with their fault *kind* (fault
 notices carry only the global budget, so no per-lane error object is
 needed); lanes that hit a hazard (a :class:`LoopExpr` block), an
-oversized input, or the numpy value guard retire to ``FALLBACK`` and
+oversized input, or the value guard retire to ``FALLBACK`` and
 are re-run individually on the compiled engine, so correctness never
 depends on the vectorizer handling every shape.
 
-Caching: one compiled artifact per (flowchart, engine) with
-hit/miss counters (surfaced through ``fastpath.memo_stats``), plus an
-LRU over ``(flowchart, points, fuel, cap)`` batch rows so a sweep's
-2^k policies share one evaluation of the policy-independent program
-rows.
+Caching: one compiled artifact per flowchart with hit/miss counters
+(surfaced through ``fastpath.memo_stats``), plus an LRU over
+``(flowchart, points, fuel, cap)`` batch rows so a sweep's 2^k
+policies share one evaluation of the policy-independent program rows.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import weakref
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -66,11 +59,6 @@ from .fastpath import (_Codegen, _LRUMemo, _block_chain, _box_hazardous,
                        _box_touch_bits, _find_leaders, execute_compiled)
 from .interpreter import DEFAULT_FUEL, ExecutionResult, execute
 from .program import Flowchart
-
-#: Environment variable forcing the lane engine (auto | numpy | python).
-LANES_ENV = "REPRO_BATCH_LANES"
-
-LANE_ENGINES = ("auto", "numpy", "python")
 
 #: Per-lane outcome kinds on a finished batch.
 K_OK, K_FUEL, K_CAP = 0, 1, 2
@@ -101,52 +89,8 @@ _NP = None
 _NP_PROBED = False
 
 
-#: Cached ``REPRO_BATCH_LANES`` read: ``(loaded, choice)``.  Same
-#: rationale as ``fastpath._ENV_BACKEND_CACHE`` — lane selection sits
-#: on the batch hot path and must not re-read process-global state per
-#: grid, or one tenant's env mutation retargets another's lanes.
-_ENV_LANES_CACHE: Tuple[bool, Optional[str]] = (False, None)
-
-
-def default_lane_engine() -> str:
-    """The lane engine used when no explicit choice is given.
-
-    ``REPRO_BATCH_LANES`` is read once and cached; call
-    :func:`reset_lane_engine_cache` after changing the env mid-process.
-    """
-    global _ENV_LANES_CACHE
-    loaded, cached = _ENV_LANES_CACHE
-    if not loaded:
-        cached = os.environ.get(LANES_ENV) or None
-        _ENV_LANES_CACHE = (True, cached)
-    return cached or "auto"
-
-
-def reset_lane_engine_cache() -> None:
-    """Forget the cached ``REPRO_BATCH_LANES`` read."""
-    global _ENV_LANES_CACHE
-    _ENV_LANES_CACHE = (False, None)
-
-
-def resolve_lane_engine(engine: Optional[str] = None) -> str:
-    """Resolve the lane engine: explicit > ``REPRO_BATCH_LANES``
-    (cached at first use; see :func:`default_lane_engine`) > auto."""
-    choice = engine or default_lane_engine()
-    choice = choice.strip().lower()
-    if choice not in LANE_ENGINES:
-        raise ReproError(
-            f"unknown batch lane engine {choice!r}; "
-            f"expected one of {LANE_ENGINES}")
-    if choice == "auto":
-        return "numpy" if _numpy() is not None else "python"
-    if choice == "numpy" and _numpy() is None:
-        raise ReproError(
-            "batch lane engine 'numpy' requested but numpy is not importable")
-    return choice
-
-
 # ---------------------------------------------------------------------------
-# Static bit-width analysis (numpy engine safety)
+# Static bit-width analysis (int64 lane safety)
 # ---------------------------------------------------------------------------
 
 def _expr_width(node, widths: Dict[str, int], seen: List[int]) -> int:
@@ -235,7 +179,7 @@ def _guard_exponent(plans: Sequence["_BlockPlan"],
 
 
 # ---------------------------------------------------------------------------
-# Block plans (shared by both engines)
+# Block plans
 # ---------------------------------------------------------------------------
 
 class _BlockPlan:
@@ -293,7 +237,7 @@ def _block_vars(plan: _BlockPlan, flowchart: Flowchart) -> Tuple[List[str],
 
 
 # ---------------------------------------------------------------------------
-# numpy lane engine: vectorized expression + block codegen
+# Vectorized expression + block codegen
 # ---------------------------------------------------------------------------
 
 class _VecGen:
@@ -453,109 +397,41 @@ def _emit_numpy_block(lines: List[str], flowchart: Flowchart,
 
 
 # ---------------------------------------------------------------------------
-# python lane engine: scalar per-lane codegen (exact unbounded ints)
-# ---------------------------------------------------------------------------
-
-def _emit_python_block(lines: List[str], flowchart: Flowchart,
-                       gen: _Codegen, plan: _BlockPlan,
-                       capped: bool) -> None:
-    emit = lines.append
-    used, assigned = _block_vars(plan, flowchart)
-    local = gen.local_of
-    suffix = "c" if capped else "u"
-    extra = ", _capb" if capped else ""
-    emit(f"def _b{plan.index}_{suffix}(_env, _sel, _steps, _touched, "
-         f"_pc, _status, _value, _fuel{extra}):")
-    for name in used:
-        emit(f"    _e{gen.bit_of[name]} = _env[{gen.bit_of[name]}]")
-    emit("    for _i in _sel:")
-
-    if not capped:
-        n_boxes = len(plan.boxes)
-        block_mask = 0
-        for box in plan.boxes:
-            block_mask |= _box_touch_bits(box, flowchart, gen.bit_of)
-        emit(f"        if _steps[_i] + {n_boxes} > _fuel:")
-        emit(f"            _status[_i] = {_FUEL}")
-        emit("            _pc[_i] = -1")
-        emit("            continue")
-        emit(f"        _steps[_i] += {n_boxes}")
-        if block_mask:
-            emit(f"        _touched[_i] |= {block_mask}")
-
-    for name in used:
-        emit(f"        {local[name]} = _e{gen.bit_of[name]}[_i]")
-
-    for box in plan.boxes:
-        if capped:
-            box_mask = _box_touch_bits(box, flowchart, gen.bit_of)
-            emit("        if _steps[_i] >= _fuel:")
-            emit(f"            _status[_i] = {_FUEL}")
-            emit("            _pc[_i] = -1")
-            emit("            continue")
-            emit("        _steps[_i] += 1")
-            if box_mask:
-                emit(f"        _touched[_i] |= {box_mask}")
-        if isinstance(box, AssignBox):
-            target = local[box.target]
-            emit(f"        {target} = {gen.expr(box.expression)}")
-            if capped:
-                emit(f"        if {target} >= _capb or {target} <= -_capb:")
-                emit(f"            _status[_i] = {_CAP}")
-                emit("            _pc[_i] = -1")
-                emit("            continue")
-        elif isinstance(box, StartBox):  # pragma: no cover - validation
-            pass
-
-    for name in assigned:
-        emit(f"        _e{gen.bit_of[name]}[_i] = {local[name]}")
-
-    terminator = plan.boxes[-1]
-    if isinstance(terminator, HaltBox):
-        emit(f"        _value[_i] = {local[flowchart.output_variable]}")
-        emit(f"        _status[_i] = {_DONE}")
-        emit("        _pc[_i] = -1")
-    elif isinstance(terminator, DecisionBox):
-        true_pc = gen.pc_of[terminator.true_next]
-        false_pc = gen.pc_of[terminator.false_next]
-        emit(f"        _pc[_i] = {true_pc} "
-             f"if {gen.pred(terminator.predicate)} else {false_pc}")
-    else:
-        emit(f"        _pc[_i] = {plan.fallthrough}")
-
-
-# ---------------------------------------------------------------------------
 # Compilation
 # ---------------------------------------------------------------------------
 
 class BatchCompiled:
-    """One flowchart's batch evaluator on one lane engine."""
+    """One flowchart's batch evaluator.
+
+    ``engine`` is ``"numpy"`` when the blocks run on int64 lanes, and
+    ``"compiled"`` when the flowchart has no blocks (NumPy absent or
+    widths uncertified): every lane then runs on the compiled tier.
+    """
 
     __slots__ = ("flowchart_name", "arity", "engine", "env_names",
                  "input_bits", "blocks_u", "blocks_c", "blocks_f",
                  "max_block_cost", "source", "guard_exponent",
                  "_mask_cache")
 
-    def __init__(self, flowchart_name: str, arity: int, engine: str,
+    def __init__(self, flowchart_name: str, arity: int,
                  env_names: Tuple[str, ...], input_bits: Tuple[int, ...],
-                 blocks_u: list, blocks_c: list, source: str,
-                 guard_exponent: Optional[int],
-                 blocks_f: Optional[list] = None,
-                 max_block_cost: int = 1) -> None:
+                 blocks_u: list, blocks_c: list, blocks_f: list,
+                 max_block_cost: int, source: str,
+                 guard_exponent: Optional[int]) -> None:
         self.flowchart_name = flowchart_name
         self.arity = arity
-        self.engine = engine
+        self.engine = "compiled" if guard_exponent is None else "numpy"
         self.env_names = env_names
         self.input_bits = input_bits
         self.blocks_u = blocks_u  # per-pc step fn, None = hazardous
         self.blocks_c = blocks_c
-        #: Fuel-test-free twins of blocks_u; the numpy driver calls
-        #: them on rounds its steps ceiling proves exhaustion-free.
-        self.blocks_f = blocks_f if blocks_f is not None else blocks_u
+        #: Fuel-test-free twins of blocks_u; the driver calls them on
+        #: rounds its steps ceiling proves exhaustion-free.
+        self.blocks_f = blocks_f
         #: Max step cost of any single block — the ceiling's increment.
         self.max_block_cost = max_block_cost
         self.source = source
-        self.guard_exponent = guard_exponent  # None on the python engine
+        self.guard_exponent = guard_exponent
         self._mask_cache: Dict[int, frozenset] = {}
 
     def touched_set(self, mask: int) -> frozenset:
@@ -585,35 +461,30 @@ def _make_vec_helpers(np_mod) -> Dict[str, object]:
 
 def _numpy_vectorizable(plans: Sequence[_BlockPlan],
                         env_names: Sequence[str]) -> Optional[int]:
-    """The guard exponent if the numpy engine can run this flowchart."""
+    """The guard exponent if int64 lanes can run this flowchart."""
+    if _numpy() is None:
+        return None
     if len(env_names) > 63:  # touched bitmask must fit int64
         return None
     return _guard_exponent(plans, env_names)
 
 
-def generate_batch_source(flowchart: Flowchart,
-                          engine: str) -> Tuple[str, Dict[str, object],
-                                                _Codegen,
-                                                List[_BlockPlan],
-                                                Optional[int]]:
-    """Generate per-block step functions for one lane engine.
+def generate_batch_source(flowchart: Flowchart) -> Tuple[str,
+                                                         Dict[str, object],
+                                                         _Codegen,
+                                                         List[_BlockPlan],
+                                                         Optional[int]]:
+    """Generate the per-block step functions and their guard exponent.
 
-    For ``engine="numpy"`` the flowchart may still land on the python
-    engine when the width analysis cannot certify int64 safety — the
-    returned namespace records which via ``namespace['_engine']``.
+    The guard is None, and the source empty, when NumPy is absent or
+    the width analysis cannot certify int64 safety.
     """
     plans, gen = _block_plans(flowchart)
-    guard = None
-    actual = engine
-    if engine == "numpy":
-        guard = _numpy_vectorizable(plans, gen.env_names)
-        if guard is None:
-            actual = "python"
-
+    guard = _numpy_vectorizable(plans, gen.env_names)
+    namespace = dict(gen.namespace)
     lines: List[str] = []
-    if actual == "numpy":
+    if guard is not None:
         vec = _VecGen(gen)
-        namespace = dict(gen.namespace)
         namespace.update(_make_vec_helpers(_numpy()))
         namespace["_guard"] = 1 << guard
         for plan in plans:
@@ -622,79 +493,56 @@ def generate_batch_source(flowchart: Flowchart,
             exits = _block_exit_widths(plan, gen.env_names, guard)
             guard_names = [name for name, width in exits.items()
                            if width > guard]
-            _emit_numpy_block(lines, flowchart, gen, vec, plan,
-                              capped=False, guard_names=guard_names)
-            lines.append("")
-            _emit_numpy_block(lines, flowchart, gen, vec, plan,
-                              capped=False, guard_names=guard_names,
-                              fuel_checked=False)
-            lines.append("")
-            _emit_numpy_block(lines, flowchart, gen, vec, plan,
-                              capped=True, guard_names=guard_names)
-            lines.append("")
-    else:
-        namespace = gen.namespace
-        for plan in plans:
-            if plan.hazardous:
-                continue
-            _emit_python_block(lines, flowchart, gen, plan, capped=False)
-            lines.append("")
-            _emit_python_block(lines, flowchart, gen, plan, capped=True)
-            lines.append("")
-    namespace["_engine"] = actual
+            for capped, fuel_checked in ((False, True), (False, False),
+                                         (True, True)):
+                _emit_numpy_block(lines, flowchart, gen, vec, plan,
+                                  capped=capped, guard_names=guard_names,
+                                  fuel_checked=fuel_checked)
+                lines.append("")
     source = "\n".join(lines) + "\n"
     return source, namespace, gen, plans, guard
 
 
 _batch_lock = threading.Lock()
-_BATCH_COMPILED: "weakref.WeakKeyDictionary[Flowchart, Dict[str, BatchCompiled]]" = (
+_BATCH_COMPILED: "weakref.WeakKeyDictionary[Flowchart, BatchCompiled]" = (
     weakref.WeakKeyDictionary())
 _COMPILE_HITS = 0
 _COMPILE_MISSES = 0
 _LANE_FALLBACKS = 0
 
 
-def compile_batch(flowchart: Flowchart,
-                  engine: Optional[str] = None) -> BatchCompiled:
-    """Compile (with per-flowchart, per-engine caching) a batch evaluator."""
+def compile_batch(flowchart: Flowchart) -> BatchCompiled:
+    """Compile (with per-flowchart caching) a batch evaluator."""
     global _COMPILE_HITS, _COMPILE_MISSES
-    if engine not in ("numpy", "python"):  # already-resolved fast path
-        engine = resolve_lane_engine(engine)
     with _batch_lock:
-        per_engine = _BATCH_COMPILED.get(flowchart)
-        if per_engine is not None and engine in per_engine:
+        compiled = _BATCH_COMPILED.get(flowchart)
+        if compiled is not None:
             _COMPILE_HITS += 1
-            return per_engine[engine]
+            return compiled
         _COMPILE_MISSES += 1
         source, namespace, gen, plans, guard = generate_batch_source(
-            flowchart, engine)
-        actual = namespace["_engine"]
+            flowchart)
         code = compile(source, f"<batchpath:{flowchart.name}>", "exec")
         exec(code, namespace)
-        blocks_u = [None if plan.hazardous
-                    else namespace[f"_b{plan.index}_u"] for plan in plans]
-        blocks_c = [None if plan.hazardous
-                    else namespace[f"_b{plan.index}_c"] for plan in plans]
-        blocks_f = (
-            [None if plan.hazardous
-             else namespace[f"_b{plan.index}_f"] for plan in plans]
-            if actual == "numpy" else None)
+        if guard is None:
+            plans = []  # no lanes: every point runs on the compiled tier
+
+        def blocks(suffix: str) -> list:
+            return [None if plan.hazardous
+                    else namespace[f"_b{plan.index}_{suffix}"]
+                    for plan in plans]
+
         max_cost = max(
             (len(plan.boxes) for plan in plans if not plan.hazardous),
             default=1)
         compiled = BatchCompiled(
-            flowchart.name, flowchart.arity, actual, gen.env_names,
+            flowchart.name, flowchart.arity, gen.env_names,
             tuple(gen.bit_of[name] for name in flowchart.input_variables),
-            blocks_u, blocks_c, source,
-            guard if actual == "numpy" else None,
-            blocks_f=blocks_f, max_block_cost=max_cost)
-        if per_engine is None:
-            per_engine = {}
-            _BATCH_COMPILED[flowchart] = per_engine
-        per_engine[engine] = compiled
+            blocks("u"), blocks("c"), blocks("f"), max_cost, source, guard)
+        _BATCH_COMPILED[flowchart] = compiled
     if _obs.active:
-        _obs.emit("batch_compiled", program=flowchart.name, engine=actual,
-                  blocks=len(plans))
+        _obs.emit("batch_compiled", program=flowchart.name,
+                  engine=compiled.engine, blocks=len(plans))
     return compiled
 
 
@@ -725,7 +573,8 @@ def _drive_numpy(compiled: BatchCompiled, points: Sequence[Tuple[int, ...]],
     matrix = None
     if compiled.arity:
         try:
-            matrix = np_mod.asarray(points, dtype=np_mod.int64)
+            matrix = np_mod.asarray(points, dtype=np_mod.int64).reshape(
+                n, compiled.arity)  # (0, arity) for an empty batch
         except (OverflowError, ValueError):
             matrix = None  # some input exceeds int64: slow per-point path
     if matrix is not None:
@@ -804,46 +653,6 @@ def _drive_numpy(compiled: BatchCompiled, points: Sequence[Tuple[int, ...]],
     return env, steps, touched, status, value, reasons, matrix
 
 
-def _drive_python(compiled: BatchCompiled, points: Sequence[Tuple[int, ...]],
-                  fuel: int, capb: Optional[int]):
-    n = len(points)
-    width = len(compiled.env_names)
-    env = [[0] * n for _ in range(width)]
-    steps = [0] * n
-    touched = [0] * n
-    pc = [0] * n
-    status = [_ACTIVE] * n
-    value = [0] * n
-    for position, bit in enumerate(compiled.input_bits):
-        column = env[bit]
-        for i, point in enumerate(points):
-            column[i] = point[position]
-
-    blocks = compiled.blocks_c if capb is not None else compiled.blocks_u
-    hazard_lanes = 0
-    active = list(range(n))
-    while active:
-        groups: Dict[int, List[int]] = {}
-        for i in active:
-            groups.setdefault(pc[i], []).append(i)
-        for block, sel in groups.items():
-            fn = blocks[block]
-            if fn is None:
-                for i in sel:
-                    status[i] = _FALLBACK
-                    pc[i] = -1
-                hazard_lanes += len(sel)
-                continue
-            if capb is not None:
-                fn(env, sel, steps, touched, pc, status, value, fuel, capb)
-            else:
-                fn(env, sel, steps, touched, pc, status, value, fuel)
-        active = [i for i in active if pc[i] >= 0]
-
-    reasons = {"hazard": hazard_lanes} if hazard_lanes else {}
-    return env, steps, touched, status, value, reasons, None
-
-
 # ---------------------------------------------------------------------------
 # Batch results
 # ---------------------------------------------------------------------------
@@ -877,7 +686,7 @@ class BatchResult:
         self.env_columns = env_columns
         self.overrides = overrides
         self.fallback_reasons = fallback_reasons
-        #: The int64 (n, arity) input matrix when the numpy driver
+        #: The int64 (n, arity) input matrix when the driver
         #: columnized it — callers (the sweep summarizer) reuse it
         #: instead of re-converting the Python point tuples.
         self.input_matrix = input_matrix
@@ -928,11 +737,9 @@ class BatchResult:
         """(numpy, kinds, values) when every lane lives in the arrays.
 
         None when any lane was resolved per-lane (its value may not
-        even fit int64) or the batch ran on the python engine —
-        callers then walk the scalar accessors instead.
+        even fit int64) — callers then walk the scalar accessors instead.
         """
-        if (self.compiled.engine != "numpy" or self.overrides
-                or isinstance(self.kinds, list)):
+        if isinstance(self.kinds, list):
             return None
         return _numpy(), self.kinds, self.values
 
@@ -952,7 +759,6 @@ def execute_batch(flowchart: Flowchart,
                   points: Sequence[Sequence[int]],
                   fuel: int = DEFAULT_FUEL,
                   value_cap: Optional[int] = None,
-                  engine: Optional[str] = None,
                   need_env: bool = False,
                   memo: bool = True) -> BatchResult:
     """Run a whole batch of grid points through one flowchart.
@@ -966,14 +772,12 @@ def execute_batch(flowchart: Flowchart,
     """
     global _LANE_FALLBACKS
     arity = flowchart.arity
-    engine = resolve_lane_engine(engine)
     cap = (default_value_cap() if value_cap is None
            else resolve_value_cap(value_cap))
     # Fast probe: when the caller already passes canonical tuples (the
     # sweep path does), hit the memo before paying canonicalisation or
     # the arity scan — a stored key proves those points validated once.
-    key = ((flowchart, tuple(points), fuel, cap, engine, need_env)
-           if memo else None)
+    key = (flowchart, tuple(points), fuel, cap, need_env) if memo else None
     if key is not None:
         try:
             cached = _ROWS_MEMO.get(key)
@@ -990,21 +794,16 @@ def execute_batch(flowchart: Flowchart,
                 f"flowchart {flowchart.name} takes {arity} "
                 f"inputs, got {len(point)}")
     if memo and key is None:
-        key = (flowchart, tuple(points), fuel, cap, engine, need_env)
+        key = (flowchart, tuple(points), fuel, cap, need_env)
         cached = _ROWS_MEMO.get(key)
         if cached is not None:
             return cached
-    compiled = compile_batch(flowchart, engine)
-    capb = None if cap is None else 1 << cap
-    if compiled.engine == "numpy":
-        (env, steps, touched, status, value, reasons,
-         matrix) = _drive_numpy(compiled, points, fuel, capb)
-    else:
-        (env, steps, touched, status, value, reasons,
-         matrix) = _drive_python(compiled, points, fuel, capb)
-
+    compiled = compile_batch(flowchart)
     overrides: Dict[int, ExecutionResult] = {}
     if compiled.engine == "numpy":
+        (env, steps, touched, status, value, reasons,
+         matrix) = _drive_numpy(compiled, points, fuel,
+                                None if cap is None else 1 << cap)
         np_mod = _numpy()
         fallback_lanes = np_mod.flatnonzero(status == _FALLBACK).tolist()
         if fallback_lanes:
@@ -1014,21 +813,20 @@ def execute_batch(flowchart: Flowchart,
             kinds = np_mod.where(status == _FUEL, K_FUEL,
                                  np_mod.where(status == _CAP, K_CAP, K_OK))
     else:
+        # No blocks: every lane runs on the compiled tier.
+        env = matrix = None
+        steps = touched = value = [0] * len(points)
         kinds = [K_OK] * len(points)
-        fallback_lanes = []
-        for i in range(len(points)):
-            lane_status = status[i]
-            if lane_status == _FUEL:
-                kinds[i] = K_FUEL
-            elif lane_status == _CAP:
-                kinds[i] = K_CAP
-            elif lane_status == _FALLBACK:
-                fallback_lanes.append(i)
+        fallback_lanes = range(len(points))
+        reasons = {"unvectorized": len(points)} if points else {}
+    # memo=False: the rows memo already holds the whole vector, and a
+    # compiled-memo lookup and store per lane would double the cost
+    # of a batch whose every lane falls back.
     for i in fallback_lanes:
         try:
             overrides[i] = execute_compiled(
                 flowchart, points[i], fuel=fuel, capture_env=need_env,
-                value_cap=cap)
+                memo=False, value_cap=cap)
         except FuelExhaustedError:
             kinds[i] = K_FUEL
         except ValueCapExceededError:

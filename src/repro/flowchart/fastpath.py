@@ -85,54 +85,12 @@ _DEFAULT_BACKEND = "compiled"
 _DEFAULT_MEMO_SIZE = 16384
 
 
-# ---------------------------------------------------------------------------
-# Execution tier registry
-# ---------------------------------------------------------------------------
-
-class Tier:
-    """One registered execution backend: name, runner, description.
-
-    A runner has the :func:`run_flowchart` calling convention:
-    ``runner(flowchart, inputs, fuel, record_trace, capture_env,
-    value_cap) -> ExecutionResult``.
-    """
-
-    __slots__ = ("name", "runner", "description")
-
-    def __init__(self, name: str, runner, description: str) -> None:
-        self.name = name
-        self.runner = runner
-        self.description = description
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Tier({self.name!r})"
-
-
-_TIERS: "OrderedDict[str, Tier]" = OrderedDict()
-
-#: Accepted spellings that map onto a registered tier.
+#: Accepted spellings that map onto an execution tier.
 BACKEND_ALIASES: Dict[str, str] = {"interp": "interpreted"}
 
-#: Registered tier names, in registration order (rebound by
-#: :func:`register_tier` so late registrations show up in messages).
-BACKENDS: Tuple[str, ...] = ()
-
-
-def register_tier(name: str, runner, description: str = "",
-                  aliases: Sequence[str] = ()) -> Tier:
-    """Register (or replace) an execution tier under ``name``."""
-    global BACKENDS
-    tier = Tier(name, runner, description)
-    _TIERS[name] = tier
-    for alias in aliases:
-        BACKEND_ALIASES[alias] = name
-    BACKENDS = tuple(_TIERS)
-    return tier
-
-
-def backend_tiers() -> Dict[str, Tier]:
-    """A snapshot of the registry (name -> :class:`Tier`)."""
-    return dict(_TIERS)
+#: Execution tier names: ``compiled`` runs inline in
+#: :func:`run_flowchart`, the others through ``_RUNNERS`` below.
+BACKENDS: Tuple[str, ...] = ("compiled", "interpreted", "batch")
 
 
 #: Cached ``REPRO_BACKEND`` read: ``(loaded, choice)``.  The env var is
@@ -176,7 +134,7 @@ def resolve_backend(backend: Optional[str] = None) -> str:
     choice = backend or default_backend()
     choice = choice.strip().lower()
     choice = BACKEND_ALIASES.get(choice, choice)
-    if choice not in _TIERS:
+    if choice not in BACKENDS:
         raise ReproError(
             f"unknown execution backend {choice!r}; expected one of {BACKENDS}")
     return choice
@@ -792,20 +750,13 @@ def run_flowchart(flowchart: Flowchart, inputs: Sequence[int],
                   value_cap: Optional[int] = None) -> ExecutionResult:
     """Execute via whichever tier :func:`resolve_backend` selects."""
     choice = resolve_backend(backend)
-    if choice == "compiled":  # the hot default skips the registry lookup
+    if choice == "compiled":  # the hot default skips the runner lookup
         return execute_compiled(flowchart, inputs, fuel=fuel,
                                 record_trace=record_trace,
                                 capture_env=capture_env,
                                 value_cap=value_cap)
-    return _TIERS[choice].runner(flowchart, inputs, fuel, record_trace,
-                                 capture_env, value_cap)
-
-
-def _run_compiled_tier(flowchart, inputs, fuel, record_trace, capture_env,
-                       value_cap) -> ExecutionResult:
-    return execute_compiled(flowchart, inputs, fuel=fuel,
-                            record_trace=record_trace,
-                            capture_env=capture_env, value_cap=value_cap)
+    return _RUNNERS[choice](flowchart, inputs, fuel, record_trace,
+                            capture_env, value_cap)
 
 
 def _run_interpreted_tier(flowchart, inputs, fuel, record_trace,
@@ -823,9 +774,6 @@ def _run_batch_tier(flowchart, inputs, fuel, record_trace, capture_env,
                                 value_cap=value_cap)
 
 
-register_tier("compiled", _run_compiled_tier,
-              "per-point codegen with an LRU result memo")
-register_tier("interpreted", _run_interpreted_tier,
-              "tree-walking reference interpreter", aliases=("interp",))
-register_tier("batch", _run_batch_tier,
-              "structure-of-arrays evaluator over whole grids")
+#: Tier name -> runner, called as ``runner(flowchart, inputs, fuel,
+#: record_trace, capture_env, value_cap)``.
+_RUNNERS = {"interpreted": _run_interpreted_tier, "batch": _run_batch_tier}

@@ -87,8 +87,7 @@ def record_hash(line: str) -> str:
 
 def budget_fingerprint(fuel: Optional[int] = None,
                        value_cap: Optional[int] = None,
-                       backend: Optional[str] = None,
-                       lane_engine: Optional[str] = None) -> str:
+                       backend: Optional[str] = None) -> str:
     """A short stable hash of an enforcement budget tuple.
 
     Same canonical-JSON discipline as the checkpoint config
@@ -98,8 +97,8 @@ def budget_fingerprint(fuel: Optional[int] = None,
     budget.
     """
     descriptor = {key: value for key, value in (
-        ("fuel", fuel), ("value_cap", value_cap), ("backend", backend),
-        ("lane_engine", lane_engine)) if value is not None}
+        ("fuel", fuel), ("value_cap", value_cap),
+        ("backend", backend)) if value is not None}
     canonical = _canonical(descriptor)
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 

@@ -109,8 +109,9 @@ EVENT_SCHEMA: Dict = {
         "checkpoint_written": {"required": ["pair", "chunk", "accepts"]},
         "sweep_resumed": {"required": ["chunks_restored"]},
         "sweep_interrupted": {"required": ["reason", "chunks_done"]},
-        # Batch tier: one compile per (flowchart, lane engine); lanes
-        # that retire to the per-lane compiled fallback, by reason.
+        # Batch tier: one compile per flowchart (engine ``numpy``, or
+        # ``compiled`` when it has no lanes); lanes that retire to the
+        # per-lane compiled fallback, by reason.
         "batch_compiled": {"required": ["program", "engine", "blocks"]},
         "batch_fallback": {"required": ["program", "lanes", "reason"]},
         # Dynamic policies: each policy_change bumps the epoch counter;

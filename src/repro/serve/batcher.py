@@ -1,7 +1,7 @@
 """Coalesce concurrent /execute requests into batch-tier grids.
 
 Requests arriving within one flush window that target the same
-``(flowchart, fuel, value_cap, lane_engine)`` become lanes of a single
+``(flowchart, fuel, value_cap)`` become lanes of a single
 :func:`~repro.flowchart.batchpath.execute_batch` call — the Gen-2
 vectorized engine amortizes compilation and the block-dispatch loop
 across the whole set, which is what lets the server sustain hundreds
@@ -9,7 +9,7 @@ of requests per second without hundreds of scalar executions.
 
 Fidelity: lane ``i``'s decoded outcome is bit-identical to a scalar
 ``run_flowchart`` of the same point under the same budgets (PR6's
-differential suite pins this per engine), including the distinguished
+differential suite pins this), including the distinguished
 ``Λ!fuel[N]``/``Λ!cap[C]`` notices.  If a whole batch fails for any
 undeclared reason, every lane is retried individually so one poisoned
 request cannot fail its neighbours.
@@ -53,16 +53,14 @@ def execute_point_outcome(flowchart: Flowchart, point: Tuple[int, ...],
 
 
 class _PendingBatch:
-    __slots__ = ("flowchart", "fuel", "value_cap", "lane_engine", "points",
-                 "futures", "request_spans")
+    __slots__ = ("flowchart", "fuel", "value_cap", "points", "futures",
+                 "request_spans")
 
     def __init__(self, flowchart: Flowchart, fuel: int,
-                 value_cap: Optional[int],
-                 lane_engine: Optional[str]) -> None:
+                 value_cap: Optional[int]) -> None:
         self.flowchart = flowchart
         self.fuel = fuel
         self.value_cap = value_cap
-        self.lane_engine = lane_engine
         self.points: List[Tuple[int, ...]] = []
         self.futures: List[asyncio.Future] = []
         self.request_spans: List[str] = []
@@ -86,12 +84,11 @@ class ExecuteBatcher:
     async def submit(self, key: Tuple, flowchart: Flowchart,
                      point: Tuple[int, ...], fuel: int,
                      value_cap: Optional[int],
-                     lane_engine: Optional[str],
                      request_span: Optional[str] = None) -> Dict:
         """Queue one point; resolves with its decoded outcome dict."""
         batch = self._pending.get(key)
         if batch is None:
-            batch = _PendingBatch(flowchart, fuel, value_cap, lane_engine)
+            batch = _PendingBatch(flowchart, fuel, value_cap)
             self._pending[key] = batch
             self._loop.call_later(self.window_s, self._flush, key)
         future: asyncio.Future = self._loop.create_future()
@@ -122,8 +119,7 @@ class ExecuteBatcher:
             requests=list(batch.request_spans))
         try:
             rows = execute_batch(batch.flowchart, batch.points,
-                                 fuel=batch.fuel, value_cap=batch.value_cap,
-                                 engine=batch.lane_engine)
+                                 fuel=batch.fuel, value_cap=batch.value_cap)
             fuel_out = str(fuel_notice(batch.fuel))
             cap_out = (str(cap_notice(rows.cap))
                        if rows.cap is not None else None)

@@ -31,7 +31,6 @@ MAX_GRID_SPAN = 64
 
 _MECHANISMS = ("program", "surveillance", "timed", "highwater")
 _EXECUTORS = ("auto", "serial", "thread", "process")
-_LANES = ("auto", "numpy", "python")
 
 
 class RequestError(Exception):
@@ -193,15 +192,13 @@ class SweepRequest:
     """A soundness sweep: the served analogue of ``repro sweep``."""
 
     __slots__ = ("tenant", "programs", "mechanism", "low", "high", "fuel",
-                 "value_cap", "executor", "jobs", "chunk_size", "backend",
-                 "lane_engine")
+                 "value_cap", "executor", "jobs", "chunk_size", "backend")
 
     def __init__(self, tenant: str, programs: List[str], mechanism: str,
                  low: int, high: int, fuel: Optional[int],
                  value_cap: Optional[int], executor: Optional[str],
                  jobs: Optional[int], chunk_size: Optional[int],
-                 backend: Optional[str],
-                 lane_engine: Optional[str]) -> None:
+                 backend: Optional[str]) -> None:
         self.tenant = tenant
         self.programs = programs
         self.mechanism = mechanism
@@ -213,15 +210,14 @@ class SweepRequest:
         self.jobs = jobs
         self.chunk_size = chunk_size
         self.backend = backend
-        self.lane_engine = lane_engine
 
     def cache_key(self, fuel: int, value_cap: Optional[int],
-                  backend: str, lane_engine: Optional[str]) -> Tuple:
+                  backend: str) -> Tuple:
         """Identity of the *rows* — executor/jobs excluded, because the
         sweep's verdicts are schedule-independent (the PR3 invariant the
         differential suite pins)."""
         return ("sweep", tuple(self.programs), self.mechanism, self.low,
-                self.high, fuel, value_cap, backend, lane_engine)
+                self.high, fuel, value_cap, backend)
 
 
 def parse_sweep(payload) -> SweepRequest:
@@ -259,7 +255,6 @@ def parse_sweep(payload) -> SweepRequest:
         jobs=_parse_int(payload, "jobs", minimum=1, maximum=64),
         chunk_size=_parse_int(payload, "chunk_size", minimum=1),
         backend=backend,
-        lane_engine=_parse_choice(payload, "lane_engine", _LANES),
     )
 
 

@@ -21,7 +21,7 @@ counts, same ``Λ!fuel[N]``/``Λ!cap[C]`` notice strings, same sweep
 rows, same lint/explain dictionaries.  The serve test suite pins this
 against golden CLI output.
 
-Startup is where the environment dies: the four env caches are reset
+Startup is where the environment dies: the three env caches are reset
 and read exactly once into :class:`ServerConfig` effective defaults;
 from there on, every budget and backend travels as an explicit
 parameter.  Handlers never touch ``os.environ`` — that is the whole
@@ -38,8 +38,6 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Optional, Tuple
 
 from ..core.errors import ReproError
-from ..flowchart.batchpath import (default_lane_engine,
-                                   reset_lane_engine_cache)
 from ..flowchart.fastpath import (default_backend, export_memo_stats,
                                   reset_backend_cache, reset_exec_cache,
                                   resolve_backend)
@@ -82,9 +80,9 @@ class ServerConfig:
     /execute requests into grid evaluations is the service's reason to
     exist, and the differential suite guarantees batch lanes are
     bit-identical to scalar runs.  Pass ``backend="compiled"`` (or any
-    other tier) to opt out.  ``value_cap``/``lane_engine`` left unset
-    inherit the environment defaults — read once at startup through
-    the PR8 reset functions, never again.
+    other tier) to opt out.  ``value_cap`` left unset inherits the
+    environment default — read once at startup through the PR8 reset
+    functions, never again.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
@@ -92,7 +90,6 @@ class ServerConfig:
                  fuel: int = DEFAULT_FUEL,
                  value_cap: Optional[int] = None,
                  backend: str = "batch",
-                 lane_engine: Optional[str] = None,
                  executor: str = "thread",
                  jobs: Optional[int] = None,
                  batch_window_ms: float = 2.0,
@@ -113,7 +110,6 @@ class ServerConfig:
         self.fuel = fuel
         self.value_cap = value_cap
         self.backend = backend
-        self.lane_engine = lane_engine
         self.executor = executor
         self.jobs = jobs
         self.batch_window_ms = batch_window_ms
@@ -190,25 +186,21 @@ class ReproServer:
         self.fuel = config.fuel
         self.default_value_cap = config.value_cap
         self.default_backend = config.backend
-        self.lane_engine = config.lane_engine
 
     # -- lifecycle ----------------------------------------------------------
 
     async def start(self) -> None:
         # The one environment read of the server's lifetime: flush all
-        # four env-derived caches, then capture their values as this
+        # three env-derived caches, then capture their values as this
         # process's explicit defaults.
         reset_exec_cache()
         reset_value_cap_cache()
         reset_backend_cache()
-        reset_lane_engine_cache()
         self.fuel = self.config.fuel
         self.default_backend = resolve_backend(self.config.backend)
         self.default_value_cap = (self.config.value_cap
                                   if self.config.value_cap is not None
                                   else default_value_cap())
-        self.lane_engine = (self.config.lane_engine
-                            or default_lane_engine())
 
         if self.config.audit_path is not None:
             # seal_every=0: requests stage decisions in memory and a
@@ -516,7 +508,6 @@ class ReproServer:
                          notice: Optional[str], fuel: Optional[int] = None,
                          value_cap: Optional[int] = None,
                          backend: Optional[str] = None,
-                         lane_engine: Optional[str] = None,
                          provenance: Optional[Dict] = None) -> None:
         """One enforcement decision: labeled metrics + audit ledger.
 
@@ -557,8 +548,7 @@ class ReproServer:
         payload = decision_payload(
             decision, notice=notice, tenant=tenant, endpoint=endpoint,
             span=span.id if span else None,
-            budget=self._budget_fingerprint(fuel, value_cap, backend,
-                                            lane_engine),
+            budget=self._budget_fingerprint(fuel, value_cap, backend),
             provenance=provenance, ts=time.time())
         if not sampled_in(payload, self.audit.sample
                           if budget.audit_sample is None
@@ -567,20 +557,18 @@ class ReproServer:
         with self._audit_staged_lock:
             self._audit_staged.append(payload)
 
-    def _budget_fingerprint(self, fuel, value_cap, backend,
-                            lane_engine) -> str:
+    def _budget_fingerprint(self, fuel, value_cap, backend) -> str:
         """Memoized :func:`budget_fingerprint` — a server sees few
         distinct budgets, and the canonical-JSON + sha256 round is
         measurable on the request path.  Bounded against adversarial
         per-request fuel values."""
-        key = (fuel, value_cap, backend, lane_engine)
+        key = (fuel, value_cap, backend)
         cached = self._budget_fps.get(key)
         if cached is None:
             if len(self._budget_fps) >= 4096:
                 self._budget_fps.clear()
             cached = self._budget_fps[key] = budget_fingerprint(
-                fuel=fuel, value_cap=value_cap, backend=backend,
-                lane_engine=lane_engine)
+                fuel=fuel, value_cap=value_cap, backend=backend)
         return cached
 
     async def _handle_execute(self, payload, span) -> Dict:
@@ -589,17 +577,15 @@ class ReproServer:
             request.tenant, request.fuel, request.value_cap)
         backend = resolve_backend(request.backend or budget.backend
                                   or self.default_backend)
-        lane_engine = budget.lane_engine or self.lane_engine
         flowchart, fingerprint = self.cache.intern_flowchart(
             request.flowchart)
         tenant = (budget.name if request.tenant == "default"
                   else request.tenant)
         key = ("execute", fingerprint, request.inputs, fuel, value_cap,
-               backend, lane_engine if backend == "batch" else None)
+               backend)
         # The shared key is budget-only, so the cached payload must be
         # tenant-free: the requester's tenant is stamped on after the
         # lookup, never stored where another tenant could read it.
-        lane = lane_engine if backend == "batch" else None
         provenance = {"program": flowchart.name,
                       "point": list(request.inputs)}
         cached = self.cache.get_response(key)
@@ -608,13 +594,12 @@ class ReproServer:
             self._record_decision(budget, tenant, "/execute", span,
                                   cached["notice"], fuel=fuel,
                                   value_cap=value_cap, backend=backend,
-                                  lane_engine=lane, provenance=provenance)
+                                  provenance=provenance)
             return dict(cached, tenant=tenant)
         if backend == "batch":
             outcome = await self._batcher.submit(
                 key[:2] + key[3:], flowchart, request.inputs, fuel,
-                value_cap, lane_engine,
-                request_span=span.id if span else None)
+                value_cap, request_span=span.id if span else None)
         else:
             outcome = await self._loop.run_in_executor(
                 self._executor, execute_point_outcome, flowchart,
@@ -633,7 +618,7 @@ class ReproServer:
         self._record_decision(budget, tenant, "/execute", span,
                               outcome["notice"], fuel=fuel,
                               value_cap=value_cap, backend=backend,
-                              lane_engine=lane, provenance=provenance)
+                              provenance=provenance)
         return dict(response, tenant=tenant)
 
     async def _handle_sweep(self, payload, span) -> Dict:
@@ -642,9 +627,7 @@ class ReproServer:
             request.tenant, request.fuel, request.value_cap)
         backend = resolve_backend(request.backend or budget.backend
                                   or self.default_backend)
-        lane_engine = request.lane_engine or budget.lane_engine \
-            or self.lane_engine
-        key = request.cache_key(fuel, value_cap, backend, lane_engine)
+        key = request.cache_key(fuel, value_cap, backend)
         tenant = (budget.name if request.tenant == "default"
                   else request.tenant)
 
@@ -656,7 +639,6 @@ class ReproServer:
             self._record_decision(
                 budget, tenant, "/sweep", span, notice, fuel=fuel,
                 value_cap=value_cap, backend=backend,
-                lane_engine=lane_engine,
                 provenance={"programs": list(request.programs),
                             "policy": request.mechanism})
             return response
@@ -675,8 +657,7 @@ class ReproServer:
         try:
             response = await self._loop.run_in_executor(
                 self._executor, self._run_sweep, request, fuel,
-                value_cap, backend, lane_engine,
-                span.id if span else None)
+                value_cap, backend, span.id if span else None)
             self.cache.put_response(key, response)
             future.set_result(response)
             return record(response)
@@ -690,8 +671,7 @@ class ReproServer:
             self._inflight_sweeps.pop(key, None)
 
     def _run_sweep(self, request, fuel: int, value_cap: Optional[int],
-                   backend: str, lane_engine: Optional[str],
-                   parent_span: Optional[str]) -> Dict:
+                   backend: str, parent_span: Optional[str]) -> Dict:
         from ..cli import LIBRARY
         from ..core import ProductDomain
         from ..verify import parallel_soundness_sweep, unsound_results
@@ -708,8 +688,7 @@ class ReproServer:
                 max_workers=request.jobs or self.config.jobs,
                 chunk_size=request.chunk_size,
                 value_cap=value_cap,
-                backend=backend,
-                lane_engine=lane_engine)
+                backend=backend)
         rows = [
             {
                 "program": result.program_name,

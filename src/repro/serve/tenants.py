@@ -21,6 +21,7 @@ import threading
 import time
 from typing import Dict, Optional
 
+from ..flowchart.fastpath import BACKEND_ALIASES, BACKENDS
 from .schema import RequestError
 
 __all__ = ["TenantBudget", "TenantRegistry", "TokenBucket"]
@@ -30,14 +31,13 @@ class TenantBudget:
     """Per-tenant ceilings.  ``None`` means "server default applies"."""
 
     __slots__ = ("name", "fuel", "value_cap", "qps", "burst", "backend",
-                 "lane_engine", "audit", "audit_sample")
+                 "audit", "audit_sample")
 
     def __init__(self, name: str, fuel: Optional[int] = None,
                  value_cap: Optional[int] = None,
                  qps: Optional[float] = None,
                  burst: Optional[int] = None,
                  backend: Optional[str] = None,
-                 lane_engine: Optional[str] = None,
                  audit: Optional[bool] = None,
                  audit_sample: Optional[float] = None) -> None:
         self.name = name
@@ -46,7 +46,6 @@ class TenantBudget:
         self.qps = qps
         self.burst = burst
         self.backend = backend
-        self.lane_engine = lane_engine
         # Audit opt-in: None inherits the server's setting; False
         # excludes this tenant from the ledger entirely; True opts in
         # even when other tenants are excluded.  ``audit_sample``
@@ -56,8 +55,8 @@ class TenantBudget:
 
     @classmethod
     def from_dict(cls, name: str, spec: Dict) -> "TenantBudget":
-        known = {"fuel", "value_cap", "qps", "burst", "backend",
-                 "lane_engine", "audit", "audit_sample"}
+        known = {"fuel", "value_cap", "qps", "burst", "backend", "audit",
+                 "audit_sample"}
         unknown = set(spec) - known
         if unknown:
             raise ValueError(
@@ -75,6 +74,12 @@ class TenantBudget:
                                 or not isinstance(qps, (int, float))
                                 or qps <= 0):
             raise ValueError(f"tenant {name!r}: 'qps' must be positive")
+        backend = spec.get("backend")
+        tiers = BACKENDS + tuple(BACKEND_ALIASES)
+        if backend is not None and backend not in tiers:
+            raise ValueError(
+                f"tenant {name!r}: 'backend' must be one of "
+                f"{sorted(tiers)}")
         audit = spec.get("audit")
         if audit is not None and not isinstance(audit, bool):
             raise ValueError(f"tenant {name!r}: 'audit' must be a boolean")
@@ -87,14 +92,13 @@ class TenantBudget:
                 f"tenant {name!r}: 'audit_sample' must be in [0, 1]")
         return cls(name, fuel=spec.get("fuel"),
                    value_cap=spec.get("value_cap"), qps=qps,
-                   burst=spec.get("burst"), backend=spec.get("backend"),
-                   lane_engine=spec.get("lane_engine"), audit=audit,
+                   burst=spec.get("burst"), backend=backend, audit=audit,
                    audit_sample=audit_sample)
 
     def to_dict(self) -> Dict:
         return {key: getattr(self, key)
                 for key in ("fuel", "value_cap", "qps", "burst", "backend",
-                            "lane_engine", "audit", "audit_sample")
+                            "audit", "audit_sample")
                 if getattr(self, key) is not None}
 
 

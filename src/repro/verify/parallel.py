@@ -451,8 +451,7 @@ def _evaluate_chunk_batch(flowchart: Flowchart, family: str, policy,
                           points: List[Tuple], fuel: int,
                           value_cap: Optional[int], mechanism_name: str,
                           span: Optional[str] = None,
-                          plan: Optional[chaos.FaultPlan] = None,
-                          lane_engine: Optional[str] = None
+                          plan: Optional[chaos.FaultPlan] = None
                           ) -> ChunkSummary:
     """Evaluate a whole chunk from shared runs; summarise for the merge.
 
@@ -497,7 +496,7 @@ def _evaluate_chunk_batch(flowchart: Flowchart, family: str, policy,
                                              arity=arity))
         allowed = to_mask(policy.allowed)
     rows = execute_batch(target, points, fuel=fuel, value_cap=value_cap,
-                         engine=lane_engine, need_env=surveillance)
+                         need_env=surveillance)
     fuel_out = fuel_notice(fuel)
     cap_out = cap_notice(rows.cap) if rows.cap is not None else None
     has_epochs = surveillance and bool(flowchart.policy_change_ids())
@@ -819,7 +818,7 @@ def _run_pair_task(payload: bytes) -> Tuple[int, int, ChunkSummary]:
     """
     (pair_index, chunk_index, flowchart, policy, domain, factory_name,
      points, fuel, value_cap, inject_failure, delay, plan, span_id,
-     batch_family, backend, lane_engine) = pickle.loads(payload)
+     batch_family, backend) = pickle.loads(payload)
     _obs._stack().clear()
     if delay:
         time.sleep(delay)
@@ -830,7 +829,7 @@ def _run_pair_task(payload: bytes) -> Tuple[int, int, ChunkSummary]:
         return pair_index, chunk_index, _evaluate_chunk_batch(
             flowchart, batch_family, policy, points, fuel, value_cap,
             FACTORY_NAMES[batch_family](flowchart, policy), span=span_id,
-            plan=plan, lane_engine=lane_engine)
+            plan=plan)
     mechanism = FACTORIES[factory_name](flowchart, policy, domain, fuel,
                                         value_cap=value_cap, backend=backend)
     return pair_index, chunk_index, evaluate_chunk(mechanism, policy, points,
@@ -870,7 +869,6 @@ def parallel_soundness_sweep(
         stop: Optional[Callable[[], Optional[str]]] = None,
         deadline: Optional[float] = None,
         backend: Optional[str] = None,
-        lane_engine: Optional[str] = None,
         audit: Optional[str] = None,
 ) -> List[SweepResult]:
     """The Theorem 3/3′ sweep, chunked across a worker pool.
@@ -941,11 +939,6 @@ def parallel_soundness_sweep(
         per-point evaluation.  Each
         :class:`~repro.verify.enumerate.SweepResult` reports which
         backends actually ran its chunks via ``result.backends``.
-    lane_engine:
-        Batch-tier lane engine (``auto``/``numpy``/``python``) for
-        ``backend="batch"`` sweeps; ``None`` defers to the cached
-        ``REPRO_BATCH_LANES`` default.  Threaded explicitly so a
-        long-running service never reads the environment per request.
     audit:
         Path of a hash-chained audit ledger (see
         :mod:`repro.obs.audit`) receiving one record per policy class
@@ -1278,7 +1271,7 @@ def parallel_soundness_sweep(
         flowchart, policy, _ = pairs[pair_index]
         return _evaluate_chunk_batch(flowchart, batch_family, policy, points,
                                      fuel, value_cap, name_for(pair_index),
-                                     span=span_id, lane_engine=lane_engine)
+                                     span=span_id)
 
     def run_chunk_inline(pair_index: int, chunk_index: int,
                          points: List[Tuple]) -> ChunkSummary:
@@ -1579,7 +1572,7 @@ def parallel_soundness_sweep(
                              domain, factory_name, points, fuel, value_cap,
                              inject, delay, chaos.current_plan(),
                              chunk_span.id if chunk_span else None,
-                             batch_family, mech_backend, lane_engine))
+                             batch_family, mech_backend))
                         return process_pool.submit(_run_pair_task, payload)
 
                     try:

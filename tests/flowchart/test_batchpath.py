@@ -8,27 +8,22 @@ the compiled fallback whenever a lane leaves the vectorizable regime
 (hazardous boxes, oversized inputs, guard-exceeding intermediates).
 """
 
-import os
-
 import pytest
 
 from repro.core.errors import (ArityMismatchError, FuelExhaustedError,
                                ReproError, ValueCapExceededError)
 from repro.flowchart import library as figure_library
 from repro.flowchart import batchpath, fastpath
-from repro.flowchart.batchpath import (K_CAP, K_FUEL, K_OK, LANES_ENV,
-                                       batch_stats, clear_batch_caches,
-                                       execute_batch, execute_batch_single,
-                                       resolve_lane_engine)
+from repro.flowchart.batchpath import (K_CAP, K_FUEL, K_OK, batch_stats,
+                                       clear_batch_caches, execute_batch,
+                                       execute_batch_single)
 from repro.flowchart.expr import BoolConst, Const, var
-from repro.flowchart.fastpath import (BACKENDS, backend_tiers, memo_stats,
-                                      resolve_backend, run_flowchart)
+from repro.flowchart.fastpath import (BACKENDS, memo_stats, resolve_backend,
+                                      run_flowchart)
 from repro.flowchart.interpreter import execute
 from repro.flowchart.structured import Assign, StructuredProgram, While
 
-HAVE_NUMPY = resolve_lane_engine("auto") == "numpy"
-
-ENGINES = ["python"] + (["numpy"] if HAVE_NUMPY else [])
+HAVE_NUMPY = batchpath._numpy() is not None
 
 
 def grid_points(arity, low=-2, high=3):
@@ -59,43 +54,44 @@ def batch_row(rows, i):
     return ("ok", rows.value(i), rows.steps(i), rows.touched(i))
 
 
-def assert_rows_match(flowchart, points, fuel, value_cap, engine):
+def assert_rows_match(flowchart, points, fuel, value_cap, lanes):
     rows = execute_batch(flowchart, points, fuel=fuel,
-                         value_cap=value_cap, engine=engine, memo=False)
+                         value_cap=value_cap, memo=False)
+    assert len(rows) == len(points)
     for i, point in enumerate(points):
         expected = interpreter_row(flowchart, point, fuel, value_cap)
         actual = batch_row(rows, i)
         assert actual == expected, (
             f"{flowchart.name}{point} fuel={fuel} cap={value_cap} "
-            f"engine={engine}: batch {actual} != interpreter {expected}")
+            f"lanes={lanes}: batch {actual} != interpreter {expected}")
 
 
-@pytest.mark.parametrize("engine", ENGINES)
 class TestRowIdentity:
-    def test_library_suite_uncapped(self, engine):
+    def test_library_suite_uncapped(self, lanes):
+        # The empty vector is an input too: an empty result, not a
+        # shape error from the (0, arity) input matrix.
         for flowchart in figure_library.extended_suite():
-            points = grid_points(flowchart.arity)
-            assert_rows_match(flowchart, points, 100_000, None, engine)
+            for points in (grid_points(flowchart.arity), []):
+                assert_rows_match(flowchart, points, 100_000, None, lanes)
 
-    def test_library_suite_tight_fuel(self, engine):
+    def test_library_suite_tight_fuel(self, lanes):
         # A tight budget retires different lanes at different boxes —
         # the mixed OK/fuel partition must match point-for-point.
         for flowchart in figure_library.extended_suite():
             points = grid_points(flowchart.arity)
             for fuel in (1, 3, 7):
-                assert_rows_match(flowchart, points, fuel, None, engine)
+                assert_rows_match(flowchart, points, fuel, None, lanes)
 
-    def test_library_suite_tight_cap(self, engine):
+    def test_library_suite_tight_cap(self, lanes):
         for flowchart in figure_library.extended_suite():
             points = grid_points(flowchart.arity)
             for cap in (1, 4):
-                assert_rows_match(flowchart, points, 100_000, cap, engine)
+                assert_rows_match(flowchart, points, 100_000, cap, lanes)
 
-    def test_all_lanes_fault(self, engine):
+    def test_all_lanes_fault(self, lanes):
         flowchart = figure_library.gcd_program()
         points = grid_points(2, 1, 6)
-        rows = execute_batch(flowchart, points, fuel=1, engine=engine,
-                             memo=False)
+        rows = execute_batch(flowchart, points, fuel=1, memo=False)
         assert all(rows.kind(i) == K_FUEL for i in range(len(points)))
 
 
@@ -123,79 +119,56 @@ class TestLaneFallback:
                    [Assign("y", var("y") * var("y"))])],
             name="batch-widening").compile()
         points = [(0,), (1,)]
-        rows = execute_batch(squaring, points, engine="numpy", memo=False)
+        rows = execute_batch(squaring, points, memo=False)
         assert rows.compiled.engine == "numpy"
         assert rows.overrides
         for i, point in enumerate(points):
             assert batch_row(rows, i) == interpreter_row(
                 squaring, point, 100_000, None)
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy lanes")
     def test_uncertifiable_widths_land_on_python_lanes(self):
         # A block the width analysis cannot bound inside int64 at any
-        # entry invariant (a 71-bit literal) demotes the whole
-        # flowchart to python lanes rather than risking overflow.
+        # entry invariant (a 71-bit literal) gives the flowchart no
+        # lanes: every point runs on the compiled tier, as Python ints,
+        # rather than risking overflow.
         wide = StructuredProgram(
             ["x1"],
             [Assign("y", var("x1") + Const(1 << 70))],
             name="batch-wide-const").compile()
-        rows = execute_batch(wide, [(1,), (2,)], engine="numpy",
-                             memo=False)
-        assert rows.compiled.engine == "python"
+        rows = execute_batch(wide, [(1,), (2,)], memo=False)
+        assert rows.compiled.engine == "compiled"
+        assert sorted(rows.overrides) == [0, 1]
+        assert rows.fallback_reasons == {"unvectorized": 2}
         for i, point in enumerate([(1,), (2,)]):
             assert batch_row(rows, i) == interpreter_row(
                 wide, point, 100_000, None)
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy lanes")
     def test_fallback_counter_increments(self):
-        # Oversized-input fallback is an int64-lane phenomenon; python
-        # lanes take arbitrary ints natively and never fall back here.
+        # A 2**200 input cannot live in an int64 lane (and without
+        # NumPy no lane can): either way the lane falls back.
         clear_batch_caches()
         flowchart = figure_library.forgetting_program()
-        execute_batch(flowchart, [(1 << 200, 1)], engine="numpy",
-                      memo=False)
+        execute_batch(flowchart, [(1 << 200, 1)], memo=False)
         assert batch_stats()["lane_fallbacks"] >= 1
 
 
 class TestEngineResolution:
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ReproError):
-            resolve_lane_engine("bogus")
+    """Which lanes a flowchart gets: NumPy's, or, with NumPy hidden,
+    none (every point on the compiled tier)."""
 
-    def test_env_variable_selects_engine(self, monkeypatch):
-        monkeypatch.setenv(LANES_ENV, "python")
-        batchpath.reset_lane_engine_cache()
-        try:
-            assert resolve_lane_engine() == "python"
-            monkeypatch.setenv(LANES_ENV, "bogus")
-            assert resolve_lane_engine() == "python"  # cached until reset
-            batchpath.reset_lane_engine_cache()
-            with pytest.raises(ReproError):
-                resolve_lane_engine()
-        finally:
-            monkeypatch.delenv(LANES_ENV)
-            batchpath.reset_lane_engine_cache()
-
-    def test_explicit_engine_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(LANES_ENV, "python")
-        batchpath.reset_lane_engine_cache()
-        try:
-            assert resolve_lane_engine("auto") in ("numpy", "python")
-        finally:
-            monkeypatch.delenv(LANES_ENV)
-            batchpath.reset_lane_engine_cache()
-
-    def test_python_engine_never_vectorizes(self):
+    def test_hidden_numpy_never_vectorizes(self, numpy_hidden):
         flowchart = figure_library.parity_program()
-        rows = execute_batch(flowchart, [(1,), (2,)], engine="python",
-                             memo=False)
+        with numpy_hidden():
+            rows = execute_batch(flowchart, [(1,), (2,)], memo=False)
+        assert rows.compiled.engine == "compiled"
         assert rows.vector_view() is None
+        assert [rows.value(i) for i in range(2)] == [
+            execute(flowchart, point).value for point in [(1,), (2,)]]
 
     @pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy lanes")
     def test_numpy_engine_exposes_vector_view(self):
         flowchart = figure_library.parity_program()
-        rows = execute_batch(flowchart, [(1,), (2,)], engine="numpy",
-                             memo=False)
+        rows = execute_batch(flowchart, [(1,), (2,)], memo=False)
         view = rows.vector_view()
         assert view is not None
         np_mod, kinds, values = view
@@ -232,7 +205,6 @@ class TestCachesAndStats:
 class TestTierRegistry:
     def test_batch_tier_registered(self):
         assert "batch" in BACKENDS
-        assert "batch" in dict(backend_tiers())
 
     def test_alias_resolves(self):
         assert resolve_backend("interp") == "interpreted"

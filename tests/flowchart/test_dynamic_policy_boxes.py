@@ -112,7 +112,7 @@ class TestEngineAgreement:
         interp = [execute(flowchart, point) for point in GRID]
         compiled = [run_flowchart(flowchart, point, backend="compiled")
                     for point in GRID]
-        batch = execute_batch(flowchart, GRID, engine="python")
+        batch = execute_batch(flowchart, GRID)
         for index, (point, reference) in enumerate(zip(GRID, interp)):
             row = compiled[index]
             assert (row.value, row.steps) == (reference.value,

@@ -3,12 +3,14 @@
 The Observability Postulate makes the *failure mode* part of a
 program's observable behaviour: which typed fault fires (fuel vs cap),
 with which payload, on which input.  These properties drive the
-interpreter, the compiled fastpath, and the batch tier (both lane
-engines) over the whole figure library plus adversarial value-blowup
+interpreter, the compiled fastpath, and the batch tier (NumPy lanes,
+and NumPy hidden) over the whole figure library plus adversarial value-blowup
 programs, under randomly drawn fuel and cap budgets, and require
 bit-identical outcomes — value and step count on success, fault type
 and payload on failure.
 """
+
+import contextlib
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,16 +18,11 @@ from hypothesis import strategies as st
 from repro.core.errors import FuelExhaustedError, ValueCapExceededError
 from repro.flowchart import library as figure_library
 from repro.flowchart.batchpath import (K_CAP, K_FUEL, execute_batch,
-                                       execute_batch_single,
-                                       resolve_lane_engine)
+                                       execute_batch_single)
 from repro.flowchart.expr import BoolConst, Const, var
 from repro.flowchart.fastpath import execute_compiled
 from repro.flowchart.interpreter import execute
 from repro.flowchart.structured import (Assign, StructuredProgram, While)
-
-LANE_ENGINES = (("python", "numpy")
-                if resolve_lane_engine("auto") == "numpy"
-                else ("python",))
 
 
 def _doubling():
@@ -94,12 +91,12 @@ def batch_lane_outcome(rows, i):
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_batch_lanes_agree_per_point(data):
+def test_batch_lanes_agree_per_point(data, numpy_hidden):
     # One whole vector through execute_batch, every lane against the
     # interpreter: mixed OK/fuel/cap partitions (including vectors
     # where every lane faults, and vectors where some lanes retire to
     # the per-lane fallback mid-sweep) must agree point for point, on
-    # both lane engines.
+    # NumPy lanes and with NumPy hidden (every lane on the fallback).
     flowchart = data.draw(st.sampled_from(PROGRAMS))
     points = data.draw(st.lists(
         st.tuples(*[st.integers(-6, 6)] * flowchart.arity),
@@ -109,14 +106,14 @@ def test_batch_lanes_agree_per_point(data):
                           label="value_cap")
     expected = [outcome(execute, flowchart, point, fuel, value_cap)
                 for point in points]
-    for engine in LANE_ENGINES:
-        rows = execute_batch(flowchart, points, fuel=fuel,
-                             value_cap=value_cap, engine=engine,
-                             memo=False)
+    for lanes in (contextlib.nullcontext, numpy_hidden):
+        with lanes():
+            rows = execute_batch(flowchart, points, fuel=fuel,
+                                 value_cap=value_cap, memo=False)
         actual = [batch_lane_outcome(rows, i) for i in range(len(points))]
         assert actual == expected, (
             f"{flowchart.name} fuel={fuel} cap={value_cap} "
-            f"engine={engine}: {actual} != {expected}")
+            f"lanes={lanes.__name__}: {actual} != {expected}")
 
 
 @settings(max_examples=60, deadline=None)

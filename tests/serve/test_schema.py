@@ -84,10 +84,9 @@ class TestSweep:
     def test_happy_path(self):
         request = parse_sweep({"programs": ["max", "parity"],
                                "mechanism": "program", "low": -1,
-                               "high": 1, "lane_engine": "python"})
+                               "high": 1})
         assert request.programs == ["max", "parity"]
         assert request.mechanism == "program"
-        assert request.lane_engine == "python"
 
     @pytest.mark.parametrize("payload,code", [
         ({"programs": []}, "bad_programs"),
@@ -100,7 +99,6 @@ class TestSweep:
          "bad_grid"),
         ({"programs": ["max"], "executor": "fork"}, "bad_executor"),
         ({"programs": ["max"], "jobs": 0}, "bad_jobs"),
-        ({"programs": ["max"], "lane_engine": "simd"}, "bad_lane_engine"),
     ])
     def test_rejections_carry_stable_codes(self, payload, code):
         with pytest.raises(RequestError) as excinfo:
@@ -114,8 +112,8 @@ class TestSweep:
                               "jobs": 1})
         threaded = parse_sweep({"programs": ["max"], "executor": "thread",
                                 "jobs": 8})
-        assert (serial.cache_key(100, None, "batch", "auto")
-                == threaded.cache_key(100, None, "batch", "auto"))
+        assert (serial.cache_key(100, None, "batch")
+                == threaded.cache_key(100, None, "batch"))
 
 
 class TestLintAndExplain:

@@ -44,15 +44,15 @@ class TestBudgetValidation:
         {"audit": "yes"}, {"audit": 1},
         {"audit_sample": -0.1}, {"audit_sample": 1.5},
         {"audit_sample": True}, {"audit_sample": "all"},
+        {"backend": "gpu"}, {"lane_engine": "numpy"},
     ])
     def test_bad_specs_rejected(self, spec):
         with pytest.raises(ValueError):
             TenantBudget.from_dict("alice", spec)
 
     def test_round_trip(self):
-        budget = TenantBudget.from_dict(
-            "alice", {"fuel": 100, "value_cap": 8, "qps": 5})
-        assert budget.to_dict() == {"fuel": 100, "value_cap": 8, "qps": 5}
+        spec = {"fuel": 100, "value_cap": 8, "qps": 5, "backend": "interp"}
+        assert TenantBudget.from_dict("alice", spec).to_dict() == spec
 
     def test_audit_keys_round_trip(self):
         budget = TenantBudget.from_dict(

@@ -248,6 +248,10 @@ class TestArgparseFailures:
         assert code == 2
         assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
+    def test_serve_has_no_lanes_option(self, capsys):
+        assert main(["serve", "--lanes", "numpy"]) == 2
+        assert "unrecognized arguments: --lanes" in capsys.readouterr().err
+
     def test_no_subcommand(self, capsys):
         assert main([]) == 2
 

@@ -5,10 +5,13 @@ grid point with no policy, decided for every policy of a pair by
 bitmask tests, instead of a per-policy per-point loop), never *what*
 it computes: every test here pins the batch sweep's rows — and, for
 the monitor families, its audit-ledger bytes — to the per-point
-sweep's, across families, budgets, executors, lane engines, chaos
-plans, and checkpoint resume, and checks that the tier that actually
-evaluated each pair is recorded.
+sweep's, across families, budgets, executors, NumPy lanes and NumPy
+hidden (every lane on the compiled tier), chaos plans, and checkpoint
+resume, and checks that the tier that actually evaluated each pair is
+recorded.
 """
+
+import contextlib
 
 import pytest
 
@@ -103,21 +106,24 @@ class TestRowParity:
                 == rows(sweep(family, fuel=1)))
 
     @pytest.mark.parametrize("family", MONITORS)
-    def test_every_fuel_budget_matches(self, family, tmp_path):
+    def test_every_fuel_budget_matches(self, family, tmp_path,
+                                       numpy_hidden):
         # A J-violation the allow-all instrumented run did not take is
         # one box longer, and a timed guard can stop a run before it
         # runs dry: every budget from 1 to 40 must decide each policy
         # exactly as its own run would.
         wide = lambda arity: ProductDomain.integer_grid(
             0, 3 if arity < 3 else 1, arity)
-        # Both lane engines decide surveillance (vector and per-lane).
-        engines = ("numpy", "python") if family == "surveillance" else (
-            None,)
+        # Surveillance decides on NumPy lanes (vector) and, with NumPy
+        # hidden, per lane.
+        setups = ((contextlib.nullcontext, numpy_hidden)
+                  if family == "surveillance" else (contextlib.nullcontext,))
         for fuel in range(1, 41):
-            for lanes in engines:
-                assert_shared_matches_per_point(
-                    tmp_path, family, programs=MIXED, grid=wide, fuel=fuel,
-                    chunk_size=8, lane_engine=lanes)
+            for lanes in setups:
+                with lanes():
+                    assert_shared_matches_per_point(
+                        tmp_path, family, programs=MIXED, grid=wide,
+                        fuel=fuel, chunk_size=8)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_capped_sweep_matches(self, family, tmp_path):
@@ -129,17 +135,17 @@ class TestRowParity:
                                             programs=MIXED[:2], grid=wide,
                                             value_cap=cap, chunk_size=16)
 
-    def test_python_lanes_match(self, tmp_path):
-        # Explicit lane selection (the serving path) — no env mutation.
-        assert (rows(sweep("program", "batch", lane_engine="python"))
-                == rows(sweep("program")))
-        assert (rows(sweep("surveillance", "batch", lane_engine="python"))
+    def test_lane_setups_match(self, lanes, tmp_path):
+        # NumPy lanes, and NumPy hidden: every lane on the compiled
+        # tier and surveillance decided per lane, on every executor.
+        assert rows(sweep("program", "batch")) == rows(sweep("program"))
+        assert (rows(sweep("surveillance", "batch"))
                 == rows(sweep("surveillance")))
         for family in MONITORS:
-            for lanes in ("numpy", "python"):
+            for executor in ("serial", "thread", "process"):
                 assert_shared_matches_per_point(
-                    tmp_path, family, programs=MIXED, lane_engine=lanes,
-                    fuel=30, chunk_size=5)
+                    tmp_path, family, programs=MIXED, executor=executor,
+                    max_workers=2, fuel=30, chunk_size=5)
 
     def test_chunked_and_pooled_executors_match(self, tmp_path):
         baseline = rows(sweep("program"))
@@ -186,7 +192,8 @@ class TestRowParity:
 class TestSharedRuns:
     @pytest.mark.parametrize("family", MONITORS)
     def test_one_labelled_run_per_flowchart_point(self, family,
-                                                  monkeypatch):
+                                                  monkeypatch,
+                                                  numpy_hidden):
         from repro.flowchart import batchpath
         from repro.flowchart.fastpath import clear_result_memo
         from repro.surveillance import dynamic
@@ -199,26 +206,31 @@ class TestSharedRuns:
                 return function(*args, **kwargs)
             return wrapper
 
-        # Surveillance runs lanes of the instrumented flowchart; timed
+        # Surveillance runs lanes of the instrumented flowchart: NumPy
+        # lanes, or with NumPy hidden one compiled run per lane.  Timed
         # and high-water run label walks, one per point.
-        for lanes in ("_drive_numpy", "_drive_python"):
-            monkeypatch.setattr(batchpath, lanes, counting(
-                getattr(batchpath, lanes), lambda args: len(args[1])))
+        monkeypatch.setattr(batchpath, "_drive_numpy", counting(
+            batchpath._drive_numpy, lambda args: len(args[1])))
+        monkeypatch.setattr(batchpath, "execute_compiled", counting(
+            batchpath.execute_compiled, lambda args: 1))
         monkeypatch.setattr(dynamic, "_walk",
                             counting(dynamic._walk, lambda args: 1))
         programs = PROGRAMS + [figure_library.nested_branch_program()]
         points = sum(len(grid(f.arity)) for f in programs)
 
-        clear_result_memo()
-        results = sweep(family, "batch", programs=programs)
-        assert sum(runs) == points
-        assert sum(r.domain_size for r in results) == sum(
-            len(grid(f.arity)) * 2 ** f.arity for f in programs)
-        sweep(family, "batch", programs=programs)
-        assert sum(runs) == points  # the rows memo still holds them
-        clear_result_memo()
-        sweep(family, "batch", programs=programs)
-        assert sum(runs) == 2 * points
+        for lanes in (contextlib.nullcontext, numpy_hidden):
+            runs.clear()
+            with lanes():
+                clear_result_memo()
+                results = sweep(family, "batch", programs=programs)
+                assert sum(runs) == points
+                assert sum(r.domain_size for r in results) == sum(
+                    len(grid(f.arity)) * 2 ** f.arity for f in programs)
+                sweep(family, "batch", programs=programs)
+                assert sum(runs) == points  # the rows memo holds them
+                clear_result_memo()
+                sweep(family, "batch", programs=programs)
+                assert sum(runs) == 2 * points
 
     @pytest.mark.parametrize("family", MONITORS)
     def test_no_mechanism_built_on_a_fault_free_sweep(self, family,
@@ -328,7 +340,7 @@ class TestObservability:
         with obs.observed(sinks=[ring], reset=True):
             sweep("program", "batch")
         compiled = ring.events("batch_compiled")
-        assert compiled and all(event["engine"] in ("numpy", "python")
+        assert compiled and all(event["engine"] in ("numpy", "compiled")
                                 for event in compiled)
 
     def test_explain_mode_degrades_to_per_point(self):
