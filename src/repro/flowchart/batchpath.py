@@ -56,7 +56,7 @@ from .boxes import AssignBox, Box, DecisionBox, HaltBox, StartBox
 from .expr import (And, BinOp, BoolConst, Compare, Const, Ite, LoopExpr,
                    Neg, Not, Or, Var)
 from .fastpath import (_Codegen, _LRUMemo, _block_chain, _box_hazardous,
-                       _box_touch_bits, _find_leaders, execute_compiled)
+                       _box_touch_bits, _find_leaders, compile_flowchart)
 from .interpreter import DEFAULT_FUEL, ExecutionResult, execute
 from .program import Flowchart
 
@@ -769,6 +769,8 @@ def execute_batch(flowchart: Flowchart,
     carry only the global budget, so the kind is the whole outcome).
     Undeclared faults (e.g. a LoopExpr exceeding its own fuel) raise
     out of the per-lane fallback exactly as the interpreter would.
+    Metrics see the batch as one run; a lane's fuel or cap fault is
+    for the caller that decides on it to count.
     """
     global _LANE_FALLBACKS
     arity = flowchart.arity
@@ -819,14 +821,16 @@ def execute_batch(flowchart: Flowchart,
         kinds = [K_OK] * len(points)
         fallback_lanes = range(len(points))
         reasons = {"unvectorized": len(points)} if points else {}
-    # memo=False: the rows memo already holds the whole vector, and a
-    # compiled-memo lookup and store per lane would double the cost
-    # of a batch whose every lane falls back.
+    # Channel programs re-run on the interpreter, the reference
+    # semantics for send/recv, which records its own runs.
+    channels = flowchart.has_channels()
     for i in fallback_lanes:
         try:
-            overrides[i] = execute_compiled(
-                flowchart, points[i], fuel=fuel, capture_env=need_env,
-                memo=False, value_cap=cap)
+            overrides[i] = (
+                execute(flowchart, points[i], fuel=fuel,
+                        capture_env=need_env, value_cap=cap)
+                if channels else
+                _rerun_lane(flowchart, points[i], fuel, need_env, cap))
         except FuelExhaustedError:
             kinds[i] = K_FUEL
         except ValueCapExceededError:
@@ -842,11 +846,32 @@ def execute_batch(flowchart: Flowchart,
                          steps, touched, env, overrides, reasons,
                          input_matrix=matrix)
     if _obs.active:
-        total_steps = sum(result.steps(i) for i in range(len(points)))
+        # One run for the whole batch: the lane array's steps, each
+        # re-run lane's own count in place of its array entry.
+        total_steps = int(steps.sum()) if compiled.engine == "numpy" else 0
+        for i, lane in overrides.items():
+            total_steps += (0 if channels else lane.steps) - int(steps[i])
         _obs.record_run("batch", flowchart.name, total_steps)
     if key is not None:
         _ROWS_MEMO.put(key, result)
     return result
+
+
+def _rerun_lane(flowchart: Flowchart, point: Tuple[int, ...], fuel: int,
+                need_env: bool, cap: Optional[int]) -> ExecutionResult:
+    """Re-run one retired lane on the compiled tier, unobserved.
+
+    The batch counts the lane's steps in its own run, and a lane's
+    fault is for the caller to count: a sweep counts decisions, not
+    lanes.  No compiled-memo lookup either: the rows memo already
+    holds the whole vector, and a get and put per lane would double
+    the cost of a batch whose every lane falls back.
+    """
+    compiled = compile_flowchart(flowchart)
+    value, steps, mask, env = compiled.function(
+        point, fuel, need_env, cap, None if cap is None else 1 << cap)
+    return ExecutionResult(value, steps, None, env,
+                           compiled.touched_set(mask))
 
 
 def execute_batch_single(flowchart: Flowchart, inputs: Sequence[int],

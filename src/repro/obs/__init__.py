@@ -38,8 +38,8 @@ The CLI exposes the same machinery as ``repro sweep --progress
 
 from .audit import (AuditLedger, AuditVerifyResult, SpikeTracker,
                     budget_fingerprint, classify_notice, decision_payload,
-                    ledger_stats, load_ledger, merge_segments,
-                    query_records, tail_records, verify_ledger)
+                    ledger_stats, load_ledger, query_records,
+                    tail_records, verify_ledger)
 from .events import (EVENT_KINDS, EVENT_SCHEMA, JsonlSink, RingBufferSink,
                      validate_event, validate_jsonl)
 from .metrics import (Counter, Gauge, Histogram, MetricsRegistry,
@@ -61,8 +61,8 @@ __all__ = [
     "snapshot_to_prometheus", "split_labels",
     "AuditLedger", "AuditVerifyResult", "SpikeTracker",
     "budget_fingerprint", "classify_notice", "decision_payload",
-    "ledger_stats", "load_ledger", "merge_segments", "query_records",
-    "tail_records", "verify_ledger",
+    "ledger_stats", "load_ledger", "query_records", "tail_records",
+    "verify_ledger",
     "ChainStep", "Explanation", "explain", "explain_static",
     "enable", "disable", "observed", "emit", "registry", "snapshot",
     "Span", "span", "span_begin", "span_finish", "current_span",

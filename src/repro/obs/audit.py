@@ -62,11 +62,11 @@ from ..core.errors import ReproError
 from . import runtime as _obs
 
 __all__ = [
-    "GENESIS", "AuditLedger", "AuditVerifyResult", "SpikeTracker",
-    "budget_fingerprint", "classify_notice", "decision_payload",
-    "iter_ledger", "ledger_stats", "load_ledger", "merge_segments",
-    "query_records", "record_hash", "sampled_in", "tail_records",
-    "verify_ledger",
+    "GENESIS", "AuditLedger", "AuditVerifyResult", "RecordHead",
+    "RecordLine", "SpikeTracker", "budget_fingerprint", "canonical_object",
+    "canonical_object_around", "classify_notice", "decision_payload", "iter_ledger", "ledger_stats",
+    "load_ledger", "query_records", "record_hash", "sampled_in",
+    "tail_records", "verify_ledger",
 ]
 
 #: The ``prev`` value of the first record in every chain.
@@ -76,8 +76,38 @@ GENESIS = "0" * 64
 NOTICE_KINDS = ("accept", "violation", "epoch", "fuel", "cap", "crash")
 
 
-def _canonical(record: Dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+#: Canonical JSON: sorted keys, compact separators, ASCII escapes.
+#: ``json.dumps`` with these options builds a new encoder per call; one
+#: shared encoder writes the same text.
+_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def canonical_object(texts: Dict[str, str]) -> str:
+    """The canonical JSON object of ``texts``: member names (plain names
+    that need no escaping) mapped to values already in canonical JSON.
+
+    Lets a writer encode each distinct value once and still produce
+    exactly ``_canonical`` of the object the line parses to.
+    """
+    return "{" + ",".join([f'"{name}":{texts[name]}'
+                           for name in sorted(texts)]) + "}"
+
+
+def canonical_object_around(texts: Dict[str, str],
+                            name: str) -> Tuple[str, str]:
+    """The texts before and after the value of member ``name`` (not in
+    ``texts``) in the :func:`canonical_object` of ``texts`` plus it.
+
+    Objects that differ only in that member then cost two
+    concatenations each: a sweep's ledger records within one chunk
+    differ only in their class key.
+    """
+    names = sorted([*texts, name])
+    at = names.index(name)
+    before = "".join([f'"{other}":{texts[other]},' for other in names[:at]])
+    after = "".join([f',"{other}":{texts[other]}'
+                     for other in names[at + 1:]])
+    return f'{{{before}"{name}":', after + "}"
 
 
 def record_hash(line: str) -> str:
@@ -162,6 +192,53 @@ def sampled_in(payload: Dict, sample: float) -> bool:
         return False
     digest = hashlib.sha256(_canonical(payload).encode()).hexdigest()
     return int(digest[:8], 16) / float(0xFFFFFFFF) < sample
+
+
+class RecordHead:
+    """A decision payload without provenance, encoded once for the many
+    records that share it: its canonical text up to the ``prev`` value.
+
+    Every key must sort before ``prev`` (``budget``, ``decision``,
+    ``endpoint``, ``kind``, ``notice``; not ``span``, ``tenant`` or
+    ``ts``), which is what lets a record splice in its envelope.
+    """
+
+    __slots__ = ("text", "decision", "endpoint")
+
+    def __init__(self, payload: Dict) -> None:
+        late = sorted(key for key in payload if key >= "prev")
+        if late:
+            raise ReproError(f"a record head takes keys sorting before "
+                             f"'prev', got {late}")
+        self.text = _canonical(payload)[:-1] + ',"prev":"'
+        self.decision = payload["decision"]
+        self.endpoint = payload.get("endpoint", "")
+
+
+class RecordLine:
+    """A pre-encoded record for :meth:`AuditLedger.append_batch`: a
+    shared :class:`RecordHead` plus the canonical JSON text of its own
+    ``provenance`` (built with :func:`canonical_object` or
+    :func:`canonical_object_around`).  Producers of many records from
+    few distinct parts (a sweep: notices, class keys, pairs) encode
+    each part once."""
+
+    __slots__ = ("head", "provenance")
+
+    def __init__(self, head: RecordHead, provenance: str) -> None:
+        self.head = head
+        self.provenance = provenance
+
+
+def _record_line(payload, rec: int, prev: str) -> str:
+    """The canonical line of ``payload`` chained as record ``rec``."""
+    if isinstance(payload, RecordLine):
+        return (f'{payload.head.text}{prev}","provenance":'
+                f'{payload.provenance},"rec":{rec}}}')
+    record = dict(payload)
+    record["rec"] = rec
+    record["prev"] = prev
+    return _canonical(record)
 
 
 class AuditVerifyResult:
@@ -308,33 +385,18 @@ class AuditLedger:
     def append_record(self, payload: Dict) -> Dict:
         """Chain and write one pre-built payload (no sampling)."""
         with self._lock:
-            record = dict(payload)
-            record["rec"] = self._records
-            record["prev"] = self._head
-            line = _canonical(record)
-            if (self.max_bytes is not None and self._records > 0
-                    and self._size + len(line) + 1 > self.max_bytes):
-                self._rotate_locked()
-                record["rec"] = 0
-                record["prev"] = GENESIS
-                line = _canonical(record)
-            self._file.write(line + "\n")
+            written = self._chain_locked((payload,))
             self._file.flush()
-            self._head = record_hash(line)
-            self._records += 1
-            self._size += len(line.encode("utf-8")) + 1
-            self._unsealed += 1
             if self.seal_every and self._unsealed >= self.seal_every:
                 self._write_head()
-        if _obs.active:
-            _obs.registry.counter("audit.appended").inc()
-            if _obs.trace_active:
-                _obs.emit("audit_appended", rec=record["rec"],
-                          decision=record["decision"],
-                          endpoint=record.get("endpoint", ""))
+        self._observe(written)
+        (rec, prev, _), = written
+        record = dict(payload)
+        record["rec"] = rec
+        record["prev"] = prev
         return record
 
-    def append_batch(self, payloads: Iterable[Dict]) -> int:
+    def append_batch(self, payloads: Iterable) -> int:
         """Chain and write many payloads, sealing once at the end.
 
         One head-file replacement per batch instead of per record —
@@ -342,38 +404,57 @@ class AuditLedger:
         records and the per-append seal dance would dominate its wall
         time.  A crash mid-batch leaves a stale seal, which verify
         reports as a problem; a torn sweep ledger *should* fail.
+        Payloads are decision dicts or :class:`RecordLine` templates;
+        returns the number of records appended.
         """
-        appended = 0
-        records = []
         with self._lock:
-            for payload in payloads:
-                record = dict(payload)
-                record["rec"] = self._records
-                record["prev"] = self._head
-                line = _canonical(record)
-                if (self.max_bytes is not None and self._records > 0
-                        and self._size + len(line) + 1 > self.max_bytes):
-                    self._rotate_locked()
-                    record["rec"] = 0
-                    record["prev"] = GENESIS
-                    line = _canonical(record)
-                self._file.write(line + "\n")
-                self._head = record_hash(line)
-                self._records += 1
-                self._size += len(line.encode("utf-8")) + 1
-                records.append(record)
-                appended += 1
+            written = self._chain_locked(payloads)
             self._file.flush()
-            if appended:
+            if written:
                 self._write_head()
-        if _obs.active and records:
-            _obs.registry.counter("audit.appended").inc(appended)
+        self._observe(written)
+        return len(written)
+
+    def _chain_locked(self, payloads: Iterable) -> List[Tuple]:
+        """The chaining loop every append shares; ``(rec, prev, payload)``
+        of each record written.
+
+        Each record gets the next ``rec`` and the previous line's hash
+        as ``prev``; a record that would push the file past
+        ``max_bytes`` rotates first and is re-chained at genesis.
+        """
+        written = []
+        for payload in payloads:
+            prev = self._head
+            line = _record_line(payload, self._records, prev)
+            if (self.max_bytes is not None and self._records > 0
+                    and self._size + len(line) + 1 > self.max_bytes):
+                self._rotate_locked()
+                prev = GENESIS
+                line = _record_line(payload, 0, prev)
+            written.append((self._records, prev, payload))
+            self._file.write(line + "\n")
+            data = line.encode("utf-8")
+            self._head = hashlib.sha256(data).hexdigest()
+            self._records += 1
+            self._size += len(data) + 1
+            self._unsealed += 1
+        return written
+
+    @staticmethod
+    def _observe(written: List[Tuple]) -> None:
+        if _obs.active and written:
+            _obs.registry.counter("audit.appended").inc(len(written))
             if _obs.trace_active:
-                for record in records:
-                    _obs.emit("audit_appended", rec=record["rec"],
-                              decision=record["decision"],
-                              endpoint=record.get("endpoint", ""))
-        return appended
+                for rec, _, payload in written:
+                    if isinstance(payload, RecordLine):
+                        decision = payload.head.decision
+                        endpoint = payload.head.endpoint
+                    else:
+                        decision = payload["decision"]
+                        endpoint = payload.get("endpoint", "")
+                    _obs.emit("audit_appended", rec=rec, decision=decision,
+                              endpoint=endpoint)
 
     def _write_head(self) -> None:
         # Seal boundary: the seal asserts "these N records exist with
@@ -449,21 +530,6 @@ class AuditLedger:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-def merge_segments(ledger: AuditLedger,
-                   segments: Iterable[Iterable[Dict]]) -> int:
-    """Append chunk-segment payload lists to ``ledger`` in given order.
-
-    The parallel sweep's parent calls this with segments ordered by
-    ``(pair, chunk)`` after all chunks merged — the same discipline
-    the checkpoint journal uses — so the resulting chain is identical
-    no matter which executor (or completion order) produced the
-    segments.  Sampling was already decided producer-side (it is
-    content-hash based, hence executor-independent).
-    """
-    return ledger.append_batch(payload for segment in segments
-                               for payload in segment)
 
 
 # ---------------------------------------------------------------------------

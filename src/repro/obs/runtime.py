@@ -262,23 +262,32 @@ def record_run(backend: str, program: str, steps: int,
         emit("run_end", program=program, backend=backend, steps=steps)
 
 
-def record_fuel_exhausted(program: str, fuel: int) -> None:
-    registry.counter("run.fuel_exhausted").inc()
+def record_fuel_exhausted(program: str, fuel: int, count: int = 1) -> None:
+    """``count`` runs of ``program`` exhausted ``fuel``."""
+    registry.counter("run.fuel_exhausted").inc(count)
     if trace_active:
-        emit("fuel_exhausted", program=program, fuel=fuel)
+        for _ in range(count):
+            emit("fuel_exhausted", program=program, fuel=fuel)
 
 
-def record_value_cap_exceeded(program: str, cap: int) -> None:
-    registry.counter("run.value_cap_exceeded").inc()
+def record_value_cap_exceeded(program: str, cap: int,
+                              count: int = 1) -> None:
+    """``count`` runs of ``program`` assigned a value wider than ``cap``."""
+    registry.counter("run.value_cap_exceeded").inc(count)
     if trace_active:
-        emit("value_cap_exceeded", program=program, cap=cap)
+        for _ in range(count):
+            emit("value_cap_exceeded", program=program, cap=cap)
 
 
-def record_violation(program: str, source: str, **fields) -> None:
-    registry.counter("violations.raised").inc()
-    registry.counter(f"violations.{source}").inc()
+def record_violation(program: str, source: str, count: int = 1,
+                     **fields) -> None:
+    """``count`` violations raised by ``source``: the counters move once,
+    and a trace still gets one ``violation`` event per decision."""
+    registry.counter("violations.raised").inc(count)
+    registry.counter(f"violations.{source}").inc(count)
     if trace_active:
-        emit("violation", program=program, source=source, **fields)
+        for _ in range(count):
+            emit("violation", program=program, source=source, **fields)
 
 
 def record_surveil_run(program: str, steps: int, violated: bool,

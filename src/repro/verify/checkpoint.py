@@ -35,10 +35,11 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.errors import ReproError
 from ..core.mechanism import ViolationNotice
+from ..obs.audit import _canonical, canonical_object
 
-__all__ = ["CheckpointWriter", "JournalWriter", "config_fingerprint",
-           "encode_value", "decode_value", "load_checkpoint",
-           "load_journal"]
+__all__ = ["CheckpointWriter", "EncodedValues", "JournalWriter",
+           "config_fingerprint", "encode_value", "decode_value",
+           "load_checkpoint", "load_journal"]
 
 
 def encode_value(value):
@@ -72,11 +73,26 @@ def decode_value(encoded):
     return encoded
 
 
+class EncodedValues(dict):
+    """``value -> `` canonical JSON text of ``encode_value(value)``.
+
+    Each distinct value is encoded on its first lookup only: a sweep's
+    journal and ledger repeat the same class keys, outputs and names in
+    record after record.  Values equal under ``==`` share one text,
+    which is exact for the ints, strings, notices and tuples of them
+    that sweeps produce.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, value) -> str:
+        text = self[value] = _canonical(encode_value(value))
+        return text
+
+
 def config_fingerprint(descriptor: Dict) -> str:
     """A stable hash of everything resume determinism depends on."""
-    canonical = json.dumps(descriptor, sort_keys=True,
-                           separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return hashlib.sha256(_canonical(descriptor).encode()).hexdigest()
 
 
 class JournalWriter:
@@ -100,17 +116,23 @@ class JournalWriter:
         self._t0 = time.monotonic()
         self._file = open(path, "w" if fresh else "a", encoding="utf-8")
 
-    def _write(self, record: Dict) -> None:
-        record = dict(record)
-        record["seq"] = self._seq
-        record["t"] = round(time.monotonic() - self._t0, 6)
+    def _stamp(self) -> Tuple[int, float]:
+        """The next record's ``(seq, t)``."""
+        seq = self._seq
         self._seq += 1
-        self._file.write(json.dumps(record, sort_keys=True,
-                                    separators=(",", ":")) + "\n")
+        return seq, round(time.monotonic() - self._t0, 6)
+
+    def _append(self, line: str) -> None:
+        self._file.write(line + "\n")
         # Flush per record: the journal must survive a SIGKILL with at
         # worst a torn final line (the resume test exercises this).
         self._file.flush()
         os.fsync(self._file.fileno())
+
+    def _write(self, record: Dict) -> None:
+        record = dict(record)
+        record["seq"], record["t"] = self._stamp()
+        self._append(_canonical(record))
 
     def write(self, record: Dict) -> None:
         """Append one record durably (seq and timestamp added here)."""
@@ -129,7 +151,7 @@ class JournalWriter:
 
 
 class CheckpointWriter(JournalWriter):
-    """Appends one flushed JSONL record per completed chunk.
+    """Appends one flushed and fsynced JSONL record per completed chunk.
 
     ``fresh`` truncates and writes the ``checkpoint_meta`` header;
     resume passes ``fresh=False`` (and ``start_seq`` past the restored
@@ -139,25 +161,31 @@ class CheckpointWriter(JournalWriter):
     def __init__(self, path: str, descriptor: Dict, fresh: bool = True,
                  start_seq: int = 0) -> None:
         super().__init__(path, fresh=fresh, start_seq=start_seq)
+        self.texts = EncodedValues()
         if fresh:
             self._write({"kind": "checkpoint_meta",
                          "config": config_fingerprint(descriptor),
                          "sweep": descriptor})
 
     def write_chunk(self, pair: int, chunk: int, summary) -> None:
-        record = {
-            "kind": "checkpoint_written",
-            "pair": pair,
-            "chunk": chunk,
-            "accepts": summary.accepts,
-            "conflict": summary.conflict,
-            "classes": [[encode_value(key), encode_value(output)]
-                        for key, output in summary.classes.items()],
-        }
+        """Journal one chunk summary, durably, before returning.
+
+        ``classes`` lists ``[key, output]`` pairs in domain order; each
+        distinct class key and output is encoded once per writer.
+        """
+        texts = self.texts
+        classes = ",".join([f"[{texts[key]},{texts[output]}]"
+                            for key, output in summary.classes.items()])
+        record = {"kind": '"checkpoint_written"', "pair": str(pair),
+                  "chunk": str(chunk), "accepts": str(summary.accepts),
+                  "conflict": "true" if summary.conflict else "false",
+                  "classes": f"[{classes}]"}
         backend = getattr(summary, "backend", None)
         if backend is not None:
-            record["backend"] = backend
-        self._write(record)
+            record["backend"] = texts[backend]
+        seq, t = self._stamp()
+        record["seq"], record["t"] = str(seq), repr(t)
+        self._append(canonical_object(record))
 
 
 def load_journal(path: str) -> List[Dict]:

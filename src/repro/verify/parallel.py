@@ -89,6 +89,7 @@ from __future__ import annotations
 import os
 import pickle
 import time
+from collections import Counter
 from operator import itemgetter
 from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor,
                                 ProcessPoolExecutor, ThreadPoolExecutor,
@@ -106,8 +107,9 @@ from ..flowchart.fastpath import resolve_backend
 from ..flowchart.interpreter import DEFAULT_FUEL
 from ..flowchart.program import Flowchart
 from ..obs import runtime as _obs
-from ..obs.audit import (AuditLedger, budget_fingerprint, classify_notice,
-                         decision_payload, merge_segments)
+from ..obs.audit import (AuditLedger, RecordHead, RecordLine,
+                         budget_fingerprint, canonical_object_around,
+                         classify_notice, decision_payload)
 from ..robustness.faults import (cap_notice, crash_notice, fuel_notice,
                                  message_notice, resolve_value_cap)
 from ..surveillance.dynamic import policy_free_runs, surveillance_name
@@ -116,7 +118,7 @@ from ..surveillance.instrument import (EPOCH_VAR, PC_LABEL, VIOLATION_FLAG,
                                        surveillance_variable)
 from ..surveillance.labels import to_mask
 from . import chaos
-from .checkpoint import (CheckpointWriter, config_fingerprint, encode_value,
+from .checkpoint import (CheckpointWriter, EncodedValues, config_fingerprint,
                          load_checkpoint)
 from .enumerate import (SweepResult, all_allow_policies, build_mechanism,
                         default_grid)
@@ -531,30 +533,37 @@ def _evaluate_chunk_batch(flowchart: Flowchart, family: str, policy,
                     rows.kinds == K_OK, rows.values, 0))
             outkind, vals = rows.summary_cache
         if _obs.active:
-            _record_lanes(outkind.tolist(), flowchart, mechanism_name, fuel,
-                          rows.cap)
+            _record_tally(Counter(outkind.tolist()), flowchart,
+                          mechanism_name, fuel, rows.cap)
         return _summarize_vector(np_mod, pts, policy, outkind, vals, output)
     lanes = [_batch_lane(rows, i, flowchart, allowed, fuel, has_epochs)
              for i in range(len(points))]
     if _obs.active:
-        _record_lanes([code for code, _ in lanes], flowchart,
+        _record_tally(Counter(code for code, _ in lanes), flowchart,
                       mechanism_name, fuel, rows.cap)
     return _summarize_outputs(policy, points,
                               [output(code, val) for code, val in lanes],
                               "batch")
 
 
-def _record_lanes(codes, flowchart: Flowchart, mechanism_name: str,
-                  fuel: int, cap: Optional[int]) -> None:
-    """The per-decision fault and violation metrics of a batch chunk."""
-    for code in codes:
-        if code == K_FUEL:
-            _obs.record_fuel_exhausted(mechanism_name, fuel)
-        elif code == K_CAP:
-            _obs.record_value_cap_exceeded(mechanism_name, cap)
-        elif code == _VIOL_KIND:
-            _obs.record_violation(flowchart.name, "instrumented",
-                                  timed=False)
+#: Outcome code of a notice kind (:func:`classify_notice`); every other
+#: notice kind counts as a violation.
+_NOTICE_CODES = {"fuel": K_FUEL, "cap": K_CAP}
+
+
+def _record_tally(tally: Counter, flowchart: Flowchart, mechanism_name: str,
+                  fuel: int, cap: Optional[int],
+                  source: str = "instrumented", timed: bool = False) -> None:
+    """A chunk's fault and violation metrics from its outcome-code tally:
+    one hook call per outcome kind, not one per decision."""
+    if tally[K_FUEL]:
+        _obs.record_fuel_exhausted(mechanism_name, fuel, count=tally[K_FUEL])
+    if tally[K_CAP]:
+        _obs.record_value_cap_exceeded(mechanism_name, cap,
+                                       count=tally[K_CAP])
+    if tally[_VIOL_KIND]:
+        _obs.record_violation(flowchart.name, source,
+                              count=tally[_VIOL_KIND], timed=timed)
 
 
 def _evaluate_walk_chunk(flowchart: Flowchart, family: str, policy,
@@ -569,16 +578,14 @@ def _evaluate_walk_chunk(flowchart: Flowchart, family: str, policy,
     allowed = to_mask(policy.allowed)
     outputs = [run.output(allowed, time_observable) for run in runs]
     if _obs.active:
-        for output in outputs:
-            kind = classify_notice(str(output)) if is_violation(
-                output) else None
-            if kind == "fuel":
-                _obs.record_fuel_exhausted(mechanism_name, fuel)
-            elif kind == "cap":
-                _obs.record_value_cap_exceeded(mechanism_name, value_cap)
-            elif kind is not None:
-                _obs.record_violation(flowchart.name, "surveillance",
-                                      timed=timed)
+        tally: Counter = Counter()
+        notices = Counter(str(output) for output in outputs
+                          if is_violation(output))
+        for notice, count in notices.items():
+            tally[_NOTICE_CODES.get(classify_notice(notice),
+                                    _VIOL_KIND)] += count
+        _record_tally(tally, flowchart, mechanism_name, fuel, value_cap,
+                      "surveillance", timed)
     # The walk is interpreter-level whatever the sweep's backend.
     return _summarize_outputs(policy, points, outputs, "interpreted")
 
@@ -1032,10 +1039,15 @@ def parallel_soundness_sweep(
         audit_ledger = AuditLedger(audit, fresh=True)
         audit_budget = budget_fingerprint(fuel=fuel, value_cap=value_cap,
                                           backend=backend)
+    # Canonical JSON of class keys and names, each encoded once per
+    # sweep, and the record heads, one per distinct notice (None:
+    # accept).
+    audit_texts = EncodedValues()
+    audit_heads: Dict[Optional[str], RecordHead] = {}
 
-    def audit_chunk_payloads(pair_index: int, chunk_index: int,
-                             summary: "ChunkSummary") -> List[Dict]:
-        """One decision payload per policy class of a merged chunk.
+    def audit_records(pair_index: int, chunk_index: int,
+                      summary: "ChunkSummary") -> Iterable[RecordLine]:
+        """One decision record per policy class of a merged chunk.
 
         Class insertion order follows the chunk's point order, which is
         fixed by the grid — deterministic across executors because the
@@ -1043,21 +1055,23 @@ def parallel_soundness_sweep(
         enforcement decision the soundness verdict inspects, so each
         record carries the provenance ``repro explain`` needs to replay
         it: program, policy, encoded class key, and chunk coordinates.
+        Records are assembled from parts encoded once per distinct
+        notice, class key and pair.
         """
         flowchart, policy, _ = pairs[pair_index]
-        payloads = []
+        before, after = canonical_object_around(
+            {"program": audit_texts[flowchart.name],
+             "policy": audit_texts[policy.name],
+             "pair": str(pair_index), "chunk": str(chunk_index)}, "class")
         for policy_value, output in summary.classes.items():
-            violated = is_violation(output)
-            payloads.append(decision_payload(
-                "notice" if violated else "accept",
-                notice=str(output) if violated else None,
-                endpoint="sweep", budget=audit_budget,
-                provenance={"program": flowchart.name,
-                            "policy": policy.name,
-                            "class": encode_value(policy_value),
-                            "pair": pair_index,
-                            "chunk": chunk_index}))
-        return payloads
+            notice = str(output) if is_violation(output) else None
+            head = audit_heads.get(notice)
+            if head is None:
+                head = audit_heads[notice] = RecordHead(decision_payload(
+                    "accept" if notice is None else "notice",
+                    notice=notice, endpoint="sweep", budget=audit_budget))
+            yield RecordLine(head,
+                             before + audit_texts[policy_value] + after)
 
     sweep_started = time.perf_counter()
     # The sweep span roots the whole trace: every pair/chunk/point span
@@ -1198,11 +1212,6 @@ def parallel_soundness_sweep(
             finish_pair(pair_index, sound, accepts,
                         time.perf_counter() - pair_started,
                         backends={summary.backend: 1})
-            if audit_ledger is not None:
-                merge_segments(audit_ledger,
-                               [audit_chunk_payloads(pair_index, 0, summary)])
-        if audit_ledger is not None:
-            audit_ledger.close()
         return finalize()
 
     # Chunked schedule: (pair, chunk) tasks, merged back in order.
@@ -1614,15 +1623,16 @@ def parallel_soundness_sweep(
     if ckpt_writer is not None:
         ckpt_writer.close()
     if audit_ledger is not None:
-        # Segments in (pair, chunk) order — the checkpoint journal's
+        # Records in (pair, chunk) order — the checkpoint journal's
         # merge discipline — regardless of the completion order the
         # pool delivered them in.
-        merge_segments(
-            audit_ledger,
-            (audit_chunk_payloads(pair_index, chunk_index,
-                                  summaries[(pair_index, chunk_index)])
-             for pair_index, chunks in enumerate(per_pair_chunks)
-             for chunk_index in range(len(chunks))
-             if (pair_index, chunk_index) in summaries))
+        audit_ledger.append_batch(
+            record
+            for pair_index, chunks in enumerate(per_pair_chunks)
+            for chunk_index in range(len(chunks))
+            if (pair_index, chunk_index) in summaries
+            for record in audit_records(
+                pair_index, chunk_index,
+                summaries[(pair_index, chunk_index)]))
         audit_ledger.close()
     return finalize()

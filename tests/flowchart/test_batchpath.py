@@ -10,6 +10,7 @@ the compiled fallback whenever a lane leaves the vectorizable regime
 
 import pytest
 
+from repro import obs
 from repro.core.errors import (ArityMismatchError, FuelExhaustedError,
                                ReproError, ValueCapExceededError)
 from repro.flowchart import library as figure_library
@@ -150,6 +151,60 @@ class TestLaneFallback:
         flowchart = figure_library.forgetting_program()
         execute_batch(flowchart, [(1 << 200, 1)], memo=False)
         assert batch_stats()["lane_fallbacks"] >= 1
+
+
+class TestRunMetrics:
+    """A batch is one run: ``run.steps_total`` after it is
+    ``sum(rows.steps(i))``, NumPy lanes, lanes that ran dry and lanes
+    re-run on the compiled tier each counted once, and no lane records
+    a run or a fault of its own (its caller counts the fault)."""
+
+    @staticmethod
+    def assert_steps_total(flowchart, points, **kwargs):
+        with obs.observed(metrics=True, reset=True) as registry:
+            rows = execute_batch(flowchart, points, memo=False, **kwargs)
+            counters = registry.snapshot()["counters"]
+            histogram = registry.snapshot()["histograms"]["run.steps"]
+        assert counters["run.count.batch"] == 1
+        assert "run.count.compiled" not in counters
+        assert "run.fuel_exhausted" not in counters
+        assert counters["run.steps_total"] == sum(
+            rows.steps(i) for i in range(len(points)))
+        assert histogram["count"] == 1
+        return rows
+
+    def test_certified_batch(self, lanes):
+        # gcd halts on some points and runs dry at fuel 12 on others.
+        rows = self.assert_steps_total(figure_library.gcd_program(),
+                                       grid_points(2, 0, 6), fuel=12)
+        kinds = {rows.kind(i) for i in range(len(rows))}
+        assert kinds == {K_OK, K_FUEL}
+        if lanes == "numpy":
+            assert rows.compiled.engine == "numpy" and not rows.overrides
+        else:
+            assert rows.compiled.engine == "compiled" and rows.overrides
+
+    def test_oversized_input_lanes(self, lanes):
+        # A 2**200 input retires its lane to the compiled tier.
+        rows = self.assert_steps_total(
+            figure_library.forgetting_program(),
+            [(1, 2), (1 << 200, 3), (4, 5), (6, 1 << 200)])
+        assert {1, 3} <= set(rows.overrides)
+        if lanes == "numpy":
+            assert rows.compiled.engine == "numpy"
+            assert sorted(rows.overrides) == [1, 3]
+
+    def test_uncertifiable_width_batch(self):
+        wide = StructuredProgram(
+            ["x1"],
+            [Assign("r", var("x1")),
+             While(var("r").ne(0), [Assign("r", var("r") - 1)]),
+             Assign("y", var("x1") + Const(1 << 70))],
+            name="batch-wide-loop").compile()
+        rows = self.assert_steps_total(wide, [(1,), (3,), (40,)], fuel=30)
+        assert rows.compiled.engine == "compiled"
+        assert sorted(rows.overrides) == [0, 1]
+        assert rows.kind(2) == K_FUEL
 
 
 class TestEngineResolution:

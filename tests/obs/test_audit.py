@@ -12,10 +12,12 @@ import json
 import pytest
 
 from repro.core.errors import ReproError
-from repro.obs.audit import (AuditLedger, SpikeTracker, budget_fingerprint,
+from repro.obs.audit import (GENESIS, AuditLedger, RecordHead, RecordLine,
+                             SpikeTracker, _canonical, budget_fingerprint,
+                             canonical_object, canonical_object_around,
                              classify_notice, decision_payload, ledger_stats,
-                             load_ledger, merge_segments, query_records,
-                             tail_records, verify_ledger)
+                             load_ledger, query_records, tail_records,
+                             verify_ledger)
 
 
 def build_ledger(path, count=8, tenant="alice"):
@@ -199,18 +201,79 @@ class TestPayloads:
         assert base != budget_fingerprint(fuel=101, value_cap=8,
                                           backend="batch")
 
-    def test_merge_segments_appends_in_given_order(self, tmp_path):
+    def test_append_batch_appends_in_given_order(self, tmp_path):
         path = str(tmp_path / "m.jsonl")
         segments = [[decision_payload("accept", endpoint="sweep",
                                       provenance={"chunk": c, "i": i})
                      for i in range(2)] for c in range(3)]
         with AuditLedger(path, fresh=True) as ledger:
-            appended = merge_segments(ledger, segments)
+            appended = ledger.append_batch(
+                payload for segment in segments for payload in segment)
         assert appended == 6
         records = load_ledger(path)
         assert [r["provenance"]["chunk"] for r in records] == [
             0, 0, 1, 1, 2, 2]
         assert verify_ledger(path).ok
+
+    def test_record_lines_write_the_payload_bytes(self, tmp_path):
+        """A pre-encoded record and its payload dict chain to the same
+        line, wherever the chain puts it (genesis, mid-file, rotation)."""
+        payloads = [decision_payload(
+            "notice", notice=notice, endpoint="sweep", budget="b",
+            provenance={"chunk": index, "class": {"t": [index]},
+                        "program": 'mix "q\\ é'})
+            for index, notice in enumerate(["Λ", 'q"\\é', "Λ!fuel[3]"] * 4)]
+
+        def template(payload):
+            head = dict(payload)
+            texts = {name: _canonical(value)
+                     for name, value in head.pop("provenance").items()}
+            value = texts.pop("class")
+            before, after = canonical_object_around(texts, "class")
+            return RecordLine(RecordHead(head), before + value + after)
+
+        files = {}
+        for kind, items in (("dict", payloads),
+                            ("line", [template(p) for p in payloads])):
+            with AuditLedger(str(tmp_path / f"{kind}.jsonl"), fresh=True,
+                             max_bytes=700, keep=9) as ledger:
+                assert ledger.append_batch(items) == len(payloads)
+            # Every generation and its seal, by suffix.
+            files[kind] = {path.name[len(kind):]: path.read_bytes()
+                           for path in tmp_path.glob(f"{kind}.jsonl*")}
+        assert files["dict"] == files["line"]
+        assert ".jsonl.1" in files["dict"]  # the batch rotated
+
+    @pytest.mark.parametrize("name", ["a", "m", "z"])
+    def test_canonical_object_around(self, name):
+        texts = {"k": _canonical('q"\\ é'), "b": "1",
+                 "x": _canonical({"t": [2, None]})}
+        value = _canonical([3])
+        before, after = canonical_object_around(texts, name)
+        whole = dict(texts, **{name: value})
+        assert before + value + after == canonical_object(whole)
+        assert canonical_object(whole) == _canonical(
+            {member: json.loads(text) for member, text in whole.items()})
+        assert canonical_object_around({}, name) == (f'{{"{name}":', "}")
+
+    def test_record_head_refuses_keys_after_prev(self):
+        with pytest.raises(ReproError, match="tenant"):
+            RecordHead(decision_payload("accept", tenant="a"))
+
+    def test_batch_rotation_seals_every_generation(self, tmp_path):
+        path = str(tmp_path / "audit.jsonl")
+        with AuditLedger(path, fresh=True, max_bytes=600, keep=9) as ledger:
+            ledger.append_batch(
+                decision_payload("accept", endpoint="sweep",
+                                 provenance={"i": index})
+                for index in range(10))
+        generations = [path] + [f"{path}.{n}" for n in (1, 2, 3)]
+        results = [verify_ledger(name) for name in generations]
+        assert all(result.ok for result in results), [
+            result.problems for result in results]
+        assert sum(result.records for result in results) == 10
+        first = load_ledger(path)[0]
+        assert first["rec"] == 0 and first["prev"] == GENESIS
 
 
 class TestQueryAndStats:

@@ -9,19 +9,26 @@ with no wall clock in the payloads.
 """
 
 import hashlib
+import json
 
 import pytest
 
-from repro.flowchart.library import parity_program, timing_loop
-from repro.obs.audit import load_ledger, verify_ledger
+from repro.core import ProductDomain
+from repro.flowchart.expr import var
+from repro.flowchart.library import (parity_program, policy_loop_program,
+                                     timing_loop)
+from repro.flowchart.structured import Assign, StructuredProgram
+from repro.obs.audit import _canonical, load_ledger, verify_ledger
+from repro.verify import FaultPlan, chaos
+from repro.verify.checkpoint import load_journal
 from repro.verify.parallel import parallel_soundness_sweep
 
 
-def sweep_with_audit(path, executor, chunk_size=7):
+def sweep_with_audit(path, executor, chunk_size=7, **kwargs):
     return parallel_soundness_sweep(
         [timing_loop(), parity_program()], "surveillance",
         executor=executor, max_workers=2, chunk_size=chunk_size,
-        audit=str(path))
+        audit=str(path), **kwargs)
 
 
 def digest(path):
@@ -31,13 +38,30 @@ def digest(path):
 
 class TestSweepAudit:
     def test_ledger_bit_identical_across_executors(self, tmp_path):
-        digests = {}
-        for executor in ("serial", "thread", "process"):
-            path = tmp_path / f"audit-{executor}.jsonl"
-            sweep_with_audit(path, executor)
-            assert verify_ledger(str(path)).ok
-            digests[executor] = digest(path)
-        assert len(set(digests.values())) == 1, digests
+        # Per-point chunks, and batch-tier chunks journalled as they
+        # complete: journal order follows completion, the ledger never.
+        for backend in (None, "batch"):
+            digests, journals = {}, {}
+            for executor in ("serial", "thread", "process"):
+                path = tmp_path / f"audit-{backend}-{executor}.jsonl"
+                extra = {}
+                if backend is not None:
+                    extra = {"backend": backend,
+                             "checkpoint": str(path) + ".ckpt"}
+                sweep_with_audit(path, executor, **extra)
+                assert verify_ledger(str(path)).ok
+                digests[executor] = digest(path)
+                if backend is not None:
+                    records = load_journal(str(path) + ".ckpt")
+                    for record in records:
+                        del record["seq"], record["t"]
+                    journals[executor] = sorted(
+                        records, key=lambda r: (r.get("pair", -1),
+                                                r.get("chunk", -1)))
+            assert len(set(digests.values())) == 1, (backend, digests)
+            if backend is not None:
+                assert (journals["serial"] == journals["thread"]
+                        == journals["process"])
 
     def test_records_carry_sweep_provenance(self, tmp_path):
         path = tmp_path / "audit.jsonl"
@@ -102,3 +126,44 @@ class TestSweepAudit:
         # The ledger exists (opened fresh) but holds no records:
         # completion-order partials would differ per executor.
         assert load_ledger(str(path)) == []
+
+
+def odd_named_mixer():
+    """``(x1 + x2) * 2`` under a name JSON must escape."""
+    return StructuredProgram(
+        ["x1", "x2"], [Assign("y", (var("x1") + var("x2")) * 2)],
+        name='mix "q\\ é').compile()
+
+
+class TestCanonicalLines:
+    def test_sweep_files_are_canonical_json(self, tmp_path):
+        # Every notice kind, from a batch sweep: timing-loop runs out
+        # of fuel, the mixer's products break the cap, policy-loop
+        # rejects under epoch tags, and the poisoned point crashes.
+        ledger, journal = tmp_path / "audit.jsonl", tmp_path / "ck.jsonl"
+        chaos.install(FaultPlan(seed=3, poison_points=((1, 2),)))
+        try:
+            parallel_soundness_sweep(
+                [odd_named_mixer(), timing_loop(), policy_loop_program()],
+                "surveillance",
+                grid=lambda arity: ProductDomain.integer_grid(0, 4, arity),
+                fuel=20, value_cap=3, executor="thread", max_workers=2,
+                chunk_size=4, backend="batch", audit=str(ledger),
+                checkpoint=str(journal))
+        finally:
+            chaos.clear()
+        assert verify_ledger(str(ledger)).ok
+        for path in (ledger, journal):
+            for line in path.read_text(encoding="utf-8").splitlines():
+                assert line == _canonical(json.loads(line))
+        records = load_ledger(str(ledger))
+        kinds = {record["kind"] for record in records}
+        assert kinds == {"accept", "violation", "epoch", "fuel", "cap",
+                         "crash"}
+        notices = {record["notice"] for record in records
+                   if record["decision"] == "notice"}
+        assert {"Λ", "Λ!fuel[20]", "Λ!cap[3]",
+                "Λ!crash[MemoryError]"} <= notices
+        assert any(notice.startswith("Λ@e") for notice in notices)
+        assert 'mix "q\\ é' in {record["provenance"]["program"]
+                                 for record in records}

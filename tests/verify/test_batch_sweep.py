@@ -12,16 +12,20 @@ recorded.
 """
 
 import contextlib
+from collections import Counter
 
 import pytest
 
 from repro import obs
 from repro.core import ProductDomain
-from repro.core.errors import ReproError, SweepInterruptedError
+from repro.core.errors import (FuelExhaustedError, ReproError,
+                               SweepInterruptedError, ValueCapExceededError)
+from repro.core.mechanism import is_violation
 from repro.flowchart import library as figure_library
 from repro.verify import (FACTORIES, FaultPlan, chaos,
                           parallel_soundness_sweep)
 from repro.verify.checkpoint import load_checkpoint
+from repro.verify.enumerate import all_allow_policies
 
 PROGRAMS = [figure_library.forgetting_program(),
             figure_library.parity_program()]
@@ -43,8 +47,21 @@ MIXED = [figure_library.timing_loop(), figure_library.gcd_program(),
          figure_library.policy_branch_program()]
 
 
+#: Loops that run dry at fuel 10, products wider than 4 bits, plain and
+#: epoch-tagged violations: every outcome a sweep counts.
+TALLIED = [figure_library.timing_loop(), figure_library.mixer_program(),
+           figure_library.accumulate_program(),
+           figure_library.forgetting_program(),
+           figure_library.policy_loop_program(),
+           figure_library.nested_branch_program()]
+
+
 def grid(arity):
     return ProductDomain.integer_grid(0, 2, arity)
+
+
+def tally_grid(arity):
+    return ProductDomain.integer_grid(0, 5 if arity < 3 else 2, arity)
 
 
 def rows(results):
@@ -207,12 +224,12 @@ class TestSharedRuns:
             return wrapper
 
         # Surveillance runs lanes of the instrumented flowchart: NumPy
-        # lanes, or with NumPy hidden one compiled run per lane.  Timed
-        # and high-water run label walks, one per point.
+        # lanes, or with NumPy hidden one compiled re-run per lane.
+        # Timed and high-water run label walks, one per point.
         monkeypatch.setattr(batchpath, "_drive_numpy", counting(
             batchpath._drive_numpy, lambda args: len(args[1])))
-        monkeypatch.setattr(batchpath, "execute_compiled", counting(
-            batchpath.execute_compiled, lambda args: 1))
+        monkeypatch.setattr(batchpath, "_rerun_lane", counting(
+            batchpath._rerun_lane, lambda args: 1))
         monkeypatch.setattr(dynamic, "_walk",
                             counting(dynamic._walk, lambda args: 1))
         programs = PROGRAMS + [figure_library.nested_branch_program()]
@@ -331,7 +348,72 @@ class TestCheckpointResume:
         assert rows(resumed) == rows(sweep("program", chunk_size=3))
 
 
+def per_point_outcomes(family, fuel, value_cap):
+    """Outcome counts of the family's per-policy mechanisms over
+    ``TALLIED`` x ``tally_grid``, called point by point."""
+    counts = Counter()
+    for flowchart in TALLIED:
+        domain = tally_grid(flowchart.arity)
+        for policy in all_allow_policies(flowchart.arity):
+            mechanism = FACTORIES[family](flowchart, policy, domain, fuel,
+                                          value_cap=value_cap,
+                                          backend="compiled")
+            for point in domain:
+                counts["points"] += 1
+                try:
+                    output = mechanism(*point)
+                except FuelExhaustedError:
+                    counts["fuel"] += 1
+                except ValueCapExceededError:
+                    counts["cap"] += 1
+                else:
+                    if not is_violation(output):
+                        continue
+                    notice = str(output)
+                    counts["fuel" if notice.startswith("Λ!fuel[")
+                           else "cap" if notice.startswith("Λ!cap[")
+                           else "violation"] += 1
+    return counts
+
+
 class TestObservability:
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize("family", MONITORS)
+    def test_sweep_counters_match_per_point_outcomes(self, family,
+                                                     executor, lanes):
+        expected = per_point_outcomes(family, fuel=10, value_cap=4)
+        assert expected["fuel"] and expected["cap"] and expected["violation"]
+        source = "instrumented" if family == "surveillance" else (
+            "surveillance")
+
+        def counted(sinks=()):
+            with obs.observed(metrics=True, reset=True,
+                              sinks=sinks) as registry:
+                sweep(family, "batch", programs=TALLIED, grid=tally_grid,
+                      fuel=10, value_cap=4, executor=executor,
+                      max_workers=2, chunk_size=16)
+                counters = registry.snapshot()["counters"]
+            return {"violation": counters.get("violations.raised", 0),
+                    "source": counters.get(f"violations.{source}", 0),
+                    "fuel": counters.get("run.fuel_exhausted", 0),
+                    "cap": counters.get("run.value_cap_exceeded", 0),
+                    "points": counters.get("sweep.points_evaluated", 0)}
+
+        counters = counted()
+        assert counters == {"violation": expected["violation"],
+                            "source": expected["violation"],
+                            "fuel": expected["fuel"],
+                            "cap": expected["cap"],
+                            "points": expected["points"]}
+        # A trace still gets one event per decision.
+        ring = obs.RingBufferSink(capacity=1 << 16)
+        assert counted([ring]) == counters
+        assert {"violation": len(ring.events("violation")),
+                "fuel": len(ring.events("fuel_exhausted")),
+                "cap": len(ring.events("value_cap_exceeded"))} == {
+            "violation": counters["violation"], "fuel": counters["fuel"],
+            "cap": counters["cap"]}
+
     def test_batch_events_emitted(self):
         from repro.flowchart.batchpath import clear_batch_caches
 
