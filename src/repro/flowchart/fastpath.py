@@ -259,8 +259,7 @@ def _box_hazardous(box: Box) -> bool:
         return _contains_loop_expr(box.predicate)
     if isinstance(box, (SendBox, RecvBox)):
         # Channel boxes mutate queue state the generated code does not
-        # model; the batch tier retires lanes reaching them to the
-        # per-lane fallback, which defers to the interpreter.
+        # model; channel programs run on the interpreter on every tier.
         return True
     return False
 
@@ -633,15 +632,14 @@ def clear_caches() -> None:
         _COMPILED.clear()
     batchpath = sys.modules.get(__package__ + ".batchpath")
     if batchpath is not None:
-        batchpath.clear_batch_caches()
+        batchpath.clear_rows_memo()
 
 
 def memo_stats() -> Dict[str, int]:
     """Execution-cache counters across tiers.
 
     The original four keys cover the compiled tier's result memo; the
-    ``batch_*`` keys cover the batch tier's compile cache, rows memo,
-    and lifetime lane-fallback total.
+    ``batch_rows_*`` keys cover the batch tier's rows memo.
     """
     from . import batchpath
     stats = _RESULT_MEMO.stats()

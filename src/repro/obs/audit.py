@@ -64,7 +64,8 @@ from . import runtime as _obs
 __all__ = [
     "GENESIS", "AuditLedger", "AuditVerifyResult", "RecordHead",
     "RecordLine", "SpikeTracker", "budget_fingerprint", "canonical_object",
-    "canonical_object_around", "classify_notice", "decision_payload", "iter_ledger", "ledger_stats",
+    "canonical_object_around", "classify_notice", "decision_payload",
+    "iter_jsonl", "iter_ledger", "ledger_stats",
     "load_ledger", "query_records", "record_hash", "sampled_in",
     "tail_records", "verify_ledger",
 ]
@@ -536,8 +537,16 @@ class AuditLedger:
 # Reading, verification, analytics
 # ---------------------------------------------------------------------------
 
-def iter_ledger(path: str) -> Iterator[Dict]:
-    """Yield decoded records, tolerating a torn final line (crash tail)."""
+def iter_jsonl(path: str, kind: str) -> Iterator[Dict]:
+    """Yield a JSONL file's decoded records, tolerating a torn final line.
+
+    The load half of every fsync-per-record log in the repo (the audit
+    ledger here, sweep checkpoints and node journals in
+    :mod:`repro.verify.checkpoint`): a writer SIGKILLed mid-record
+    leaves at worst one unparsable final line, which is skipped.  A bad
+    line anywhere else raises :class:`ReproError` naming ``kind``,
+    because a mid-file tear means the file is not the one written.
+    """
     with open(path, encoding="utf-8") as handle:
         lines = handle.readlines()
     for index, line in enumerate(lines):
@@ -550,7 +559,12 @@ def iter_ledger(path: str) -> Iterator[Dict]:
             if index == len(lines) - 1:
                 return  # torn tail from a mid-write kill — expected
             raise ReproError(
-                f"audit ledger {path!r} is corrupt at line {index + 1}")
+                f"{kind} {path!r} is corrupt at line {index + 1}")
+
+
+def iter_ledger(path: str) -> Iterator[Dict]:
+    """Yield decoded records, tolerating a torn final line (crash tail)."""
+    return iter_jsonl(path, "audit ledger")
 
 
 def load_ledger(path: str) -> List[Dict]:

@@ -49,8 +49,6 @@ EVENT_KINDS: Tuple[str, ...] = (
     "checkpoint_written",  # one chunk summary journalled to the checkpoint
     "sweep_resumed",       # a sweep restored chunk summaries and continued
     "sweep_interrupted",   # a sweep drained and stopped (signal/deadline)
-    "batch_compiled",      # a flowchart compiled for the batch tier
-    "batch_fallback",      # batch lanes retired to the per-lane fallback
     "policy_changed",      # a policy_change box installed a new epoch
     "downgrade_applied",   # a downgrade box discharged surveillance indices
     "epoch_violation",     # a violation under a dynamic policy (Λ@e tag)
@@ -109,11 +107,6 @@ EVENT_SCHEMA: Dict = {
         "checkpoint_written": {"required": ["pair", "chunk", "accepts"]},
         "sweep_resumed": {"required": ["chunks_restored"]},
         "sweep_interrupted": {"required": ["reason", "chunks_done"]},
-        # Batch tier: one compile per flowchart (engine ``numpy``, or
-        # ``compiled`` when it has no lanes); lanes that retire to the
-        # per-lane compiled fallback, by reason.
-        "batch_compiled": {"required": ["program", "engine", "blocks"]},
-        "batch_fallback": {"required": ["program", "lanes", "reason"]},
         # Dynamic policies: each policy_change bumps the epoch counter;
         # downgrades name the variable and the indices they dropped;
         # violations under a dynamic policy carry their epoch tag.

@@ -2,17 +2,18 @@
 
 Requests arriving within one flush window that target the same
 ``(flowchart, fuel, value_cap)`` become lanes of a single
-:func:`~repro.flowchart.batchpath.execute_batch` call — the Gen-2
-vectorized engine amortizes compilation and the block-dispatch loop
-across the whole set, which is what lets the server sustain hundreds
-of requests per second without hundreds of scalar executions.
+:func:`~repro.flowchart.batchpath.execute_batch` call: one worker
+hand-off, one compile-cache lookup and one loop of compiled-tier calls
+for the whole set, instead of one executor round trip per request.
 
 Fidelity: lane ``i``'s decoded outcome is bit-identical to a scalar
-``run_flowchart`` of the same point under the same budgets (PR6's
+``run_flowchart`` of the same point under the same budgets (the batch
 differential suite pins this), including the distinguished
-``Λ!fuel[N]``/``Λ!cap[C]`` notices.  If a whole batch fails for any
-undeclared reason, every lane is retried individually so one poisoned
-request cannot fail its neighbours.
+``Λ!fuel[N]``/``Λ!cap[C]`` notices, and a batch counts its lanes'
+fuel and cap faults in the metrics as the scalar path counts each
+request's.  If a whole batch fails for any undeclared reason, every
+lane is retried individually so one poisoned request cannot fail its
+neighbours.
 """
 
 from __future__ import annotations
@@ -50,6 +51,17 @@ def execute_point_outcome(flowchart: Flowchart, point: Tuple[int, ...],
         return {"value": None, "steps": None,
                 "notice": str(cap_notice(error.cap))}
     return {"value": result.value, "steps": result.steps, "notice": None}
+
+
+def _count_faults(program: str, rows) -> None:
+    """A batch's lane faults, one hook call per kind: the counts a
+    scalar run of each lane would have recorded."""
+    fuel_lanes = rows.kinds.count(K_FUEL)
+    if fuel_lanes:
+        _obs.record_fuel_exhausted(program, rows.fuel, count=fuel_lanes)
+    cap_lanes = rows.kinds.count(K_CAP)
+    if cap_lanes:
+        _obs.record_value_cap_exceeded(program, rows.cap, count=cap_lanes)
 
 
 class _PendingBatch:
@@ -120,6 +132,8 @@ class ExecuteBatcher:
         try:
             rows = execute_batch(batch.flowchart, batch.points,
                                  fuel=batch.fuel, value_cap=batch.value_cap)
+            if _obs.active:
+                _count_faults(batch.flowchart.name, rows)
             fuel_out = str(fuel_notice(batch.fuel))
             cap_out = (str(cap_notice(rows.cap))
                        if rows.cap is not None else None)
@@ -139,9 +153,8 @@ class ExecuteBatcher:
             return outcomes
         except Exception:
             # Whole-batch failure: isolate lanes so one bad request
-            # cannot take down its coalesced neighbours.  Scalar
-            # fallback runs on the compiled tier — the same engine the
-            # batch tier itself retires hazardous lanes to.
+            # cannot take down its coalesced neighbours.  Each lane
+            # re-runs on the compiled tier, the batch's own lane engine.
             outcomes = []
             for point in batch.points:
                 try:

@@ -28,14 +28,13 @@ merged against a different chunk layout and silently corrupt verdicts.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import time
 from typing import Dict, List, Optional, Tuple
 
 from ..core.errors import ReproError
 from ..core.mechanism import ViolationNotice
-from ..obs.audit import _canonical, canonical_object
+from ..obs.audit import _canonical, canonical_object, iter_jsonl
 
 __all__ = ["CheckpointWriter", "EncodedValues", "JournalWriter",
            "config_fingerprint", "encode_value", "decode_value",
@@ -191,28 +190,14 @@ class CheckpointWriter(JournalWriter):
 def load_journal(path: str) -> List[Dict]:
     """Read a JSONL journal, tolerating one torn final line.
 
-    The load half of the :class:`JournalWriter` durability contract: a
-    journal whose writer was SIGKILLed mid-record parses up to the torn
-    tail; corruption anywhere *else* raises, because a mid-file tear
-    means the file is not the journal we wrote.
+    The load half of the :class:`JournalWriter` durability contract
+    (:func:`~repro.obs.audit.iter_jsonl`): a journal whose writer was
+    SIGKILLed mid-record parses up to the torn tail; corruption
+    anywhere *else* raises.
     """
     if not os.path.exists(path):
         raise ReproError(f"journal {path!r} does not exist")
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.readlines()
-    records: List[Dict] = []
-    for index, line in enumerate(lines):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            records.append(json.loads(line))
-        except ValueError:
-            if index == len(lines) - 1:
-                break  # torn tail from a mid-write kill — expected
-            raise ReproError(
-                f"journal {path!r} is corrupt at line {index + 1}")
-    return records
+    return list(iter_jsonl(path, "journal"))
 
 
 def load_checkpoint(path: str,

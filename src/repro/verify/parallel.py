@@ -214,7 +214,9 @@ def evaluate_chunk(mechanism, policy, points: Iterable[Tuple],
     breach — are recorded as their distinguished notices
     (:func:`~repro.robustness.faults.fuel_notice` /
     :func:`~repro.robustness.faults.cap_notice`), never exceptions —
-    the same totalisation the serial sweep applies.  *Undeclared*
+    the same totalisation the serial sweep applies.  The run that
+    faulted has already counted the fault in the metrics, so each
+    decision counts once, as on the batch path.  *Undeclared*
     exceptions (a genuine crash, a chaos poison point) propagate: the
     caller decides between retry and :func:`quarantine_chunk`.
 
@@ -238,14 +240,8 @@ def evaluate_chunk(mechanism, policy, points: Iterable[Tuple],
                 output = mechanism(*point)
             except FuelExhaustedError as error:
                 output = fuel_notice(error.fuel)
-                if _obs.active:
-                    _obs.record_fuel_exhausted(
-                        getattr(mechanism, "name", "?"), error.fuel)
             except ValueCapExceededError as error:
                 output = cap_notice(error.cap)
-                if _obs.active:
-                    _obs.record_value_cap_exceeded(
-                        getattr(mechanism, "name", "?"), error.cap)
             except MessageError as error:
                 output = message_notice(error.detail)
         finally:
@@ -313,7 +309,7 @@ def _summarize_outputs(policy, points, outputs,
 
 def _summarize_vector(np_mod, pts, policy: AllowPolicy, outkind, vals,
                       output: Callable) -> ChunkSummary:
-    """Vectorized ChunkSummary for an AllowPolicy batch (numpy lanes).
+    """Vectorized ChunkSummary for an AllowPolicy batch (int64 columns).
 
     Lane ``i``'s output is ``output(outkind[i], vals[i])``, and lanes
     with equal codes and values have equal outputs.  Groups lanes by
@@ -386,7 +382,7 @@ def _summarize_vector(np_mod, pts, policy: AllowPolicy, outkind, vals,
     return ChunkSummary(accepts, classes, conflict, backend="batch")
 
 
-def _decide_surveillance(rows, np_mod, flowchart: Flowchart, allowed: int,
+def _decide_surveillance(rows, flowchart: Flowchart, allowed: int,
                          fuel: int, has_epochs: bool):
     """(outkind, vals) of allow(J) over an allow-all instrumented batch.
 
@@ -398,12 +394,13 @@ def _decide_surveillance(rows, np_mod, flowchart: Flowchart, allowed: int,
 
     The policy-independent columns — ``mask`` (ȳ ∪ C̄ where J decides,
     else 0), ``starves`` (halted in exactly ``fuel`` steps),
-    ``settled_viol`` (``_viol`` set by an installed policy), ``epoch``
-    and the ok lanes' ``vals`` — are parked on the BatchResult, which
-    the rows memo hands to every policy of the pair.
+    ``settled_viol`` (``_viol`` set by an installed policy) and
+    ``epoch`` — are parked on the BatchResult, which the rows memo
+    hands to every policy of the pair.
     """
+    np_mod, kinds, values = rows.vector_view()
     if rows.summary_cache is None:
-        ok = rows.kinds == K_OK
+        ok = kinds == K_OK
         mask = (rows.env_column(surveillance_variable(
             flowchart.output_variable)) | rows.env_column(PC_LABEL))
         epoch, settled_viol = 0, None
@@ -412,19 +409,19 @@ def _decide_surveillance(rows, np_mod, flowchart: Flowchart, allowed: int,
             settled_viol = ok & (epoch > 0) & (
                 rows.env_column(VIOLATION_FLAG) == 1)
             ok &= epoch == 0
-        rows.summary_cache = (np_mod.where(ok, mask, 0),
-                              rows.lane_steps == fuel, settled_viol, epoch,
-                              np_mod.where(rows.kinds == K_OK,
-                                           rows.values, 0))
-    mask, starves, settled_viol, epoch, vals = rows.summary_cache
+        starves = np_mod.array([steps == fuel for steps in rows.lane_steps],
+                               dtype=bool)
+        rows.summary_cache = (np_mod.where(ok, mask, 0), starves,
+                              settled_viol, epoch)
+    mask, starves, settled_viol, epoch = rows.summary_cache
     over = (mask & ~allowed) != 0
     starved = over & starves
     violated = over & ~starves
     if settled_viol is not None:
         violated |= settled_viol
     outkind = np_mod.where(violated, _VIOL_KIND,
-                           np_mod.where(starved, K_FUEL, rows.kinds))
-    vals = np_mod.where(violated, epoch, np_mod.where(starved, 0, vals))
+                           np_mod.where(starved, K_FUEL, kinds))
+    vals = np_mod.where(violated, epoch, np_mod.where(starved, 0, values))
     return outkind, vals
 
 
@@ -477,8 +474,8 @@ def _evaluate_chunk_batch(flowchart: Flowchart, family: str, policy,
     executes; the caller's quarantine machinery then bisects the chunk
     per-point exactly as it would a per-point chunk, so quarantined
     rows agree across backends.  ``span`` is accepted for signature
-    symmetry: the batch path emits chunk-level events
-    (``batch_compiled`` / ``batch_fallback``), not per-point spans.
+    symmetry: the batch path records chunk-level tallies, not
+    per-point spans.
     """
     del span  # no per-point spans on the batch path
     if plan is None:
@@ -512,30 +509,20 @@ def _evaluate_chunk_batch(flowchart: Flowchart, family: str, policy,
             return cap_out
         return ViolationNotice(f"Λ@e{val}" if has_epochs else "Λ")
 
+    # int64 columns exist only when NumPy imports and every input and
+    # value fits; otherwise (or for a policy that is no allow-policy)
+    # the lanes are decided one by one.
     view = rows.vector_view()
-    pts = None
     if view is not None and isinstance(policy, AllowPolicy):
-        np_mod = view[0]
-        pts = rows.input_matrix
-        if pts is None:
-            try:
-                pts = np_mod.asarray(points, dtype=np_mod.int64)
-            except (OverflowError, ValueError):  # oversized inputs
-                pts = None
-    if pts is not None:
+        np_mod, outkind, vals = view
         if surveillance:
-            outkind, vals = _decide_surveillance(rows, np_mod, flowchart,
-                                                 allowed, fuel, has_epochs)
-        else:
-            # Policy-independent: computed once per BatchResult.
-            if rows.summary_cache is None:
-                rows.summary_cache = (rows.kinds, np_mod.where(
-                    rows.kinds == K_OK, rows.values, 0))
-            outkind, vals = rows.summary_cache
+            outkind, vals = _decide_surveillance(rows, flowchart, allowed,
+                                                 fuel, has_epochs)
         if _obs.active:
             _record_tally(Counter(outkind.tolist()), flowchart,
                           mechanism_name, fuel, rows.cap)
-        return _summarize_vector(np_mod, pts, policy, outkind, vals, output)
+        return _summarize_vector(np_mod, rows.input_matrix, policy, outkind,
+                                 vals, output)
     lanes = [_batch_lane(rows, i, flowchart, allowed, fuel, has_epochs)
              for i in range(len(points))]
     if _obs.active:

@@ -6,10 +6,11 @@ import pytest
 
 from repro.flowchart import batchpath
 
-#: The batch lane setups a differential test runs under: NumPy lanes
-#: where NumPy imports, and NumPy hidden (every lane on the compiled
-#: tier) everywhere, so the all-fallback path stays covered on hosts
-#: that have NumPy.
+#: The batch setups a differential test runs under: NumPy importable
+#: where it is (int64 views for the vectorised summariser), and NumPy
+#: hidden everywhere, so the scalar summariser stays covered on hosts
+#: that have NumPy.  The lanes themselves are compiled-tier calls in
+#: both.
 LANES = (["numpy"] if batchpath._numpy() is not None else []) + [
     "numpy-hidden"]
 
@@ -18,16 +19,16 @@ LANES = (["numpy"] if batchpath._numpy() is not None else []) + [
 def _numpy_hidden():
     """The batch tier as on a host without NumPy.
 
-    Batch caches are dropped on the way in and out, so no evaluator
-    compiled for NumPy lanes serves a hidden run, or the reverse.
+    The rows memo is dropped on the way in and out, so no result that
+    built its int64 view with NumPy serves a hidden run, or the reverse.
     """
     with pytest.MonkeyPatch.context() as patch:
-        batchpath.clear_batch_caches()
+        batchpath.clear_rows_memo()
         patch.setattr(batchpath, "_numpy", lambda: None)
         try:
             yield
         finally:
-            batchpath.clear_batch_caches()
+            batchpath.clear_rows_memo()
 
 
 @pytest.fixture(scope="session")

@@ -1,11 +1,11 @@
-"""The Gen-2 batch tier: row-identical to the interpreter, per lane.
+"""The batch tier: row-identical to the interpreter, per lane.
 
-``execute_batch`` drives a whole vector of grid points through one
-compiled structure-of-arrays evaluator.  Its contract is bit-identity
-with the per-point engines: value/steps/touched on success, the same
-typed fault kind on fuel or cap exhaustion, and per-lane retirement to
-the compiled fallback whenever a lane leaves the vectorizable regime
-(hazardous boxes, oversized inputs, guard-exceeding intermediates).
+``execute_batch`` runs a whole vector of grid points through the
+flowchart's compiled-tier function in one loop.  Its contract is
+bit-identity with the per-point engines: value/steps/touched on
+success and the same typed fault kind on fuel or cap exhaustion, for
+inputs and values of any width; int64 views for the vectorised
+summariser exist only where NumPy imports and everything fits.
 """
 
 import pytest
@@ -16,10 +16,11 @@ from repro.core.errors import (ArityMismatchError, FuelExhaustedError,
 from repro.flowchart import library as figure_library
 from repro.flowchart import batchpath, fastpath
 from repro.flowchart.batchpath import (K_CAP, K_FUEL, K_OK, batch_stats,
-                                       clear_batch_caches, execute_batch,
-                                       execute_batch_single)
+                                       clear_rows_memo, compile_batch,
+                                       execute_batch, execute_batch_single)
 from repro.flowchart.expr import BoolConst, Const, var
-from repro.flowchart.fastpath import (BACKENDS, memo_stats, resolve_backend,
+from repro.flowchart.fastpath import (BACKENDS, compile_flowchart,
+                                      memo_stats, resolve_backend,
                                       run_flowchart)
 from repro.flowchart.interpreter import execute
 from repro.flowchart.structured import Assign, StructuredProgram, While
@@ -53,6 +54,34 @@ def batch_row(rows, i):
     if kind == K_CAP:
         return ("cap",)
     return ("ok", rows.value(i), rows.steps(i), rows.touched(i))
+
+
+def squaring_program():
+    """y squares from 3 until it passes 2**48: loop-carried widening."""
+    return StructuredProgram(
+        ["x1"],
+        [Assign("y", Const(3)),
+         While(var("y").lt(Const(1 << 48)),
+               [Assign("y", var("y") * var("y"))])],
+        name="batch-widening").compile()
+
+
+def wide_constant_program():
+    """y := x1 + 2**70: every value wider than an int64."""
+    return StructuredProgram(
+        ["x1"],
+        [Assign("y", var("x1") + Const(1 << 70))],
+        name="batch-wide-const").compile()
+
+
+#: Programs and points past int64: loop-carried widening, a 71-bit
+#: literal, and an input of 2**200.
+WIDE_CASES = [
+    (squaring_program, [(0,), (1,)]),
+    (wide_constant_program, [(1,), (2,), (-(1 << 200),)]),
+    (figure_library.forgetting_program,
+     [(1, 2), (1 << 200, 3), (4, 5), (6, 1 << 200)]),
+]
 
 
 def assert_rows_match(flowchart, points, fuel, value_cap, lanes):
@@ -95,69 +124,45 @@ class TestRowIdentity:
         rows = execute_batch(flowchart, points, fuel=1, memo=False)
         assert all(rows.kind(i) == K_FUEL for i in range(len(points)))
 
+    def test_wide_programs(self, lanes):
+        # Widening loops, wide literals and wide inputs, under budgets
+        # that halt, run dry and break the cap.
+        for build, points in WIDE_CASES:
+            flowchart = build()
+            for fuel, cap in ((100_000, None), (3, None), (100_000, 40)):
+                assert_rows_match(flowchart, points, fuel, cap, lanes)
+
 
 class TestLaneFallback:
+    """Lanes hold Python ints, so inputs and values wider than an int64
+    keep their rows; such a batch offers no int64 view, and the sweep
+    falls back to its scalar summariser."""
+
     def test_oversized_inputs_retire_to_fallback(self):
-        # 2**200 cannot live in an int64 lane; the batch must detect it
-        # up front and re-run those lanes through the compiled engine.
         flowchart = figure_library.forgetting_program()
         points = [(1, 2), (1 << 200, 3), (4, 5)]
         rows = execute_batch(flowchart, points, memo=False)
         for i, point in enumerate(points):
             assert batch_row(rows, i) == interpreter_row(
                 flowchart, point, 100_000, None)
-
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy lanes")
-    def test_value_guard_retires_widening_lanes(self):
-        # y squares to just past 2**48 — statically certifiable for
-        # int64 lanes only under an entry invariant around 2**31, so
-        # the runtime guard must catch the widening lanes mid-flight
-        # and retire them to the compiled fallback.
-        squaring = StructuredProgram(
-            ["x1"],
-            [Assign("y", Const(3)),
-             While(var("y").lt(Const(1 << 48)),
-                   [Assign("y", var("y") * var("y"))])],
-            name="batch-widening").compile()
-        points = [(0,), (1,)]
-        rows = execute_batch(squaring, points, memo=False)
-        assert rows.compiled.engine == "numpy"
-        assert rows.overrides
-        for i, point in enumerate(points):
-            assert batch_row(rows, i) == interpreter_row(
-                squaring, point, 100_000, None)
+        assert rows.vector_view() is None
+        assert rows.input_matrix is None
 
     def test_uncertifiable_widths_land_on_python_lanes(self):
-        # A block the width analysis cannot bound inside int64 at any
-        # entry invariant (a 71-bit literal) gives the flowchart no
-        # lanes: every point runs on the compiled tier, as Python ints,
-        # rather than risking overflow.
-        wide = StructuredProgram(
-            ["x1"],
-            [Assign("y", var("x1") + Const(1 << 70))],
-            name="batch-wide-const").compile()
+        # A 71-bit literal makes every value wider than an int64.
+        wide = wide_constant_program()
         rows = execute_batch(wide, [(1,), (2,)], memo=False)
-        assert rows.compiled.engine == "compiled"
-        assert sorted(rows.overrides) == [0, 1]
-        assert rows.fallback_reasons == {"unvectorized": 2}
         for i, point in enumerate([(1,), (2,)]):
             assert batch_row(rows, i) == interpreter_row(
                 wide, point, 100_000, None)
-
-    def test_fallback_counter_increments(self):
-        # A 2**200 input cannot live in an int64 lane (and without
-        # NumPy no lane can): either way the lane falls back.
-        clear_batch_caches()
-        flowchart = figure_library.forgetting_program()
-        execute_batch(flowchart, [(1 << 200, 1)], memo=False)
-        assert batch_stats()["lane_fallbacks"] >= 1
+        assert rows.vector_view() is None
 
 
 class TestRunMetrics:
     """A batch is one run: ``run.steps_total`` after it is
-    ``sum(rows.steps(i))``, NumPy lanes, lanes that ran dry and lanes
-    re-run on the compiled tier each counted once, and no lane records
-    a run or a fault of its own (its caller counts the fault)."""
+    ``sum(rows.steps(i))`` (a lane that ran dry reads 0 steps, as a
+    faulted compiled-tier run records none), and no lane records a run
+    or a fault of its own (its caller counts the fault)."""
 
     @staticmethod
     def assert_steps_total(flowchart, points, **kwargs):
@@ -179,20 +184,15 @@ class TestRunMetrics:
                                        grid_points(2, 0, 6), fuel=12)
         kinds = {rows.kind(i) for i in range(len(rows))}
         assert kinds == {K_OK, K_FUEL}
-        if lanes == "numpy":
-            assert rows.compiled.engine == "numpy" and not rows.overrides
-        else:
-            assert rows.compiled.engine == "compiled" and rows.overrides
+        assert (rows.vector_view() is not None) == (lanes == "numpy")
 
     def test_oversized_input_lanes(self, lanes):
-        # A 2**200 input retires its lane to the compiled tier.
         rows = self.assert_steps_total(
             figure_library.forgetting_program(),
             [(1, 2), (1 << 200, 3), (4, 5), (6, 1 << 200)])
-        assert {1, 3} <= set(rows.overrides)
-        if lanes == "numpy":
-            assert rows.compiled.engine == "numpy"
-            assert sorted(rows.overrides) == [1, 3]
+        assert rows.steps(1) == execute(figure_library.forgetting_program(),
+                                        (1 << 200, 3)).steps
+        assert rows.vector_view() is None
 
     def test_uncertifiable_width_batch(self):
         wide = StructuredProgram(
@@ -202,21 +202,18 @@ class TestRunMetrics:
              Assign("y", var("x1") + Const(1 << 70))],
             name="batch-wide-loop").compile()
         rows = self.assert_steps_total(wide, [(1,), (3,), (40,)], fuel=30)
-        assert rows.compiled.engine == "compiled"
-        assert sorted(rows.overrides) == [0, 1]
-        assert rows.kind(2) == K_FUEL
+        assert [rows.kind(i) for i in range(3)] == [K_OK, K_OK, K_FUEL]
 
 
 class TestEngineResolution:
-    """Which lanes a flowchart gets: NumPy's, or, with NumPy hidden,
-    none (every point on the compiled tier)."""
+    """Which summariser a batch feeds: int64 views where NumPy imports,
+    none with NumPy hidden; the lanes are compiled-tier calls in both."""
 
     def test_hidden_numpy_never_vectorizes(self, numpy_hidden):
         flowchart = figure_library.parity_program()
         with numpy_hidden():
             rows = execute_batch(flowchart, [(1,), (2,)], memo=False)
-        assert rows.compiled.engine == "compiled"
-        assert rows.vector_view() is None
+            assert rows.vector_view() is None
         assert [rows.value(i) for i in range(2)] == [
             execute(flowchart, point).value for point in [(1,), (2,)]]
 
@@ -232,17 +229,17 @@ class TestEngineResolution:
 
 class TestCachesAndStats:
     def test_compile_cache_hits(self):
-        clear_batch_caches()
+        # Lanes call the compiled tier's function, compiled once per
+        # flowchart and shared with every per-point run.
         flowchart = figure_library.gcd_program()
         execute_batch(flowchart, [(6, 4)], memo=False)
-        misses = batch_stats()["compile_misses"]
+        compiled = compile_batch(flowchart)
         execute_batch(flowchart, [(9, 6)], memo=False)
-        stats = batch_stats()
-        assert stats["compile_misses"] == misses
-        assert stats["compile_hits"] >= 1
+        assert compile_batch(flowchart) is compiled
+        assert compile_flowchart(flowchart) is compiled
 
     def test_rows_memo_round_trip(self):
-        clear_batch_caches()
+        clear_rows_memo()
         flowchart = figure_library.gcd_program()
         points = [(6, 4), (9, 6)]
         first = execute_batch(flowchart, points)
@@ -252,9 +249,8 @@ class TestCachesAndStats:
 
     def test_memo_stats_exports_batch_keys(self):
         stats = memo_stats()
-        for key in ("batch_compile_hits", "batch_compile_misses",
-                    "batch_lane_fallbacks", "batch_rows_hits"):
-            assert key in stats
+        assert sorted(key for key in stats if key.startswith("batch_")) == [
+            "batch_rows_hits", "batch_rows_misses", "batch_rows_size"]
 
 
 class TestTierRegistry:

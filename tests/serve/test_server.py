@@ -250,6 +250,34 @@ class TestHttpSurface:
                 if line.startswith("repro_serve_execute_cache_hits")]
         assert hits and float(hits[0].split()[-1]) >= 1
 
+    def test_coalesced_faults_count_like_scalar_runs(self, server):
+        """A request that runs dry or breaks the cap moves its fault
+        counter once, coalesced into a batch or run on its own."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        handle = server()
+        payloads = ([{"library": "gcd", "inputs": [12, 18 + i], "fuel": 2}
+                     for i in range(3)]
+                    + [{"library": "max", "inputs": [5000 + i, 1],
+                        "value_cap": 6} for i in range(2)]
+                    + [{"library": "max", "inputs": [1, 2]}])
+
+        def counted(backend):
+            with obs.observed(metrics=True, reset=True) as registry:
+                with ThreadPoolExecutor(max_workers=len(payloads)) as pool:
+                    bodies = list(pool.map(
+                        lambda payload: request(
+                            handle.port, "POST", "/execute",
+                            dict(payload, backend=backend))[1],
+                        payloads))
+                counters = registry.snapshot()["counters"]
+            assert [body["notice"] for body in bodies] == (
+                ["Λ!fuel[2]"] * 3 + ["Λ!cap[6]"] * 2 + [None])
+            return (counters.get("run.fuel_exhausted", 0),
+                    counters.get("run.value_cap_exceeded", 0))
+
+        assert counted("batch") == counted("compiled") == (3, 2)
+
 
 class TestTenancy:
     TENANTS = {"tenants": {

@@ -5,10 +5,10 @@ grid point with no policy, decided for every policy of a pair by
 bitmask tests, instead of a per-policy per-point loop), never *what*
 it computes: every test here pins the batch sweep's rows — and, for
 the monitor families, its audit-ledger bytes — to the per-point
-sweep's, across families, budgets, executors, NumPy lanes and NumPy
-hidden (every lane on the compiled tier), chaos plans, and checkpoint
-resume, and checks that the tier that actually evaluated each pair is
-recorded.
+sweep's, across families, budgets, executors, inputs and values past
+int64, NumPy importable and NumPy hidden (the scalar summariser),
+chaos plans, and checkpoint resume, and checks that the tier that
+actually evaluated each pair is recorded.
 """
 
 import contextlib
@@ -17,11 +17,13 @@ from collections import Counter
 import pytest
 
 from repro import obs
-from repro.core import ProductDomain
+from repro.core import Domain, ProductDomain
 from repro.core.errors import (FuelExhaustedError, ReproError,
                                SweepInterruptedError, ValueCapExceededError)
 from repro.core.mechanism import is_violation
 from repro.flowchart import library as figure_library
+from repro.flowchart.expr import Const, var
+from repro.flowchart.structured import Assign, StructuredProgram
 from repro.verify import (FACTORIES, FaultPlan, chaos,
                           parallel_soundness_sweep)
 from repro.verify.checkpoint import load_checkpoint
@@ -131,7 +133,7 @@ class TestRowParity:
         # exactly as its own run would.
         wide = lambda arity: ProductDomain.integer_grid(
             0, 3 if arity < 3 else 1, arity)
-        # Surveillance decides on NumPy lanes (vector) and, with NumPy
+        # Surveillance decides from int64 columns and, with NumPy
         # hidden, per lane.
         setups = ((contextlib.nullcontext, numpy_hidden)
                   if family == "surveillance" else (contextlib.nullcontext,))
@@ -153,8 +155,8 @@ class TestRowParity:
                                             value_cap=cap, chunk_size=16)
 
     def test_lane_setups_match(self, lanes, tmp_path):
-        # NumPy lanes, and NumPy hidden: every lane on the compiled
-        # tier and surveillance decided per lane, on every executor.
+        # NumPy importable, and NumPy hidden: surveillance decided per
+        # lane, on every executor.
         assert rows(sweep("program", "batch")) == rows(sweep("program"))
         assert (rows(sweep("surveillance", "batch"))
                 == rows(sweep("surveillance")))
@@ -186,6 +188,21 @@ class TestRowParity:
                 chunk_size=5)
             if family != "timed":  # time-observable notices read Λ@t
                 assert b"@e1" in ledger
+
+    @pytest.mark.parametrize("family", ["program", "surveillance"])
+    def test_rows_past_int64_match(self, family, lanes, tmp_path):
+        # A 2**200 grid value and a 71-bit sum fit no int64 column, so
+        # those chunks skip the vectorised summariser on both legs.
+        wide = StructuredProgram(
+            ["x1", "x2"], [Assign("y", var("x1") + Const(1 << 70))],
+            name="sweep-wide-const").compile()
+        huge = lambda arity: ProductDomain.uniform(
+            Domain([0, 1, 1 << 200]), arity)
+        programs = [wide, figure_library.forgetting_program()]
+        assert (rows(sweep(family, "batch", programs=programs, grid=huge))
+                == rows(sweep(family, programs=programs, grid=huge)))
+        assert_shared_matches_per_point(tmp_path, family, programs=programs,
+                                        grid=huge, chunk_size=4)
 
     def test_gcd_wide_grid_matches(self):
         programs = [figure_library.gcd_program()]
@@ -223,13 +240,11 @@ class TestSharedRuns:
                 return function(*args, **kwargs)
             return wrapper
 
-        # Surveillance runs lanes of the instrumented flowchart: NumPy
-        # lanes, or with NumPy hidden one compiled re-run per lane.
-        # Timed and high-water run label walks, one per point.
-        monkeypatch.setattr(batchpath, "_drive_numpy", counting(
-            batchpath._drive_numpy, lambda args: len(args[1])))
-        monkeypatch.setattr(batchpath, "_rerun_lane", counting(
-            batchpath._rerun_lane, lambda args: 1))
+        # Surveillance runs lanes of the instrumented flowchart, with
+        # NumPy or without; timed and high-water run label walks, one
+        # per point.
+        monkeypatch.setattr(batchpath, "_run_lanes", counting(
+            batchpath._run_lanes, lambda args: len(args[2])))
         monkeypatch.setattr(dynamic, "_walk",
                             counting(dynamic._walk, lambda args: 1))
         programs = PROGRAMS + [figure_library.nested_branch_program()]
@@ -377,10 +392,15 @@ def per_point_outcomes(family, fuel, value_cap):
 
 
 class TestObservability:
+    @pytest.mark.parametrize("backend", ["batch", "compiled",
+                                         "interpreted"])
     @pytest.mark.parametrize("executor", ["serial", "thread"])
     @pytest.mark.parametrize("family", MONITORS)
     def test_sweep_counters_match_per_point_outcomes(self, family,
-                                                     executor, lanes):
+                                                     executor, backend,
+                                                     lanes):
+        # Each decision counts a fault once, whether the batch path
+        # tallies it or the per-point run that faulted records it.
         expected = per_point_outcomes(family, fuel=10, value_cap=4)
         assert expected["fuel"] and expected["cap"] and expected["violation"]
         source = "instrumented" if family == "surveillance" else (
@@ -389,7 +409,7 @@ class TestObservability:
         def counted(sinks=()):
             with obs.observed(metrics=True, reset=True,
                               sinks=sinks) as registry:
-                sweep(family, "batch", programs=TALLIED, grid=tally_grid,
+                sweep(family, backend, programs=TALLIED, grid=tally_grid,
                       fuel=10, value_cap=4, executor=executor,
                       max_workers=2, chunk_size=16)
                 counters = registry.snapshot()["counters"]
@@ -413,17 +433,6 @@ class TestObservability:
                 "cap": len(ring.events("value_cap_exceeded"))} == {
             "violation": counters["violation"], "fuel": counters["fuel"],
             "cap": counters["cap"]}
-
-    def test_batch_events_emitted(self):
-        from repro.flowchart.batchpath import clear_batch_caches
-
-        clear_batch_caches()
-        ring = obs.RingBufferSink()
-        with obs.observed(sinks=[ring], reset=True):
-            sweep("program", "batch")
-        compiled = ring.events("batch_compiled")
-        assert compiled and all(event["engine"] in ("numpy", "compiled")
-                                for event in compiled)
 
     def test_explain_mode_degrades_to_per_point(self):
         # --explain replays per-point provenance; the batch path would
