@@ -15,12 +15,9 @@ lanes run on the interpreter, the reference semantics for send/recv.
 it adds over calling the compiled tier point by point is sharing: an
 LRU over ``(flowchart, points, fuel, cap)`` hands one batch's rows to
 every later call with the same key, so a sweep's 2^k policies share
-one evaluation of the policy-independent rows, and the sweep
-summariser parks its policy-independent columns on the result
-(``summary_cache``).  When NumPy imports and every input and value
-fits int64, :meth:`BatchResult.vector_view` exposes the rows as int64
-arrays for the vectorised summariser; otherwise callers walk the
-scalar accessors.
+one evaluation of the policy-independent rows, and the sweep decodes
+those rows into per-lane outcomes once and parks them on the result
+(``summary_cache``).
 """
 
 from __future__ import annotations
@@ -44,23 +41,6 @@ _FAULTED = (0, 0, 0, None)
 _ROWS_MEMO_SIZE = 512
 
 
-def _numpy():
-    """The numpy module, or None (imported once, never required)."""
-    global _NP_PROBED, _NP
-    if not _NP_PROBED:
-        try:
-            import numpy
-            _NP = numpy
-        except ImportError:  # pragma: no cover - numpy present in CI image
-            _NP = None
-        _NP_PROBED = True
-    return _NP
-
-
-_NP = None
-_NP_PROBED = False
-
-
 def compile_batch(flowchart: Flowchart) -> CompiledFlowchart:
     """The compiled-tier function every lane of ``flowchart`` calls."""
     return compile_flowchart(flowchart)
@@ -81,7 +61,7 @@ class BatchResult:
 
     __slots__ = ("compiled", "points", "arity", "fuel", "cap", "kinds",
                  "values", "lane_steps", "lane_touched", "lane_envs",
-                 "summary_cache", "_view", "_columns")
+                 "summary_cache")
 
     def __init__(self, compiled: Optional[CompiledFlowchart], points,
                  arity: int, fuel: int, cap: Optional[int],
@@ -99,12 +79,10 @@ class BatchResult:
         self.kinds = kinds
         (self.values, self.lane_steps, self.lane_touched,
          self.lane_envs) = zip(*rows) if rows else ((), (), (), ())
-        #: Policy-independent columns computed by the sweep summariser
-        #: on first use; the rows memo hands the same BatchResult to
-        #: every policy of a pair, so it pays once.
+        #: Policy-independent lane outcomes decoded by the sweep on
+        #: first use; the rows memo hands the same BatchResult to every
+        #: policy of a pair, so it pays once.
         self.summary_cache = None
-        self._view = None
-        self._columns: Dict[str, object] = {}
 
     def __len__(self) -> int:
         return len(self.points)
@@ -126,54 +104,6 @@ class BatchResult:
 
     def env(self, i: int) -> Optional[Dict[str, int]]:
         return self.lane_envs[i]
-
-    def env_value(self, i: int, name: str) -> int:
-        return self.lane_envs[i][name]
-
-    def vector_view(self):
-        """(numpy, kinds, values) as int64 arrays, or None.
-
-        None when NumPy does not import, or some input or value does
-        not fit int64: callers then walk the scalar accessors.  Built
-        once per result, like :attr:`input_matrix`.
-        """
-        if self._view is None:
-            self._view = self._int64_view() or ()
-        return self._view[:3] or None
-
-    @property
-    def input_matrix(self):
-        """The int64 (n, arity) input matrix, when :meth:`vector_view`
-        is not None; else None."""
-        return self._view[3] if self.vector_view() is not None else None
-
-    def _int64_view(self):
-        np_mod = _numpy()
-        if np_mod is None:
-            return None
-        try:
-            matrix = np_mod.array(self.points, dtype=np_mod.int64).reshape(
-                len(self.points), self.arity)
-            values = np_mod.array(self.values, dtype=np_mod.int64)
-        except (OverflowError, ValueError):
-            return None
-        return (np_mod, np_mod.array(self.kinds, dtype=np_mod.int64),
-                values, matrix)
-
-    def env_column(self, name: str):
-        """One environment variable's int64 column (faulted lanes 0).
-
-        Valid only when :meth:`vector_view` is not None on a batch that
-        captured environments; the sweep reads label columns, which
-        always fit int64.
-        """
-        column = self._columns.get(name)
-        if column is None:
-            np_mod = _numpy()
-            column = self._columns[name] = np_mod.array(
-                [0 if env is None else env[name] for env in self.lane_envs],
-                dtype=np_mod.int64)
-        return column
 
 
 # ---------------------------------------------------------------------------

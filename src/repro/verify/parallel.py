@@ -19,7 +19,10 @@ factorization verdict — the per-point outputs are shared between the
 soundness check and the accepts count, never recomputed.  Under
 ``backend="batch"`` a registered family's task instead decides its
 chunk from runs made once per point with no policy, which every policy
-of the pair shares (:func:`_evaluate_chunk_batch`).
+of the pair shares (:func:`_evaluate_chunk_batch`): each batch is
+decoded into per-lane outputs once, and each policy only overwrites
+the lanes it refuses.  Every path summarises its outputs with the one
+plain-Python :func:`_summarize_outputs`.
 
 Fuel
 ----
@@ -275,175 +278,87 @@ def _cpu_count() -> Optional[int]:
     return _CPU_COUNT
 
 
-def _class_key(policy) -> Callable[[Tuple], Tuple]:
-    """``point -> policy(*point)``; an allow-policy's projection is read
-    straight off the point tuple instead of through the policy call."""
+def _class_keys(policy, points) -> List:
+    """Each point's policy class ``policy(*point)``; an allow-policy's
+    projection is read straight off the point tuples instead of through
+    the policy call."""
     if not isinstance(policy, AllowPolicy):
-        return lambda point: policy(*point)
+        return [policy(*point) for point in points]
     columns = [index - 1 for index in policy.indices]
     if len(columns) > 1:
-        return itemgetter(*columns)
+        return list(map(itemgetter(*columns), points))
     if columns:
-        column = columns[0]
-        return lambda point: (point[column],)
-    return lambda point: ()
+        # zip over one column yields the 1-tuples allow(i) maps to.
+        return list(zip(map(itemgetter(columns[0]), points)))
+    return [()] * len(points)
 
 
-def _summarize_outputs(policy, points, outputs,
-                       backend: Optional[str] = None) -> ChunkSummary:
-    """ChunkSummary of per-point outputs, in domain order."""
-    classes: Dict = {}
-    accepts = 0
-    conflict = False
-    class_key = _class_key(policy)
-    for point, output in zip(points, outputs):
-        if not is_violation(output):
-            accepts += 1
-        policy_value = class_key(point)
-        if policy_value not in classes:
-            classes[policy_value] = output
-        elif not conflict and classes[policy_value] != output:
-            conflict = True
+def _summarize_outputs(policy, points, outputs: List,
+                       backend: Optional[str] = None,
+                       accepts: Optional[int] = None) -> ChunkSummary:
+    """ChunkSummary of per-point outputs, in domain order.
+
+    The one summariser of every sweep path: the factorization check
+    groups the points by ``policy(*point)`` and asks for one output per
+    class.  Each class keeps its first output in domain order (the
+    reversed ``dict`` keeps each key's last write) and its first-seen
+    position; the chunk conflicts iff some point's output differs from
+    its class's.  ``accepts`` is the count of non-notice outputs, for a
+    caller that already knows it.
+    """
+    keys = _class_keys(policy, points)
+    first = dict(zip(reversed(keys), reversed(outputs)))
+    classes = dict.fromkeys(keys)
+    classes.update(first)
+    conflict = list(map(first.__getitem__, keys)) != outputs
+    if accepts is None:
+        accepts = len(outputs) - sum(map(is_violation, outputs))
     return ChunkSummary(accepts, classes, conflict, backend=backend)
 
 
-def _summarize_vector(np_mod, pts, policy: AllowPolicy, outkind, vals,
-                      output: Callable) -> ChunkSummary:
-    """Vectorized ChunkSummary for an AllowPolicy batch (int64 columns).
+def _decode_batch(rows, flowchart: Flowchart,
+                  surveillance: bool) -> Tuple[List, List, Dict]:
+    """A batch's policy-free outcomes, decoded once per BatchResult.
 
-    Lane ``i``'s output is ``output(outkind[i], vals[i])``, and lanes
-    with equal codes and values have equal outputs.  Groups lanes by
-    the policy projection with one ``np.unique`` instead of a Python
-    dict insert per point.
+    ``(codes, outputs, refusals)``.  ``codes`` and ``outputs`` are each
+    lane's outcome code and output when no policy refuses it: the
+    value, ``Λ!fuel[N]``, ``Λ!cap[C]``, or, on a surveillance lane past
+    a policy change, the ``Λ@e{n}`` its installed policy settled (the
+    same for every J).  ``refusals`` maps the final label mask
+    ȳ ∪ C̄ of each surveillance lane still in epoch 0 to those lanes,
+    each with the code and output it yields when J refuses it: J's own
+    run takes one more box (``_viol := 1``), so a lane that halted in
+    exactly ``fuel`` steps runs dry (``Λ!fuel[N]``), any other reads
+    ``Λ`` (``Λ@e0`` on a flowchart with policy changes).
     """
-    accepts = int((outkind == K_OK).sum())
-    columns = [index - 1 for index in policy.indices]
-    if not columns:
-        # allow(): a single policy class, represented by the first lane.
-        conflict = bool(((outkind != outkind[0]) | (vals != vals[0])).any())
-        return ChunkSummary(accepts, {(): output(int(outkind[0]),
-                                                 int(vals[0]))},
-                            conflict, backend="batch")
-    projection = pts[:, columns]
-    # Mixed-radix encode the projected columns into one int64 key per
-    # lane: a 1-D np.unique is far cheaper than the axis=0 row path,
-    # and the encoding preserves lexicographic class order.  Falls back
-    # to row-unique if the radix product would overflow the key space.
-    if projection.shape[1] == 1:
-        keys = projection[:, 0]
-    else:
-        shifted = projection - projection.min(axis=0)
-        spans = shifted.max(axis=0) + 1
-        keys = shifted[:, 0]
-        radix = int(spans[0])
-        for j in range(1, shifted.shape[1]):
-            span = int(spans[j])
-            radix *= span
-            if radix > (1 << 62):
-                keys = None
-                break
-            keys = keys * span + shifted[:, j]
-        if keys is None:
-            unique_rows, first, inverse = np_mod.unique(
-                projection, axis=0, return_index=True, return_inverse=True)
-            inverse = inverse.reshape(-1)
-            conflict = bool(((outkind != outkind[first][inverse])
-                             | (vals != vals[first][inverse])).any())
-            classes: Dict = {}
-            for u in np_mod.argsort(first, kind="stable"):
-                lane = int(first[u])
-                key = tuple(int(part) for part in unique_rows[u])
-                classes[key] = output(int(outkind[lane]), int(vals[lane]))
-            return ChunkSummary(accepts, classes, conflict,
-                                backend="batch")
-    _, first, inverse = np_mod.unique(keys, return_index=True,
-                                      return_inverse=True)
-    # Conflict detection: singleton classes cannot conflict; a single
-    # class conflicts iff any lane differs from lane 0; the general
-    # case compares each lane to its class representative.
-    if first.size == keys.size:
-        conflict = False
-    elif first.size == 1:
-        lane = int(first[0])
-        conflict = bool(((outkind != outkind[lane])
-                         | (vals != vals[lane])).any())
-    else:
-        conflict = bool(((outkind != outkind[first][inverse])
-                         | (vals != vals[first][inverse])).any())
-    # One bulk .tolist() per array beats a Python int() per element:
-    # class representatives come out in first-seen (domain) order by
-    # sorting the first-occurrence lane indices.
-    order = np_mod.sort(first)
-    classes = {}
-    for key_row, code, val in zip(projection[order].tolist(),
-                                  outkind[order].tolist(),
-                                  vals[order].tolist()):
-        classes[tuple(key_row)] = output(code, val)
-    return ChunkSummary(accepts, classes, conflict, backend="batch")
-
-
-def _decide_surveillance(rows, flowchart: Flowchart, allowed: int,
-                         fuel: int, has_epochs: bool):
-    """(outkind, vals) of allow(J) over an allow-all instrumented batch.
-
-    Rule 4 for J is ``ȳ ∪ C̄ ⊆ J`` on every epoch-0 lane (a lane past a
-    policy change keeps the verdict the installed policy gave it).  A
-    J-violation the allow-all run did not take runs one box longer
-    (``_viol := 1``), so on a lane that halted in exactly ``fuel``
-    steps it runs out of fuel instead.
-
-    The policy-independent columns — ``mask`` (ȳ ∪ C̄ where J decides,
-    else 0), ``starves`` (halted in exactly ``fuel`` steps),
-    ``settled_viol`` (``_viol`` set by an installed policy) and
-    ``epoch`` — are parked on the BatchResult, which the rows memo
-    hands to every policy of the pair.
-    """
-    np_mod, kinds, values = rows.vector_view()
-    if rows.summary_cache is None:
-        ok = kinds == K_OK
-        mask = (rows.env_column(surveillance_variable(
-            flowchart.output_variable)) | rows.env_column(PC_LABEL))
-        epoch, settled_viol = 0, None
-        if has_epochs:
-            epoch = rows.env_column(EPOCH_VAR)
-            settled_viol = ok & (epoch > 0) & (
-                rows.env_column(VIOLATION_FLAG) == 1)
-            ok &= epoch == 0
-        starves = np_mod.array([steps == fuel for steps in rows.lane_steps],
-                               dtype=bool)
-        rows.summary_cache = (np_mod.where(ok, mask, 0), starves,
-                              settled_viol, epoch)
-    mask, starves, settled_viol, epoch = rows.summary_cache
-    over = (mask & ~allowed) != 0
-    starved = over & starves
-    violated = over & ~starves
-    if settled_viol is not None:
-        violated |= settled_viol
-    outkind = np_mod.where(violated, _VIOL_KIND,
-                           np_mod.where(starved, K_FUEL, kinds))
-    vals = np_mod.where(violated, epoch, np_mod.where(starved, 0, values))
-    return outkind, vals
-
-
-def _batch_lane(rows, i: int, flowchart: Flowchart, allowed: Optional[int],
-                fuel: int, has_epochs: bool) -> Tuple[int, int]:
-    """Lane ``i``'s (code, val): for a surveillance batch (``allowed`` is
-    J's mask) the scalar twin of :func:`_decide_surveillance`."""
-    kind = rows.kind(i)
-    if kind != K_OK:
-        return kind, 0
-    if allowed is None:
-        return K_OK, rows.value(i)
-    epoch = rows.env_value(i, EPOCH_VAR) if has_epochs else 0
-    if epoch:
-        if rows.env_value(i, VIOLATION_FLAG) == 1:
-            return _VIOL_KIND, epoch
-    elif (rows.env_value(i, surveillance_variable(flowchart.output_variable))
-          | rows.env_value(i, PC_LABEL)) & ~allowed:
-        if rows.steps(i) == fuel:
-            return K_FUEL, 0
-        return _VIOL_KIND, 0
-    return K_OK, rows.value(i)
+    fuel = rows.fuel
+    fuel_out = fuel_notice(fuel)
+    cap_out = cap_notice(rows.cap) if rows.cap is not None else None
+    codes = list(rows.kinds)
+    outputs = [value if code == K_OK else fuel_out if code == K_FUEL
+               else cap_out for code, value in zip(codes, rows.values)]
+    refusals: Dict[int, List[Tuple]] = {}
+    if not surveillance:
+        return codes, outputs, refusals
+    has_epochs = bool(flowchart.policy_change_ids())
+    refused = ViolationNotice("Λ@e0" if has_epochs else "Λ")
+    label = surveillance_variable(flowchart.output_variable)
+    for lane, (code, steps, env) in enumerate(
+            zip(rows.kinds, rows.lane_steps, rows.lane_envs)):
+        if code != K_OK:
+            continue
+        epoch = env[EPOCH_VAR] if has_epochs else 0
+        if epoch:
+            if env[VIOLATION_FLAG] == 1:
+                codes[lane] = _VIOL_KIND
+                outputs[lane] = ViolationNotice(f"Λ@e{epoch}")
+            continue
+        mask = env[label] | env[PC_LABEL]
+        if mask:
+            refusals.setdefault(mask, []).append(
+                (lane, K_FUEL, fuel_out) if steps == fuel
+                else (lane, _VIOL_KIND, refused))
+    return codes, outputs, refusals
 
 
 def _evaluate_chunk_batch(flowchart: Flowchart, family: str, policy,
@@ -465,10 +380,13 @@ def _evaluate_chunk_batch(flowchart: Flowchart, family: str, policy,
 
     - ``program`` runs the flowchart on the batch tier;
     - ``surveillance`` runs ``instrument(flowchart, allow(1..k))`` on
-      the batch tier and decides J from its final masks
-      (:func:`_decide_surveillance`);
+      the batch tier, and J overwrites the outcome of each lane whose
+      final mask has a bit outside J (:func:`_decode_batch`);
     - ``timed`` and ``highwater`` take the interpreter-level
       :func:`~repro.surveillance.dynamic.policy_free_runs`.
+
+    A batch is decoded once, into ``summary_cache``, which the rows
+    memo hands to every policy of the pair along with the rows.
 
     A chaos poison point raises ``MemoryError`` *before* anything
     executes; the caller's quarantine machinery then bisects the chunk
@@ -496,41 +414,21 @@ def _evaluate_chunk_batch(flowchart: Flowchart, family: str, policy,
         allowed = to_mask(policy.allowed)
     rows = execute_batch(target, points, fuel=fuel, value_cap=value_cap,
                          need_env=surveillance)
-    fuel_out = fuel_notice(fuel)
-    cap_out = cap_notice(rows.cap) if rows.cap is not None else None
-    has_epochs = surveillance and bool(flowchart.policy_change_ids())
-
-    def output(code: int, val: int):
-        if code == K_OK:
-            return val
-        if code == K_FUEL:
-            return fuel_out
-        if code == K_CAP:
-            return cap_out
-        return ViolationNotice(f"Λ@e{val}" if has_epochs else "Λ")
-
-    # int64 columns exist only when NumPy imports and every input and
-    # value fits; otherwise (or for a policy that is no allow-policy)
-    # the lanes are decided one by one.
-    view = rows.vector_view()
-    if view is not None and isinstance(policy, AllowPolicy):
-        np_mod, outkind, vals = view
-        if surveillance:
-            outkind, vals = _decide_surveillance(rows, flowchart, allowed,
-                                                 fuel, has_epochs)
-        if _obs.active:
-            _record_tally(Counter(outkind.tolist()), flowchart,
-                          mechanism_name, fuel, rows.cap)
-        return _summarize_vector(np_mod, rows.input_matrix, policy, outkind,
-                                 vals, output)
-    lanes = [_batch_lane(rows, i, flowchart, allowed, fuel, has_epochs)
-             for i in range(len(points))]
+    if rows.summary_cache is None:
+        rows.summary_cache = _decode_batch(rows, flowchart, surveillance)
+    codes, outputs, refusals = rows.summary_cache
+    refused = [lanes for mask, lanes in refusals.items() if mask & ~allowed]
+    if refused:
+        codes, outputs = list(codes), list(outputs)
+        for lanes in refused:
+            for lane, code, output in lanes:
+                codes[lane] = code
+                outputs[lane] = output
     if _obs.active:
-        _record_tally(Counter(code for code, _ in lanes), flowchart,
-                      mechanism_name, fuel, rows.cap)
-    return _summarize_outputs(policy, points,
-                              [output(code, val) for code, val in lanes],
-                              "batch")
+        _record_tally(Counter(codes), flowchart, mechanism_name, fuel,
+                      rows.cap)
+    return _summarize_outputs(policy, points, outputs, "batch",
+                              codes.count(K_OK))
 
 
 #: Outcome code of a notice kind (:func:`classify_notice`); every other

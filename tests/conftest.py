@@ -1,41 +1,35 @@
 """Fixtures shared across the suite."""
 
 import contextlib
+import importlib.util
+import sys
 
 import pytest
 
 from repro.flowchart import batchpath
 
 #: The batch setups a differential test runs under: NumPy importable
-#: where it is (int64 views for the vectorised summariser), and NumPy
-#: hidden everywhere, so the scalar summariser stays covered on hosts
-#: that have NumPy.  The lanes themselves are compiled-tier calls in
-#: both.
-LANES = (["numpy"] if batchpath._numpy() is not None else []) + [
-    "numpy-hidden"]
+#: where it is, and NumPy blocked from import, as on a host without it.
+#: The batch tier is plain Python, so both must give the same rows.
+LANES = (["numpy"] if importlib.util.find_spec("numpy") is not None
+         else []) + ["numpy-hidden"]
 
 
 @contextlib.contextmanager
 def _numpy_hidden():
-    """The batch tier as on a host without NumPy.
+    """The batch tier as on a host without NumPy: ``import numpy``
+    raises ImportError.
 
-    The rows memo is dropped on the way in and out, so no result that
-    built its int64 view with NumPy serves a hidden run, or the reverse.
+    The rows memo is dropped on the way in and out, so the hidden run
+    evaluates its batches itself rather than reading the other setup's.
     """
     with pytest.MonkeyPatch.context() as patch:
         batchpath.clear_rows_memo()
-        patch.setattr(batchpath, "_numpy", lambda: None)
+        patch.setitem(sys.modules, "numpy", None)
         try:
             yield
         finally:
             batchpath.clear_rows_memo()
-
-
-@pytest.fixture(scope="session")
-def numpy_hidden():
-    """A context-manager factory hiding NumPy from the batch tier, for
-    tests that switch lanes mid-test (hypothesis tests among them)."""
-    return _numpy_hidden
 
 
 @pytest.fixture(params=LANES)

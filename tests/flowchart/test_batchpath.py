@@ -4,8 +4,7 @@
 flowchart's compiled-tier function in one loop.  Its contract is
 bit-identity with the per-point engines: value/steps/touched on
 success and the same typed fault kind on fuel or cap exhaustion, for
-inputs and values of any width; int64 views for the vectorised
-summariser exist only where NumPy imports and everything fits.
+inputs and values of any width.
 """
 
 import pytest
@@ -14,7 +13,7 @@ from repro import obs
 from repro.core.errors import (ArityMismatchError, FuelExhaustedError,
                                ReproError, ValueCapExceededError)
 from repro.flowchart import library as figure_library
-from repro.flowchart import batchpath, fastpath
+from repro.flowchart import fastpath
 from repro.flowchart.batchpath import (K_CAP, K_FUEL, K_OK, batch_stats,
                                        clear_rows_memo, compile_batch,
                                        execute_batch, execute_batch_single)
@@ -24,8 +23,6 @@ from repro.flowchart.fastpath import (BACKENDS, compile_flowchart,
                                       run_flowchart)
 from repro.flowchart.interpreter import execute
 from repro.flowchart.structured import Assign, StructuredProgram, While
-
-HAVE_NUMPY = batchpath._numpy() is not None
 
 
 def grid_points(arity, low=-2, high=3):
@@ -98,8 +95,7 @@ def assert_rows_match(flowchart, points, fuel, value_cap, lanes):
 
 class TestRowIdentity:
     def test_library_suite_uncapped(self, lanes):
-        # The empty vector is an input too: an empty result, not a
-        # shape error from the (0, arity) input matrix.
+        # The empty vector is an input too: an empty result.
         for flowchart in figure_library.extended_suite():
             for points in (grid_points(flowchart.arity), []):
                 assert_rows_match(flowchart, points, 100_000, None, lanes)
@@ -135,8 +131,7 @@ class TestRowIdentity:
 
 class TestLaneFallback:
     """Lanes hold Python ints, so inputs and values wider than an int64
-    keep their rows; such a batch offers no int64 view, and the sweep
-    falls back to its scalar summariser."""
+    keep their rows."""
 
     def test_oversized_inputs_retire_to_fallback(self):
         flowchart = figure_library.forgetting_program()
@@ -145,8 +140,6 @@ class TestLaneFallback:
         for i, point in enumerate(points):
             assert batch_row(rows, i) == interpreter_row(
                 flowchart, point, 100_000, None)
-        assert rows.vector_view() is None
-        assert rows.input_matrix is None
 
     def test_uncertifiable_widths_land_on_python_lanes(self):
         # A 71-bit literal makes every value wider than an int64.
@@ -155,7 +148,6 @@ class TestLaneFallback:
         for i, point in enumerate([(1,), (2,)]):
             assert batch_row(rows, i) == interpreter_row(
                 wide, point, 100_000, None)
-        assert rows.vector_view() is None
 
 
 class TestRunMetrics:
@@ -184,7 +176,6 @@ class TestRunMetrics:
                                        grid_points(2, 0, 6), fuel=12)
         kinds = {rows.kind(i) for i in range(len(rows))}
         assert kinds == {K_OK, K_FUEL}
-        assert (rows.vector_view() is not None) == (lanes == "numpy")
 
     def test_oversized_input_lanes(self, lanes):
         rows = self.assert_steps_total(
@@ -192,7 +183,6 @@ class TestRunMetrics:
             [(1, 2), (1 << 200, 3), (4, 5), (6, 1 << 200)])
         assert rows.steps(1) == execute(figure_library.forgetting_program(),
                                         (1 << 200, 3)).steps
-        assert rows.vector_view() is None
 
     def test_uncertifiable_width_batch(self):
         wide = StructuredProgram(
@@ -203,28 +193,6 @@ class TestRunMetrics:
             name="batch-wide-loop").compile()
         rows = self.assert_steps_total(wide, [(1,), (3,), (40,)], fuel=30)
         assert [rows.kind(i) for i in range(3)] == [K_OK, K_OK, K_FUEL]
-
-
-class TestEngineResolution:
-    """Which summariser a batch feeds: int64 views where NumPy imports,
-    none with NumPy hidden; the lanes are compiled-tier calls in both."""
-
-    def test_hidden_numpy_never_vectorizes(self, numpy_hidden):
-        flowchart = figure_library.parity_program()
-        with numpy_hidden():
-            rows = execute_batch(flowchart, [(1,), (2,)], memo=False)
-            assert rows.vector_view() is None
-        assert [rows.value(i) for i in range(2)] == [
-            execute(flowchart, point).value for point in [(1,), (2,)]]
-
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy lanes")
-    def test_numpy_engine_exposes_vector_view(self):
-        flowchart = figure_library.parity_program()
-        rows = execute_batch(flowchart, [(1,), (2,)], memo=False)
-        view = rows.vector_view()
-        assert view is not None
-        np_mod, kinds, values = view
-        assert list(kinds) == [K_OK, K_OK]
 
 
 class TestCachesAndStats:

@@ -3,14 +3,12 @@
 The Observability Postulate makes the *failure mode* part of a
 program's observable behaviour: which typed fault fires (fuel vs cap),
 with which payload, on which input.  These properties drive the
-interpreter, the compiled fastpath, and the batch tier (NumPy lanes,
-and NumPy hidden) over the whole figure library plus adversarial value-blowup
-programs, under randomly drawn fuel and cap budgets, and require
+interpreter, the compiled fastpath, and the batch tier over the whole
+figure library plus adversarial value-blowup programs, under randomly
+drawn fuel and cap budgets, and require
 bit-identical outcomes — value and step count on success, fault type
 and payload on failure.
 """
-
-import contextlib
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -91,12 +89,10 @@ def batch_lane_outcome(rows, i):
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_batch_lanes_agree_per_point(data, numpy_hidden):
+def test_batch_lanes_agree_per_point(data):
     # One whole vector through execute_batch, every lane against the
     # interpreter: mixed OK/fuel/cap partitions (including vectors
-    # where every lane faults, and vectors where some lanes retire to
-    # the per-lane fallback mid-sweep) must agree point for point, on
-    # NumPy lanes and with NumPy hidden (every lane on the fallback).
+    # where every lane faults) must agree point for point.
     flowchart = data.draw(st.sampled_from(PROGRAMS))
     points = data.draw(st.lists(
         st.tuples(*[st.integers(-6, 6)] * flowchart.arity),
@@ -106,14 +102,12 @@ def test_batch_lanes_agree_per_point(data, numpy_hidden):
                           label="value_cap")
     expected = [outcome(execute, flowchart, point, fuel, value_cap)
                 for point in points]
-    for lanes in (contextlib.nullcontext, numpy_hidden):
-        with lanes():
-            rows = execute_batch(flowchart, points, fuel=fuel,
-                                 value_cap=value_cap, memo=False)
-        actual = [batch_lane_outcome(rows, i) for i in range(len(points))]
-        assert actual == expected, (
-            f"{flowchart.name} fuel={fuel} cap={value_cap} "
-            f"lanes={lanes.__name__}: {actual} != {expected}")
+    rows = execute_batch(flowchart, points, fuel=fuel, value_cap=value_cap,
+                         memo=False)
+    actual = [batch_lane_outcome(rows, i) for i in range(len(points))]
+    assert actual == expected, (
+        f"{flowchart.name} fuel={fuel} cap={value_cap}: "
+        f"{actual} != {expected}")
 
 
 @settings(max_examples=60, deadline=None)

@@ -608,7 +608,8 @@ class TestSweepBatchBackend:
     def test_batch_rows_match_default_backend(self, tmp_path, capsys):
         plain = tmp_path / "plain.json"
         batch = tmp_path / "batch.json"
-        assert main(self.ARGS + ["--results-json", str(plain)]) == 0
+        assert main(self.ARGS + ["--backend", "compiled",
+                                 "--results-json", str(plain)]) == 0
         assert main(self.ARGS + ["--backend", "batch",
                                  "--results-json", str(batch)]) == 0
         capsys.readouterr()

@@ -6,12 +6,14 @@ bitmask tests, instead of a per-policy per-point loop), never *what*
 it computes: every test here pins the batch sweep's rows — and, for
 the monitor families, its audit-ledger bytes — to the per-point
 sweep's, across families, budgets, executors, inputs and values past
-int64, NumPy importable and NumPy hidden (the scalar summariser),
-chaos plans, and checkpoint resume, and checks that the tier that
-actually evaluated each pair is recorded.
+int64, chaos plans, and checkpoint resume, and checks that the tier
+that actually evaluated each pair is recorded.
 """
 
-import contextlib
+import importlib.util
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -28,6 +30,10 @@ from repro.verify import (FACTORIES, FaultPlan, chaos,
                           parallel_soundness_sweep)
 from repro.verify.checkpoint import load_checkpoint
 from repro.verify.enumerate import all_allow_policies
+
+REPO = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
+SRC = os.path.join(REPO, "src")
 
 PROGRAMS = [figure_library.forgetting_program(),
             figure_library.parity_program()]
@@ -125,24 +131,17 @@ class TestRowParity:
                 == rows(sweep(family, fuel=1)))
 
     @pytest.mark.parametrize("family", MONITORS)
-    def test_every_fuel_budget_matches(self, family, tmp_path,
-                                       numpy_hidden):
+    def test_every_fuel_budget_matches(self, family, tmp_path):
         # A J-violation the allow-all instrumented run did not take is
         # one box longer, and a timed guard can stop a run before it
         # runs dry: every budget from 1 to 40 must decide each policy
         # exactly as its own run would.
         wide = lambda arity: ProductDomain.integer_grid(
             0, 3 if arity < 3 else 1, arity)
-        # Surveillance decides from int64 columns and, with NumPy
-        # hidden, per lane.
-        setups = ((contextlib.nullcontext, numpy_hidden)
-                  if family == "surveillance" else (contextlib.nullcontext,))
         for fuel in range(1, 41):
-            for lanes in setups:
-                with lanes():
-                    assert_shared_matches_per_point(
-                        tmp_path, family, programs=MIXED, grid=wide,
-                        fuel=fuel, chunk_size=8)
+            assert_shared_matches_per_point(
+                tmp_path, family, programs=MIXED, grid=wide, fuel=fuel,
+                chunk_size=8)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_capped_sweep_matches(self, family, tmp_path):
@@ -155,8 +154,8 @@ class TestRowParity:
                                             value_cap=cap, chunk_size=16)
 
     def test_lane_setups_match(self, lanes, tmp_path):
-        # NumPy importable, and NumPy hidden: surveillance decided per
-        # lane, on every executor.
+        # NumPy importable, and NumPy blocked from import: the same rows
+        # on every executor, on the default grid and the mixed programs.
         assert rows(sweep("program", "batch")) == rows(sweep("program"))
         assert (rows(sweep("surveillance", "batch"))
                 == rows(sweep("surveillance")))
@@ -191,8 +190,8 @@ class TestRowParity:
 
     @pytest.mark.parametrize("family", ["program", "surveillance"])
     def test_rows_past_int64_match(self, family, lanes, tmp_path):
-        # A 2**200 grid value and a 71-bit sum fit no int64 column, so
-        # those chunks skip the vectorised summariser on both legs.
+        # A 2**200 grid value and a 71-bit sum: lanes, outputs and class
+        # keys are Python ints of any width.
         wide = StructuredProgram(
             ["x1", "x2"], [Assign("y", var("x1") + Const(1 << 70))],
             name="sweep-wide-const").compile()
@@ -226,8 +225,7 @@ class TestRowParity:
 class TestSharedRuns:
     @pytest.mark.parametrize("family", MONITORS)
     def test_one_labelled_run_per_flowchart_point(self, family,
-                                                  monkeypatch,
-                                                  numpy_hidden):
+                                                  monkeypatch):
         from repro.flowchart import batchpath
         from repro.flowchart.fastpath import clear_result_memo
         from repro.surveillance import dynamic
@@ -240,9 +238,8 @@ class TestSharedRuns:
                 return function(*args, **kwargs)
             return wrapper
 
-        # Surveillance runs lanes of the instrumented flowchart, with
-        # NumPy or without; timed and high-water run label walks, one
-        # per point.
+        # Surveillance runs lanes of the instrumented flowchart; timed
+        # and high-water run label walks, one per point.
         monkeypatch.setattr(batchpath, "_run_lanes", counting(
             batchpath._run_lanes, lambda args: len(args[2])))
         monkeypatch.setattr(dynamic, "_walk",
@@ -250,19 +247,16 @@ class TestSharedRuns:
         programs = PROGRAMS + [figure_library.nested_branch_program()]
         points = sum(len(grid(f.arity)) for f in programs)
 
-        for lanes in (contextlib.nullcontext, numpy_hidden):
-            runs.clear()
-            with lanes():
-                clear_result_memo()
-                results = sweep(family, "batch", programs=programs)
-                assert sum(runs) == points
-                assert sum(r.domain_size for r in results) == sum(
-                    len(grid(f.arity)) * 2 ** f.arity for f in programs)
-                sweep(family, "batch", programs=programs)
-                assert sum(runs) == points  # the rows memo holds them
-                clear_result_memo()
-                sweep(family, "batch", programs=programs)
-                assert sum(runs) == 2 * points
+        clear_result_memo()
+        results = sweep(family, "batch", programs=programs)
+        assert sum(runs) == points
+        assert sum(r.domain_size for r in results) == sum(
+            len(grid(f.arity)) * 2 ** f.arity for f in programs)
+        sweep(family, "batch", programs=programs)
+        assert sum(runs) == points  # the rows memo holds them
+        clear_result_memo()
+        sweep(family, "batch", programs=programs)
+        assert sum(runs) == 2 * points
 
     @pytest.mark.parametrize("family", MONITORS)
     def test_no_mechanism_built_on_a_fault_free_sweep(self, family,
@@ -397,8 +391,7 @@ class TestObservability:
     @pytest.mark.parametrize("executor", ["serial", "thread"])
     @pytest.mark.parametrize("family", MONITORS)
     def test_sweep_counters_match_per_point_outcomes(self, family,
-                                                     executor, backend,
-                                                     lanes):
+                                                     executor, backend):
         # Each decision counts a fault once, whether the batch path
         # tallies it or the per-point run that faulted records it.
         expected = per_point_outcomes(family, fuel=10, value_cap=4)
@@ -442,3 +435,32 @@ class TestObservability:
             results = sweep("surveillance", "batch")
         assert rows(results) == rows(sweep("surveillance"))
         assert ring.events("explanation")
+
+
+#: Batch sweeps of both batch-tier families, then a check that nothing
+#: on their path imported NumPy.
+NO_NUMPY_SWEEP = """
+import sys
+from repro.flowchart import library
+from repro.verify import parallel_soundness_sweep
+programs = [library.forgetting_program(), library.gcd_program(),
+            library.policy_loop_program()]
+for family in ("program", "surveillance"):
+    parallel_soundness_sweep(programs, family, backend="batch",
+                             executor="serial", fuel=30)
+assert "numpy" not in sys.modules, "a batch sweep imported numpy"
+"""
+
+
+class TestNoNumPy:
+    @pytest.mark.skipif(importlib.util.find_spec("numpy") is None,
+                        reason="needs an importable numpy to refuse")
+    def test_batch_sweeps_never_import_numpy(self):
+        # The summariser decodes each batch in plain Python: with NumPy
+        # importable, a fresh interpreter running program and
+        # surveillance batch sweeps never loads it.
+        result = subprocess.run(
+            [sys.executable, "-c", NO_NUMPY_SWEEP],
+            env=dict(os.environ, PYTHONPATH=SRC), capture_output=True,
+            text=True)
+        assert result.returncode == 0, result.stderr

@@ -4,18 +4,21 @@
 order, any cut points, including empty chunks) must produce exactly the
 ``(sound, accepts)`` pair of a single whole-domain ``evaluate_chunk`` —
 including sweeps where every output is a violation notice and sweeps
-where every run exhausts its fuel.
+where every run exhausts its fuel.  The chunk summariser every sweep
+path calls, ``_summarize_outputs``, must equal the per-point loop it
+replaced, class order included.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.mechanism import is_violation
-from repro.core.policy import allow
+from repro.core.mechanism import ViolationNotice, is_violation
+from repro.core.policy import SecurityPolicy, allow
 from repro.flowchart import library
 from repro.verify import FACTORIES
 from repro.verify.enumerate import default_grid, fuel_notice
-from repro.verify.parallel import evaluate_chunk, merge_chunks
+from repro.verify.parallel import (_summarize_outputs, evaluate_chunk,
+                                   merge_chunks)
 
 
 def chunked(points, cuts):
@@ -72,3 +75,64 @@ def test_all_fuel_exhausted_runs_merge_identically(cuts):
     assert merge_chunks(split) == merge_chunks([whole])
     assert all(output == fuel_notice(2)
                for output in whole.classes.values())
+
+
+def per_point_summary(policy, points, outputs):
+    """The per-point summary loop, kept as the oracle: accepts, the
+    classes in first-seen order, and the conflict flag."""
+    classes = {}
+    accepts = 0
+    conflict = False
+    for point, output in zip(points, outputs):
+        if not is_violation(output):
+            accepts += 1
+        policy_value = policy(*point)
+        if policy_value not in classes:
+            classes[policy_value] = output
+        elif not conflict and classes[policy_value] != output:
+            conflict = True
+    return accepts, list(classes.items()), conflict
+
+
+#: Grid values, past int64 included; drawn from a small pool so points
+#: repeat within a chunk.
+VALUES = st.sampled_from([0, 1, -1, 7, 1 << 63, -(1 << 64), 1 << 200])
+
+#: Mechanism outputs: values (past int64 too), time-observable
+#: ``(value, steps)`` pairs, and notices.  Notices are built per draw,
+#: so equal ones are rarely the same object.
+OUTPUTS = st.one_of(
+    st.sampled_from([0, 1, 5, (1 << 64) + 1]),
+    st.tuples(st.sampled_from([0, 1, 1 << 70]), st.integers(1, 3)),
+    st.builds(ViolationNotice, st.sampled_from(
+        ["Λ", "Λ@e0", "Λ@e1", "Λ!fuel[30]", "Λ!cap[4]"])))
+
+
+def summary_policy(kind, arity, data):
+    if kind == "none":
+        return allow(arity=arity)
+    if kind == "one":
+        return allow(data.draw(st.integers(1, arity)), arity=arity)
+    if kind == "all":
+        return allow(*range(1, arity + 1), arity=arity)
+    return SecurityPolicy(lambda *point: sum(point) % 3, arity)
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_summary_matches_per_point_loop(data):
+    arity = data.draw(st.integers(1, 3), label="arity")
+    kind = data.draw(st.sampled_from(["none", "one", "all", "callable"]),
+                     label="policy")
+    policy = summary_policy(kind, arity, data)
+    points = data.draw(st.lists(st.tuples(*[VALUES] * arity), max_size=40),
+                       label="points")
+    if data.draw(st.booleans(), label="per point"):
+        # One output per distinct point, as a mechanism gives.
+        table = {point: data.draw(OUTPUTS) for point in dict.fromkeys(points)}
+        outputs = [table[point] for point in points]
+    else:
+        outputs = [data.draw(OUTPUTS) for _ in points]
+    summary = _summarize_outputs(policy, points, outputs)
+    assert (summary.accepts, list(summary.classes.items()),
+            summary.conflict) == per_point_summary(policy, points, outputs)
