@@ -904,9 +904,10 @@ def bench_serving(smoke: bool) -> dict:
         "notes": (
             "Response cache disabled (cache_size=0): every request is "
             "a real batch-tier execution.  Latency is sequential over "
-            "one keep-alive connection, so p50 includes one full "
-            "coalescing window (batch_window_ms=2); the concurrent "
-            "fleet amortizes that window across its lanes."),
+            "one keep-alive connection, so each request is a lone "
+            "batch that flushes on the next loop turn; the concurrent "
+            "fleet coalesces the requests that arrive while a batch "
+            "of their key executes."),
     }
 
 

@@ -1309,8 +1309,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--workers", type=int, default=8,
                               help="request worker threads")
     serve_parser.add_argument("--batch-window-ms", type=float, default=2.0,
-                              help="coalescing window for /execute "
-                                   "batching")
+                              help="upper bound on how long an /execute "
+                                   "request waits to share a batch; it "
+                                   "waits only while a batch for its key "
+                                   "executes (default: 2)")
     serve_parser.add_argument("--cache-size", type=int, default=4096,
                               help="shared response-cache entries")
     serve_parser.add_argument("--trace", metavar="PATH",

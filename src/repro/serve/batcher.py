@@ -1,10 +1,21 @@
 """Coalesce concurrent /execute requests into batch-tier grids.
 
-Requests arriving within one flush window that target the same
-``(flowchart, fuel, value_cap)`` become lanes of a single
+Requests that target the same ``(flowchart, fuel, value_cap)`` while
+they wait together become lanes of a single
 :func:`~repro.flowchart.batchpath.execute_batch` call: one worker
 hand-off, one compile-cache lookup and one loop of compiled-tier calls
 for the whole set, instead of one executor round trip per request.
+
+Coalescing is self-clocked, the way group commit batches fsyncs: a
+request waits only for something there is to wait for.  When no batch
+for its key is executing, the key's pending batch flushes on the next
+loop turn, so requests that arrive in the same turn still share it.
+While one is executing, arrivals accumulate and flush when it
+delivers.  ``window_s`` only bounds any wait: a pending batch whose
+predecessor has not delivered by then flushes anyway.  Each ``batch``
+span records what flushed it (``flushed_by``: ``idle``,
+``delivery``, ``window`` or ``max_lanes``) and how long its first
+request waited for that (``waited_ms``).
 
 Fidelity: lane ``i``'s decoded outcome is bit-identical to a scalar
 ``run_flowchart`` of the same point under the same budgets (the batch
@@ -65,17 +76,24 @@ def _count_faults(program: str, rows) -> None:
 
 
 class _PendingBatch:
-    __slots__ = ("flowchart", "fuel", "value_cap", "points", "futures",
-                 "request_spans")
+    __slots__ = ("key", "flowchart", "fuel", "value_cap", "points",
+                 "futures", "request_spans", "opened", "timer",
+                 "flushed_by", "waited_ms")
 
-    def __init__(self, flowchart: Flowchart, fuel: int,
-                 value_cap: Optional[int]) -> None:
+    def __init__(self, key: Tuple, flowchart: Flowchart, fuel: int,
+                 value_cap: Optional[int], opened: float) -> None:
+        self.key = key
         self.flowchart = flowchart
         self.fuel = fuel
         self.value_cap = value_cap
         self.points: List[Tuple[int, ...]] = []
         self.futures: List[asyncio.Future] = []
         self.request_spans: List[str] = []
+        self.opened = opened
+        #: The armed flush (next-turn or window); cancelled on flush.
+        self.timer: Optional[asyncio.Handle] = None
+        self.flushed_by: Optional[str] = None
+        self.waited_ms: Optional[float] = None
 
 
 class ExecuteBatcher:
@@ -90,6 +108,8 @@ class ExecuteBatcher:
         self.max_lanes = max_lanes
         self.root_span = root_span
         self._pending: Dict[Tuple, _PendingBatch] = {}
+        #: key -> batches of that key flushed but not yet delivered.
+        self._executing: Dict[Tuple, int] = {}
         self.batches_flushed = 0
         self.lanes_executed = 0
 
@@ -100,26 +120,36 @@ class ExecuteBatcher:
         """Queue one point; resolves with its decoded outcome dict."""
         batch = self._pending.get(key)
         if batch is None:
-            batch = _PendingBatch(flowchart, fuel, value_cap)
+            batch = _PendingBatch(key, flowchart, fuel, value_cap,
+                                  self._loop.time())
             self._pending[key] = batch
-            self._loop.call_later(self.window_s, self._flush, key)
+            if key in self._executing:
+                batch.timer = self._loop.call_later(
+                    self.window_s, self._flush, key, "window")
+            else:
+                batch.timer = self._loop.call_soon(self._flush, key, "idle")
         future: asyncio.Future = self._loop.create_future()
         batch.points.append(point)
         batch.futures.append(future)
         if request_span is not None:
             batch.request_spans.append(request_span)
         if len(batch.points) >= self.max_lanes:
-            self._flush(key)
+            self._flush(key, "max_lanes")
         return await future
 
-    def _flush(self, key: Tuple) -> None:
+    def _flush(self, key: Tuple, reason: str) -> None:
         batch = self._pending.pop(key, None)
-        if batch is None:  # already flushed by the max_lanes trigger
+        if batch is None:  # a delivery with no arrivals behind it
             return
+        batch.timer.cancel()
+        batch.flushed_by = reason
+        waited = self._loop.time() - batch.opened
+        batch.waited_ms = round(1000.0 * waited, 3)
         self.batches_flushed += 1
         self.lanes_executed += len(batch.points)
         task = self._loop.run_in_executor(self._executor,
                                           self._run_batch, batch)
+        self._executing[key] = self._executing.get(key, 0) + 1
         task.add_done_callback(
             lambda done, batch=batch: self._deliver(batch, done))
 
@@ -128,7 +158,8 @@ class ExecuteBatcher:
         span = _obs.span_begin(
             "batch", parent=self.root_span,
             program=batch.flowchart.name, lanes=len(batch.points),
-            requests=list(batch.request_spans))
+            requests=list(batch.request_spans),
+            flushed_by=batch.flushed_by, waited_ms=batch.waited_ms)
         try:
             rows = execute_batch(batch.flowchart, batch.points,
                                  fuel=batch.fuel, value_cap=batch.value_cap)
@@ -168,6 +199,10 @@ class ExecuteBatcher:
             _obs.span_finish(span)
 
     def _deliver(self, batch: _PendingBatch, done) -> None:
+        key = batch.key
+        self._executing[key] -= 1
+        if not self._executing[key]:
+            del self._executing[key]
         error = done.exception()
         for index, future in enumerate(batch.futures):
             if future.cancelled():
@@ -182,3 +217,5 @@ class ExecuteBatcher:
                     future.set_exception(lane_error)
                 else:
                     future.set_result(outcome)
+        # The arrivals that waited on this batch go next.
+        self._flush(key, "delivery")

@@ -21,8 +21,8 @@ from ..flowchart.program import Flowchart
 
 __all__ = [
     "ExecuteRequest", "ExplainRequest", "LintRequest", "RequestError",
-    "SweepRequest", "parse_execute", "parse_explain", "parse_lint",
-    "parse_sweep",
+    "SweepRequest", "library_flowchart", "parse_execute", "parse_explain",
+    "parse_lint", "parse_sweep",
 ]
 
 #: Upper bound on sweep grid extent per axis — a served ∀-sweep over an
@@ -55,6 +55,26 @@ def _library() -> Dict:
     return LIBRARY
 
 
+#: name -> the one validated library flowchart this process serves.
+_LIBRARY_FLOWCHARTS: Dict[str, Flowchart] = {}
+
+
+def library_flowchart(name: str) -> Flowchart:
+    """The library program ``name``, built and validated once per process.
+
+    Every endpoint shares it, so after the first request it reaches
+    :meth:`~repro.serve.cache.ServeCache.intern_flowchart` already
+    fingerprinted, and the compile and instrumentation caches keyed on
+    its identity stay warm.  Raises ``KeyError`` for unknown names,
+    which are never cached.
+    """
+    flowchart = _LIBRARY_FLOWCHARTS.get(name)
+    if flowchart is None:
+        # Two threads may both build it; setdefault keeps one for both.
+        flowchart = _LIBRARY_FLOWCHARTS.setdefault(name, _library()[name]())
+    return flowchart
+
+
 def _require_object(payload) -> Dict:
     if not isinstance(payload, dict):
         raise _bad("bad_request",
@@ -74,7 +94,7 @@ def _parse_flowchart(payload: Dict) -> Flowchart:
         if not isinstance(library_name, str):
             raise _bad("bad_program", "'library' must be a string")
         try:
-            return _library()[library_name]()
+            return library_flowchart(library_name)
         except KeyError:
             known = ", ".join(sorted(_library()))
             raise _bad("unknown_program",

@@ -48,8 +48,8 @@ from ..obs.audit import (AuditLedger, SpikeTracker, budget_fingerprint,
 from ..robustness.faults import default_value_cap, reset_value_cap_cache
 from .batcher import ExecuteBatcher, execute_point_outcome
 from .cache import ServeCache
-from .schema import (RequestError, parse_execute, parse_explain, parse_lint,
-                     parse_sweep)
+from .schema import (RequestError, library_flowchart, parse_execute,
+                     parse_explain, parse_lint, parse_sweep)
 from .tenants import TenantRegistry
 
 __all__ = ["ReproServer", "ServerConfig", "serve_in_thread"]
@@ -672,11 +672,10 @@ class ReproServer:
 
     def _run_sweep(self, request, fuel: int, value_cap: Optional[int],
                    backend: str, parent_span: Optional[str]) -> Dict:
-        from ..cli import LIBRARY
         from ..core import ProductDomain
         from ..verify import parallel_soundness_sweep, unsound_results
 
-        flowcharts = [LIBRARY[name]() for name in request.programs]
+        flowcharts = [library_flowchart(name) for name in request.programs]
         executor = request.executor or self.config.executor
         with _ThreadSpanParent(parent_span):
             results = parallel_soundness_sweep(

@@ -145,3 +145,26 @@ class TestLintAndExplain:
         request = parse_explain({"library": "max", "policy": "allow(1)",
                                  "static": True})
         assert request.inputs is None
+
+
+class TestLibraryLookup:
+    def test_every_endpoint_gets_one_flowchart_per_name(self):
+        """A library program is built once per process; after its first
+        interning it reaches the cache already fingerprinted."""
+        from repro.serve.cache import ServeCache, flowchart_fingerprint
+
+        first = parse_execute({"library": "gcd", "inputs": [4, 6]}).flowchart
+        ServeCache().intern_flowchart(first)
+        assert parse_lint({"library": "gcd"}).flowchart is first
+        again = parse_explain({"library": "gcd", "policy": "allow(1)",
+                               "inputs": [4, 6]}).flowchart
+        assert again is first
+        assert again._serve_fingerprint == flowchart_fingerprint(again)
+
+    def test_unknown_names_are_never_cached(self):
+        from repro.serve import schema
+
+        with pytest.raises(RequestError) as excinfo:
+            parse_execute({"library": "no-such-program", "inputs": []})
+        assert excinfo.value.code == "unknown_program"
+        assert "no-such-program" not in schema._LIBRARY_FLOWCHARTS

@@ -279,6 +279,64 @@ class TestHttpSurface:
         assert counted("batch") == counted("compiled") == (3, 2)
 
 
+class TestLibraryPrograms:
+    def test_sweeps_reuse_compiled_library_programs(self, server, capsys,
+                                                    tmp_path, monkeypatch):
+        """/sweep takes its flowcharts from the one library lookup, so
+        two sweeps over different grids compile each program once, and
+        their rows are still the CLI's."""
+        from collections import Counter
+
+        from repro.flowchart import fastpath
+
+        compiled = Counter()
+        generate = fastpath.generate_source
+
+        def counting(flowchart):
+            compiled[flowchart.name] += 1
+            return generate(flowchart)
+
+        monkeypatch.setattr(fastpath, "generate_source", counting)
+        fastpath.clear_caches()
+        handle = server()
+        bodies = {}
+        for high in (1, 2):
+            status, bodies[high] = request(
+                handle.port, "POST", "/sweep",
+                {"programs": ["max", "parity"], "low": 0, "high": high,
+                 "executor": "serial"})
+            assert status == 200
+        assert len(compiled) == 2 and set(compiled.values()) == {1}, compiled
+        for high, body in bodies.items():
+            results = tmp_path / f"rows-{high}.json"
+            code, _ = cli_stdout(capsys, [
+                "sweep", "--programs", "max,parity", "--low", "0",
+                "--high", str(high), "--backend", "batch",
+                "--executor", "serial", "--results-json", str(results)])
+            assert code == 0
+            assert body["rows"] == json.loads(results.read_text())
+
+
+class TestBatchSpans:
+    def test_batch_span_names_its_flush_and_wait(self, server):
+        """A lone /execute flushes on the next loop turn, whatever the
+        window, and its trace says so."""
+        sink = obs.RingBufferSink()
+        obs.enable(metrics=False, sinks=[sink])
+        try:
+            handle = server(batch_window_ms=1000)
+            status, body = request(handle.port, "POST", "/execute",
+                                   {"library": "max", "inputs": [6, 9]})
+            assert status == 200 and body["value"] == 9
+            handle.stop()
+        finally:
+            obs.disable()
+        spans = [event for event in sink.events("span_start")
+                 if event["op"] == "batch"]
+        assert [span["flushed_by"] for span in spans] == ["idle"]
+        assert 0 <= spans[0]["waited_ms"] < 500
+
+
 class TestTenancy:
     TENANTS = {"tenants": {
         "alice": {"value_cap": 6},
