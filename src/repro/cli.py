@@ -110,7 +110,10 @@ def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
     choices = tuple(BACKENDS) + tuple(sorted(BACKEND_ALIASES))
     parser.add_argument("--backend", choices=choices, default=None,
                         help="execution tier (default: compiled, or "
-                             "the REPRO_BACKEND environment variable)")
+                             "the REPRO_BACKEND environment variable); "
+                             "compiled and batch sweeps share each "
+                             "point's run across policies, interpreted "
+                             "sweeps run every point once per policy")
 
 
 def _build_mechanism(kind: str, flowchart, policy, domain, output_model,

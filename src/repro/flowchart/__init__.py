@@ -23,7 +23,7 @@ from .interpreter import (DEFAULT_FUEL, ExecutionResult, as_program,
                           execute, initial_environment, running_time)
 from .fastpath import (BACKENDS, CompiledFlowchart, compile_flowchart,
                        execute_compiled, resolve_backend, run_flowchart)
-from .batchpath import execute_batch, execute_batch_single
+from .batchpath import execute_batch
 from .builder import FlowchartBuilder, Label
 from .structured import (Assign, Body, Downgrade, If, PolicyChange, Recv,
                          Send, Skip, Stmt, StructuredProgram, While,
@@ -54,7 +54,7 @@ __all__ = [
     "BACKENDS", "CompiledFlowchart", "compile_flowchart",
     "execute_compiled", "resolve_backend", "run_flowchart",
     # batch tier
-    "execute_batch", "execute_batch_single",
+    "execute_batch",
     # building
     "FlowchartBuilder", "Label", "StructuredProgram", "Stmt", "Skip",
     "Assign", "If", "While", "PolicyChange", "Downgrade", "Send", "Recv",

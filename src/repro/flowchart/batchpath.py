@@ -17,7 +17,10 @@ LRU over ``(flowchart, points, fuel, cap)`` hands one batch's rows to
 every later call with the same key, so a sweep's 2^k policies share
 one evaluation of the policy-independent rows, and the sweep decodes
 those rows into per-lane outcomes once and parks them on the result
-(``summary_cache``).
+(``summary_cache``).  Sweeps on the ``compiled`` and ``batch`` backends
+alike decide their chunks this way; a single point (``run --backend
+batch``) is one compiled-tier call, since a one-lane batch only adds
+overhead.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from ..core.errors import (ArityMismatchError, FuelExhaustedError,
 from ..obs import runtime as _obs
 from ..robustness.faults import default_value_cap, resolve_value_cap
 from .fastpath import CompiledFlowchart, _LRUMemo, compile_flowchart
-from .interpreter import DEFAULT_FUEL, ExecutionResult, execute
+from .interpreter import DEFAULT_FUEL, execute
 from .program import Flowchart
 
 #: Per-lane outcome kinds on a finished batch.
@@ -210,55 +213,14 @@ def _run_lanes(flowchart: Flowchart, compiled: Optional[CompiledFlowchart],
     return faults, rows
 
 
-def execute_batch_single(flowchart: Flowchart, inputs: Sequence[int],
-                         fuel: int = DEFAULT_FUEL,
-                         record_trace: bool = False,
-                         capture_env: bool = False,
-                         value_cap: Optional[int] = None) -> ExecutionResult:
-    """Single-point entry used by ``run_flowchart(backend="batch")``.
-
-    A one-lane batch; declared faults re-raise with the interpreter's
-    exact message.  Tracing falls back to the interpreter just like the
-    compiled backend does, and so do channel programs.
-    """
-    if record_trace or flowchart.has_channels():
-        return execute(flowchart, inputs, fuel=fuel,
-                       record_trace=record_trace, capture_env=capture_env,
-                       value_cap=value_cap)
-    if len(inputs) != flowchart.arity:
-        raise ArityMismatchError(
-            f"flowchart {flowchart.name} takes {flowchart.arity} inputs, "
-            f"got {len(inputs)}")
-    rows = execute_batch(flowchart, [tuple(inputs)], fuel=fuel,
-                         value_cap=value_cap, need_env=capture_env)
-    kind = rows.kind(0)
-    if kind == K_FUEL:
-        if _obs.active:
-            _obs.record_fuel_exhausted(flowchart.name, fuel)
-        raise FuelExhaustedError(
-            fuel, f"flowchart {flowchart.name} exceeded {fuel} steps "
-                  f"on input {tuple(inputs)!r}")
-    if kind == K_CAP:
-        if _obs.active:
-            _obs.record_value_cap_exceeded(flowchart.name, rows.cap)
-        raise ValueCapExceededError(
-            rows.cap, f"flowchart {flowchart.name} assigned a value wider "
-                      f"than {rows.cap} bits on input {tuple(inputs)!r}")
-    return ExecutionResult(rows.value(0), rows.steps(0), None, rows.env(0),
-                           rows.touched(0))
-
-
 # ---------------------------------------------------------------------------
 # Stats / cache control
 # ---------------------------------------------------------------------------
 
 def batch_stats() -> Dict[str, int]:
-    """Lifetime rows-memo counters (joined into ``fastpath.memo_stats``)."""
-    return {
-        "rows_size": len(_ROWS_MEMO),
-        "rows_hits": _ROWS_MEMO.hits,
-        "rows_misses": _ROWS_MEMO.misses,
-    }
+    """Lifetime rows-memo counters, one locked snapshot (joined into
+    ``fastpath.memo_stats``)."""
+    return {f"rows_{key}": value for key, value in _ROWS_MEMO.stats().items()}
 
 
 def clear_rows_memo() -> None:

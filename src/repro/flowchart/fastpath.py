@@ -40,18 +40,19 @@ memoised per compiled flowchart (runs revisit the same few masks).
 
 Backends
 --------
-:func:`resolve_backend` decides between ``"compiled"`` and
-``"interpreted"``; the ``REPRO_BACKEND`` environment variable overrides
-the default, and ``as_program`` / the CLI accept an explicit argument
-that overrides both.  :func:`run_flowchart` is the dispatching
-entry point used by mechanism constructors.
+:func:`resolve_backend` decides between ``"compiled"``,
+``"interpreted"`` and ``"batch"``; the ``REPRO_BACKEND`` environment
+variable overrides the default, and ``as_program`` / the CLI accept an
+explicit argument that overrides both.  :func:`run_flowchart` is the
+dispatching entry point used by mechanism constructors: one point runs
+on the interpreter or, for ``compiled`` and ``batch`` alike, as one
+call of the compiled function.  ``batch`` names a whole-grid mode, not
+an engine (:mod:`repro.flowchart.batchpath`).
 
-Caching layers:
-
-1. per-flowchart compiled function (weak-keyed — dies with the graph);
-2. an LRU memo for repeated ``(flowchart, inputs, fuel)`` executions,
-   shared by every ``as_program`` wrapper of the same flowchart
-   (``REPRO_EXEC_CACHE`` sizes it; 0 disables).
+The one cache here is the per-flowchart compiled function (weak-keyed —
+dies with the graph).  Results are not memoised per point: a sweep
+shares one run per grid point across its policies instead
+(:mod:`repro.verify.parallel`), and ``repro serve`` caches responses.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ from __future__ import annotations
 import os
 import sys
 import threading
-import warnings
 import weakref
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -78,18 +78,14 @@ from .program import Flowchart
 #: Environment variable selecting the default execution backend.
 BACKEND_ENV = "REPRO_BACKEND"
 
-#: Environment variable sizing the (flowchart, inputs) result memo.
-EXEC_CACHE_ENV = "REPRO_EXEC_CACHE"
-
 _DEFAULT_BACKEND = "compiled"
-_DEFAULT_MEMO_SIZE = 16384
 
 
 #: Accepted spellings that map onto an execution tier.
 BACKEND_ALIASES: Dict[str, str] = {"interp": "interpreted"}
 
-#: Execution tier names: ``compiled`` runs inline in
-#: :func:`run_flowchart`, the others through ``_RUNNERS`` below.
+#: Execution backend names.  A single run under ``batch`` is a
+#: compiled-tier call; sweeps and ``repro serve`` batch whole grids.
 BACKENDS: Tuple[str, ...] = ("compiled", "interpreted", "batch")
 
 
@@ -503,7 +499,7 @@ def compile_flowchart(flowchart: Flowchart) -> CompiledFlowchart:
 
 
 # ---------------------------------------------------------------------------
-# Result memo (LRU over (flowchart, inputs, fuel))
+# LRU memo (the batch tier's rows memo, the serve caches)
 # ---------------------------------------------------------------------------
 
 class _LRUMemo:
@@ -544,25 +540,12 @@ class _LRUMemo:
             self.hits = 0
             self.misses = 0
 
-    def resize(self, maxsize: int) -> None:
-        """Change capacity in place, evicting LRU entries that no
-        longer fit.  Hit/miss counters survive a resize; shrinking to
-        ``<= 0`` disables the memo and drops its contents."""
-        with self._lock:
-            self.maxsize = maxsize
-            if maxsize <= 0:
-                self._data.clear()
-            else:
-                while len(self._data) > maxsize:
-                    self._data.popitem(last=False)
-
     def stats(self) -> Dict[str, int]:
         """One consistent snapshot of size/maxsize/hits/misses.
 
         Taken under the memo lock so a concurrent ``put`` mid-trim can
-        never be observed as ``size > maxsize`` (the unlocked reads in
-        the old ``memo_stats()`` could tear exactly that way under the
-        server's thread pool).
+        never be observed as ``size > maxsize`` (unlocked reads could
+        tear exactly that way under the server's thread pool).
         """
         with self._lock:
             return {"size": len(self._data), "maxsize": self.maxsize,
@@ -573,95 +556,35 @@ class _LRUMemo:
             return len(self._data)
 
 
-def _memo_size() -> int:
-    """The execution-memo capacity from ``REPRO_EXEC_CACHE``.
-
-    A malformed value (not an integer) or a negative size earns a
-    :class:`RuntimeWarning` and falls back to the default — silently
-    honouring garbage here used to mean a typo like ``RERPO=...`` or
-    ``-1`` quietly resized (or wedged) the memo.  ``0`` is valid and
-    disables memoisation.
-    """
-    raw = os.environ.get(EXEC_CACHE_ENV)
-    if raw is None:
-        return _DEFAULT_MEMO_SIZE
-    try:
-        size = int(raw)
-    except ValueError:
-        warnings.warn(
-            f"{EXEC_CACHE_ENV}={raw!r} is not an integer; using the "
-            f"default memo size {_DEFAULT_MEMO_SIZE}", RuntimeWarning,
-            stacklevel=2)
-        return _DEFAULT_MEMO_SIZE
-    if size < 0:
-        warnings.warn(
-            f"{EXEC_CACHE_ENV}={raw!r} is negative; memo sizes must be "
-            f">= 0 (0 disables), using the default "
-            f"{_DEFAULT_MEMO_SIZE}", RuntimeWarning, stacklevel=2)
-        return _DEFAULT_MEMO_SIZE
-    return size
-
-
-#: Memo for capture-free executions shared across Program wrappers.
-_RESULT_MEMO = _LRUMemo(_memo_size())
-
-
-def reset_exec_cache() -> None:
-    """Re-read ``REPRO_EXEC_CACHE`` and resize the result memo.
-
-    ``_RESULT_MEMO`` is sized once at import, so setting the env var
-    afterwards (tests, notebooks, server startup) was silently ignored.
-    Mirrors :func:`repro.robustness.faults.reset_value_cap_cache`:
-    call it after any mid-process env change you want honoured.
-    """
-    _RESULT_MEMO.resize(_memo_size())
-
-
 def clear_result_memo() -> None:
-    """Drop memoised execution results (benchmarks call this per rep)."""
-    _RESULT_MEMO.clear()
+    """Drop memoised batch rows and label walks (benchmarks call this
+    per rep)."""
     batchpath = sys.modules.get(__package__ + ".batchpath")
     if batchpath is not None:
         batchpath.clear_rows_memo()
 
 
 def clear_caches() -> None:
-    """Drop compiled functions *and* memoised results, in every tier."""
-    _RESULT_MEMO.clear()
+    """Drop compiled functions *and* memoised batch rows."""
     with _compile_lock:
         _COMPILED.clear()
-    batchpath = sys.modules.get(__package__ + ".batchpath")
-    if batchpath is not None:
-        batchpath.clear_rows_memo()
+    clear_result_memo()
 
 
 def memo_stats() -> Dict[str, int]:
-    """Execution-cache counters across tiers.
-
-    The original four keys cover the compiled tier's result memo; the
-    ``batch_rows_*`` keys cover the batch tier's rows memo.
-    """
+    """The batch tier's rows-memo counters, under ``batch_rows_*``."""
     from . import batchpath
-    stats = _RESULT_MEMO.stats()
-    for key, value in batchpath.batch_stats().items():
-        stats[f"batch_{key}"] = value
-    return stats
+    return {f"batch_{key}": value
+            for key, value in batchpath.batch_stats().items()}
 
 
 def export_memo_stats() -> Dict[str, int]:
-    """Push :func:`memo_stats` into the obs registry as gauges.
-
-    The per-run ``memo.exec.hits``/``misses`` counters only cover runs
-    executed while observability was on; these gauges snapshot the
-    memo's lifetime totals (the CLI's ``repro metrics`` calls this
-    before rendering).  Batch-tier keys export under ``batch.*``.
-    """
+    """Push :func:`memo_stats` into the obs registry as ``batch.rows_*``
+    gauges: the rows memo's lifetime totals (the CLI's ``repro
+    metrics`` calls this before rendering)."""
     stats = memo_stats()
     for key, value in stats.items():
-        if key.startswith("batch_"):
-            _obs.set_gauge("batch." + key[len("batch_"):], value)
-        else:
-            _obs.set_gauge(f"memo.exec.{key}", value)
+        _obs.set_gauge("batch." + key[len("batch_"):], value)
     return stats
 
 
@@ -673,7 +596,6 @@ def execute_compiled(flowchart: Flowchart, inputs: Sequence[int],
                      fuel: int = DEFAULT_FUEL,
                      record_trace: bool = False,
                      capture_env: bool = False,
-                     memo: bool = True,
                      value_cap: Optional[int] = None) -> ExecutionResult:
     """Compiled-backend twin of :func:`~repro.flowchart.interpreter.execute`.
 
@@ -698,24 +620,7 @@ def execute_compiled(flowchart: Flowchart, inputs: Sequence[int],
         )
     cap = (default_value_cap() if value_cap is None
            else resolve_value_cap(value_cap))
-    if cap is None:
-        bound = None
-        # The uncapped key keeps the pre-guard 3-tuple shape: a capped
-        # entry always carries its cap, so the shapes never collide and
-        # the hot default pays no extra hashing.
-        key = ((flowchart, tuple(inputs), fuel)
-               if memo and not capture_env else None)
-    else:
-        bound = 1 << cap
-        key = ((flowchart, tuple(inputs), fuel, cap)
-               if memo and not capture_env else None)
-    if key is not None:
-        cached = _RESULT_MEMO.get(key)
-        if cached is not None:
-            if _obs.active:
-                _obs.record_run("compiled", flowchart.name, cached.steps,
-                                memo_hit=True)
-            return cached
+    bound = None if cap is None else 1 << cap
     compiled = compile_flowchart(flowchart)
     if _obs.active:
         try:
@@ -727,17 +632,12 @@ def execute_compiled(flowchart: Flowchart, inputs: Sequence[int],
         except ValueCapExceededError as error:
             _obs.record_value_cap_exceeded(flowchart.name, error.cap)
             raise
+        _obs.record_run("compiled", flowchart.name, steps)
     else:
         value, steps, mask, env = compiled.function(
             tuple(inputs), fuel, capture_env, cap, bound)
-    result = ExecutionResult(value, steps, None, env,
-                             compiled.touched_set(mask))
-    if key is not None:
-        _RESULT_MEMO.put(key, result)
-    if _obs.active:
-        _obs.record_run("compiled", flowchart.name, steps,
-                        memo_hit=False if key is not None else None)
-    return result
+    return ExecutionResult(value, steps, None, env,
+                           compiled.touched_set(mask))
 
 
 def run_flowchart(flowchart: Flowchart, inputs: Sequence[int],
@@ -746,32 +646,12 @@ def run_flowchart(flowchart: Flowchart, inputs: Sequence[int],
                   capture_env: bool = False,
                   backend: Optional[str] = None,
                   value_cap: Optional[int] = None) -> ExecutionResult:
-    """Execute via whichever tier :func:`resolve_backend` selects."""
-    choice = resolve_backend(backend)
-    if choice == "compiled":  # the hot default skips the runner lookup
-        return execute_compiled(flowchart, inputs, fuel=fuel,
-                                record_trace=record_trace,
-                                capture_env=capture_env,
-                                value_cap=value_cap)
-    return _RUNNERS[choice](flowchart, inputs, fuel, record_trace,
-                            capture_env, value_cap)
-
-
-def _run_interpreted_tier(flowchart, inputs, fuel, record_trace,
-                          capture_env, value_cap) -> ExecutionResult:
-    return execute(flowchart, inputs, fuel=fuel, record_trace=record_trace,
-                   capture_env=capture_env, value_cap=value_cap)
-
-
-def _run_batch_tier(flowchart, inputs, fuel, record_trace, capture_env,
-                    value_cap) -> ExecutionResult:
-    from .batchpath import execute_batch_single
-    return execute_batch_single(flowchart, inputs, fuel=fuel,
-                                record_trace=record_trace,
-                                capture_env=capture_env,
-                                value_cap=value_cap)
-
-
-#: Tier name -> runner, called as ``runner(flowchart, inputs, fuel,
-#: record_trace, capture_env, value_cap)``.
-_RUNNERS = {"interpreted": _run_interpreted_tier, "batch": _run_batch_tier}
+    """Execute via whichever tier :func:`resolve_backend` selects; one
+    point under ``batch`` is one compiled-tier call."""
+    if resolve_backend(backend) == "interpreted":
+        return execute(flowchart, inputs, fuel=fuel,
+                       record_trace=record_trace, capture_env=capture_env,
+                       value_cap=value_cap)
+    return execute_compiled(flowchart, inputs, fuel=fuel,
+                            record_trace=record_trace,
+                            capture_env=capture_env, value_cap=value_cap)

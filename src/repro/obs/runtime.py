@@ -6,7 +6,7 @@ the module-global :data:`active` flag::
     from ..obs import runtime as _obs
     ...
     if _obs.active:
-        _obs.record_run("compiled", flowchart.name, steps, memo_hit=False)
+        _obs.record_run("compiled", flowchart.name, steps)
 
 When observability is off (the default) that guard is the *entire*
 cost: a module-attribute load and a truth test per run — measured at
@@ -249,15 +249,11 @@ def set_gauge(name: str, value: float) -> None:
 # Hooks for the instrumented hot layers (call only behind ``if active``)
 # ---------------------------------------------------------------------------
 
-def record_run(backend: str, program: str, steps: int,
-               memo_hit: Optional[bool] = None) -> None:
+def record_run(backend: str, program: str, steps: int) -> None:
     """One flowchart execution completed on ``backend``."""
     registry.counter(f"run.count.{backend}").inc()
     registry.counter("run.steps_total").inc(steps)
     registry.histogram("run.steps", STEP_BUCKETS).observe(steps)
-    if memo_hit is not None:
-        name = "memo.exec.hits" if memo_hit else "memo.exec.misses"
-        registry.counter(name).inc()
     if trace_active:
         emit("run_end", program=program, backend=backend, steps=steps)
 

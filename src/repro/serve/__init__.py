@@ -16,9 +16,8 @@ Layering
 - :mod:`.server`   — the asyncio HTTP server and endpoint handlers
 
 Configuration discipline: the *CLI layer* reads the environment once
-at startup (``REPRO_BACKEND``, ``REPRO_VALUE_CAP``,
-``REPRO_EXEC_CACHE``); everything below receives budgets and backends
-as explicit parameters.  See docs/SERVING.md.
+at startup (``REPRO_BACKEND``, ``REPRO_VALUE_CAP``); everything below
+receives budgets and backends as explicit parameters.  See docs/SERVING.md.
 """
 
 from .schema import RequestError

@@ -39,8 +39,7 @@ from typing import Dict, Optional, Tuple
 
 from ..core.errors import ReproError
 from ..flowchart.fastpath import (default_backend, export_memo_stats,
-                                  reset_backend_cache, reset_exec_cache,
-                                  resolve_backend)
+                                  reset_backend_cache, resolve_backend)
 from ..flowchart.interpreter import DEFAULT_FUEL
 from ..obs import runtime as _obs
 from ..obs.audit import (AuditLedger, SpikeTracker, budget_fingerprint,
@@ -190,10 +189,9 @@ class ReproServer:
     # -- lifecycle ----------------------------------------------------------
 
     async def start(self) -> None:
-        # The one environment read of the server's lifetime: flush all
-        # three env-derived caches, then capture their values as this
+        # The one environment read of the server's lifetime: flush both
+        # env-derived caches, then capture their values as this
         # process's explicit defaults.
-        reset_exec_cache()
         reset_value_cap_cache()
         reset_backend_cache()
         self.fuel = self.config.fuel

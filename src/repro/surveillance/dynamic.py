@@ -393,12 +393,13 @@ def policy_free_runs(flowchart: Flowchart, points: Sequence[Tuple[int, ...]],
                      value_cap: Optional[int] = None) -> List[PolicyFreeRun]:
     """One policy-free labelled run per point, shared by every policy.
 
-    A sweep decides all 2^k allow-policies of a flowchart from these
-    runs by bitmask tests (:meth:`PolicyFreeRun.output`) instead of
-    re-walking each point once per policy.  The list is kept in the
-    batch tier's rows memo under the flowchart, the exact point
-    tuple, and the budgets, so every policy of a pair gets the same
-    runs; :func:`repro.flowchart.fastpath.clear_result_memo` drops it.
+    A timed or high-water sweep on any backend but ``interpreted``
+    decides all 2^k allow-policies of a flowchart from these runs by
+    bitmask tests (:meth:`PolicyFreeRun.output`) instead of re-walking
+    each point once per policy.  The list is kept in the batch tier's
+    rows memo under the flowchart, the exact point tuple, and the
+    budgets, so every policy of a pair gets the same runs;
+    :func:`repro.flowchart.fastpath.clear_result_memo` drops it.
     ``points`` must be tuples.
     """
     cap = (default_value_cap() if value_cap is None

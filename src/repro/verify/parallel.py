@@ -9,20 +9,26 @@ produces.
 
 Work unit and merge
 -------------------
-A task is one ``(flowchart, policy, chunk-of-grid-points)`` triple.
-Each worker evaluates the mechanism **once per point** and returns a
-:class:`ChunkSummary`: the acceptance count plus, per policy-class, the
-first output seen and whether the chunk itself witnessed a conflict.
-Merging chunks (in domain order) compares class representatives across
-chunk boundaries, so the merged soundness verdict is exactly the serial
-factorization verdict — the per-point outputs are shared between the
-soundness check and the accepts count, never recomputed.  Under
-``backend="batch"`` a registered family's task instead decides its
-chunk from runs made once per point with no policy, which every policy
-of the pair shares (:func:`_evaluate_chunk_batch`): each batch is
-decoded into per-lane outputs once, and each policy only overwrites
-the lanes it refuses.  Every path summarises its outputs with the one
-plain-Python :func:`_summarize_outputs`.
+A task is one ``(flowchart, policy, chunk-of-grid-points)`` triple and
+returns a :class:`ChunkSummary`: the acceptance count plus, per
+policy-class, the first output seen and whether the chunk itself
+witnessed a conflict.  Merging chunks (in domain order) compares class
+representatives across chunk boundaries, so the merged soundness
+verdict is exactly the serial factorization verdict — the outputs are
+shared between the soundness check and the accepts count, never
+recomputed.
+
+There is one sweep path.  A registered family's task decides its chunk
+from runs made once per point with no policy, which every policy of
+the pair shares (:func:`_evaluate_chunk_batch`): each batch is decoded
+into per-lane outputs once, and each policy only overwrites the lanes
+it refuses.  The ``compiled`` and ``batch`` backends both take it.
+Per-point evaluation (:func:`evaluate_chunk`, the mechanism called
+once per point) remains where it is the only path or the reference:
+``backend="interpreted"``, explain mode, quarantine bisection,
+callable factories, and channel programs of the ``program`` and
+``surveillance`` families.  Every path summarises its outputs with the
+one plain-Python :func:`_summarize_outputs`.
 
 Fuel
 ----
@@ -824,11 +830,12 @@ def parallel_soundness_sweep(
         Execution tier for chunk evaluation (default: the
         ``REPRO_BACKEND`` resolution, see
         :func:`repro.flowchart.fastpath.resolve_backend`).
-        ``"batch"`` evaluates whole chunks of the registered families
-        from one policy-free run per point, shared by every policy of
-        a pair (:func:`_evaluate_chunk_batch`); callable factories,
-        provenance-enabled runs, and quarantine bisections degrade to
-        per-point evaluation.  Each
+        ``"compiled"`` and ``"batch"`` evaluate whole chunks of the
+        registered families from one policy-free run per point, shared
+        by every policy of a pair (:func:`_evaluate_chunk_batch`), and
+        differ only in the backend the audit budget names;
+        ``"interpreted"``, callable factories, provenance-enabled runs,
+        and quarantine bisections evaluate per point.  Each
         :class:`~repro.verify.enumerate.SweepResult` reports which
         backends actually ran its chunks via ``result.backends``.
     audit:
@@ -878,11 +885,11 @@ def parallel_soundness_sweep(
     else:
         family = next((name for name, fn in FACTORIES.items()
                        if fn is factory), None)
-    # Whole-chunk batch evaluation engages only for the factory
-    # families whose outputs the batch path can reproduce; provenance
+    # Shared runs decide every chunk of a registered family, except on
+    # the interpreter, which stays the per-point reference; provenance
     # (explain) needs the per-point machinery, so it degrades too.
     batch_family: Optional[str] = None
-    if (backend == "batch" and not _obs.explain_active
+    if (backend != "interpreted" and not _obs.explain_active
             and family in _BATCH_FAMILIES
             and (family in _WALK_FAMILIES or not any(
                 flowchart.has_channels() for flowchart in flowcharts))):
@@ -892,11 +899,10 @@ def parallel_soundness_sweep(
         # label walks carry both.
         batch_family = family
     # The tier for chunks evaluated per-point: under backend="batch"
-    # that work degrades to the compiled engine — the same target the
-    # batch tier itself retires hazardous lanes to — rather than to
-    # whatever the process-global environment happens to say, so two
-    # callers of the same process cannot retarget each other's
-    # degraded chunks.
+    # that work runs on the compiled engine, the tier batch lanes call,
+    # rather than on whatever the process-global environment happens
+    # to say, so two callers of the same process cannot retarget each
+    # other's degraded chunks.
     point_backend = "compiled" if backend == "batch" else backend
     mech_backend = point_backend if backend_requested else None
     # The tier a chunk's per-point evaluation really ran on: the

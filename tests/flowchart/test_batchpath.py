@@ -16,7 +16,7 @@ from repro.flowchart import library as figure_library
 from repro.flowchart import fastpath
 from repro.flowchart.batchpath import (K_CAP, K_FUEL, K_OK, batch_stats,
                                        clear_rows_memo, compile_batch,
-                                       execute_batch, execute_batch_single)
+                                       execute_batch)
 from repro.flowchart.expr import BoolConst, Const, var
 from repro.flowchart.fastpath import (BACKENDS, compile_flowchart,
                                       memo_stats, resolve_backend,
@@ -216,9 +216,9 @@ class TestCachesAndStats:
         assert batch_stats()["rows_hits"] >= 1
 
     def test_memo_stats_exports_batch_keys(self):
-        stats = memo_stats()
-        assert sorted(key for key in stats if key.startswith("batch_")) == [
-            "batch_rows_hits", "batch_rows_misses", "batch_rows_size"]
+        assert sorted(memo_stats()) == [
+            "batch_rows_hits", "batch_rows_maxsize", "batch_rows_misses",
+            "batch_rows_size"]
 
 
 class TestTierRegistry:
@@ -249,10 +249,21 @@ class TestTierRegistry:
 
 
 class TestSingleLaneEntry:
+    """One point under ``backend="batch"`` is one compiled-tier call,
+    with the interpreter's exceptions and messages."""
+
+    def test_single_point_runs_on_the_compiled_tier(self):
+        with obs.observed(metrics=True, reset=True) as registry:
+            run_flowchart(figure_library.gcd_program(), (6, 4),
+                          backend="batch")
+            counters = registry.snapshot()["counters"]
+        assert counters["run.count.compiled"] == 1
+        assert "run.count.batch" not in counters
+
     def test_declared_faults_reraise_with_interpreter_message(self):
         flowchart = figure_library.gcd_program()
         with pytest.raises(FuelExhaustedError) as batch_error:
-            execute_batch_single(flowchart, (6, 4), fuel=2)
+            run_flowchart(flowchart, (6, 4), fuel=2, backend="batch")
         with pytest.raises(FuelExhaustedError) as interp_error:
             execute(flowchart, (6, 4), fuel=2)
         assert str(batch_error.value) == str(interp_error.value)
@@ -264,14 +275,16 @@ class TestSingleLaneEntry:
              While(BoolConst(True), [Assign("y", var("y") + var("y"))])],
             name="batch-cap-single").compile()
         with pytest.raises(ValueCapExceededError) as batch_error:
-            execute_batch_single(doubling, (1,), value_cap=8)
+            run_flowchart(doubling, (1,), value_cap=8, backend="batch")
         with pytest.raises(ValueCapExceededError) as interp_error:
             execute(doubling, (1,), value_cap=8)
         assert batch_error.value.cap == interp_error.value.cap == 8
+        assert str(batch_error.value) == str(interp_error.value)
 
     def test_arity_checked(self):
         with pytest.raises(ArityMismatchError):
-            execute_batch_single(figure_library.gcd_program(), (1,))
+            run_flowchart(figure_library.gcd_program(), (1,),
+                          backend="batch")
         with pytest.raises(ArityMismatchError):
             execute_batch(figure_library.gcd_program(), [(1,)])
 

@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.errors import FlowchartError, MessageError
 from repro.core.policy import allow
-from repro.flowchart.batchpath import execute_batch_single
+from repro.flowchart.batchpath import execute_batch
 from repro.flowchart.boxes import RecvBox, SendBox
 from repro.flowchart.builder import FlowchartBuilder
 from repro.flowchart.dot import to_dot
@@ -121,13 +121,18 @@ class TestSemantics:
     def test_tiers_defer_to_interpreter(self):
         flowchart = compile_source(RELAY)
         reference = execute(flowchart, (3, 4))
-        for engine in (execute_compiled, execute_batch_single):
-            result = engine(flowchart, (3, 4))
-            assert (result.value, result.steps) == (reference.value,
-                                                    reference.steps)
+        result = execute_compiled(flowchart, (3, 4))
+        assert (result.value, result.steps) == (reference.value,
+                                                reference.steps)
+        lanes = execute_batch(flowchart, [(3, 4), (3, 4)], memo=False)
+        for lane in range(2):
+            assert (lanes.value(lane), lanes.steps(lane)) == (
+                reference.value, reference.steps)
         # Declared faults match across tiers too.
         empty = compile_source("program p(x1) { recv q(u); y := u }")
-        for engine in (execute, execute_compiled, execute_batch_single):
+        for engine in (execute, execute_compiled,
+                       lambda flowchart, point: execute_batch(
+                           flowchart, [point], memo=False)):
             with pytest.raises(MessageError) as excinfo:
                 engine(empty, (1,))
             assert excinfo.value.detail == "empty:q"

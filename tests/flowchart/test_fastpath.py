@@ -37,8 +37,7 @@ def test_backends_agree_on_library_over_default_grid(flowchart):
     grid = default_grid(flowchart.arity)
     for point in grid:
         interpreted = execute(flowchart, point, capture_env=True)
-        compiled = execute_compiled(flowchart, point, capture_env=True,
-                                    memo=False)
+        compiled = execute_compiled(flowchart, point, capture_env=True)
         assert observed(interpreted) == observed(compiled)
         assert interpreted.touched == compiled.touched
         assert interpreted.env == compiled.env
@@ -50,12 +49,11 @@ def test_backends_agree_at_exact_fuel_boundary(flowchart):
     """Both complete at fuel = steps and both raise at fuel = steps - 1."""
     point = (2,) * flowchart.arity
     steps = execute(flowchart, point).steps
-    assert execute_compiled(flowchart, point, fuel=steps,
-                            memo=False).steps == steps
+    assert execute_compiled(flowchart, point, fuel=steps).steps == steps
     with pytest.raises(FuelExhaustedError):
         execute(flowchart, point, fuel=steps - 1)
     with pytest.raises(FuelExhaustedError):
-        execute_compiled(flowchart, point, fuel=steps - 1, memo=False)
+        execute_compiled(flowchart, point, fuel=steps - 1)
 
 
 def test_fuel_exhaustion_on_diverging_input():
@@ -63,7 +61,7 @@ def test_fuel_exhaustion_on_diverging_input():
     with pytest.raises(FuelExhaustedError) as interp:
         execute(flowchart, (10,), fuel=5)
     with pytest.raises(FuelExhaustedError) as comp:
-        execute_compiled(flowchart, (10,), fuel=5, memo=False)
+        execute_compiled(flowchart, (10,), fuel=5)
     assert interp.value.fuel == comp.value.fuel == 5
     assert str(interp.value) == str(comp.value)
 
@@ -76,9 +74,9 @@ def test_division_and_modulus_by_zero_are_total():
     ).compile()
     for point in [(5, 0), (0, 0), (-7, 0), (5, 2), (-7, 2), (7, -3)]:
         interpreted = execute(flowchart, point)
-        compiled = execute_compiled(flowchart, point, memo=False)
+        compiled = execute_compiled(flowchart, point)
         assert observed(interpreted) == observed(compiled)
-    assert execute_compiled(flowchart, (5, 0), memo=False).value == 0
+    assert execute_compiled(flowchart, (5, 0)).value == 0
 
 
 def test_ite_expression_compiles():
@@ -89,7 +87,7 @@ def test_ite_expression_compiles():
     ).compile()
     for point in [(-1,), (0,), (1,), (5,)]:
         assert observed(execute(flowchart, point)) == observed(
-            execute_compiled(flowchart, point, memo=False))
+            execute_compiled(flowchart, point))
 
 
 class TestLoopExpr:
@@ -108,8 +106,7 @@ class TestLoopExpr:
         flowchart = self.flowchart()
         for point in [(0,), (1,), (5,), (30,)]:
             interpreted = execute(flowchart, point, capture_env=True)
-            compiled = execute_compiled(flowchart, point, capture_env=True,
-                                        memo=False)
+            compiled = execute_compiled(flowchart, point, capture_env=True)
             assert observed(interpreted) == observed(compiled)
             assert interpreted.env == compiled.env
 
@@ -118,7 +115,7 @@ class TestLoopExpr:
         with pytest.raises(ExecutionError):
             execute(flowchart, (10,))
         with pytest.raises(ExecutionError):
-            execute_compiled(flowchart, (10,), memo=False)
+            execute_compiled(flowchart, (10,))
 
 
 @settings(max_examples=60, deadline=None)
@@ -135,8 +132,7 @@ def test_property_gcd_agreement(x1, x2):
             return ("fuel", str(error))
 
     assert outcome(lambda: execute(flowchart, (x1, x2), fuel=2000)) == \
-        outcome(lambda: execute_compiled(flowchart, (x1, x2), fuel=2000,
-                                         memo=False))
+        outcome(lambda: execute_compiled(flowchart, (x1, x2), fuel=2000))
 
 
 class TestAsProgramBackends:
@@ -199,34 +195,14 @@ class TestCompilationCache:
         assert "_touched" in compiled.source
 
 
-class TestResultMemo:
-    def test_repeated_execution_memoised(self):
-        fastpath.clear_result_memo()
-        flowchart = library.gcd_program()
-        first = execute_compiled(flowchart, (12, 8))
-        second = execute_compiled(flowchart, (12, 8))
-        assert second is first  # same memo entry
-        assert fastpath.memo_stats()["hits"] >= 1
-
-    def test_memo_distinguishes_fuel(self):
-        fastpath.clear_result_memo()
-        flowchart = library.timing_loop()
-        ok = execute_compiled(flowchart, (3,), fuel=100)
-        assert ok.steps == execute_compiled(flowchart, (3,), fuel=99).steps
-        # The fuel=5 variant must not be served from the fuel=100 entry.
-        with pytest.raises(FuelExhaustedError):
-            execute_compiled(flowchart, (3,), fuel=5)
-
-    def test_env_capture_not_memoised(self):
-        fastpath.clear_result_memo()
+class TestDispatchAndFallback:
+    def test_env_captured_only_on_request(self):
         flowchart = library.mixer_program()
         with_env = execute_compiled(flowchart, (1, 2), capture_env=True)
         bare = execute_compiled(flowchart, (1, 2))
         assert with_env.env is not None
         assert bare.env is None
 
-
-class TestDispatchAndFallback:
     def test_record_trace_falls_back_to_interpreter(self):
         flowchart = library.forgetting_program()
         traced = execute_compiled(flowchart, (1, 0), record_trace=True)
@@ -237,7 +213,7 @@ class TestDispatchAndFallback:
     def test_arity_mismatch_matches_interpreter(self):
         flowchart = library.mixer_program()
         with pytest.raises(ArityMismatchError):
-            execute_compiled(flowchart, (1,), memo=False)
+            execute_compiled(flowchart, (1,))
 
     def test_run_flowchart_dispatches(self):
         flowchart = library.max_program()

@@ -15,8 +15,7 @@ from hypothesis import strategies as st
 
 from repro.core.errors import FuelExhaustedError, ValueCapExceededError
 from repro.flowchart import library as figure_library
-from repro.flowchart.batchpath import (K_CAP, K_FUEL, execute_batch,
-                                       execute_batch_single)
+from repro.flowchart.batchpath import K_CAP, K_FUEL, execute_batch
 from repro.flowchart.expr import BoolConst, Const, var
 from repro.flowchart.fastpath import execute_compiled
 from repro.flowchart.interpreter import execute
@@ -57,6 +56,15 @@ def outcome(engine, flowchart, inputs, fuel, value_cap):
     return ("ok", result.value, result.steps)
 
 
+def batch_lane_outcome(rows, i):
+    kind = rows.kind(i)
+    if kind == K_FUEL:
+        return ("fuel", rows.fuel)
+    if kind == K_CAP:
+        return ("cap", rows.cap)
+    return ("ok", rows.value(i), rows.steps(i))
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_engines_agree_on_every_outcome(data):
@@ -70,21 +78,12 @@ def test_engines_agree_on_every_outcome(data):
     interpreted = outcome(execute, flowchart, inputs, fuel, value_cap)
     compiled = outcome(execute_compiled, flowchart, inputs, fuel,
                        value_cap)
-    batch = outcome(execute_batch_single, flowchart, inputs, fuel,
-                    value_cap)
+    batch = batch_lane_outcome(execute_batch(
+        flowchart, [inputs], fuel=fuel, value_cap=value_cap, memo=False), 0)
     assert interpreted == compiled == batch, (
         f"{flowchart.name}{inputs} fuel={fuel} cap={value_cap}: "
         f"interpreter {interpreted} != compiled {compiled} "
         f"!= batch {batch}")
-
-
-def batch_lane_outcome(rows, i):
-    kind = rows.kind(i)
-    if kind == K_FUEL:
-        return ("fuel", rows.fuel)
-    if kind == K_CAP:
-        return ("cap", rows.cap)
-    return ("ok", rows.value(i), rows.steps(i))
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,20 +1,21 @@
 """Hammer tests: the memo and metrics registry under server concurrency.
 
-`repro serve` shares one `_LRUMemo` and one `MetricsRegistry` across
-every request thread, so torn reads that a CLI run could never observe
-become routine: `memo_stats()` used to read `len`/`hits`/`misses`
-without the memo lock and could report `size > maxsize` mid-trim.
-These tests drive many threads through the shared structures and
-assert every observable snapshot is internally consistent.
+`repro serve` shares its `_LRUMemo`s (the batch tier's rows memo, the
+response cache) and one `MetricsRegistry` across every request thread,
+so torn reads that a CLI run could never observe become routine:
+`memo_stats()` used to read `len`/`hits`/`misses` without the memo lock
+and could report `size > maxsize` mid-trim.  These tests drive many
+threads through the shared structures and assert every observable
+snapshot is internally consistent.
 """
 
 import threading
 
 import pytest
 
-from repro.flowchart.fastpath import _LRUMemo, export_memo_stats, memo_stats
 from repro.flowchart import library
-from repro.flowchart.fastpath import execute_compiled
+from repro.flowchart.batchpath import execute_batch
+from repro.flowchart.fastpath import _LRUMemo, export_memo_stats, memo_stats
 from repro.obs.metrics import MetricsRegistry
 
 THREADS = 8
@@ -41,7 +42,7 @@ def hammer(worker, threads=THREADS):
 
 
 class TestMemoHammer:
-    def test_stats_never_tear_under_put_get_resize(self):
+    def test_stats_never_tear_under_put_get(self):
         memo = _LRUMemo(32)
         stop = threading.Event()
 
@@ -49,8 +50,6 @@ class TestMemoHammer:
             for round_ in range(ROUNDS):
                 memo.put((index, round_), round_)
                 memo.get((index, round_ - 1))
-                if round_ % 50 == 0:
-                    memo.resize(8 if round_ % 100 else 32)
 
         def observe(_):
             while not stop.is_set():
@@ -73,15 +72,16 @@ class TestMemoHammer:
 
         def run(index):
             for value in range(40):
-                execute_compiled(flowchart, ((index * 40 + value) % 16,))
+                execute_batch(flowchart, [((index * 40 + value) % 16,)])
                 stats = memo_stats()
-                assert stats["size"] <= stats["maxsize"], stats
+                assert (stats["batch_rows_size"]
+                        <= stats["batch_rows_maxsize"]), stats
 
         hammer(run)
 
     def test_export_memo_stats_reports_consistent_size(self):
         stats = export_memo_stats()
-        assert stats["size"] <= stats["maxsize"]
+        assert stats["batch_rows_size"] <= stats["batch_rows_maxsize"]
 
 
 class TestRegistryHammer:

@@ -110,7 +110,7 @@ class TestPrometheusExport:
     def test_round_trip_recovers_every_metric(self):
         registry = MetricsRegistry()
         registry.counter("sweep.points_evaluated").inc(42)
-        registry.gauge("memo.exec.size").set(7)
+        registry.gauge("batch.rows_size").set(7)
         hist = registry.histogram("chunk.seconds", bounds=(0.1, 1.0))
         for value in (0.05, 0.5, 5.0):
             hist.observe(value)
@@ -119,8 +119,8 @@ class TestPrometheusExport:
 
         assert types["repro_sweep_points_evaluated"] == "counter"
         assert samples["repro_sweep_points_evaluated"] == 42
-        assert types["repro_memo_exec_size"] == "gauge"
-        assert samples["repro_memo_exec_size"] == 7
+        assert types["repro_batch_rows_size"] == "gauge"
+        assert samples["repro_batch_rows_size"] == 7
         assert types["repro_chunk_seconds"] == "histogram"
         # Cumulative buckets, +Inf tail, then sum/count.
         assert samples['repro_chunk_seconds_bucket{le="0.1"}'] == 1

@@ -87,18 +87,6 @@ class TestInterpreterInstrumentation:
 
 
 class TestCompiledInstrumentation:
-    def test_memo_hits_and_misses_counted(self):
-        flowchart = library.mixer_program()
-        clear_result_memo()
-        with obs.observed(reset=True):
-            first = execute_compiled(flowchart, (2, 3))
-            second = execute_compiled(flowchart, (2, 3))
-        counters = obs.snapshot()["counters"]
-        assert counters["run.count.compiled"] == 2
-        assert counters["memo.exec.misses"] == 1
-        assert counters["memo.exec.hits"] == 1
-        assert first.steps == second.steps
-
     def test_compiled_fuel_exhaustion_recorded(self):
         flowchart = library.gcd_program()
         clear_result_memo()
@@ -155,14 +143,15 @@ class TestLintInstrumentation:
 
 class TestMemoStatExport:
     def test_export_memo_stats_sets_gauges(self):
+        from repro.flowchart.batchpath import execute_batch
         from repro.flowchart.fastpath import export_memo_stats
 
         flowchart = library.mixer_program()
         clear_result_memo()
-        execute_compiled(flowchart, (1, 2))
-        execute_compiled(flowchart, (1, 2))
+        execute_batch(flowchart, [(1, 2)])
+        execute_batch(flowchart, [(1, 2)])
         with obs.observed(reset=True):
             stats = export_memo_stats()
         gauges = obs.snapshot()["gauges"]
-        assert gauges["memo.exec.hits"] == stats["hits"] >= 1
-        assert gauges["memo.exec.maxsize"] == stats["maxsize"]
+        assert gauges["batch.rows_hits"] == stats["batch_rows_hits"] >= 1
+        assert gauges["batch.rows_maxsize"] == stats["batch_rows_maxsize"]

@@ -85,11 +85,15 @@ class TestSweepSpanTrees:
             soundness_sweep(sweep_programs(), FACTORIES["surveillance"])
         self.assert_single_rooted(ring.events(), expect_points=False)
 
+    # Per-point chunks (the interpreter's) emit one point span per
+    # point; shared-run chunks decide every point from one batch.
+
     def test_parallel_serial_executor(self):
         ring = obs.RingBufferSink(capacity=65536)
         with obs.observed(sinks=[ring], reset=True):
             parallel_soundness_sweep(sweep_programs(), "surveillance",
-                                     executor="serial")
+                                     executor="serial",
+                                     backend="interpreted")
         self.assert_single_rooted(ring.events())
         forest = obs.build_span_tree(ring.events())
         # Every point span hangs off a chunk span, never the sweep.
@@ -101,8 +105,21 @@ class TestSweepSpanTrees:
         ring = obs.RingBufferSink(capacity=65536)
         with obs.observed(sinks=[ring], reset=True):
             parallel_soundness_sweep(sweep_programs(), "surveillance",
-                                     executor="thread", max_workers=2)
+                                     executor="thread", max_workers=2,
+                                     backend="interpreted")
         self.assert_single_rooted(ring.events())
+
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_shared_run_chunks_emit_no_point_spans(self, executor):
+        ring = obs.RingBufferSink(capacity=65536)
+        with obs.observed(sinks=[ring], reset=True):
+            parallel_soundness_sweep(sweep_programs(), "surveillance",
+                                     executor=executor, max_workers=2,
+                                     backend="compiled")
+        self.assert_single_rooted(ring.events(), expect_points=False)
+        ops = {node.op
+               for node in obs.build_span_tree(ring.events()).spans.values()}
+        assert "chunk" in ops and "point" not in ops
 
     def test_parallel_process_executor(self, tmp_path):
         # Worker events reach the parent's trace only on fork-start

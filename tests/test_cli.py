@@ -361,7 +361,7 @@ class TestMetricsCommand:
         code = main(["metrics"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "memo.exec.maxsize" in out
+        assert "batch.rows_maxsize" in out
 
 
 class TestExplain:
@@ -606,27 +606,31 @@ class TestSweepBatchBackend:
         assert "batch" in err  # the registry's tiers are listed
 
     def test_batch_rows_match_default_backend(self, tmp_path, capsys):
-        plain = tmp_path / "plain.json"
-        batch = tmp_path / "batch.json"
-        assert main(self.ARGS + ["--backend", "compiled",
-                                 "--results-json", str(plain)]) == 0
-        assert main(self.ARGS + ["--backend", "batch",
-                                 "--results-json", str(batch)]) == 0
+        # The per-point interpreter is the reference for both shared-run
+        # backends: batch, and compiled (the default unless
+        # REPRO_BACKEND says otherwise, so it is passed explicitly).
+        results = {}
+        for backend in ("interpreted", "batch", "compiled"):
+            path = tmp_path / f"{backend}.json"
+            assert main(self.ARGS + ["--backend", backend,
+                                     "--results-json", str(path)]) == 0
+            results[backend] = json.loads(path.read_text())
         capsys.readouterr()
 
         def strip(rows):
             return [{key: value for key, value in row.items()
                      if key != "backends"} for row in rows]
 
-        plain_rows = json.loads(plain.read_text())
-        batch_rows = json.loads(batch.read_text())
-        assert strip(plain_rows) == strip(batch_rows)
+        reference = strip(results["interpreted"])
+        assert strip(results["batch"]) == reference
+        assert strip(results["compiled"]) == reference
         # The journal of record: which tier actually evaluated each
         # pair, after any degradation.
-        assert all(set(row["backends"]) == {"batch"}
-                   for row in batch_rows)
-        assert all(set(row["backends"]) == {"compiled"}
-                   for row in plain_rows)
+        expected = {"interpreted": {"interpreted"}, "batch": {"batch"},
+                    "compiled": {"batch"}}
+        for backend, rows in results.items():
+            assert all(set(row["backends"]) == expected[backend]
+                       for row in rows), backend
 
     def test_batch_checkpoint_round_trips(self, tmp_path, capsys):
         checkpoint = tmp_path / "ck.jsonl"

@@ -38,30 +38,25 @@ def digest(path):
 
 class TestSweepAudit:
     def test_ledger_bit_identical_across_executors(self, tmp_path):
-        # Per-point chunks, and batch-tier chunks journalled as they
+        # Per-point chunks and shared-run chunks, journalled as they
         # complete: journal order follows completion, the ledger never.
-        for backend in (None, "batch"):
+        for backend in ("interpreted", "batch"):
             digests, journals = {}, {}
             for executor in ("serial", "thread", "process"):
                 path = tmp_path / f"audit-{backend}-{executor}.jsonl"
-                extra = {}
-                if backend is not None:
-                    extra = {"backend": backend,
-                             "checkpoint": str(path) + ".ckpt"}
-                sweep_with_audit(path, executor, **extra)
+                sweep_with_audit(path, executor, backend=backend,
+                                 checkpoint=str(path) + ".ckpt")
                 assert verify_ledger(str(path)).ok
                 digests[executor] = digest(path)
-                if backend is not None:
-                    records = load_journal(str(path) + ".ckpt")
-                    for record in records:
-                        del record["seq"], record["t"]
-                    journals[executor] = sorted(
-                        records, key=lambda r: (r.get("pair", -1),
-                                                r.get("chunk", -1)))
+                records = load_journal(str(path) + ".ckpt")
+                for record in records:
+                    del record["seq"], record["t"]
+                journals[executor] = sorted(
+                    records, key=lambda r: (r.get("pair", -1),
+                                            r.get("chunk", -1)))
             assert len(set(digests.values())) == 1, (backend, digests)
-            if backend is not None:
-                assert (journals["serial"] == journals["thread"]
-                        == journals["process"])
+            assert (journals["serial"] == journals["thread"]
+                    == journals["process"])
 
     def test_records_carry_sweep_provenance(self, tmp_path):
         path = tmp_path / "audit.jsonl"

@@ -1,13 +1,13 @@
-"""Sweeps under ``backend="batch"``: same rows, chunk-level dispatch.
+"""Shared-run sweeps (``backend="compiled"`` or ``"batch"``): same rows.
 
-The batch path changes *how* a sweep chunk is evaluated (one run per
+The shared path changes *how* a sweep chunk is evaluated (one run per
 grid point with no policy, decided for every policy of a pair by
 bitmask tests, instead of a per-policy per-point loop), never *what*
-it computes: every test here pins the batch sweep's rows — and, for
-the monitor families, its audit-ledger bytes — to the per-point
-sweep's, across families, budgets, executors, inputs and values past
-int64, chaos plans, and checkpoint resume, and checks that the tier
-that actually evaluated each pair is recorded.
+it computes: every test here pins its rows to the per-point
+interpreter's and its audit-ledger bytes to a per-point sweep's under
+the same backend name, across families, budgets, executors, inputs and
+values past int64, chaos plans, and checkpoint resume, and checks that
+the tier that actually evaluated each pair is recorded.
 """
 
 import importlib.util
@@ -40,6 +40,9 @@ PROGRAMS = [figure_library.forgetting_program(),
 
 MONITORS = ["surveillance", "timed", "highwater"]
 FAMILIES = ["program"] + MONITORS
+
+#: The backends whose sweeps share one run per point across policies.
+SHARED = ("batch", "compiled")
 
 #: The tier a batch sweep's chunks report: the label walks of the
 #: timed and high-water families are interpreter-level.
@@ -98,28 +101,39 @@ def per_point(family):
     return factory
 
 
-def decisions(tmp_path, family, **kwargs):
-    """Named rows and audit-ledger bytes of a batch-backend sweep."""
+def decisions(tmp_path, family, backend="batch", **kwargs):
+    """Named rows and audit-ledger bytes of a sweep."""
     ledger = tmp_path / f"{len(list(tmp_path.iterdir()))}.ledger"
-    results = sweep(family, "batch", audit=str(ledger), **kwargs)
+    results = sweep(family, backend, audit=str(ledger), **kwargs)
     named = [row + (r.mechanism_name,)
              for row, r in zip(rows(results), results)]
     return named, ledger.read_bytes()
 
 
 def assert_shared_matches_per_point(tmp_path, family, **kwargs):
-    """Shared runs (any executor) == per-policy runs (serial)."""
-    shared = decisions(tmp_path, family, **kwargs)
-    kwargs.update(executor="serial")
-    kwargs.pop("max_workers", None)
-    assert shared == decisions(tmp_path, per_point(family), **kwargs)
+    """Shared runs (any executor) == per-policy runs (serial), under
+    each shared-run backend name (the ledger's budget records it).
+    Returns the last backend's decisions."""
+    reference = dict(kwargs, executor="serial")
+    reference.pop("max_workers", None)
+    for backend in SHARED:
+        shared = decisions(tmp_path, family, backend, **kwargs)
+        assert shared == decisions(tmp_path, per_point(family), backend,
+                                   **reference), backend
     return shared
+
+
+def assert_rows_match_interpreter(family, **kwargs):
+    """Every shared-run backend's rows == the per-point interpreter's."""
+    reference = rows(sweep(family, "interpreted", **kwargs))
+    for backend in SHARED:
+        assert rows(sweep(family, backend, **kwargs)) == reference, backend
 
 
 class TestRowParity:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_batch_rows_match_per_point_rows(self, family, tmp_path):
-        assert rows(sweep(family, "batch")) == rows(sweep(family))
+        assert_rows_match_interpreter(family)
         assert_shared_matches_per_point(tmp_path, family, chunk_size=4)
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -127,8 +141,7 @@ class TestRowParity:
         # fuel=1 makes every point fault: the batch summary must carry
         # the same distinguished fuel notice per class as the per-point
         # walk does.
-        assert (rows(sweep(family, "batch", fuel=1))
-                == rows(sweep(family, fuel=1)))
+        assert_rows_match_interpreter(family, fuel=1)
 
     @pytest.mark.parametrize("family", MONITORS)
     def test_every_fuel_budget_matches(self, family, tmp_path):
@@ -145,8 +158,7 @@ class TestRowParity:
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_capped_sweep_matches(self, family, tmp_path):
-        assert (rows(sweep(family, "batch", value_cap=4))
-                == rows(sweep(family, value_cap=4)))
+        assert_rows_match_interpreter(family, value_cap=4)
         wide = lambda arity: ProductDomain.integer_grid(0, 9, arity)
         for cap in (1, 2, 4):
             assert_shared_matches_per_point(tmp_path, family,
@@ -156,9 +168,8 @@ class TestRowParity:
     def test_lane_setups_match(self, lanes, tmp_path):
         # NumPy importable, and NumPy blocked from import: the same rows
         # on every executor, on the default grid and the mixed programs.
-        assert rows(sweep("program", "batch")) == rows(sweep("program"))
-        assert (rows(sweep("surveillance", "batch"))
-                == rows(sweep("surveillance")))
+        assert_rows_match_interpreter("program")
+        assert_rows_match_interpreter("surveillance")
         for family in MONITORS:
             for executor in ("serial", "thread", "process"):
                 assert_shared_matches_per_point(
@@ -166,10 +177,9 @@ class TestRowParity:
                     max_workers=2, fuel=30, chunk_size=5)
 
     def test_chunked_and_pooled_executors_match(self, tmp_path):
-        baseline = rows(sweep("program"))
-        assert rows(sweep("program", "batch", chunk_size=3)) == baseline
-        assert rows(sweep("program", "batch", executor="thread",
-                          max_workers=2, chunk_size=3)) == baseline
+        assert_rows_match_interpreter("program", chunk_size=3)
+        assert_rows_match_interpreter("program", executor="thread",
+                                      max_workers=2, chunk_size=3)
         for family in MONITORS:
             for executor in ("serial", "thread", "process"):
                 assert_shared_matches_per_point(
@@ -198,33 +208,40 @@ class TestRowParity:
         huge = lambda arity: ProductDomain.uniform(
             Domain([0, 1, 1 << 200]), arity)
         programs = [wide, figure_library.forgetting_program()]
-        assert (rows(sweep(family, "batch", programs=programs, grid=huge))
-                == rows(sweep(family, programs=programs, grid=huge)))
+        assert_rows_match_interpreter(family, programs=programs, grid=huge)
         assert_shared_matches_per_point(tmp_path, family, programs=programs,
                                         grid=huge, chunk_size=4)
 
     def test_gcd_wide_grid_matches(self):
         programs = [figure_library.gcd_program()]
         wide = lambda arity: ProductDomain.integer_grid(1, 6, arity)
-        assert (rows(sweep("program", "batch", programs=programs,
-                           grid=wide))
-                == rows(sweep("program", programs=programs, grid=wide)))
+        assert_rows_match_interpreter("program", programs=programs,
+                                      grid=wide)
 
     def test_walk_families_record_the_interpreted_tier(self):
         # Timed and high-water decide every policy from one label walk
-        # per point; the walk is interpreter-level, per point or shared,
-        # whatever the backend asked for.
+        # per point; the walk is interpreter-level, per point (explain
+        # mode) or shared, whatever the backend asked for.
         for family in ("timed", "highwater"):
-            shared = sweep(family, "batch")
-            per_pair = sweep(family, "compiled")
+            shared = sweep(family, "compiled")
+            with obs.observed(reset=True, explain=True):
+                per_pair = sweep(family, "compiled")
             assert rows(shared) == rows(per_pair)
             for result in shared + per_pair:
                 assert set(result.backends) == {"interpreted"}
 
 
+#: (family, backend) cases of the run-count test; the batch cases keep
+#: their family's bare id.
+RUN_COUNT_CASES = [
+    pytest.param(family, backend, id=family if backend == "batch"
+                 else f"{family}-{backend}")
+    for backend in SHARED for family in MONITORS]
+
+
 class TestSharedRuns:
-    @pytest.mark.parametrize("family", MONITORS)
-    def test_one_labelled_run_per_flowchart_point(self, family,
+    @pytest.mark.parametrize("family, backend", RUN_COUNT_CASES)
+    def test_one_labelled_run_per_flowchart_point(self, family, backend,
                                                   monkeypatch):
         from repro.flowchart import batchpath
         from repro.flowchart.fastpath import clear_result_memo
@@ -248,14 +265,14 @@ class TestSharedRuns:
         points = sum(len(grid(f.arity)) for f in programs)
 
         clear_result_memo()
-        results = sweep(family, "batch", programs=programs)
+        results = sweep(family, backend, programs=programs)
         assert sum(runs) == points
         assert sum(r.domain_size for r in results) == sum(
             len(grid(f.arity)) * 2 ** f.arity for f in programs)
-        sweep(family, "batch", programs=programs)
+        sweep(family, backend, programs=programs)
         assert sum(runs) == points  # the rows memo holds them
         clear_result_memo()
-        sweep(family, "batch", programs=programs)
+        sweep(family, backend, programs=programs)
         assert sum(runs) == 2 * points
 
     @pytest.mark.parametrize("family", MONITORS)
@@ -284,7 +301,9 @@ class TestBackendAccounting:
             assert sum(result.backends.values()) >= 1
 
     def test_per_point_sweep_records_its_tier(self):
-        for result in sweep("program", "compiled"):
+        # A callable factory is evaluated point by point on the tier
+        # it asked for.
+        for result in sweep(per_point("program"), "compiled"):
             assert set(result.backends) == {"compiled"}
 
     def test_unknown_backend_rejected(self):
@@ -306,7 +325,7 @@ class TestChaosAndQuarantine:
             chaos.clear()
         chaos.install(plan)
         try:
-            plain_results = sweep("program")
+            plain_results = sweep("program", "interpreted")
             for family in MONITORS:
                 _, ledger = assert_shared_matches_per_point(
                     tmp_path, family, chunk_size=4)
@@ -323,38 +342,43 @@ class TestChaosAndQuarantine:
 class TestCheckpointResume:
     def test_interrupt_and_resume_under_batch(self, tmp_path):
         for family in FAMILIES:
-            path = str(tmp_path / f"{family}.jsonl")
-            baseline = rows(sweep(family, chunk_size=3))
+            baseline = rows(sweep(family, "interpreted", chunk_size=3))
+            for backend in SHARED:
+                name = f"{family}-{backend}"
+                path = str(tmp_path / f"{name}.jsonl")
+                with pytest.raises(SweepInterruptedError):
+                    sweep(family, backend, chunk_size=3, checkpoint=path,
+                          stop=lambda: "signal")
+                ledger = tmp_path / f"{name}.ledger"
+                resumed = sweep(family, backend, chunk_size=3,
+                                checkpoint=path, resume=True,
+                                audit=str(ledger))
+                assert rows(resumed) == baseline
+                # The resumed ledger re-derives every chunk, journalled
+                # or not, exactly as an uninterrupted per-policy sweep
+                # writes it.
+                _, reference = decisions(tmp_path, per_point(family),
+                                         backend, chunk_size=3)
+                assert ledger.read_bytes() == reference
 
-            with pytest.raises(SweepInterruptedError):
-                sweep(family, "batch", chunk_size=3, checkpoint=path,
-                      stop=lambda: "signal")
-            ledger = tmp_path / f"{family}.ledger"
-            resumed = sweep(family, "batch", chunk_size=3,
-                            checkpoint=path, resume=True, audit=str(ledger))
-            assert rows(resumed) == baseline
-            # The resumed ledger re-derives every chunk, journalled or
-            # not, exactly as an uninterrupted per-policy sweep writes it.
-            _, reference = decisions(tmp_path, per_point(family),
-                                     chunk_size=3)
-            assert ledger.read_bytes() == reference
-
-            _, summaries, _ = load_checkpoint(path)
-            # something was journalled across the two runs
-            assert summaries
-            assert {summary.backend for summary in summaries.values()} == {
-                BATCH_TIER[family]}
+                _, summaries, _ = load_checkpoint(path)
+                # something was journalled across the two runs
+                assert summaries
+                assert {summary.backend
+                        for summary in summaries.values()} == {
+                    BATCH_TIER[family]}
 
     def test_resume_across_backends_is_legitimate(self, tmp_path):
         # Rows are backend-independent, so a journal written per-point
-        # may finish under batch (and vice versa) with identical rows.
+        # may finish on shared runs (and vice versa) with identical rows.
         path = str(tmp_path / "ck.jsonl")
         with pytest.raises(SweepInterruptedError):
-            sweep("program", chunk_size=3, checkpoint=path,
+            sweep("program", "interpreted", chunk_size=3, checkpoint=path,
                   stop=lambda: "signal")
-        resumed = sweep("program", "batch", chunk_size=3,
+        resumed = sweep("program", "compiled", chunk_size=3,
                         checkpoint=path, resume=True)
-        assert rows(resumed) == rows(sweep("program", chunk_size=3))
+        assert rows(resumed) == rows(sweep("program", "interpreted",
+                                           chunk_size=3))
 
 
 def per_point_outcomes(family, fuel, value_cap):
@@ -433,7 +457,7 @@ class TestObservability:
         ring = obs.RingBufferSink()
         with obs.observed(sinks=[ring], reset=True, explain=True):
             results = sweep("surveillance", "batch")
-        assert rows(results) == rows(sweep("surveillance"))
+        assert rows(results) == rows(sweep("surveillance", "interpreted"))
         assert ring.events("explanation")
 
 
