@@ -24,23 +24,17 @@ from repro.verify import Table
 RESULTS_DIR = Path(__file__).parent / "results"
 
 
-def time_callable(fn: Callable, repeats: int = 5, warmup: int = 1,
-                  setup: Callable = None) -> Dict[str, float]:
+def time_callable(fn: Callable, repeats: int = 5,
+                  warmup: int = 1) -> Dict[str, float]:
     """Best-of-``repeats`` wall-clock timing for a kernel.
 
-    ``setup`` runs before *every* rep (warmup included) — use it to
-    clear memo caches so cached backends are timed honestly rather
-    than serving a dictionary hit.  Returns ``{"best", "mean", "reps"}``
-    in seconds.
+    No execution result is memoised, so every rep executes.  Returns
+    ``{"best", "mean", "reps"}`` in seconds.
     """
     for _ in range(warmup):
-        if setup is not None:
-            setup()
         fn()
     samples = []
     for _ in range(repeats):
-        if setup is not None:
-            setup()
         start = time.perf_counter()
         fn()
         samples.append(time.perf_counter() - start)

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Regenerate ``BENCH_PR10.json`` — the PR's machine-readable benchmark.
+"""Write a ``BENCH_PR*.json``-shaped machine-readable benchmark report.
 
 Eleven sections:
 
@@ -71,12 +71,14 @@ Eleven sections:
     claims every arm reproduces the serial row bit-for-bit
     (``rows_match_serial``).
 
-The batch tier's rows memo is cleared before every timed rep, so
-caching never masquerades as execution speed.  ``--smoke`` shrinks
-repetition counts and the program set for CI.
+No execution result is memoised anywhere, so every timed rep executes.
+``--smoke`` shrinks repetition counts and the program set for CI.
+``--out`` is required: the committed ``BENCH_PR*.json`` files are the
+baselines ``scripts/bench_compare.py`` gates against, so a run never
+overwrites one by default.
 
 Usage:
-    PYTHONPATH=src python scripts/bench_report.py [--smoke] [--out PATH]
+    PYTHONPATH=src python scripts/bench_report.py [--smoke] --out PATH
 """
 
 from __future__ import annotations
@@ -124,13 +126,6 @@ def forced_backend(backend: str):
         fastpath.reset_backend_cache()
 
 
-def fresh_caches() -> None:
-    # Clear the *result* memo (batch rows and label walks) so caching
-    # never masquerades as execution speed; compiled code objects
-    # persist, exactly as they would across the pairs of one real sweep.
-    fastpath.clear_result_memo()
-
-
 # ---------------------------------------------------------------------------
 # Section 1: the sweep's inner kernel, one backend against the other
 # ---------------------------------------------------------------------------
@@ -150,13 +145,10 @@ def bench_micro_kernel(repeats: int) -> dict:
 
     expected = sum(execute(flowchart, point).steps for point in grid)
     for backend in ("interpreted", "compiled"):
-        fresh_caches()
         assert kernel(backend)() == expected, backend
 
-    interpreted = time_callable(kernel("interpreted"), repeats=repeats,
-                                setup=fresh_caches)
-    compiled = time_callable(kernel("compiled"), repeats=repeats,
-                             setup=fresh_caches)
+    interpreted = time_callable(kernel("interpreted"), repeats=repeats)
+    compiled = time_callable(kernel("compiled"), repeats=repeats)
     return {
         "flowchart": flowchart.name,
         "points": len(grid),
@@ -224,7 +216,7 @@ def bench_soundness_sweep(repeats: int, smoke: bool) -> dict:
                     return parallel_soundness_sweep(
                         programs, factory_name, grid=wide_grid,
                         executor="auto")
-            return time_callable(run, repeats=repeats, setup=fresh_caches)
+            return time_callable(run, repeats=repeats)
 
         timings = {variant: timed(variant)
                    for variant in ("seed_double_pass_interpreted",
@@ -356,10 +348,8 @@ def bench_per_program(repeats: int, smoke: bool) -> dict:
                     run_flowchart(flowchart, point, backend=backend)
             return run
 
-        interpreted = time_callable(sweep("interpreted"), repeats=repeats,
-                                    setup=fresh_caches)
-        compiled = time_callable(sweep("compiled"), repeats=repeats,
-                                 setup=fresh_caches)
+        interpreted = time_callable(sweep("interpreted"), repeats=repeats)
+        compiled = time_callable(sweep("compiled"), repeats=repeats)
         report[flowchart.name] = {
             "points": len(grid),
             "interpreted_best_s": interpreted["best"],
@@ -419,19 +409,18 @@ def bench_telemetry(repeats: int, interp_ref: "float | None" = None) -> dict:
         return total
 
     obs.disable()
-    hooks_off = time_callable(kernel, repeats=repeats, setup=fresh_caches)
+    hooks_off = time_callable(kernel, repeats=repeats)
 
     obs.enable(metrics=True, reset=True)
     try:
-        metrics_on = time_callable(kernel, repeats=repeats,
-                                   setup=fresh_caches)
+        metrics_on = time_callable(kernel, repeats=repeats)
     finally:
         obs.disable()
 
     ring = obs.RingBufferSink(capacity=4096)
     obs.enable(metrics=True, sinks=[ring], reset=True)
     try:
-        traced = time_callable(kernel, repeats=repeats, setup=fresh_caches)
+        traced = time_callable(kernel, repeats=repeats)
     finally:
         obs.disable()
 
@@ -532,10 +521,8 @@ def bench_guards(repeats: int, interp_ref: "float | None" = None) -> dict:
     # difference is pure guard cost.
     assert kernel(None)() == kernel(64)()
 
-    uncapped = time_callable(kernel(None), repeats=repeats,
-                             setup=fresh_caches)
-    capped = time_callable(kernel(64), repeats=repeats,
-                           setup=fresh_caches)
+    uncapped = time_callable(kernel(None), repeats=repeats)
+    capped = time_callable(kernel(64), repeats=repeats)
 
     def sweep(value_cap):
         def run():
@@ -547,10 +534,8 @@ def bench_guards(repeats: int, interp_ref: "float | None" = None) -> dict:
                     value_cap=value_cap)
         return run
 
-    sweep_uncapped = time_callable(sweep(None), repeats=repeats,
-                                   setup=fresh_caches)
-    sweep_capped = time_callable(sweep(64), repeats=repeats,
-                                 setup=fresh_caches)
+    sweep_uncapped = time_callable(sweep(None), repeats=repeats)
+    sweep_capped = time_callable(sweep(64), repeats=repeats)
 
     section = {
         "flowchart": flowchart.name,
@@ -647,21 +632,18 @@ def bench_batch(repeats: int) -> dict:
         return sum(rows.steps(i) for i in range(len(points)))
 
     expected = compiled_kernel()
-    fresh_caches()
     assert batch_kernel() == expected
 
     # Timings are keyed by the lanes the batch ran on, the same paths
     # earlier reports used: every lane is a compiled-tier call.
     lanes = "compiled"
-    compiled = time_callable(compiled_kernel, repeats=repeats,
-                             setup=fresh_caches)
-    kernel_batch = {lanes: time_callable(batch_kernel, repeats=repeats,
-                                         setup=fresh_caches)}
+    compiled = time_callable(compiled_kernel, repeats=repeats)
+    kernel_batch = {lanes: time_callable(batch_kernel, repeats=repeats)}
 
-    # Built once: both compile caches key on flowchart identity, and
-    # fresh_caches deliberately keeps compiled artifacts warm across
-    # reps — constructing programs inside the timed callable would
-    # charge every rep a full recompile no real sweep pays twice.
+    # Built once: both compile caches key on flowchart identity, so
+    # compiled artifacts stay warm across reps — constructing programs
+    # inside the timed callable would charge every rep a full recompile
+    # no real sweep pays twice.
     sweep_programs = [library.forgetting_program(),
                       library.parity_program()]
 
@@ -689,15 +671,11 @@ def bench_batch(repeats: int) -> dict:
 
     per_point_sweep = sweep(per_point_program, "compiled")
     batch_sweep = sweep("program", "batch")
-    fresh_caches()
     compiled_rows = rows_of(per_point_sweep())
-    fresh_caches()
     assert rows_of(batch_sweep()) == compiled_rows
 
-    sweep_compiled = time_callable(per_point_sweep, repeats=repeats,
-                                   setup=fresh_caches)
-    sweep_batch = {lanes: time_callable(batch_sweep, repeats=repeats,
-                                        setup=fresh_caches)}
+    sweep_compiled = time_callable(per_point_sweep, repeats=repeats)
+    sweep_batch = {lanes: time_callable(batch_sweep, repeats=repeats)}
 
     section = {
         "flowchart": flowchart.name,
@@ -720,8 +698,8 @@ def bench_batch(repeats: int) -> dict:
             "against the same sweep evaluated point by point on the "
             "compiled tier through a callable factory, with programs "
             "constructed once so compiled artifacts stay warm across "
-            "reps (the fresh_caches contract). Every lane is a "
-            "compiled-tier call (lanes: compiled)."),
+            "reps. Every lane is a compiled-tier call (lanes: "
+            "compiled)."),
     }
 
     # The headline claim: the batch sweep beats the BENCH_PR5.json
@@ -757,19 +735,19 @@ def bench_provenance(repeats: int) -> dict:
             return soundness_sweep(programs, factory)
 
     obs.disable()
-    plain = time_callable(sweep, repeats=repeats, setup=fresh_caches)
+    plain = time_callable(sweep, repeats=repeats)
 
     obs.enable(metrics=True, sinks=[obs.RingBufferSink(capacity=65536)],
                reset=True)
     try:
-        traced = time_callable(sweep, repeats=repeats, setup=fresh_caches)
+        traced = time_callable(sweep, repeats=repeats)
     finally:
         obs.disable()
 
     obs.enable(metrics=True, sinks=[obs.RingBufferSink(capacity=65536)],
                reset=True, explain=True)
     try:
-        explained = time_callable(sweep, repeats=repeats, setup=fresh_caches)
+        explained = time_callable(sweep, repeats=repeats)
     finally:
         obs.disable()
 
@@ -913,8 +891,9 @@ def bench_serving(smoke: bool) -> dict:
         "errors": errors,
         "sustains_200_rps": rps >= 200.0 and not errors,
         "notes": (
-            "Response cache disabled (cache_size=0): every request is "
-            "a real batch-tier execution.  Latency is sequential over "
+            "Response cache disabled (cache_size=0), and no execution "
+            "result is memoised: every request is a real batch-tier "
+            "execution.  Latency is sequential over "
             "one keep-alive connection, so each request is a lone "
             "batch that flushes on the next loop turn; the concurrent "
             "fleet coalesces the requests that arrive while a batch "
@@ -1132,8 +1111,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
                         help="CI mode: fewer reps, smaller program set")
-    parser.add_argument("--out", default=str(REPO_ROOT / "BENCH_PR10.json"),
-                        help="output path (default: repo-root BENCH_PR10.json)")
+    parser.add_argument("--out", required=True,
+                        help="output path (the committed BENCH_PR*.json "
+                             "files are baselines; name a new file)")
     args = parser.parse_args(argv)
 
     repeats = 2 if args.smoke else 5

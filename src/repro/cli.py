@@ -271,7 +271,7 @@ def command_sweep(args) -> int:
 
     from . import obs
     from .core.errors import SweepInterruptedError
-    from .flowchart.fastpath import export_memo_stats, resolve_backend
+    from .flowchart.fastpath import resolve_backend
     from .verify import FaultPlan, parallel_soundness_sweep, unsound_results
     from .verify import chaos as chaos_module
 
@@ -383,7 +383,6 @@ def command_sweep(args) -> int:
         for signum, handler in saved_handlers:
             _signal.signal(signum, handler)
         if observing:
-            export_memo_stats()
             snapshot = obs.snapshot()
             obs.disable()
             if trace_sink is not None:
@@ -594,7 +593,6 @@ def command_metrics(args) -> int:
     import json
 
     from . import obs
-    from .flowchart.fastpath import export_memo_stats
 
     if args.schema:
         print(json.dumps(obs.EVENT_SCHEMA, indent=2, sort_keys=True))
@@ -619,7 +617,6 @@ def command_metrics(args) -> int:
     else:
         # Live snapshot of this process's registry (mostly interesting
         # from the REPL or after an in-process sweep).
-        export_memo_stats()
         snapshot = obs.snapshot()
 
     if args.prometheus:
@@ -1058,10 +1055,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument("--chunk-size", type=int, default=None,
                               help="grid points per pool task")
     sweep_parser.add_argument("--chunk-timeout", type=float, default=None,
-                              help="seconds before a pooled chunk is "
+                              help="seconds before a pooled task is "
                                    "abandoned and retried")
     sweep_parser.add_argument("--retries", type=int, default=2,
-                              help="pool retries per failed chunk before "
+                              help="pool retries per failed task before "
                                    "inline recovery")
     sweep_parser.add_argument("--value-cap", type=int, default=None,
                               help="bit-length budget per assigned value; "

@@ -11,16 +11,15 @@ the global budget, so the kind is the whole outcome).  Lanes hold
 Python ints, so no value is too wide for them.  A channel program's
 lanes run on the interpreter, the reference semantics for send/recv.
 
-``batch`` names this whole-grid mode, not an engine of its own.  What
-it adds over calling the compiled tier point by point is sharing: an
-LRU over ``(flowchart, points, fuel, cap)`` hands one batch's rows to
-every later call with the same key, so a sweep's 2^k policies share
-one evaluation of the policy-independent rows, and the sweep decodes
-those rows into per-lane outcomes once and parks them on the result
-(``summary_cache``).  Sweeps on the ``compiled`` and ``batch`` backends
-alike decide their chunks this way; a single point (``run --backend
-batch``) is one compiled-tier call, since a one-lane batch only adds
-overhead.
+``batch`` names this whole-grid mode, not an engine of its own, and
+nothing here caches a result: the lanes share the compiled tier's
+function cache, and that is all.  A sweep shares each batch across the
+2^k policies of a flowchart by scheduling: one sweep task runs one
+chunk of the flowchart's grid and decides every policy from that one
+batch (:mod:`repro.verify.parallel`).  Sweeps on the ``compiled`` and
+``batch`` backends alike decide their chunks this way; a single point
+(``run --backend batch``) is one compiled-tier call, since a one-lane
+batch only adds overhead.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from ..core.errors import (ArityMismatchError, FuelExhaustedError,
                            ValueCapExceededError)
 from ..obs import runtime as _obs
 from ..robustness.faults import default_value_cap, resolve_value_cap
-from .fastpath import CompiledFlowchart, _LRUMemo, compile_flowchart
+from .fastpath import CompiledFlowchart, compile_flowchart
 from .interpreter import DEFAULT_FUEL, execute
 from .program import Flowchart
 
@@ -40,8 +39,6 @@ K_OK, K_FUEL, K_CAP = 0, 1, 2
 
 #: A faulted lane's (value, steps, touched, env) row.
 _FAULTED = (0, 0, 0, None)
-
-_ROWS_MEMO_SIZE = 512
 
 
 def compile_batch(flowchart: Flowchart) -> CompiledFlowchart:
@@ -63,8 +60,7 @@ class BatchResult:
     """
 
     __slots__ = ("compiled", "points", "arity", "fuel", "cap", "kinds",
-                 "values", "lane_steps", "lane_touched", "lane_envs",
-                 "summary_cache")
+                 "values", "lane_steps", "lane_touched", "lane_envs")
 
     def __init__(self, compiled: Optional[CompiledFlowchart], points,
                  arity: int, fuel: int, cap: Optional[int],
@@ -82,10 +78,6 @@ class BatchResult:
         self.kinds = kinds
         (self.values, self.lane_steps, self.lane_touched,
          self.lane_envs) = zip(*rows) if rows else ((), (), (), ())
-        #: Policy-independent lane outcomes decoded by the sweep on
-        #: first use; the rows memo hands the same BatchResult to every
-        #: policy of a pair, so it pays once.
-        self.summary_cache = None
 
     def __len__(self) -> int:
         return len(self.points)
@@ -113,15 +105,11 @@ class BatchResult:
 # Execution entry points
 # ---------------------------------------------------------------------------
 
-_ROWS_MEMO = _LRUMemo(_ROWS_MEMO_SIZE)
-
-
 def execute_batch(flowchart: Flowchart,
                   points: Sequence[Sequence[int]],
                   fuel: int = DEFAULT_FUEL,
                   value_cap: Optional[int] = None,
-                  need_env: bool = False,
-                  memo: bool = True) -> BatchResult:
+                  need_env: bool = False) -> BatchResult:
     """Run a whole batch of grid points through one flowchart.
 
     Returns a :class:`BatchResult` whose rows are bit-identical to
@@ -134,18 +122,6 @@ def execute_batch(flowchart: Flowchart,
     arity = flowchart.arity
     cap = (default_value_cap() if value_cap is None
            else resolve_value_cap(value_cap))
-    # Fast probe: when the caller already passes canonical tuples (the
-    # sweep path does), hit the memo before paying canonicalisation or
-    # the arity scan — a stored key proves those points validated once.
-    key = (flowchart, tuple(points), fuel, cap, need_env) if memo else None
-    if key is not None:
-        try:
-            cached = _ROWS_MEMO.get(key)
-        except TypeError:  # non-tuple points; canonicalise and re-key
-            cached = None
-            key = None
-        if cached is not None:
-            return cached
     points = [point if type(point) is tuple else tuple(point)
               for point in points]
     for point in points:
@@ -153,19 +129,12 @@ def execute_batch(flowchart: Flowchart,
             raise ArityMismatchError(
                 f"flowchart {flowchart.name} takes {arity} "
                 f"inputs, got {len(point)}")
-    if memo and key is None:
-        key = (flowchart, tuple(points), fuel, cap, need_env)
-        cached = _ROWS_MEMO.get(key)
-        if cached is not None:
-            return cached
     compiled = None if flowchart.has_channels() else compile_batch(flowchart)
     faults, rows = _run_lanes(flowchart, compiled, points, fuel, cap,
                               need_env)
     result = BatchResult(compiled, points, arity, fuel, cap, faults, rows)
     if _obs.active and compiled is not None:
         _obs.record_run("batch", flowchart.name, sum(result.lane_steps))
-    if key is not None:
-        _ROWS_MEMO.put(key, result)
     return result
 
 
@@ -177,8 +146,7 @@ def _run_lanes(flowchart: Flowchart, compiled: Optional[CompiledFlowchart],
     ``faults`` maps each lane that ran out of fuel or broke the cap to
     its kind; ``rows`` holds every lane's ``(value, steps, touched,
     env)``, a faulted lane's zeroed.  Lanes call the compiled function
-    directly, unobserved and unmemoised: the batch records itself as
-    one run, and the rows memo holds the whole vector.  Without
+    directly, unobserved: the batch records itself as one run.  Without
     ``compiled`` (a channel program) each lane runs on the interpreter,
     which records its own runs.
     """
@@ -211,20 +179,3 @@ def _run_lanes(flowchart: Flowchart, compiled: Optional[CompiledFlowchart],
             faults[len(rows)] = K_CAP
             append(_FAULTED)
     return faults, rows
-
-
-# ---------------------------------------------------------------------------
-# Stats / cache control
-# ---------------------------------------------------------------------------
-
-def batch_stats() -> Dict[str, int]:
-    """Lifetime rows-memo counters, one locked snapshot (joined into
-    ``fastpath.memo_stats``)."""
-    return {f"rows_{key}": value for key, value in _ROWS_MEMO.stats().items()}
-
-
-def clear_rows_memo() -> None:
-    """Drop memoised batch rows and their counters (benchmarks call
-    this per rep).  Lanes share the compiled tier's function cache, so
-    the rows memo is the batch tier's only cache."""
-    _ROWS_MEMO.clear()

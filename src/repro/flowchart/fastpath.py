@@ -50,15 +50,15 @@ call of the compiled function.  ``batch`` names a whole-grid mode, not
 an engine (:mod:`repro.flowchart.batchpath`).
 
 The one cache here is the per-flowchart compiled function (weak-keyed —
-dies with the graph).  Results are not memoised per point: a sweep
-shares one run per grid point across its policies instead
-(:mod:`repro.verify.parallel`), and ``repro serve`` caches responses.
+dies with the graph).  Results are not memoised: a sweep task runs each
+grid point of its chunk once and decides every policy of the flowchart
+from that run (:mod:`repro.verify.parallel`), and ``repro serve``
+caches responses.
 """
 
 from __future__ import annotations
 
 import os
-import sys
 import threading
 import weakref
 from collections import OrderedDict
@@ -499,7 +499,7 @@ def compile_flowchart(flowchart: Flowchart) -> CompiledFlowchart:
 
 
 # ---------------------------------------------------------------------------
-# LRU memo (the batch tier's rows memo, the serve caches)
+# LRU memo (the serve caches)
 # ---------------------------------------------------------------------------
 
 class _LRUMemo:
@@ -557,35 +557,16 @@ class _LRUMemo:
 
 
 def clear_result_memo() -> None:
-    """Drop memoised batch rows and label walks (benchmarks call this
-    per rep)."""
-    batchpath = sys.modules.get(__package__ + ".batchpath")
-    if batchpath is not None:
-        batchpath.clear_rows_memo()
+    """Drop memoised execution results: a no-op, kept for callers that
+    clear before every timed rep (``bench/sweep_bench.py``).  No result
+    is memoised: a sweep shares each point's run across its policies
+    by scheduling (:mod:`repro.verify.parallel`)."""
 
 
 def clear_caches() -> None:
-    """Drop compiled functions *and* memoised batch rows."""
+    """Drop compiled functions."""
     with _compile_lock:
         _COMPILED.clear()
-    clear_result_memo()
-
-
-def memo_stats() -> Dict[str, int]:
-    """The batch tier's rows-memo counters, under ``batch_rows_*``."""
-    from . import batchpath
-    return {f"batch_{key}": value
-            for key, value in batchpath.batch_stats().items()}
-
-
-def export_memo_stats() -> Dict[str, int]:
-    """Push :func:`memo_stats` into the obs registry as ``batch.rows_*``
-    gauges: the rows memo's lifetime totals (the CLI's ``repro
-    metrics`` calls this before rendering)."""
-    stats = memo_stats()
-    for key, value in stats.items():
-        _obs.set_gauge("batch." + key[len("batch_"):], value)
-    return stats
 
 
 # ---------------------------------------------------------------------------

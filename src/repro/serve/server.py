@@ -38,8 +38,8 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Optional, Tuple
 
 from ..core.errors import ReproError
-from ..flowchart.fastpath import (default_backend, export_memo_stats,
-                                  reset_backend_cache, resolve_backend)
+from ..flowchart.fastpath import (default_backend, reset_backend_cache,
+                                  resolve_backend)
 from ..flowchart.interpreter import DEFAULT_FUEL
 from ..obs import runtime as _obs
 from ..obs.audit import (AuditLedger, SpikeTracker, budget_fingerprint,
@@ -478,7 +478,6 @@ class ReproServer:
 
     def _metrics_text(self) -> str:
         registry = _obs.registry
-        export_memo_stats()
         for name, value in self.cache.stats().items():
             registry.gauge(f"serve.cache.{name}").set(value)
         if self._batcher is not None:

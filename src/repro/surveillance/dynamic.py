@@ -28,6 +28,11 @@ the notice ``Λ@t`` — notices issued at different times are different
 outputs, exactly as the Observability Postulate demands.  This is what
 makes the untimed mechanism demonstrably unsound under observable time
 (Theorem 3's proviso) and the timed one sound (Theorem 3′).
+
+Sweeps of the timed and high-water families walk each grid point once
+with no policy (:func:`policy_free_runs`) and decide every allow-policy
+from the run's final labels.  The sweep task that holds a chunk of a
+flowchart's grid asks for its runs once, so no walk is cached.
 """
 
 from __future__ import annotations
@@ -43,7 +48,6 @@ from ..core.policy import AllowPolicy
 from ..core.program import Program
 from ..flowchart.boxes import (AssignBox, DecisionBox, DowngradeBox, HaltBox,
                                PolicyChangeBox, RecvBox, SendBox)
-from ..flowchart.batchpath import _ROWS_MEMO
 from ..flowchart.interpreter import DEFAULT_FUEL, as_program, initial_environment
 from ..flowchart.program import Flowchart
 from ..obs import runtime as _obs
@@ -396,21 +400,14 @@ def policy_free_runs(flowchart: Flowchart, points: Sequence[Tuple[int, ...]],
     A timed or high-water sweep on any backend but ``interpreted``
     decides all 2^k allow-policies of a flowchart from these runs by
     bitmask tests (:meth:`PolicyFreeRun.output`) instead of re-walking
-    each point once per policy.  The list is kept in the batch tier's
-    rows memo under the flowchart, the exact point tuple, and the
-    budgets, so every policy of a pair gets the same runs;
-    :func:`repro.flowchart.fastpath.clear_result_memo` drops it.
-    ``points`` must be tuples.
+    each point once per policy: one sweep task asks for a chunk's runs
+    once and decides every policy from them.  ``points`` must be
+    tuples.
     """
     cap = (default_value_cap() if value_cap is None
            else resolve_value_cap(value_cap))
-    key = (flowchart, tuple(points), fuel, cap, "surveil", timed, forgetting)
-    runs = _ROWS_MEMO.get(key)
-    if runs is None:
-        runs = [_policy_free_run(flowchart, point, timed, forgetting, fuel,
-                                 cap) for point in points]
-        _ROWS_MEMO.put(key, runs)
-    return runs
+    return [_policy_free_run(flowchart, point, timed, forgetting, fuel, cap)
+            for point in points]
 
 
 def _allowed_of(policy: AllowPolicy) -> Label:

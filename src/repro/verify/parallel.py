@@ -9,26 +9,32 @@ produces.
 
 Work unit and merge
 -------------------
-A task is one ``(flowchart, policy, chunk-of-grid-points)`` triple and
-returns a :class:`ChunkSummary`: the acceptance count plus, per
-policy-class, the first output seen and whether the chunk itself
-witnessed a conflict.  Merging chunks (in domain order) compares class
+Every policy of a flowchart sweeps the same grid, cut into the same
+chunks.  A task is one chunk of one flowchart's grid, and it returns
+one :class:`ChunkSummary` per policy of that flowchart — per
+``(pair, chunk)``: the acceptance count plus, per policy-class, the
+first output seen and whether the chunk itself witnessed a conflict.
+Merging a pair's chunks (in domain order) compares class
 representatives across chunk boundaries, so the merged soundness
 verdict is exactly the serial factorization verdict — the outputs are
 shared between the soundness check and the accepts count, never
-recomputed.
+recomputed.  Summaries, journal and ledger records, chunk spans and
+chunk counters stay per ``(pair, chunk)``; retries, chaos draws and
+injected faults are per task, keyed by its first pair.
 
-There is one sweep path.  A registered family's task decides its chunk
-from runs made once per point with no policy, which every policy of
-the pair shares (:func:`_evaluate_chunk_batch`): each batch is decoded
-into per-lane outputs once, and each policy only overwrites the lanes
-it refuses.  The ``compiled`` and ``batch`` backends both take it.
-Per-point evaluation (:func:`evaluate_chunk`, the mechanism called
-once per point) remains where it is the only path or the reference:
-``backend="interpreted"``, explain mode, quarantine bisection,
-callable factories, and channel programs of the ``program`` and
-``surveillance`` families.  Every path summarises its outputs with the
-one plain-Python :func:`_summarize_outputs`.
+There is one sweep path.  Jones–Lipton's policy J is read only by the
+halt test and the timed guard, so a registered family's task runs each
+of its points once with no policy and decides every policy of the
+flowchart from that run (:func:`_evaluate_chunk_batch`): the batch is
+decoded into per-lane outputs once, and each policy only overwrites
+the lanes it refuses.  The sharing comes from the schedule, not from a
+cache.  The ``compiled`` and ``batch`` backends both take it.
+Per-point evaluation (:func:`evaluate_chunk`, each policy's mechanism
+called once per point) remains where it is the only path or the
+reference: ``backend="interpreted"``, explain mode, quarantine
+bisection, callable factories, and channel programs of the ``program``
+and ``surveillance`` families.  Every path summarises its outputs with
+the one plain-Python :func:`_summarize_outputs`.
 
 Fuel
 ----
@@ -41,23 +47,25 @@ at *any* budget, and a sweep is a total function of its arguments.
 
 Fault tolerance
 ---------------
-Pooled chunks are supervised: a chunk that raises (or exceeds
+Pooled tasks are supervised: a task that raises (or exceeds
 ``chunk_timeout`` seconds) is retried up to ``max_chunk_retries``
-times (a ``worker_retry`` trace event per attempt); a chunk that keeps
+times (a ``worker_retry`` trace event per attempt); a task that keeps
 failing is recovered by evaluating it inline in the parent.  If the
 pool itself dies — a crashed worker process, a pool that cannot spawn
 — the sweep degrades ``process → thread → serial``, emitting a
 ``pool_degraded`` event rather than a traceback, and re-schedules only
-the chunks that had not yet completed.
+the tasks that had not yet completed.
 
 A chunk that *keeps* crashing deterministically (a poison point — an
 OOM-style fault that follows the work wherever it runs) is not retried
-forever: inline recovery runs under :func:`quarantine_chunk`, which
-bisects the chunk to the crashing point(s) and totalizes each one into
-a distinguished ``Λ!crash[Type]`` notice (``point_quarantined`` trace
-events carry the provenance), so the sweep completes and serial,
-thread, and process executors still agree row-for-row.  Injected
-faults for testing this machinery come from :mod:`repro.verify.chaos`.
+forever: inline recovery runs each pair under quarantine
+(:func:`quarantine_chunk`), which bisects the chunk to the crashing
+point(s) and totalizes each one into a distinguished ``Λ!crash[Type]``
+notice (``point_quarantined`` trace events carry the provenance), so
+the sweep completes and serial, thread, and process executors still
+agree row-for-row.  On the shared path each pair's bisection starts
+from the crash of the whole-chunk run.  Injected faults for testing
+this machinery come from :mod:`repro.verify.chaos`.
 
 Checkpoint / resume
 -------------------
@@ -87,7 +95,7 @@ Executor selection
 - ``"process"`` when the mechanism factory is a *registered* named
   factory (see :data:`FACTORIES`) so the task is picklable;
 - ``"thread"`` otherwise (closures capture unpicklable state; threads
-  share the mechanism object and its memo).
+  share the mechanism object).
 
 Any mode can be forced explicitly; ``"process"`` with an unpicklable
 factory raises a clear error instead of a pickling traceback.
@@ -145,15 +153,17 @@ _MODE_LADDER = {
 }
 
 #: Test hook: ``(pair_index, chunk_index, attempt) -> bool`` deciding
-#: whether a pooled chunk attempt should crash before evaluating — the
-#: injected-worker-failure switch the retry tests flip.  Decided in the
-#: parent at submit time (so it reaches process workers via the task
-#: payload); inline recovery and plain serial execution never inject.
+#: whether a pooled task attempt should crash before evaluating — the
+#: injected-worker-failure switch the retry tests flip.  A task is keyed
+#: by its first pair.  Decided in the parent at submit time (so it
+#: reaches process workers via the task payload); inline recovery and
+#: plain serial execution never inject.
 _FAIL_INJECTOR: Optional[Callable[[int, int, int], bool]] = None
 
 #: Test hook: ``(pair_index, chunk_index, attempt) -> seconds`` of
-#: artificial delay before a *thread-pool* chunk runs (for exercising
-#: ``chunk_timeout``).  ``None`` or 0 means no delay.
+#: artificial delay before a pooled task runs (for exercising
+#: ``chunk_timeout``), keyed like :data:`_FAIL_INJECTOR`.  ``None`` or
+#: 0 means no delay.
 _DELAY_INJECTOR: Optional[Callable[[int, int, int], float]] = None
 
 #: Retry backoff ladder: first retry waits ~BASE, doubling per attempt,
@@ -324,7 +334,7 @@ def _summarize_outputs(policy, points, outputs: List,
 
 def _decode_batch(rows, flowchart: Flowchart,
                   surveillance: bool) -> Tuple[List, List, Dict]:
-    """A batch's policy-free outcomes, decoded once per BatchResult.
+    """A batch's policy-free outcomes, decoded once for every policy.
 
     ``(codes, outputs, refusals)``.  ``codes`` and ``outputs`` are each
     lane's outcome code and output when no policy refuses it: the
@@ -367,22 +377,22 @@ def _decode_batch(rows, flowchart: Flowchart,
     return codes, outputs, refusals
 
 
-def _evaluate_chunk_batch(flowchart: Flowchart, family: str, policy,
+def _evaluate_chunk_batch(flowchart: Flowchart, family: str,
+                          policies: Sequence[AllowPolicy],
                           points: List[Tuple], fuel: int,
-                          value_cap: Optional[int], mechanism_name: str,
+                          value_cap: Optional[int],
                           span: Optional[str] = None,
                           plan: Optional[chaos.FaultPlan] = None
-                          ) -> ChunkSummary:
-    """Evaluate a whole chunk from shared runs; summarise for the merge.
+                          ) -> List[ChunkSummary]:
+    """Every policy's summary of a chunk, from runs they all share.
 
-    The summary is row-identical to :func:`evaluate_chunk` over the
-    same points with the family's per-policy mechanism: same accepts,
-    same first-seen class representatives in domain order, same
-    conflict flag, same ``Λ``/``Λ@e{n}``/``Λ@t``/``Λ!fuel[N]``/
+    Each summary is row-identical to :func:`evaluate_chunk` over the
+    same points with the family's mechanism for that policy: same
+    accepts, same first-seen class representatives in domain order,
+    same conflict flag, same ``Λ``/``Λ@e{n}``/``Λ@t``/``Λ!fuel[N]``/
     ``Λ!cap[C]`` notices.  Every point runs once with no policy — the
-    labels x̄ and C̄ never depend on J — and the rows memo hands that
-    run to every policy of the pair, which then costs only a bitmask
-    decision:
+    labels x̄ and C̄ never depend on J — and each policy then costs only
+    a bitmask decision:
 
     - ``program`` runs the flowchart on the batch tier;
     - ``surveillance`` runs ``instrument(flowchart, allow(1..k))`` on
@@ -391,8 +401,7 @@ def _evaluate_chunk_batch(flowchart: Flowchart, family: str, policy,
     - ``timed`` and ``highwater`` take the interpreter-level
       :func:`~repro.surveillance.dynamic.policy_free_runs`.
 
-    A batch is decoded once, into ``summary_cache``, which the rows
-    memo hands to every policy of the pair along with the rows.
+    The batch is decoded once, whatever the number of policies.
 
     A chaos poison point raises ``MemoryError`` *before* anything
     executes; the caller's quarantine machinery then bisects the chunk
@@ -409,32 +418,37 @@ def _evaluate_chunk_batch(flowchart: Flowchart, family: str, policy,
             if plan.poisons(point):
                 raise MemoryError(f"chaos poison point {tuple(point)!r}")
     if family in _WALK_FAMILIES:
-        return _evaluate_walk_chunk(flowchart, family, policy, points, fuel,
-                                    value_cap, mechanism_name)
+        return _evaluate_walk_chunk(flowchart, family, policies, points,
+                                    fuel, value_cap)
     surveillance = family == "surveillance"
-    target, allowed = flowchart, None
+    target = flowchart
     if surveillance:
         arity = flowchart.arity
         target = instrument(flowchart, allow(*range(1, arity + 1),
                                              arity=arity))
-        allowed = to_mask(policy.allowed)
     rows = execute_batch(target, points, fuel=fuel, value_cap=value_cap,
                          need_env=surveillance)
-    if rows.summary_cache is None:
-        rows.summary_cache = _decode_batch(rows, flowchart, surveillance)
-    codes, outputs, refusals = rows.summary_cache
-    refused = [lanes for mask, lanes in refusals.items() if mask & ~allowed]
-    if refused:
-        codes, outputs = list(codes), list(outputs)
-        for lanes in refused:
-            for lane, code, output in lanes:
-                codes[lane] = code
-                outputs[lane] = output
-    if _obs.active:
-        _record_tally(Counter(codes), flowchart, mechanism_name, fuel,
-                      rows.cap)
-    return _summarize_outputs(policy, points, outputs, "batch",
-                              codes.count(K_OK))
+    codes, outputs, refusals = _decode_batch(rows, flowchart, surveillance)
+    summaries = []
+    for policy in policies:
+        allowed = to_mask(policy.allowed) if refusals else 0
+        refused = [lanes for mask, lanes in refusals.items()
+                   if mask & ~allowed]
+        policy_codes, policy_outputs = codes, outputs
+        if refused:
+            policy_codes, policy_outputs = list(codes), list(outputs)
+            for lanes in refused:
+                for lane, code, output in lanes:
+                    policy_codes[lane] = code
+                    policy_outputs[lane] = output
+        if _obs.active:
+            _record_tally(Counter(policy_codes), flowchart,
+                          FACTORY_NAMES[family](flowchart, policy), fuel,
+                          rows.cap)
+        summaries.append(_summarize_outputs(policy, points, policy_outputs,
+                                            "batch",
+                                            policy_codes.count(K_OK)))
+    return summaries
 
 
 #: Outcome code of a notice kind (:func:`classify_notice`); every other
@@ -457,33 +471,41 @@ def _record_tally(tally: Counter, flowchart: Flowchart, mechanism_name: str,
                               count=tally[_VIOL_KIND], timed=timed)
 
 
-def _evaluate_walk_chunk(flowchart: Flowchart, family: str, policy,
+def _evaluate_walk_chunk(flowchart: Flowchart, family: str,
+                         policies: Sequence[AllowPolicy],
                          points: List[Tuple], fuel: int,
-                         value_cap: Optional[int],
-                         mechanism_name: str) -> ChunkSummary:
-    """A label-walk family's chunk, decided from policy-free runs."""
+                         value_cap: Optional[int]) -> List[ChunkSummary]:
+    """A label-walk family's chunk, every policy decided from one
+    policy-free run per point."""
     timed, forgetting, time_observable = _WALK_FAMILIES[family]
     runs = policy_free_runs(flowchart, points, timed=timed,
                             forgetting=forgetting, fuel=fuel,
                             value_cap=value_cap)
-    allowed = to_mask(policy.allowed)
-    outputs = [run.output(allowed, time_observable) for run in runs]
-    if _obs.active:
-        tally: Counter = Counter()
-        notices = Counter(str(output) for output in outputs
-                          if is_violation(output))
-        for notice, count in notices.items():
-            tally[_NOTICE_CODES.get(classify_notice(notice),
-                                    _VIOL_KIND)] += count
-        _record_tally(tally, flowchart, mechanism_name, fuel, value_cap,
-                      "surveillance", timed)
-    # The walk is interpreter-level whatever the sweep's backend.
-    return _summarize_outputs(policy, points, outputs, "interpreted")
+    summaries = []
+    for policy in policies:
+        allowed = to_mask(policy.allowed)
+        outputs = [run.output(allowed, time_observable) for run in runs]
+        if _obs.active:
+            tally: Counter = Counter()
+            notices = Counter(str(output) for output in outputs
+                              if is_violation(output))
+            for notice, count in notices.items():
+                tally[_NOTICE_CODES.get(classify_notice(notice),
+                                        _VIOL_KIND)] += count
+            _record_tally(tally, flowchart,
+                          FACTORY_NAMES[family](flowchart, policy), fuel,
+                          value_cap, "surveillance", timed)
+        # The walk is interpreter-level whatever the sweep's backend.
+        summaries.append(_summarize_outputs(policy, points, outputs,
+                                            "interpreted"))
+    return summaries
 
 
 def _merge_summaries(parts: Sequence[ChunkSummary]) -> ChunkSummary:
-    """Fold sub-summaries (in domain order) into one ChunkSummary.
+    """Fold summaries (in domain order) into one ChunkSummary.
 
+    The one merge fold: a pair's chunks (:func:`merge_chunks`) and a
+    bisected chunk's halves (:func:`_bisect_crash`) both go through it.
     Insertion order of the class dict is preserved across the fold, so
     a bisected chunk's summary is indistinguishable from one evaluated
     straight through.
@@ -506,8 +528,7 @@ def _merge_summaries(parts: Sequence[ChunkSummary]) -> ChunkSummary:
 def quarantine_chunk(mechanism, policy, points: List[Tuple],
                      pair_index: int = 0, chunk_index: int = 0,
                      span: Optional[str] = None,
-                     plan: Optional[chaos.FaultPlan] = None,
-                     evaluate: Optional[Callable[[], ChunkSummary]] = None
+                     plan: Optional[chaos.FaultPlan] = None
                      ) -> ChunkSummary:
     """Evaluate a chunk, bisecting deterministic crashes to their points.
 
@@ -520,25 +541,33 @@ def quarantine_chunk(mechanism, policy, points: List[Tuple],
     (and a ``point_quarantined`` trace event) instead of sinking the
     sweep.  Because the notice encodes only the exception type, the
     quarantined row is identical in serial, thread, and process mode.
-
-    ``evaluate`` overrides the whole-chunk attempt (the batch tier
-    rides it); the bisection itself always walks per-point via
-    ``mechanism``, so quarantined rows agree across backends.
     """
     try:
-        if evaluate is not None:
-            return evaluate()
         return evaluate_chunk(mechanism, policy, points, span=span,
                               plan=plan)
     except Exception as error:
-        if _obs.active:
-            _obs.inc("sweep.chunks_quarantined")
-            _obs.emit("chunk_quarantined", pair=pair_index,
-                      chunk=chunk_index, points=len(points),
-                      reason=type(error).__name__,
-                      **({"span": span} if span else {}))
-        return _bisect_crash(mechanism, policy, points, pair_index,
-                             chunk_index, span, plan, error)
+        return _quarantine(mechanism, policy, points, pair_index,
+                           chunk_index, span, plan, error)
+
+
+def _quarantine(mechanism, policy, points: List[Tuple], pair_index: int,
+                chunk_index: int, span: Optional[str],
+                plan: Optional[chaos.FaultPlan],
+                error: BaseException) -> ChunkSummary:
+    """Quarantine a chunk whose whole run raised ``error``.
+
+    The bisection always walks per point via ``mechanism``, also when
+    the crashed run was a shared one, so quarantined rows agree across
+    backends.
+    """
+    if _obs.active:
+        _obs.inc("sweep.chunks_quarantined")
+        _obs.emit("chunk_quarantined", pair=pair_index,
+                  chunk=chunk_index, points=len(points),
+                  reason=type(error).__name__,
+                  **({"span": span} if span else {}))
+    return _bisect_crash(mechanism, policy, points, pair_index,
+                         chunk_index, span, plan, error)
 
 
 def _bisect_crash(mechanism, policy, points: List[Tuple], pair_index: int,
@@ -569,19 +598,8 @@ def _bisect_crash(mechanism, policy, points: List[Tuple], pair_index: int,
 
 def merge_chunks(summaries: Sequence[ChunkSummary]) -> Tuple[bool, int]:
     """Fold chunk summaries (in domain order) into (sound, accepts)."""
-    classes: Dict = {}
-    accepts = 0
-    sound = True
-    for summary in summaries:
-        accepts += summary.accepts
-        if summary.conflict:
-            sound = False
-        for policy_value, output in summary.classes.items():
-            if policy_value not in classes:
-                classes[policy_value] = output
-            elif sound and classes[policy_value] != output:
-                sound = False
-    return sound, accepts
+    merged = _merge_summaries(summaries)
+    return not merged.conflict, merged.accepts
 
 
 # ---------------------------------------------------------------------------
@@ -652,32 +670,6 @@ FACTORY_NAMES: Dict[str, Callable] = {
 }
 
 
-class _LazyMechanism:
-    """A pair's mechanism, built on its first per-point call.
-
-    Stands in for the mechanism where a batch evaluator normally
-    decides the chunk and only quarantine bisection calls per point.
-    """
-
-    __slots__ = ("_build", "_mechanism")
-
-    def __init__(self, build: Callable[[], object]) -> None:
-        self._build = build
-        self._mechanism = None
-
-    def _get(self):
-        if self._mechanism is None:
-            self._mechanism = self._build()
-        return self._mechanism
-
-    def __call__(self, *point):
-        return self._get()(*point)
-
-    @property
-    def name(self) -> str:
-        return self._get().name
-
-
 def resolve_factory(factory) -> Callable:
     """A named family or a ``(flowchart, policy, domain[, fuel])`` callable."""
     if callable(factory):
@@ -696,42 +688,63 @@ def _chunk(points: List[Tuple], size: int) -> List[List[Tuple]]:
             for start in range(0, len(points), size)]
 
 
-def _run_pair_task(payload: bytes) -> Tuple[int, int, ChunkSummary]:
-    """Process-pool entry: evaluate one chunk.
+def _run_task(pair_index: int, chunk_index: int, flowchart: Flowchart,
+              policies: Sequence[AllowPolicy], points: List[Tuple],
+              batch_family: Optional[str], fuel: int,
+              value_cap: Optional[int], mechanisms: Iterable,
+              spans: Sequence[Optional[str]], inject_failure: bool,
+              delay: float, plan: Optional[chaos.FaultPlan] = None
+              ) -> List[ChunkSummary]:
+    """A pooled task: one chunk of one flowchart, every policy decided.
 
-    The batch evaluator needs no mechanism; the per-point path rebuilds
-    it from the registered factory.
-
-    ``span_id`` is the parent-side chunk span: fork-started workers
-    inherit the parent's attached sinks, so their point spans (and leaf
-    events) land in the same trace and must link to the chunk that
-    scheduled them.  Spawn-started workers have tracing off and ignore
-    it.  The worker also drops any span stack inherited mid-fork — its
-    events must not attribute to the parent's open spans.
-
-    The chaos ``plan`` rides the payload (never a module global — spawn
-    workers would miss it): injected delays sleep here, injected
-    crashes raise here, and poison points crash inside
-    :func:`evaluate_chunk` exactly as they would in the parent.
+    ``pair_index`` is the task's first pair.  Injected delays sleep
+    here and injected crashes raise here.  On the shared path
+    (``batch_family`` set) one batch decides every policy and
+    ``mechanisms`` is never read; otherwise each policy's mechanism,
+    drawn from ``mechanisms`` in turn, runs point by point under its
+    pair's chunk span.
     """
-    (pair_index, chunk_index, flowchart, policy, domain, factory_name,
-     points, fuel, value_cap, inject_failure, delay, plan, span_id,
-     batch_family, backend) = pickle.loads(payload)
-    _obs._stack().clear()
     if delay:
         time.sleep(delay)
     if inject_failure:
         raise _InjectedWorkerFailure(
             f"injected failure for chunk ({pair_index}, {chunk_index})")
     if batch_family is not None:
-        return pair_index, chunk_index, _evaluate_chunk_batch(
-            flowchart, batch_family, policy, points, fuel, value_cap,
-            FACTORY_NAMES[batch_family](flowchart, policy), span=span_id,
-            plan=plan)
-    mechanism = FACTORIES[factory_name](flowchart, policy, domain, fuel,
-                                        value_cap=value_cap, backend=backend)
-    return pair_index, chunk_index, evaluate_chunk(mechanism, policy, points,
-                                                   span=span_id, plan=plan)
+        return _evaluate_chunk_batch(flowchart, batch_family, policies,
+                                     points, fuel, value_cap, plan=plan)
+    return [evaluate_chunk(mechanism, policy, points, span=span, plan=plan)
+            for mechanism, policy, span in zip(mechanisms, policies, spans)]
+
+
+def _run_pickled_task(payload: bytes) -> List[ChunkSummary]:
+    """Process-pool entry: :func:`_run_task` on an unpickled payload.
+
+    The per-point path rebuilds each pair's mechanism from the
+    registered factory.
+
+    ``spans`` are the parent-side chunk spans of the task's pairs:
+    fork-started workers inherit the parent's attached sinks, so their
+    point spans (and leaf events) land in the same trace and must link
+    to the chunk that scheduled them.  Spawn-started workers have
+    tracing off and ignore them.  The worker also drops any span stack
+    inherited mid-fork — its events must not attribute to the parent's
+    open spans.
+
+    The chaos ``plan`` rides the payload (never a module global — spawn
+    workers would miss it), so poison points crash inside the worker
+    exactly as they would in the parent.
+    """
+    (pair_index, chunk_index, flowchart, policies, domain, factory_name,
+     points, fuel, value_cap, inject_failure, delay, plan, spans,
+     batch_family, backend) = pickle.loads(payload)
+    _obs._stack().clear()
+    mechanisms = (FACTORIES[factory_name](flowchart, policy, domain, fuel,
+                                          value_cap=value_cap,
+                                          backend=backend)
+                  for policy in policies)
+    return _run_task(pair_index, chunk_index, flowchart, policies, points,
+                     batch_family, fuel, value_cap, mechanisms, spans,
+                     inject_failure, delay, plan)
 
 
 def _pick_executor(executor: str, factory, workers: int,
@@ -788,19 +801,19 @@ def parallel_soundness_sweep(
     executor:
         ``"auto"``, ``"serial"``, ``"thread"``, or ``"process"``.
     chunk_size:
-        Points per task; default splits each pair's domain into about
-        four chunks per worker (minimum 64 points) so the pool stays
-        busy without drowning in scheduling overhead.  Must be
-        positive when given.
+        Points per chunk, and so per task; default splits each
+        flowchart's domain into about four chunks per worker (minimum
+        64 points) so the pool stays busy without drowning in
+        scheduling overhead.  Must be positive when given.
     policies:
         Policy enumeration per arity (default: every allow-policy,
         ``2^k`` of them).
     chunk_timeout:
-        Seconds a pooled chunk may take before it is abandoned and
+        Seconds a pooled task may take before it is abandoned and
         retried (None disables — a genuinely hung worker can then
         stall the sweep).
     max_chunk_retries:
-        Pool attempts per chunk beyond the first; a chunk that fails
+        Pool attempts per task beyond the first; a task that fails
         them all is recovered inline in the parent process.
     progress:
         ``progress(completed_pairs, total_pairs, result)`` called as
@@ -832,7 +845,7 @@ def parallel_soundness_sweep(
         :func:`repro.flowchart.fastpath.resolve_backend`).
         ``"compiled"`` and ``"batch"`` evaluate whole chunks of the
         registered families from one policy-free run per point, shared
-        by every policy of a pair (:func:`_evaluate_chunk_batch`), and
+        by every policy of a flowchart (:func:`_evaluate_chunk_batch`), and
         differ only in the backend the audit budget names;
         ``"interpreted"``, callable factories, provenance-enabled runs,
         and quarantine bisections evaluate per point.  Each
@@ -910,12 +923,17 @@ def parallel_soundness_sweep(
     # the backend.
     point_tier = "interpreted" if family in _WALK_FAMILIES else point_backend
 
-    # Materialise the (flowchart, policy) pair list once, in sweep order.
+    # Materialise the (flowchart, policy) pair list once, in sweep order,
+    # and each flowchart's pair indices: its policies share one domain.
     pairs: List[Tuple[Flowchart, AllowPolicy, ProductDomain]] = []
+    groups: List[Tuple[int, ...]] = []
     for flowchart in flowcharts:
         domain = grid(flowchart.arity)
+        first = len(pairs)
         for policy in policies(flowchart.arity):
             pairs.append((flowchart, policy, domain))
+        if len(pairs) > first:
+            groups.append(tuple(range(first, len(pairs))))
     total_points = sum(len(domain) for _, _, domain in pairs)
 
     mode = _pick_executor(executor, mechanism_factory, workers, total_points)
@@ -1010,14 +1028,6 @@ def parallel_soundness_sweep(
             mechanisms[pair_index] = mechanism
         return mechanism
 
-    def point_mechanism(pair_index: int):
-        """What a chunk's per-point evaluation calls.  When the batch
-        evaluator decides the chunk, only quarantine bisection does, so
-        the mechanism is built on that first call."""
-        if batch_family is None:
-            return mechanism_for(pair_index)
-        return _LazyMechanism(lambda: mechanism_for(pair_index))
-
     def name_for(pair_index: int) -> str:
         if namer is None:
             return mechanism_for(pair_index).name
@@ -1056,6 +1066,60 @@ def parallel_soundness_sweep(
         _obs.span_finish(sweep_span)
         return results
 
+    # Chunk spans are supervised in the parent (opened at first submit,
+    # closed when the summary lands), so a process-pool sweep — whose
+    # workers run with observability off — still yields one rooted
+    # sweep → pair → chunk tree in the parent's trace.
+    chunk_spans: Dict[Tuple[int, int], _obs.Span] = {}
+
+    def task_spans(task) -> List[Optional[str]]:
+        """The chunk span id of each pair of ``task``, opening any not
+        yet open."""
+        pair_indices, chunk_index, points = task
+        ids = []
+        for pair_index in pair_indices:
+            key = (pair_index, chunk_index)
+            handle = chunk_spans.get(key)
+            if handle is None and _obs.trace_active:
+                pair_span = pair_span_for(pair_index)
+                handle = _obs.span_begin(
+                    "chunk", parent=pair_span.id if pair_span else None,
+                    pair=pair_index, chunk=chunk_index, points=len(points))
+                if handle is not None:
+                    chunk_spans[key] = handle
+            ids.append(handle.id if handle else None)
+        return ids
+
+    def run_task_inline(task) -> List[ChunkSummary]:
+        # Inline execution is the last line of defence (the serial rung
+        # and post-retry recovery), so each pair runs under quarantine:
+        # a deterministic crash is bisected to its point(s) rather than
+        # unwinding the sweep.  The shared run is tried once for the
+        # whole task; if it crashes, each pair bisects from that crash.
+        pair_indices, chunk_index, points = task
+        spans = task_spans(task)
+        flowchart = pairs[pair_indices[0]][0]
+        policies = [pairs[pair_index][1] for pair_index in pair_indices]
+        crash: Optional[BaseException] = None
+        if batch_family is not None:
+            try:
+                return _evaluate_chunk_batch(flowchart, batch_family,
+                                             policies, points, fuel,
+                                             value_cap)
+            except Exception as error:
+                crash = error
+        summaries = []
+        for pair_index, policy, span in zip(pair_indices, policies, spans):
+            mechanism = mechanism_for(pair_index)
+            summary = (quarantine_chunk(mechanism, policy, points, pair_index,
+                                        chunk_index, span=span)
+                       if crash is None else
+                       _quarantine(mechanism, policy, points, pair_index,
+                                   chunk_index, span, None, crash))
+            summary.backend = point_tier
+            summaries.append(summary)
+        return summaries
+
     # The one-chunk-per-pair fast path is only safe when nothing needs
     # the chunked schedule: a checkpoint's meaning *is* its chunk
     # layout, stop/deadline need chunk boundaries to drain at, and an
@@ -1066,56 +1130,35 @@ def parallel_soundness_sweep(
             and deadline is None and audit is None):
         if _obs.active:
             _obs.inc("sweep.chunks_scheduled", len(pairs))
-        # Every policy of a flowchart sweeps the same domain object;
-        # materialise its point list once, not once per pair.
-        points_by_domain: Dict[int, List[Tuple]] = {}
-        for pair_index, (flowchart, policy, domain) in enumerate(pairs):
-            pair_started = time.perf_counter()
-            points = points_by_domain.get(id(domain))
-            if points is None:
-                points = list(domain)
-                points_by_domain[id(domain)] = points
-            pair_span = pair_span_for(pair_index)
-            chunk_span = _obs.span_begin(
-                "chunk", parent=pair_span.id if pair_span else None,
-                pair=pair_index, chunk=0, points=len(points))
-            span_id = chunk_span.id if chunk_span else None
-            batch_eval = None
-            if batch_family is not None:
-                batch_eval = (lambda fc=flowchart, po=policy, pt=points,
-                              nm=name_for(pair_index), sp=span_id:
-                              _evaluate_chunk_batch(fc, batch_family, po, pt,
-                                                    fuel, value_cap, nm,
-                                                    span=sp))
-            summary = quarantine_chunk(
-                point_mechanism(pair_index), policy, points, pair_index, 0,
-                span=span_id, evaluate=batch_eval)
-            if summary.backend is None:
-                summary.backend = point_tier
-            _obs.span_finish(chunk_span, accepts=summary.accepts)
-            # One chunk per pair: folding a single summary through
-            # merge_chunks rebuilds its class dict only to rediscover
-            # its own conflict flag.
-            sound, accepts = not summary.conflict, summary.accepts
-            if _obs.active:
-                _obs.inc("sweep.chunks_done")
-                _obs.record_chunk_evaluated(len(points), summary.accepts)
-            finish_pair(pair_index, sound, accepts,
-                        time.perf_counter() - pair_started,
-                        backends={summary.backend: 1})
+        for group in groups:
+            started = time.perf_counter()
+            points = list(pairs[group[0]][2])
+            group_summaries = run_task_inline((group, 0, points))
+            elapsed = time.perf_counter() - started
+            for pair_index, summary in zip(group, group_summaries):
+                _obs.span_finish(chunk_spans.pop((pair_index, 0), None),
+                                 accepts=summary.accepts)
+                if _obs.active:
+                    _obs.inc("sweep.chunks_done")
+                    _obs.record_chunk_evaluated(len(points), summary.accepts)
+                # One chunk per pair: folding a single summary through
+                # merge_chunks rebuilds its class dict only to rediscover
+                # its own conflict flag.
+                finish_pair(pair_index, not summary.conflict,
+                            summary.accepts, elapsed,
+                            backends={summary.backend: 1})
         return finalize()
 
-    # Chunked schedule: (pair, chunk) tasks, merged back in order.
+    # Chunked schedule: one task per (flowchart, chunk), its pairs'
+    # summaries merged back in order.  The pairs of a flowchart share
+    # one chunk list.
     per_pair_chunks: List[List[List[Tuple]]] = []
-    for flowchart, policy, domain in pairs:
-        points = list(domain)
+    for group in groups:
+        points = list(pairs[group[0]][2])
         size = chunk_size or max(64, -(-len(points) // (workers * 4)))
-        per_pair_chunks.append(_chunk(points, size))
+        per_pair_chunks.extend([_chunk(points, size)] * len(group))
 
-    tasks: List[Tuple[int, int, List[Tuple]]] = [
-        (pair_index, chunk_index, points)
-        for pair_index, chunks in enumerate(per_pair_chunks)
-        for chunk_index, points in enumerate(chunks)]
+    total_chunks = sum(len(chunks) for chunks in per_pair_chunks)
     summaries: Dict[Tuple[int, int], ChunkSummary] = {}
     remaining_chunks: List[int] = [len(chunks) for chunks in per_pair_chunks]
     pair_seconds: List[float] = [0.0] * len(pairs)
@@ -1147,133 +1190,82 @@ def parallel_soundness_sweep(
         else:
             factory_name = mechanism_factory
 
-    # Chunk spans are supervised in the parent (opened at first submit,
-    # closed when the summary lands), so a process-pool sweep — whose
-    # workers run with observability off — still yields one rooted
-    # sweep → pair → chunk tree in the parent's trace.
-    chunk_spans: Dict[Tuple[int, int], _obs.Span] = {}
+    def merge_pair(pair_index: int, seconds: float) -> None:
+        """Fold a pair's chunk summaries, in domain order, into its row."""
+        ordered = [summaries[(pair_index, index)]
+                   for index in range(len(per_pair_chunks[pair_index]))]
+        sound, accepts = merge_chunks(ordered)
+        backends = Counter(summary.backend or "unknown" for summary in ordered)
+        finish_pair(pair_index, sound, accepts, seconds,
+                    backends=dict(backends))
 
-    def chunk_span_for(pair_index: int, chunk_index: int,
-                       points: List[Tuple]) -> Optional[_obs.Span]:
-        key = (pair_index, chunk_index)
-        handle = chunk_spans.get(key)
-        if handle is None and _obs.trace_active:
-            pair_span = pair_span_for(pair_index)
-            handle = _obs.span_begin(
-                "chunk", parent=pair_span.id if pair_span else None,
-                pair=pair_index, chunk=chunk_index, points=len(points))
-            if handle is not None:
-                chunk_spans[key] = handle
-        return handle
-
-    def batch_evaluator(pair_index: int, points: List[Tuple],
-                        span_id: Optional[str]):
-        flowchart, policy, _ = pairs[pair_index]
-        return _evaluate_chunk_batch(flowchart, batch_family, policy, points,
-                                     fuel, value_cap, name_for(pair_index),
-                                     span=span_id)
-
-    def run_chunk_inline(pair_index: int, chunk_index: int,
-                         points: List[Tuple]) -> ChunkSummary:
-        # Inline execution is the last line of defence (the serial rung
-        # and post-retry recovery), so it runs under quarantine: a
-        # deterministic crash is bisected to its point(s) rather than
-        # unwinding the sweep.
-        _, policy, _ = pairs[pair_index]
-        handle = chunk_span_for(pair_index, chunk_index, points)
-        span_id = handle.id if handle else None
-        batch_eval = None
-        if batch_family is not None:
-            batch_eval = lambda: batch_evaluator(pair_index, points, span_id)
-        summary = quarantine_chunk(point_mechanism(pair_index), policy,
-                                   points, pair_index, chunk_index,
-                                   span=span_id, evaluate=batch_eval)
-        if summary.backend is None:
-            summary.backend = point_tier
-        return summary
-
-    def pair_backend_counts(pair_index: int) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for index in range(len(per_pair_chunks[pair_index])):
-            label = summaries[(pair_index, index)].backend or "unknown"
-            counts[label] = counts.get(label, 0) + 1
-        return counts
-
-    def on_chunk_done(task, summary: ChunkSummary,
-                      elapsed: Optional[float],
-                      span_id: Optional[str] = None) -> None:
-        pair_index, chunk_index, points = task
-        pair_seconds[pair_index] += elapsed or 0.0
-        if _obs.active:
-            _obs.inc("sweep.chunks_done")
-            fields = {"pair": pair_index, "chunk": chunk_index,
-                      "points": len(points), "accepts": summary.accepts}
-            if elapsed is not None:
-                fields["elapsed_s"] = round(elapsed, 6)
-            if span_id is not None:
-                fields["span"] = span_id
-            _obs.emit("chunk_done", **fields)
-        remaining_chunks[pair_index] -= 1
-        if remaining_chunks[pair_index] == 0:
-            ordered = [summaries[(pair_index, index)]
-                       for index in range(len(per_pair_chunks[pair_index]))]
-            sound, accepts = merge_chunks(ordered)
-            finish_pair(pair_index, sound, accepts,
-                        pair_seconds[pair_index] or
-                        (time.perf_counter() - pair_started_wall),
-                        backends=pair_backend_counts(pair_index))
-
-    def record_summary(task, summary: ChunkSummary,
-                       elapsed: Optional[float]) -> None:
-        key = (task[0], task[1])
-        if key in summaries:  # late duplicate from an abandoned future
-            return
-        if summary.backend is None:
-            summary.backend = point_tier
-        summaries[key] = summary
-        if ckpt_writer is not None:
-            ckpt_writer.write_chunk(key[0], key[1], summary)
+    def record_task(task, task_summaries: List[ChunkSummary],
+                    elapsed: float) -> None:
+        pair_indices, chunk_index, points = task
+        for pair_index, summary in zip(pair_indices, task_summaries):
+            key = (pair_index, chunk_index)
+            if key in summaries:  # late duplicate from an abandoned future
+                continue
+            if summary.backend is None:
+                summary.backend = point_tier
+            summaries[key] = summary
+            if ckpt_writer is not None:
+                ckpt_writer.write_chunk(pair_index, chunk_index, summary)
+                if _obs.active:
+                    _obs.inc("sweep.checkpoints_written")
+                    _obs.emit("checkpoint_written", pair=pair_index,
+                              chunk=chunk_index, accepts=summary.accepts)
+            chunk_span = chunk_spans.pop(key, None)
+            _obs.span_finish(chunk_span, accepts=summary.accepts)
+            # The pairs of a task share its time.
+            pair_seconds[pair_index] += elapsed
+            # Point accounting happens here, in the parent, so
+            # process-pool sweeps (whose workers carry their own
+            # disabled registries) still report complete sweep.points_*
+            # counters.
             if _obs.active:
-                _obs.inc("sweep.checkpoints_written")
-                _obs.emit("checkpoint_written", pair=key[0], chunk=key[1],
-                          accepts=summary.accepts)
-        # Point accounting happens here, in the parent, so process-pool
-        # sweeps (whose workers carry their own disabled registries)
-        # still report complete sweep.points_* counters.
-        if _obs.active:
-            _obs.record_chunk_evaluated(len(task[2]), summary.accepts)
-        chunk_span = chunk_spans.pop(key, None)
-        _obs.span_finish(chunk_span, accepts=summary.accepts)
-        on_chunk_done(task, summary, elapsed,
-                      span_id=chunk_span.id if chunk_span else None)
+                _obs.record_chunk_evaluated(len(points), summary.accepts)
+                _obs.inc("sweep.chunks_done")
+                fields = {"pair": pair_index, "chunk": chunk_index,
+                          "points": len(points), "accepts": summary.accepts,
+                          "elapsed_s": round(elapsed, 6)}
+                if chunk_span is not None:
+                    fields["span"] = chunk_span.id
+                _obs.emit("chunk_done", **fields)
+            remaining_chunks[pair_index] -= 1
+            if remaining_chunks[pair_index] == 0:
+                merge_pair(pair_index, pair_seconds[pair_index] or
+                           (time.perf_counter() - pair_started_wall))
 
-    def drive_pool(pool, submit_task, pool_tasks) -> None:
+    def drive_pool(submit_task, pool_tasks) -> None:
         """Supervise one pool: retries, timeouts, inline recovery.
 
-        Raises :class:`_PoolBroken` when the pool itself can no longer
-        run tasks (crashed worker process, failed spawn); per-chunk
-        failures never propagate.
+        ``submit_task(task, spans, inject_failure, delay)`` hands one
+        task attempt to the pool.  Raises :class:`_PoolBroken` when the
+        pool itself can no longer run tasks (crashed worker process,
+        failed spawn); per-task failures never propagate.
         """
         attempts: Dict[Tuple[int, int], int] = {
-            (task[0], task[1]): 0 for task in pool_tasks}
+            (task[0][0], task[1]): 0 for task in pool_tasks}
         pending: Dict[object, Tuple[Tuple, float]] = {}
 
         def submit(task) -> None:
-            key = (task[0], task[1])
-            chunk_span_for(task[0], task[1], task[2])
+            spans = task_spans(task)
+            inject, delay = injected_faults(task[0][0], task[1],
+                                            attempts[(task[0][0], task[1])])
             try:
-                future = submit_task(task, attempts[key])
+                future = submit_task(task, spans, inject, delay)
             except BrokenExecutor as error:
                 raise _PoolBroken(f"pool rejected work: {error!r}") from error
             pending[future] = (task, time.monotonic())
 
         def retry_or_recover(task, reason: str) -> None:
-            key = (task[0], task[1])
+            key = (task[0][0], task[1])
             attempts[key] += 1
             attempt = attempts[key]
             if _obs.active:
                 chunk_span = chunk_spans.get(key)
-                fields = {"pair": task[0], "chunk": task[1],
+                fields = {"pair": key[0], "chunk": key[1],
                           "attempt": attempt, "reason": reason}
                 if chunk_span is not None:
                     fields["span"] = chunk_span.id
@@ -1284,12 +1276,12 @@ def parallel_soundness_sweep(
                 submit(task)
                 return
             # Bounded retries exhausted — recover in the parent so one
-            # poisoned chunk cannot sink the sweep.
+            # poisoned task cannot sink the sweep.
             if _obs.active:
                 _obs.inc("sweep.chunks_failed")
             started = time.monotonic()
-            summary = run_chunk_inline(*task)
-            record_summary(task, summary, time.monotonic() - started)
+            task_summaries = run_task_inline(task)
+            record_task(task, task_summaries, time.monotonic() - started)
 
         for task in pool_tasks:
             submit(task)
@@ -1307,14 +1299,13 @@ def parallel_soundness_sweep(
             for future in finished:
                 task, started = pending.pop(future)
                 try:
-                    pair_index, chunk_index, summary = future.result()
+                    task_summaries = future.result()
                 except BrokenExecutor as error:
                     raise _PoolBroken(f"pool broke: {error!r}") from error
                 except Exception as error:
                     retry_or_recover(task, f"worker failure: {error!r}")
                 else:
-                    record_summary((pair_index, chunk_index, task[2]),
-                                   summary, now - started)
+                    record_task(task, task_summaries, now - started)
             if chunk_timeout is not None:
                 for future, (task, started) in list(pending.items()):
                     if now - started >= chunk_timeout and not future.done():
@@ -1324,7 +1315,7 @@ def parallel_soundness_sweep(
                             task, f"timeout after {chunk_timeout}s")
             reason = check_stop()
             if reason:
-                # Drain: drop what has not started, let in-flight chunks
+                # Drain: drop what has not started, let in-flight tasks
                 # finish (bounded by chunk_timeout when set) and journal
                 # them — an interrupted checkpoint keeps every chunk
                 # that completed.
@@ -1337,12 +1328,10 @@ def parallel_soundness_sweep(
                     for future in drained:
                         task, started = pending.pop(future)
                         try:
-                            pair_index, chunk_index, summary = (
-                                future.result())
+                            task_summaries = future.result()
                         except Exception:
                             continue  # crashed mid-drain; resume re-runs it
-                        record_summary((pair_index, chunk_index, task[2]),
-                                       summary, now - started)
+                        record_task(task, task_summaries, now - started)
                 raise _StopRequested(reason)
 
     # ----- checkpoint: open the journal, restore completed chunks -----
@@ -1377,11 +1366,7 @@ def parallel_soundness_sweep(
             for pair_index in range(len(pairs)):
                 if (remaining_chunks[pair_index] == 0
                         and pair_index not in results_by_pair):
-                    ordered = [summaries[(pair_index, index)] for index
-                               in range(len(per_pair_chunks[pair_index]))]
-                    sound, accepts = merge_chunks(ordered)
-                    finish_pair(pair_index, sound, accepts, 0.0,
-                                backends=pair_backend_counts(pair_index))
+                    merge_pair(pair_index, 0.0)
             ckpt_writer = CheckpointWriter(checkpoint, descriptor,
                                            fresh=False,
                                            start_seq=record_count)
@@ -1407,14 +1392,23 @@ def parallel_soundness_sweep(
                                seed=plan.seed if plan is not None else 0)
         return inject, delay
 
+    # A task decides one chunk for every pair of its flowchart that a
+    # resumed journal does not already hold.
+    tasks: List[Tuple[Tuple[int, ...], int, List[Tuple]]] = []
+    for group in groups:
+        for chunk_index, points in enumerate(per_pair_chunks[group[0]]):
+            todo = tuple(pair_index for pair_index in group
+                         if (pair_index, chunk_index) not in summaries)
+            if todo:
+                tasks.append((todo, chunk_index, points))
     if _obs.active:
-        _obs.inc("sweep.chunks_scheduled", len(tasks) - len(summaries))
+        _obs.inc("sweep.chunks_scheduled", total_chunks - len(summaries))
 
     try:
         ladder = _MODE_LADDER[mode]
         for rung, current_mode in enumerate(ladder):
             pool_tasks = [task for task in tasks
-                          if (task[0], task[1]) not in summaries]
+                          if (task[0][0], task[1]) not in summaries]
             if not pool_tasks:
                 break
             try:
@@ -1424,56 +1418,38 @@ def parallel_soundness_sweep(
                         if reason:
                             raise _StopRequested(reason)
                         started = time.monotonic()
-                        summary = run_chunk_inline(*task)
-                        record_summary(task, summary,
-                                       time.monotonic() - started)
+                        task_summaries = run_task_inline(task)
+                        record_task(task, task_summaries,
+                                    time.monotonic() - started)
                 elif current_mode == "thread":
-                    def run_task(task, inject_failure, delay):
-                        pair_index, chunk_index, points = task
-                        if delay:
-                            time.sleep(delay)
-                        if inject_failure:
-                            raise _InjectedWorkerFailure(
-                                f"injected failure for chunk "
-                                f"({pair_index}, {chunk_index})")
-                        _, policy, _ = pairs[pair_index]
-                        chunk_span = chunk_spans.get(
-                            (pair_index, chunk_index))
-                        span_id = chunk_span.id if chunk_span else None
-                        if batch_family is not None:
-                            return pair_index, chunk_index, batch_evaluator(
-                                pair_index, points, span_id)
-                        return pair_index, chunk_index, evaluate_chunk(
-                            mechanism_for(pair_index), policy, points,
-                            span=span_id)
-
-                    def submit_thread(task, attempt, pool_ref=None):
-                        inject, delay = injected_faults(task[0], task[1],
-                                                        attempt)
-                        return thread_pool.submit(run_task, task, inject,
-                                                  delay)
+                    def submit_thread(task, spans, inject, delay):
+                        pair_indices, chunk_index, points = task
+                        return thread_pool.submit(
+                            _run_task, pair_indices[0], chunk_index,
+                            pairs[pair_indices[0]][0],
+                            [pairs[index][1] for index in pair_indices],
+                            points, batch_family, fuel, value_cap,
+                            map(mechanism_for, pair_indices), spans, inject,
+                            delay)
 
                     thread_pool = ThreadPoolExecutor(max_workers=workers)
                     try:
-                        drive_pool(thread_pool, submit_thread, pool_tasks)
+                        drive_pool(submit_thread, pool_tasks)
                     finally:
                         thread_pool.shutdown(wait=False,
                                              cancel_futures=True)
                 else:  # process
-                    def submit_process(task, attempt):
-                        pair_index, chunk_index, points = task
-                        flowchart, policy, domain = pairs[pair_index]
-                        inject, delay = injected_faults(pair_index,
-                                                        chunk_index, attempt)
-                        chunk_span = chunk_spans.get(
-                            (pair_index, chunk_index))
+                    def submit_process(task, spans, inject, delay):
+                        pair_indices, chunk_index, points = task
+                        flowchart, _, domain = pairs[pair_indices[0]]
                         payload = pickle.dumps(
-                            (pair_index, chunk_index, flowchart, policy,
+                            (pair_indices[0], chunk_index, flowchart,
+                             [pairs[index][1] for index in pair_indices],
                              domain, factory_name, points, fuel, value_cap,
-                             inject, delay, chaos.current_plan(),
-                             chunk_span.id if chunk_span else None,
+                             inject, delay, chaos.current_plan(), spans,
                              batch_family, mech_backend))
-                        return process_pool.submit(_run_pair_task, payload)
+                        return process_pool.submit(_run_pickled_task,
+                                                   payload)
 
                     try:
                         process_pool = ProcessPoolExecutor(
@@ -1483,7 +1459,7 @@ def parallel_soundness_sweep(
                             f"cannot spawn process pool: {error!r}"
                         ) from error
                     try:
-                        drive_pool(process_pool, submit_process, pool_tasks)
+                        drive_pool(submit_process, pool_tasks)
                     finally:
                         process_pool.shutdown(wait=False,
                                               cancel_futures=True)
@@ -1508,7 +1484,7 @@ def parallel_soundness_sweep(
                       chunks_done=len(summaries))
         _obs.span_finish(sweep_span, interrupted=stopped.reason)
         raise SweepInterruptedError(
-            stopped.reason, len(summaries), len(tasks),
+            stopped.reason, len(summaries), total_chunks,
             checkpoint or "") from None
 
     if ckpt_writer is not None:

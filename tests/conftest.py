@@ -6,8 +6,6 @@ import sys
 
 import pytest
 
-from repro.flowchart import batchpath
-
 #: The batch setups a differential test runs under: NumPy importable
 #: where it is, and NumPy blocked from import, as on a host without it.
 #: The batch tier is plain Python, so both must give the same rows.
@@ -18,18 +16,10 @@ LANES = (["numpy"] if importlib.util.find_spec("numpy") is not None
 @contextlib.contextmanager
 def _numpy_hidden():
     """The batch tier as on a host without NumPy: ``import numpy``
-    raises ImportError.
-
-    The rows memo is dropped on the way in and out, so the hidden run
-    evaluates its batches itself rather than reading the other setup's.
-    """
+    raises ImportError."""
     with pytest.MonkeyPatch.context() as patch:
-        batchpath.clear_rows_memo()
         patch.setitem(sys.modules, "numpy", None)
-        try:
-            yield
-        finally:
-            batchpath.clear_rows_memo()
+        yield
 
 
 @pytest.fixture(params=LANES)

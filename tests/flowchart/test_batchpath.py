@@ -14,13 +14,11 @@ from repro.core.errors import (ArityMismatchError, FuelExhaustedError,
                                ReproError, ValueCapExceededError)
 from repro.flowchart import library as figure_library
 from repro.flowchart import fastpath
-from repro.flowchart.batchpath import (K_CAP, K_FUEL, K_OK, batch_stats,
-                                       clear_rows_memo, compile_batch,
+from repro.flowchart.batchpath import (K_CAP, K_FUEL, K_OK, compile_batch,
                                        execute_batch)
 from repro.flowchart.expr import BoolConst, Const, var
 from repro.flowchart.fastpath import (BACKENDS, compile_flowchart,
-                                      memo_stats, resolve_backend,
-                                      run_flowchart)
+                                      resolve_backend, run_flowchart)
 from repro.flowchart.interpreter import execute
 from repro.flowchart.structured import Assign, StructuredProgram, While
 
@@ -83,7 +81,7 @@ WIDE_CASES = [
 
 def assert_rows_match(flowchart, points, fuel, value_cap, lanes):
     rows = execute_batch(flowchart, points, fuel=fuel,
-                         value_cap=value_cap, memo=False)
+                         value_cap=value_cap)
     assert len(rows) == len(points)
     for i, point in enumerate(points):
         expected = interpreter_row(flowchart, point, fuel, value_cap)
@@ -117,7 +115,7 @@ class TestRowIdentity:
     def test_all_lanes_fault(self, lanes):
         flowchart = figure_library.gcd_program()
         points = grid_points(2, 1, 6)
-        rows = execute_batch(flowchart, points, fuel=1, memo=False)
+        rows = execute_batch(flowchart, points, fuel=1)
         assert all(rows.kind(i) == K_FUEL for i in range(len(points)))
 
     def test_wide_programs(self, lanes):
@@ -136,7 +134,7 @@ class TestLaneFallback:
     def test_oversized_inputs_retire_to_fallback(self):
         flowchart = figure_library.forgetting_program()
         points = [(1, 2), (1 << 200, 3), (4, 5)]
-        rows = execute_batch(flowchart, points, memo=False)
+        rows = execute_batch(flowchart, points)
         for i, point in enumerate(points):
             assert batch_row(rows, i) == interpreter_row(
                 flowchart, point, 100_000, None)
@@ -144,7 +142,7 @@ class TestLaneFallback:
     def test_uncertifiable_widths_land_on_python_lanes(self):
         # A 71-bit literal makes every value wider than an int64.
         wide = wide_constant_program()
-        rows = execute_batch(wide, [(1,), (2,)], memo=False)
+        rows = execute_batch(wide, [(1,), (2,)])
         for i, point in enumerate([(1,), (2,)]):
             assert batch_row(rows, i) == interpreter_row(
                 wide, point, 100_000, None)
@@ -159,7 +157,7 @@ class TestRunMetrics:
     @staticmethod
     def assert_steps_total(flowchart, points, **kwargs):
         with obs.observed(metrics=True, reset=True) as registry:
-            rows = execute_batch(flowchart, points, memo=False, **kwargs)
+            rows = execute_batch(flowchart, points, **kwargs)
             counters = registry.snapshot()["counters"]
             histogram = registry.snapshot()["histograms"]["run.steps"]
         assert counters["run.count.batch"] == 1
@@ -200,25 +198,11 @@ class TestCachesAndStats:
         # Lanes call the compiled tier's function, compiled once per
         # flowchart and shared with every per-point run.
         flowchart = figure_library.gcd_program()
-        execute_batch(flowchart, [(6, 4)], memo=False)
+        execute_batch(flowchart, [(6, 4)])
         compiled = compile_batch(flowchart)
-        execute_batch(flowchart, [(9, 6)], memo=False)
+        execute_batch(flowchart, [(9, 6)])
         assert compile_batch(flowchart) is compiled
         assert compile_flowchart(flowchart) is compiled
-
-    def test_rows_memo_round_trip(self):
-        clear_rows_memo()
-        flowchart = figure_library.gcd_program()
-        points = [(6, 4), (9, 6)]
-        first = execute_batch(flowchart, points)
-        again = execute_batch(flowchart, points)
-        assert again is first
-        assert batch_stats()["rows_hits"] >= 1
-
-    def test_memo_stats_exports_batch_keys(self):
-        assert sorted(memo_stats()) == [
-            "batch_rows_hits", "batch_rows_maxsize", "batch_rows_misses",
-            "batch_rows_size"]
 
 
 class TestTierRegistry:
@@ -290,6 +274,6 @@ class TestSingleLaneEntry:
 
     def test_need_env_exposes_columns(self):
         flowchart = figure_library.parity_program()
-        rows = execute_batch(flowchart, [(3,)], need_env=True, memo=False)
+        rows = execute_batch(flowchart, [(3,)], need_env=True)
         assert rows.env(0) == execute(
             flowchart, (3,), capture_env=True).env

@@ -124,7 +124,7 @@ class TestSemantics:
         result = execute_compiled(flowchart, (3, 4))
         assert (result.value, result.steps) == (reference.value,
                                                 reference.steps)
-        lanes = execute_batch(flowchart, [(3, 4), (3, 4)], memo=False)
+        lanes = execute_batch(flowchart, [(3, 4), (3, 4)])
         for lane in range(2):
             assert (lanes.value(lane), lanes.steps(lane)) == (
                 reference.value, reference.steps)
@@ -132,7 +132,7 @@ class TestSemantics:
         empty = compile_source("program p(x1) { recv q(u); y := u }")
         for engine in (execute, execute_compiled,
                        lambda flowchart, point: execute_batch(
-                           flowchart, [point], memo=False)):
+                           flowchart, [point])):
             with pytest.raises(MessageError) as excinfo:
                 engine(empty, (1,))
             assert excinfo.value.detail == "empty:q"

@@ -79,7 +79,7 @@ def test_engines_agree_on_every_outcome(data):
     compiled = outcome(execute_compiled, flowchart, inputs, fuel,
                        value_cap)
     batch = batch_lane_outcome(execute_batch(
-        flowchart, [inputs], fuel=fuel, value_cap=value_cap, memo=False), 0)
+        flowchart, [inputs], fuel=fuel, value_cap=value_cap), 0)
     assert interpreted == compiled == batch, (
         f"{flowchart.name}{inputs} fuel={fuel} cap={value_cap}: "
         f"interpreter {interpreted} != compiled {compiled} "
@@ -101,8 +101,7 @@ def test_batch_lanes_agree_per_point(data):
                           label="value_cap")
     expected = [outcome(execute, flowchart, point, fuel, value_cap)
                 for point in points]
-    rows = execute_batch(flowchart, points, fuel=fuel, value_cap=value_cap,
-                         memo=False)
+    rows = execute_batch(flowchart, points, fuel=fuel, value_cap=value_cap)
     actual = [batch_lane_outcome(rows, i) for i in range(len(points))]
     assert actual == expected, (
         f"{flowchart.name} fuel={fuel} cap={value_cap}: "

@@ -144,7 +144,7 @@ def test_three_engines_agree_on_epoch_tagged_notices(program, policy):
     surv = surveillance_mechanism(flowchart, policy, DOMAIN)
     inst = instrumented_mechanism(flowchart, policy, DOMAIN)
     instrumented = instrument(flowchart, policy)
-    batch = execute_batch(instrumented, GRID, need_env=True, memo=False)
+    batch = execute_batch(instrumented, GRID, need_env=True)
     has_epochs = bool(flowchart.policy_change_ids())
     for index, point in enumerate(GRID):
         reference = surv(*point)

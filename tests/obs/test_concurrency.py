@@ -1,21 +1,19 @@
 """Hammer tests: the memo and metrics registry under server concurrency.
 
-`repro serve` shares its `_LRUMemo`s (the batch tier's rows memo, the
-response cache) and one `MetricsRegistry` across every request thread,
-so torn reads that a CLI run could never observe become routine:
-`memo_stats()` used to read `len`/`hits`/`misses` without the memo lock
-and could report `size > maxsize` mid-trim.  These tests drive many
-threads through the shared structures and assert every observable
-snapshot is internally consistent.
+`repro serve` shares its `_LRUMemo`s (the response cache) and one
+`MetricsRegistry` across every request thread, so torn reads that a
+CLI run could never observe become routine: memo stats used to read
+`len`/`hits`/`misses` without the memo lock and could report
+`size > maxsize` mid-trim.  These tests drive many threads through the
+shared structures and assert every observable snapshot is internally
+consistent.
 """
 
 import threading
 
 import pytest
 
-from repro.flowchart import library
-from repro.flowchart.batchpath import execute_batch
-from repro.flowchart.fastpath import _LRUMemo, export_memo_stats, memo_stats
+from repro.flowchart.fastpath import _LRUMemo
 from repro.obs.metrics import MetricsRegistry
 
 THREADS = 8
@@ -66,22 +64,6 @@ class TestMemoHammer:
             observer.join()
         final = memo.stats()
         assert final["size"] <= final["maxsize"]
-
-    def test_shared_exec_memo_consistent_across_threads(self):
-        flowchart = library.parity_program()
-
-        def run(index):
-            for value in range(40):
-                execute_batch(flowchart, [((index * 40 + value) % 16,)])
-                stats = memo_stats()
-                assert (stats["batch_rows_size"]
-                        <= stats["batch_rows_maxsize"]), stats
-
-        hammer(run)
-
-    def test_export_memo_stats_reports_consistent_size(self):
-        stats = export_memo_stats()
-        assert stats["batch_rows_size"] <= stats["batch_rows_maxsize"]
 
 
 class TestRegistryHammer:

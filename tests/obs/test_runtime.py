@@ -11,7 +11,7 @@ from repro import obs
 from repro.core.errors import FuelExhaustedError
 from repro.core.policy import allow
 from repro.flowchart import library
-from repro.flowchart.fastpath import clear_result_memo, execute_compiled
+from repro.flowchart.fastpath import execute_compiled
 from repro.flowchart.interpreter import execute
 from repro.obs import runtime
 from repro.verify.enumerate import default_grid
@@ -89,7 +89,6 @@ class TestInterpreterInstrumentation:
 class TestCompiledInstrumentation:
     def test_compiled_fuel_exhaustion_recorded(self):
         flowchart = library.gcd_program()
-        clear_result_memo()
         with obs.observed(reset=True):
             with pytest.raises(FuelExhaustedError):
                 execute_compiled(flowchart, (12, 18), fuel=2)
@@ -139,19 +138,3 @@ class TestLintInstrumentation:
         assert counters["lint.passes"] == len(report.pass_seconds)
         events = ring.events("lint_pass")
         assert {event["pass"] for event in events} == set(report.pass_seconds)
-
-
-class TestMemoStatExport:
-    def test_export_memo_stats_sets_gauges(self):
-        from repro.flowchart.batchpath import execute_batch
-        from repro.flowchart.fastpath import export_memo_stats
-
-        flowchart = library.mixer_program()
-        clear_result_memo()
-        execute_batch(flowchart, [(1, 2)])
-        execute_batch(flowchart, [(1, 2)])
-        with obs.observed(reset=True):
-            stats = export_memo_stats()
-        gauges = obs.snapshot()["gauges"]
-        assert gauges["batch.rows_hits"] == stats["batch_rows_hits"] >= 1
-        assert gauges["batch.rows_maxsize"] == stats["batch_rows_maxsize"]

@@ -357,12 +357,6 @@ class TestMetricsCommand:
         assert "sweep.points_evaluated" in out
         assert "command: sweep" in out
 
-    def test_live_snapshot_includes_memo_gauges(self, capsys):
-        code = main(["metrics"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "batch.rows_maxsize" in out
-
 
 class TestExplain:
     def test_violation_chain_printed_and_exit_one(self, capsys):
@@ -657,8 +651,12 @@ class TestSweepBatchBackend:
         capsys.readouterr()
         payload = json.loads(snapshot.read_text())
         assert payload["meta"]["backend"] == "batch"
-        gauges = payload.get("gauges", {})
-        assert any(name.startswith("batch.") for name in gauges)
+        # One batch per (flowchart, chunk): the serial sweep holds each
+        # of its two flowcharts' grids in one chunk.  The batch tier
+        # caches nothing, so it sets no gauge.
+        assert payload["counters"]["run.count.batch"] == 2
+        assert not any(name.startswith("batch.")
+                       for name in payload.get("gauges", {}))
 
 
 class TestDynamicLintExitCodes:

@@ -1,13 +1,15 @@
 """Shared-run sweeps (``backend="compiled"`` or ``"batch"``): same rows.
 
 The shared path changes *how* a sweep chunk is evaluated (one run per
-grid point with no policy, decided for every policy of a pair by
+grid point with no policy, decided for every policy of a flowchart by
 bitmask tests, instead of a per-policy per-point loop), never *what*
 it computes: every test here pins its rows to the per-point
 interpreter's and its audit-ledger bytes to a per-point sweep's under
 the same backend name, across families, budgets, executors, inputs and
 values past int64, chaos plans, and checkpoint resume, and checks that
 the tier that actually evaluated each pair is recorded.
+``TestSharedRuns`` pins the sharing itself: one run per point per
+sweep, on every schedule, with no cache behind it.
 """
 
 import importlib.util
@@ -233,47 +235,75 @@ class TestRowParity:
 
 #: (family, backend) cases of the run-count test; the batch cases keep
 #: their family's bare id.
+#: The schedules a run count is pinned under: the serial one-chunk path,
+#: and chunked tasks on a thread pool.
+SCHEDULES = {"serial": {},
+             "thread": {"executor": "thread", "max_workers": 2,
+                        "chunk_size": 3}}
+
 RUN_COUNT_CASES = [
-    pytest.param(family, backend, id=family if backend == "batch"
-                 else f"{family}-{backend}")
-    for backend in SHARED for family in MONITORS]
+    pytest.param(family, backend, schedule,
+                 id="-".join([family]
+                             + ([backend] if backend != "batch" else [])
+                             + ([schedule] if schedule != "serial" else [])))
+    for schedule in SCHEDULES for backend in SHARED for family in MONITORS]
+
+
+def count_runs(monkeypatch) -> list:
+    """Lanes run and label walks taken, appended as they happen.
+
+    Surveillance and program sweeps run lanes (of the instrumented
+    flowchart, for surveillance); timed and high-water run label walks,
+    one per point.
+    """
+    from repro.flowchart import batchpath
+    from repro.surveillance import dynamic
+
+    runs = []
+
+    def counting(function, points_of):
+        def wrapper(*args, **kwargs):
+            runs.append(points_of(args))
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(batchpath, "_run_lanes", counting(
+        batchpath._run_lanes, lambda args: len(args[2])))
+    monkeypatch.setattr(dynamic, "_walk",
+                        counting(dynamic._walk, lambda args: 1))
+    return runs
 
 
 class TestSharedRuns:
-    @pytest.mark.parametrize("family, backend", RUN_COUNT_CASES)
+    @pytest.mark.parametrize("family, backend, schedule", RUN_COUNT_CASES)
     def test_one_labelled_run_per_flowchart_point(self, family, backend,
-                                                  monkeypatch):
-        from repro.flowchart import batchpath
-        from repro.flowchart.fastpath import clear_result_memo
-        from repro.surveillance import dynamic
-
-        runs = []
-
-        def counting(function, points_of):
-            def wrapper(*args, **kwargs):
-                runs.append(points_of(args))
-                return function(*args, **kwargs)
-            return wrapper
-
-        # Surveillance runs lanes of the instrumented flowchart; timed
-        # and high-water run label walks, one per point.
-        monkeypatch.setattr(batchpath, "_run_lanes", counting(
-            batchpath._run_lanes, lambda args: len(args[2])))
-        monkeypatch.setattr(dynamic, "_walk",
-                            counting(dynamic._walk, lambda args: 1))
+                                                  schedule, monkeypatch):
+        runs = count_runs(monkeypatch)
         programs = PROGRAMS + [figure_library.nested_branch_program()]
         points = sum(len(grid(f.arity)) for f in programs)
 
-        clear_result_memo()
-        results = sweep(family, backend, programs=programs)
+        results = sweep(family, backend, programs=programs,
+                        **SCHEDULES[schedule])
         assert sum(runs) == points
         assert sum(r.domain_size for r in results) == sum(
             len(grid(f.arity)) * 2 ** f.arity for f in programs)
-        sweep(family, backend, programs=programs)
-        assert sum(runs) == points  # the rows memo holds them
-        clear_result_memo()
-        sweep(family, backend, programs=programs)
+        # Runs are shared by the schedule, not kept: a second sweep
+        # runs every point again.
+        sweep(family, backend, programs=programs, **SCHEDULES[schedule])
         assert sum(runs) == 2 * points
+
+    def test_sharing_needs_no_cache_capacity(self, monkeypatch, tmp_path):
+        # 600 one-point chunks per pair: a sweep that shared runs
+        # through a bounded cache of chunks would have evicted each
+        # chunk before the second policy asked for it.
+        runs = count_runs(monkeypatch)
+        points = ProductDomain.integer_grid(0, 599, 1)
+        results = sweep("program", "compiled",
+                        programs=[figure_library.parity_program()],
+                        grid=lambda arity: points, chunk_size=1,
+                        checkpoint=str(tmp_path / "ck.jsonl"))
+        assert [r.domain_size for r in results] == [600, 600]
+        assert sum(runs) == 600
 
     @pytest.mark.parametrize("family", MONITORS)
     def test_no_mechanism_built_on_a_fault_free_sweep(self, family,

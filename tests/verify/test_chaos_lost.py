@@ -1,6 +1,6 @@
 """The chaos ``lost`` fault kind: a hung worker only a timeout saves.
 
-A ``lost`` decision makes the chunk attempt sleep ``lost_seconds`` —
+A ``lost`` decision makes the task attempt sleep ``lost_seconds`` —
 far beyond any reasonable ``chunk_timeout`` — simulating a worker that
 took the task and went silent.  Nothing inside the worker ever raises,
 so the *only* recovery path is the parent's per-chunk timeout, which
@@ -19,10 +19,10 @@ from repro.verify.chaos import FaultPlan
 
 FLOWCHARTS = [library.forgetting_program()]
 
-# Chosen so attempt 0 of at least one chunk rolls lost but the retry
+# Chosen so attempt 0 of at least one task rolls lost but the retry
 # rolls clean — asserted below, so a hash change cannot silently turn
 # this into a no-op test.
-SEED = 3
+SEED = 5
 LOST = 0.35
 
 
@@ -47,8 +47,10 @@ def test_lost_decision_is_a_long_delay():
 def test_lost_chunk_recovered_only_by_chunk_timeout():
     serial = soundness_sweep(FLOWCHARTS, FACTORIES["surveillance"])
     plan = FaultPlan(seed=SEED, lost=LOST, lost_seconds=2.0)
-    hit = [(pair, chunk) for pair in range(4) for chunk in range(4)
-           if plan.decide(pair, chunk, 0).delay == 2.0]
+    # Chaos draws are per task: one chunk of the flowchart's 3x3 grid,
+    # keyed by its first pair (pair 0).
+    hit = [chunk for chunk in range(2)
+           if plan.decide(0, chunk, 0).delay == 2.0]
     assert hit, "seed must lose at least one first attempt"
     chaos.install(plan)
     ring = obs.RingBufferSink()

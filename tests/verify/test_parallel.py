@@ -229,16 +229,24 @@ class TestFaultTolerance:
 
     def test_injected_process_failure_is_retried(self, monkeypatch,
                                                  serial_baseline):
+        from repro import obs
         from repro.verify import parallel as parallel_module
 
+        # Pair 4 is parity's first pair, so it keys a task.
         monkeypatch.setattr(
             parallel_module, "_FAIL_INJECTOR",
             lambda pair, chunk, attempt:
-                pair == 1 and chunk == 0 and attempt == 0)
-        results = parallel_soundness_sweep(
-            FLOWCHARTS, "surveillance", executor="process",
-            max_workers=2, chunk_size=7)
+                pair == 4 and chunk == 0 and attempt == 0)
+        ring = obs.RingBufferSink()
+        with obs.observed(sinks=[ring], reset=True):
+            results = parallel_soundness_sweep(
+                FLOWCHARTS, "surveillance", executor="process",
+                max_workers=2, chunk_size=7)
         assert rows(results) == rows(serial_baseline)
+        retries = ring.events("worker_retry")
+        assert [(event["pair"], event["chunk"]) for event in retries] == [
+            (4, 0)]
+        assert "injected" in retries[0]["reason"]
 
     def test_poisoned_chunk_recovered_inline(self, monkeypatch,
                                              serial_baseline):
@@ -352,16 +360,26 @@ class TestRetryBackoff:
     def test_retried_sweep_rows_stay_identical(self, serial_baseline):
         # The backoff sleeps ride the worker-side delay channel; rows
         # must stay bit-identical however many retries fire.
+        from repro import obs
         from repro.verify import parallel as parallel_module
 
-        failures = {(0, 0, 0), (0, 0, 1), (1, 0, 0)}
+        # Tasks are keyed by their first pair: 0 (forgetting), 4
+        # (parity) and 6 (max).
+        failures = {(0, 0, 0), (0, 0, 1), (4, 0, 0)}
         original = parallel_module._FAIL_INJECTOR
         parallel_module._FAIL_INJECTOR = (
             lambda pair, chunk, attempt: (pair, chunk, attempt) in failures)
+        ring = obs.RingBufferSink()
         try:
-            results = parallel_soundness_sweep(
-                FLOWCHARTS, "surveillance", executor="thread",
-                max_workers=2, chunk_size=5, max_chunk_retries=3)
+            with obs.observed(sinks=[ring], reset=True):
+                results = parallel_soundness_sweep(
+                    FLOWCHARTS, "surveillance", executor="thread",
+                    max_workers=2, chunk_size=5, max_chunk_retries=3)
         finally:
             parallel_module._FAIL_INJECTOR = original
         assert rows(results) == rows(serial_baseline)
+        # Each injected failure fired once; the event names the attempt
+        # it schedules next.
+        assert sorted((event["pair"], event["chunk"], event["attempt"] - 1)
+                      for event in ring.events("worker_retry")) == sorted(
+            failures)
