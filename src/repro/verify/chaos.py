@@ -1,19 +1,20 @@
 """Deterministic chaos: seeded fault plans for sweep hardening tests.
 
-The retry/degradation machinery in :mod:`repro.verify.parallel` grew up
-against two ad-hoc test hooks (``_FAIL_INJECTOR``, ``_DELAY_INJECTOR``).
-This module generalises them into a first-class *fault plan*: a seeded,
-deterministic schedule of injected faults that the sweep consults at
-submit time (worker crash, delay, lost chunk) and per grid point
-(poison → ``MemoryError``), so robustness tests and the CI chaos job
-can describe a whole failure scenario as one picklable value.
+A *fault plan* is the one source of injected faults for the
+retry/degradation machinery in :mod:`repro.verify.parallel`: a seeded,
+deterministic schedule that the sweep consults at submit time (worker
+crash, delay, lost chunk, through :meth:`FaultPlan.decide`) and per grid
+point (poison → ``MemoryError``, through :meth:`FaultPlan.poisons`), so
+robustness tests and the CI chaos job can describe a whole failure
+scenario as one picklable value.  The sweep reads the installed plan
+once, when it is planned.
 
 Determinism is the point.  Every decision is a pure function of
 ``(seed, pair, chunk, attempt)`` — hashed, not drawn from a shared RNG —
 so the same plan produces the same faults whether chunks are submitted
 from one thread or sixteen, and a process-pool worker (which receives
-the plan inside its task payload) reaches the same verdicts as the
-parent.  A poisoned *point* crashes every time it is evaluated, in any
+the plan inside the sweep's plan, once) reaches the same verdicts as
+the parent.  A poisoned *point* crashes every time it is evaluated, in any
 executor, which is exactly the behaviour the quarantine bisection needs
 to isolate it.
 
@@ -127,8 +128,8 @@ class FaultPlan:
     ``crash``/``delay``/``lost`` are per-attempt probabilities in
     [0, 1]; ``poison_points`` is a collection of grid points (tuples)
     that raise :class:`MemoryError` whenever evaluated.  Instances are
-    immutable plain data — picklable by construction, so they ride task
-    payloads into process-pool workers unchanged.
+    immutable plain data — picklable by construction, so they reach
+    process-pool workers unchanged.
     """
 
     __slots__ = ("seed", "crash", "delay", "lost", "delay_seconds",

@@ -20,7 +20,19 @@ verdict is exactly the serial factorization verdict — the outputs are
 shared between the soundness check and the accepts count, never
 recomputed.  Summaries, journal and ledger records, chunk spans and
 chunk counters stay per ``(pair, chunk)``; retries, chaos draws and
-injected faults are per task, keyed by its first pair.
+backoff are per task, keyed by its first pair.
+
+Stages
+------
+:func:`parallel_soundness_sweep` composes three stages.  The plan
+(:class:`_Plan`) resolves once what every task needs and evaluates one
+task; the recorder (:class:`_Recorder`) keeps everything about finished
+work, from summaries and journal to spans, rows and the ledger; the
+schedule (:func:`_schedule`, :func:`_drive_pool`) runs the tasks down
+the degradation ladder.  A process pool receives the plan once per
+worker, so a task carries only ``(pair_indices, chunk_index, points)``
+with its span ids and injected fault, and a worker compiles or
+instruments each flowchart once.
 
 There is one sweep path.  Jones–Lipton's policy J is read only by the
 halt test and the timed guard, so a registered family's task runs each
@@ -64,8 +76,9 @@ point(s) and totalizes each one into a distinguished ``Λ!crash[Type]``
 notice (``point_quarantined`` trace events carry the provenance), so
 the sweep completes and serial, thread, and process executors still
 agree row-for-row.  On the shared path each pair's bisection starts
-from the crash of the whole-chunk run.  Injected faults for testing
-this machinery come from :mod:`repro.verify.chaos`.
+from the crash of the whole-chunk run.  Injected faults come only
+from the :mod:`repro.verify.chaos` plan installed when the sweep is
+planned.  A pool whose every attempt has finished is joined.
 
 Checkpoint / resume
 -------------------
@@ -93,20 +106,21 @@ Executor selection
 - ``"serial"`` when the machine has one core or the product is small
   (pool overhead would dominate);
 - ``"process"`` when the mechanism factory is a *registered* named
-  factory (see :data:`FACTORIES`) so the task is picklable;
+  factory (see :data:`FACTORIES`) so the plan is picklable;
 - ``"thread"`` otherwise (closures capture unpicklable state; threads
   share the mechanism object).
 
-Any mode can be forced explicitly; ``"process"`` with an unpicklable
-factory raises a clear error instead of a pickling traceback.
+Any mode can be forced explicitly; ``"process"`` with an unregistered
+factory raises a clear error, before the sweep has any side effect,
+instead of a pickling traceback.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import time
 from collections import Counter
+from functools import partial
 from operator import itemgetter
 from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor,
                                 ProcessPoolExecutor, ThreadPoolExecutor,
@@ -152,20 +166,6 @@ _MODE_LADDER = {
     "serial": ("serial",),
 }
 
-#: Test hook: ``(pair_index, chunk_index, attempt) -> bool`` deciding
-#: whether a pooled task attempt should crash before evaluating — the
-#: injected-worker-failure switch the retry tests flip.  A task is keyed
-#: by its first pair.  Decided in the parent at submit time (so it
-#: reaches process workers via the task payload); inline recovery and
-#: plain serial execution never inject.
-_FAIL_INJECTOR: Optional[Callable[[int, int, int], bool]] = None
-
-#: Test hook: ``(pair_index, chunk_index, attempt) -> seconds`` of
-#: artificial delay before a pooled task runs (for exercising
-#: ``chunk_timeout``), keyed like :data:`_FAIL_INJECTOR`.  ``None`` or
-#: 0 means no delay.
-_DELAY_INJECTOR: Optional[Callable[[int, int, int], float]] = None
-
 #: Retry backoff ladder: first retry waits ~BASE, doubling per attempt,
 #: bounded by CAP so a degraded pool is never hammered by an immediate
 #: resubmit storm yet recovery latency stays sub-second.
@@ -193,7 +193,7 @@ def retry_backoff(pair_index: int, chunk_index: int, attempt: int,
 
 
 class _InjectedWorkerFailure(RuntimeError):
-    """Raised by the test-hook injection to simulate a crashed worker."""
+    """Raised for a chaos crash decision to simulate a crashed worker."""
 
 
 class _PoolBroken(Exception):
@@ -243,7 +243,7 @@ def evaluate_chunk(mechanism, policy, points: Iterable[Tuple],
     point gets a child span, and the mechanism's own leaf events
     (``run_end``, ``violation``, ``explanation``) attach to it via the
     thread-local span stack.  ``plan`` overrides the installed chaos
-    plan (process workers receive theirs via the task payload).
+    plan (a sweep passes the one it read when it was planned).
     """
     if plan is None:
         plan = chaos.current_plan()
@@ -282,16 +282,6 @@ _WALK_FAMILIES = {"timed": (True, True, True),
                   "highwater": (False, False, False)}
 
 _VIOL_KIND = 3  # merged outcome code for a surveillance violation
-
-_CPU_COUNT: Optional[int] = None
-
-
-def _cpu_count() -> Optional[int]:
-    """``os.cpu_count()`` is a syscall on some platforms; ask once."""
-    global _CPU_COUNT
-    if _CPU_COUNT is None:
-        _CPU_COUNT = os.cpu_count()
-    return _CPU_COUNT
 
 
 def _class_keys(policy, points) -> List:
@@ -487,9 +477,13 @@ def _evaluate_walk_chunk(flowchart: Flowchart, family: str,
         outputs = [run.output(allowed, time_observable) for run in runs]
         if _obs.active:
             tally: Counter = Counter()
+            # A channel fault (Λ!msg) is no violation: the per-point
+            # mechanism records nothing for it either.
             notices = Counter(str(output) for output in outputs
                               if is_violation(output))
             for notice, count in notices.items():
+                if "Λ!msg" in notice:
+                    continue
                 tally[_NOTICE_CODES.get(classify_notice(notice),
                                         _VIOL_KIND)] += count
             _record_tally(tally, flowchart,
@@ -622,7 +616,15 @@ def _factory_surveillance(flowchart, policy, domain, fuel=DEFAULT_FUEL,
     # instrumented flowchart (compiled backend, instrument+compile
     # caches).  Extensionally equal to the interpreter-level
     # ``surveillance_mechanism`` (bench E04 asserts this) but several
-    # times faster in sweeps.
+    # times faster in sweeps.  Instrumentation cannot model labelled
+    # channel queues, so a channel program gets the interpreter-level
+    # mechanism, under the instrumented name its rows carry.
+    if flowchart.has_channels():
+        from ..surveillance import surveillance_mechanism
+
+        return surveillance_mechanism(
+            flowchart, policy, domain, fuel=fuel, value_cap=value_cap,
+            backend=backend, name=instrumented_name(flowchart, policy))
     from ..surveillance.instrument import instrumented_mechanism
 
     return instrumented_mechanism(flowchart, policy, domain, fuel=fuel,
@@ -683,83 +685,671 @@ def resolve_factory(factory) -> Callable:
         ) from None
 
 
-def _chunk(points: List[Tuple], size: int) -> List[List[Tuple]]:
-    return [points[start:start + size]
-            for start in range(0, len(points), size)]
+# ---------------------------------------------------------------------------
+# Plan: what a sweep decides once, and the evaluation of one task
+# ---------------------------------------------------------------------------
+
+def _task_key(task) -> Tuple[int, int]:
+    """``(first pair, chunk)``, the key of retries and chaos draws."""
+    return task[0][0], task[1]
 
 
-def _run_task(pair_index: int, chunk_index: int, flowchart: Flowchart,
-              policies: Sequence[AllowPolicy], points: List[Tuple],
-              batch_family: Optional[str], fuel: int,
-              value_cap: Optional[int], mechanisms: Iterable,
-              spans: Sequence[Optional[str]], inject_failure: bool,
-              delay: float, plan: Optional[chaos.FaultPlan] = None
-              ) -> List[ChunkSummary]:
-    """A pooled task: one chunk of one flowchart, every policy decided.
+class _Plan:
+    """A sweep's decisions, made once, and the evaluation of one task.
 
-    ``pair_index`` is the task's first pair.  Injected delays sleep
-    here and injected crashes raise here.  On the shared path
-    (``batch_family`` set) one batch decides every policy and
-    ``mechanisms`` is never read; otherwise each policy's mechanism,
-    drawn from ``mechanisms`` in turn, runs point by point under its
-    pair's chunk span.
+    A task is one chunk of one flowchart's grid for the listed pairs of
+    that flowchart.  A process pool sends the plan to each worker once
+    (:func:`_start_worker`), so the worker's flowcharts keep their
+    identity and its compile and instrument caches hit.  Mechanisms are
+    built once per process and dropped when the plan is pickled.
     """
-    if delay:
-        time.sleep(delay)
-    if inject_failure:
-        raise _InjectedWorkerFailure(
-            f"injected failure for chunk ({pair_index}, {chunk_index})")
-    if batch_family is not None:
-        return _evaluate_chunk_batch(flowchart, batch_family, policies,
-                                     points, fuel, value_cap, plan=plan)
-    return [evaluate_chunk(mechanism, policy, points, span=span, plan=plan)
-            for mechanism, policy, span in zip(mechanisms, policies, spans)]
+
+    def __init__(self, flowcharts: Sequence[Flowchart], mechanism_factory,
+                 grid: Callable[[int], ProductDomain],
+                 policies: Callable[[int], List[AllowPolicy]], fuel: int,
+                 value_cap: Optional[int], backend: Optional[str]) -> None:
+        # Legacy 3-arg callables are honoured at the *default* backend
+        # only (the fuel contract): an explicitly requested backend must
+        # reach the factory or fail loudly, but the mere existence of a
+        # process default must not break them.
+        backend_requested = backend is not None
+        self.backend = resolve_backend(backend)
+        self.factory = resolve_factory(mechanism_factory)
+        # The registered family (None for any other callable), and the
+        # factory's name in sweep_start and the journal descriptor.
+        if isinstance(mechanism_factory, str):
+            self.family: Optional[str] = mechanism_factory
+            self.label = mechanism_factory
+        else:
+            self.family = next((name for name, fn in FACTORIES.items()
+                                if fn is self.factory), None)
+            self.label = getattr(self.factory, "__name__", "callable")
+        self.fuel = fuel
+        self.value_cap = value_cap
+        # The (flowchart, policy) pairs in sweep order, and each
+        # flowchart's pair indices: its policies share one domain.
+        self.pairs: List[Tuple[Flowchart, AllowPolicy, ProductDomain]] = []
+        self.groups: List[Tuple[int, ...]] = []
+        for flowchart in flowcharts:
+            domain = grid(flowchart.arity)
+            first = len(self.pairs)
+            self.pairs.extend((flowchart, policy, domain)
+                              for policy in policies(flowchart.arity))
+            if len(self.pairs) > first:
+                self.groups.append(tuple(range(first, len(self.pairs))))
+        self.points = sum(len(domain) for _, _, domain in self.pairs)
+        # Shared runs decide every chunk of a registered family, except
+        # on the interpreter (the per-point reference) and under explain
+        # (per-point provenance).  Channel programs stay off the batch
+        # tier, which cannot model labelled channel queues or totalize a
+        # lane's channel fault; the label walks carry both.
+        self.shared: Optional[str] = None
+        if (self.backend != "interpreted" and not _obs.explain_active
+                and self.family in _BATCH_FAMILIES
+                and (self.family in _WALK_FAMILIES or not any(
+                    flowchart.has_channels() for flowchart in flowcharts))):
+            self.shared = self.family
+        # Per-point chunks under backend="batch" run on the compiled
+        # engine the batch lanes call, not on the process-global
+        # default, so two callers cannot retarget each other's degraded
+        # chunks; the label-walk families walk interpreter-level.
+        point_backend = "compiled" if self.backend == "batch" else self.backend
+        self.mech_backend = point_backend if backend_requested else None
+        self.point_tier = ("interpreted" if self.family in _WALK_FAMILIES
+                           else point_backend)
+        self.chaos = chaos.current_plan()
+        self._mechanisms: Dict[int, object] = {}
+
+    def __getstate__(self) -> Dict:
+        state = dict(self.__dict__)
+        state["_mechanisms"] = {}
+        return state
+
+    def chunks(self, chunk_size: Optional[int],
+               workers: int) -> List[List[List[Tuple]]]:
+        """Each pair's chunk list, shared by a flowchart's pairs; by
+        default about four chunks per worker, of 64 points or more."""
+        layout: List[List[List[Tuple]]] = []
+        for group in self.groups:
+            points = list(self.pairs[group[0]][2])
+            size = chunk_size or max(64, -(-len(points) // (workers * 4)))
+            layout.extend([[points[start:start + size]
+                            for start in range(0, len(points), size)]]
+                          * len(group))
+        return layout
+
+    def mechanism(self, pair_index: int):
+        """The pair's mechanism, built on first use in this process."""
+        mechanism = self._mechanisms.get(pair_index)
+        if mechanism is None:
+            flowchart, policy, domain = self.pairs[pair_index]
+            mechanism = self._mechanisms[pair_index] = build_mechanism(
+                self.factory, flowchart, policy, domain, self.fuel,
+                value_cap=self.value_cap, backend=self.mech_backend)
+        return mechanism
+
+    def name(self, pair_index: int) -> str:
+        """The name of the pair's mechanism; a registered family's is
+        derived without building the mechanism."""
+        if self.family is None:
+            return self.mechanism(pair_index).name
+        flowchart, policy, _ = self.pairs[pair_index]
+        return FACTORY_NAMES[self.family](flowchart, policy)
+
+    def faults(self, pair_index: int, chunk_index: int,
+               attempt: int) -> Tuple[bool, float]:
+        """Submit-time faults of one task attempt: the chaos plan's crash
+        and delay, plus the retry backoff.  The backoff rides the same
+        worker-side sleep, so the parent never blocks on it."""
+        if self.chaos is None:
+            return False, retry_backoff(pair_index, chunk_index, attempt)
+        decision = self.chaos.decide(pair_index, chunk_index, attempt)
+        return decision.crash, decision.delay + retry_backoff(
+            pair_index, chunk_index, attempt, seed=self.chaos.seed)
+
+    def run(self, task, spans: Sequence[Optional[str]], inject: bool,
+            delay: float) -> List[ChunkSummary]:
+        """One pooled task attempt, after its injected delay or crash:
+        one batch decides every policy on the shared path; otherwise each
+        pair's mechanism runs point by point under its chunk span."""
+        if delay:
+            time.sleep(delay)
+        pair_indices, chunk_index, points = task
+        if inject:
+            raise _InjectedWorkerFailure(
+                f"injected failure for chunk ({pair_indices[0]}, "
+                f"{chunk_index})")
+        if self.shared is not None:
+            return self._run_shared(pair_indices, points)
+        summaries = []
+        for pair_index, span in zip(pair_indices, spans):
+            summary = evaluate_chunk(self.mechanism(pair_index),
+                                     self.pairs[pair_index][1], points,
+                                     span=span, plan=self.chaos)
+            summary.backend = self.point_tier
+            summaries.append(summary)
+        return summaries
+
+    def run_inline(self, task,
+                   spans: Sequence[Optional[str]]) -> List[ChunkSummary]:
+        """A task in the parent (the serial rung, post-retry recovery),
+        each pair under quarantine: a deterministic crash is bisected to
+        its point(s).  The shared run is tried once for the whole task;
+        if it crashes, each pair bisects from that crash."""
+        pair_indices, chunk_index, points = task
+        crash: Optional[BaseException] = None
+        if self.shared is not None:
+            try:
+                return self._run_shared(pair_indices, points)
+            except Exception as error:
+                crash = error
+        summaries = []
+        for pair_index, span in zip(pair_indices, spans):
+            mechanism = self.mechanism(pair_index)
+            policy = self.pairs[pair_index][1]
+            summary = (quarantine_chunk(mechanism, policy, points, pair_index,
+                                        chunk_index, span, self.chaos)
+                       if crash is None else
+                       _quarantine(mechanism, policy, points, pair_index,
+                                   chunk_index, span, self.chaos, crash))
+            summary.backend = self.point_tier
+            summaries.append(summary)
+        return summaries
+
+    def _run_shared(self, pair_indices: Sequence[int],
+                    points: List[Tuple]) -> List[ChunkSummary]:
+        return _evaluate_chunk_batch(
+            self.pairs[pair_indices[0]][0], self.shared,
+            [self.pairs[pair_index][1] for pair_index in pair_indices],
+            points, self.fuel, self.value_cap, plan=self.chaos)
 
 
-def _run_pickled_task(payload: bytes) -> List[ChunkSummary]:
-    """Process-pool entry: :func:`_run_task` on an unpickled payload.
+#: The plan a process-pool worker received when it started.
+_WORKER_PLAN: Optional[_Plan] = None
 
-    The per-point path rebuilds each pair's mechanism from the
-    registered factory.
 
-    ``spans`` are the parent-side chunk spans of the task's pairs:
-    fork-started workers inherit the parent's attached sinks, so their
-    point spans (and leaf events) land in the same trace and must link
-    to the chunk that scheduled them.  Spawn-started workers have
-    tracing off and ignore them.  The worker also drops any span stack
-    inherited mid-fork — its events must not attribute to the parent's
-    open spans.
+def _start_worker(plan: _Plan) -> None:
+    """Process-pool initializer: keep the sweep's plan for every task.
 
-    The chaos ``plan`` rides the payload (never a module global — spawn
-    workers would miss it), so poison points crash inside the worker
-    exactly as they would in the parent.
+    Fork-started workers inherit the parent's sinks, so their point
+    spans link to the chunk span ids each task carries (spawn-started
+    workers trace nothing); a span stack inherited mid-fork is dropped.
     """
-    (pair_index, chunk_index, flowchart, policies, domain, factory_name,
-     points, fuel, value_cap, inject_failure, delay, plan, spans,
-     batch_family, backend) = pickle.loads(payload)
+    global _WORKER_PLAN
+    _WORKER_PLAN = plan
     _obs._stack().clear()
-    mechanisms = (FACTORIES[factory_name](flowchart, policy, domain, fuel,
-                                          value_cap=value_cap,
-                                          backend=backend)
-                  for policy in policies)
-    return _run_task(pair_index, chunk_index, flowchart, policies, points,
-                     batch_family, fuel, value_cap, mechanisms, spans,
-                     inject_failure, delay, plan)
 
 
-def _pick_executor(executor: str, factory, workers: int,
-                   total_points: int) -> str:
+def _run_in_worker(task, spans: Sequence[Optional[str]], inject: bool,
+                   delay: float) -> List[ChunkSummary]:
+    """Process-pool entry: :meth:`_Plan.run` on the worker's plan."""
+    return _WORKER_PLAN.run(task, spans, inject, delay)
+
+
+# ---------------------------------------------------------------------------
+# Record: everything kept about finished work, parent-side
+# ---------------------------------------------------------------------------
+
+class _Recorder:
+    """Everything a sweep keeps about finished work, in the parent.
+
+    Per ``(pair, chunk)``: the summary, its journal record, chunk span
+    and counters.  Per pair: the row, the pair span, ``pair_done`` and
+    progress.  At :meth:`close`: the ledger, in ``(pair, chunk)`` order.
+    Spans stay parent-side, so a process-pool sweep still yields one
+    rooted sweep → pair → chunk tree.  ``layout`` is each pair's chunk
+    list, or None on the one-chunk path (:meth:`record_whole`).
+    """
+
+    def __init__(self, plan: _Plan,
+                 layout: Optional[List[List[List[Tuple]]]], mode: str,
+                 workers: int, progress, checkpoint: Optional[str],
+                 resume: bool, audit: Optional[str]) -> None:
+        self.plan = plan
+        self.layout = layout
+        self.progress = progress
+        self.checkpoint = checkpoint
+        self.summaries: Dict[Tuple[int, int], ChunkSummary] = {}
+        self.results: Dict[int, SweepResult] = {}
+        self.pair_spans: Dict[int, _obs.Span] = {}
+        self.chunk_spans: Dict[Tuple[int, int], _obs.Span] = {}
+        # Audit ledger: opened fresh so the file is a pure function of
+        # this sweep's inputs, appended parent-side only (workers never
+        # touch it).  No wall clock in the payloads — timestamps would
+        # make the "bit-identical across executors" guarantee a lie.
+        self.ledger: Optional[AuditLedger] = None
+        self.budget: Optional[str] = None
+        if audit is not None:
+            self.ledger = AuditLedger(audit, fresh=True)
+            self.budget = budget_fingerprint(fuel=plan.fuel,
+                                             value_cap=plan.value_cap,
+                                             backend=plan.backend)
+        # Canonical JSON of class keys and names, each encoded once per
+        # sweep, and the record heads, one per distinct notice (None:
+        # accept).
+        self.texts = EncodedValues()
+        self.heads: Dict[Optional[str], RecordHead] = {}
+        self.started = time.perf_counter()
+        # The sweep span roots the whole trace: every pair/chunk/point
+        # span links (transitively) back to it, in whichever process it
+        # is reconstructed.  Pushed, so parent-side leaf events attach
+        # to it.
+        self.span = _obs.span_begin("sweep", push=True, executor=mode,
+                                    pairs=len(plan.pairs), points=plan.points)
+        if _obs.active:
+            _obs.inc("sweep.count")
+            _obs.emit("sweep_start", pairs=len(plan.pairs),
+                      points=plan.points, executor=mode, workers=workers,
+                      factory=plan.label)
+        self.journal: Optional[CheckpointWriter] = None
+        if layout is None:
+            return
+        self.remaining = [len(chunks) for chunks in layout]
+        self.seconds = [0.0] * len(plan.pairs)
+        if checkpoint is not None:
+            self._open_journal(checkpoint, resume)
+
+    def _open_journal(self, path: str, resume: bool) -> None:
+        """Open the checkpoint journal; on resume, restore its chunks
+        and merge every pair they complete."""
+        plan = self.plan
+        descriptor = {
+            "pairs": [[flowchart.name, policy.name, len(domain)]
+                      for flowchart, policy, domain in plan.pairs],
+            "chunks": [[len(chunk) for chunk in chunks]
+                       for chunks in self.layout],
+            "factory": plan.label,
+            "fuel": plan.fuel,
+            "value_cap": plan.value_cap,
+        }
+        if not resume:
+            self.journal = CheckpointWriter(path, descriptor, fresh=True)
+            return
+        _, restored, record_count = load_checkpoint(
+            path, config_fingerprint(descriptor))
+        for (pair_index, chunk_index), summary in restored.items():
+            if (pair_index >= len(plan.pairs)
+                    or chunk_index >= len(self.layout[pair_index])):
+                raise ReproError(
+                    f"checkpoint {path!r} references chunk "
+                    f"({pair_index}, {chunk_index}) outside this "
+                    "sweep's layout")
+            self.summaries[(pair_index, chunk_index)] = summary
+            self.remaining[pair_index] -= 1
+        if _obs.active:
+            _obs.inc("sweep.chunks_restored", len(restored))
+            _obs.emit("sweep_resumed", chunks_restored=len(restored))
+        for pair_index, remaining in enumerate(self.remaining):
+            if remaining == 0:
+                self._merge(pair_index, 0.0)
+        self.journal = CheckpointWriter(path, descriptor, fresh=False,
+                                        start_seq=record_count)
+
+    def spans(self, task) -> List[Optional[str]]:
+        """The chunk span id of each pair of ``task``, opening any not
+        yet open (and its pair's span, at the pair's first chunk)."""
+        pair_indices, chunk_index, points = task
+        ids = []
+        for pair_index in pair_indices:
+            key = (pair_index, chunk_index)
+            handle = self.chunk_spans.get(key)
+            if handle is None and _obs.trace_active:
+                pair_span = self.pair_spans.get(pair_index)
+                if pair_span is None:
+                    flowchart, policy, _ = self.plan.pairs[pair_index]
+                    pair_span = self.pair_spans[pair_index] = _obs.span_begin(
+                        "pair", parent=self.span.id if self.span else None,
+                        pair=pair_index, program=flowchart.name,
+                        policy=policy.name)
+                handle = self.chunk_spans[key] = _obs.span_begin(
+                    "chunk", parent=pair_span.id if pair_span else None,
+                    pair=pair_index, chunk=chunk_index, points=len(points))
+            ids.append(handle.id if handle else None)
+        return ids
+
+    def record(self, task, summaries: Sequence[ChunkSummary],
+               elapsed: float) -> None:
+        """Keep a finished task's summaries, one ``(pair, chunk)`` at a
+        time; a pair whose last chunk this was is merged into its row.
+        The pairs of a task share its time."""
+        pair_indices, chunk_index, points = task
+        for pair_index, summary in zip(pair_indices, summaries):
+            key = (pair_index, chunk_index)
+            if key in self.summaries:  # late duplicate of an abandoned try
+                continue
+            self.summaries[key] = summary
+            if self.journal is not None:
+                self.journal.write_chunk(pair_index, chunk_index, summary)
+                if _obs.active:
+                    _obs.inc("sweep.checkpoints_written")
+                    _obs.emit("checkpoint_written", pair=pair_index,
+                              chunk=chunk_index, accepts=summary.accepts)
+            chunk_span = self.chunk_spans.pop(key, None)
+            _obs.span_finish(chunk_span, accepts=summary.accepts)
+            self.seconds[pair_index] += elapsed
+            # Point accounting happens here, in the parent, so process
+            # pool sweeps (whose workers carry their own disabled
+            # registries) still report complete sweep.points_* counters.
+            if _obs.active:
+                _obs.record_chunk_evaluated(len(points), summary.accepts)
+                _obs.inc("sweep.chunks_done")
+                fields = {"pair": pair_index, "chunk": chunk_index,
+                          "points": len(points), "accepts": summary.accepts,
+                          "elapsed_s": round(elapsed, 6)}
+                if chunk_span is not None:
+                    fields["span"] = chunk_span.id
+                _obs.emit("chunk_done", **fields)
+            self.remaining[pair_index] -= 1
+            if self.remaining[pair_index] == 0:
+                self._merge(pair_index, self.seconds[pair_index] or
+                            (time.perf_counter() - self.started))
+
+    def record_whole(self, task, summaries: Sequence[ChunkSummary],
+                     elapsed: float) -> None:
+        """The one-chunk path: each pair's only summary is its row."""
+        pair_indices, _, points = task
+        for pair_index, summary in zip(pair_indices, summaries):
+            _obs.span_finish(self.chunk_spans.pop((pair_index, 0), None),
+                             accepts=summary.accepts)
+            if _obs.active:
+                _obs.inc("sweep.chunks_done")
+                _obs.record_chunk_evaluated(len(points), summary.accepts)
+            # Folding a single summary through merge_chunks would
+            # rebuild its class dict only to rediscover its own
+            # conflict flag.
+            self._finish(pair_index, not summary.conflict, summary.accepts,
+                         elapsed, {summary.backend: 1})
+
+    def _merge(self, pair_index: int, seconds: float) -> None:
+        """Fold a pair's chunk summaries, in domain order, into its row."""
+        ordered = [self.summaries[(pair_index, index)]
+                   for index in range(len(self.layout[pair_index]))]
+        sound, accepts = merge_chunks(ordered)
+        backends = Counter(summary.backend or "unknown" for summary in ordered)
+        self._finish(pair_index, sound, accepts, seconds, dict(backends))
+
+    def _finish(self, pair_index: int, sound: bool, accepts: int,
+                seconds: float, backends: Dict[str, int]) -> None:
+        flowchart, policy, domain = self.plan.pairs[pair_index]
+        result = self.results[pair_index] = SweepResult(
+            flowchart.name, policy.name, self.plan.name(pair_index), sound,
+            accepts, len(domain), backends=backends)
+        pair_span = self.pair_spans.pop(pair_index, None)
+        if _obs.active:
+            _obs.observe("sweep.pair_seconds", seconds)
+            fields = {"pair": pair_index, "program": flowchart.name,
+                      "policy": policy.name, "sound": sound,
+                      "accepts": accepts}
+            if pair_span is not None:
+                fields["span"] = pair_span.id
+            _obs.emit("pair_done", **fields)
+        _obs.span_finish(pair_span, sound=sound, accepts=accepts)
+        if self.progress is not None:
+            self.progress(len(self.results), len(self.plan.pairs), result)
+
+    def _ledger_records(self, pair_index: int, chunk_index: int,
+                        summary: ChunkSummary) -> Iterable[RecordLine]:
+        """One decision record per policy class of a chunk, in the
+        chunk's point order, with the provenance ``repro explain``
+        replays (program, policy, class key, chunk coordinates);
+        assembled from parts encoded once each."""
+        flowchart, policy, _ = self.plan.pairs[pair_index]
+        texts = self.texts
+        before, after = canonical_object_around(
+            {"program": texts[flowchart.name], "policy": texts[policy.name],
+             "pair": str(pair_index), "chunk": str(chunk_index)}, "class")
+        for policy_value, output in summary.classes.items():
+            notice = str(output) if is_violation(output) else None
+            head = self.heads.get(notice)
+            if head is None:
+                head = self.heads[notice] = RecordHead(decision_payload(
+                    "accept" if notice is None else "notice",
+                    notice=notice, endpoint="sweep", budget=self.budget))
+            yield RecordLine(head, before + texts[policy_value] + after)
+
+    def close(self) -> List[SweepResult]:
+        """Close the journal, write the ledger, and return the rows."""
+        if self.journal is not None:
+            self.journal.close()
+        if self.ledger is not None:
+            # Records in (pair, chunk) order — the checkpoint journal's
+            # merge discipline — regardless of the completion order the
+            # pool delivered them in.
+            self.ledger.append_batch(
+                record for key in sorted(self.summaries)
+                for record in self._ledger_records(*key,
+                                                   self.summaries[key]))
+            self.ledger.close()
+        results = [self.results[index]
+                   for index in range(len(self.plan.pairs))]
+        if _obs.active:
+            _obs.emit("sweep_end", pairs=len(results),
+                      elapsed_s=round(time.perf_counter() - self.started, 6),
+                      unsound=sum(1 for r in results if not r.sound))
+        _obs.span_finish(self.span)
+        return results
+
+    def interrupt(self, reason: str) -> SweepInterruptedError:
+        """Close the journal and the ledger of an interrupted sweep;
+        returns the error to raise."""
+        if self.journal is not None:
+            self.journal.close()
+        if self.ledger is not None:
+            # An interrupted sweep appends nothing: partial ledgers in
+            # completion order would differ per executor.  The resumed
+            # run re-derives every segment from its merged summaries.
+            self.ledger.close()
+        if _obs.active:
+            _obs.inc("sweep.interrupted")
+            _obs.emit("sweep_interrupted", reason=reason,
+                      chunks_done=len(self.summaries))
+        _obs.span_finish(self.span, interrupted=reason)
+        return SweepInterruptedError(
+            reason, len(self.summaries),
+            sum(len(chunks) for chunks in self.layout),
+            self.checkpoint or "")
+
+
+# ---------------------------------------------------------------------------
+# Schedule: run the tasks down the degradation ladder
+# ---------------------------------------------------------------------------
+
+def _pick_executor(executor: str, plan: _Plan, workers: int) -> str:
     if executor not in EXECUTORS:
         raise ReproError(
             f"unknown executor {executor!r}; expected one of {EXECUTORS}")
     if executor != "auto":
         return executor
-    if workers <= 1 or total_points < _AUTO_SERIAL_THRESHOLD:
+    if workers <= 1 or plan.points < _AUTO_SERIAL_THRESHOLD:
         return "serial"
-    if isinstance(factory, str) or (
-            callable(factory) and factory in FACTORIES.values()):
-        return "process"
-    return "thread"
+    return "process" if plan.family is not None else "thread"
+
+
+def _stop_reason(stop: Optional[Callable[[], Optional[str]]],
+                 deadline: Optional[float], started: float) -> Optional[str]:
+    """The interruption reason, if a stop/deadline has fired."""
+    if stop is not None:
+        reason = stop()
+        if reason:
+            return reason if isinstance(reason, str) else "stop"
+    if deadline is not None and time.monotonic() - started >= deadline:
+        return "deadline"
+    return None
+
+
+def _schedule(plan: _Plan, recorder: _Recorder, mode: str, workers: int,
+              chunk_timeout: Optional[float], max_retries: int,
+              halt: Callable[[], Optional[str]]) -> None:
+    """Run every task not yet recorded, down the ladder from ``mode``;
+    a dying pool degrades to the next rung.  ``halt()`` returns the
+    stop reason, if any."""
+    if recorder.layout is None:
+        # One chunk per pair, serially: a flowchart's grid is one task.
+        if _obs.active:
+            _obs.inc("sweep.chunks_scheduled", len(plan.pairs))
+        for group in plan.groups:
+            task = (group, 0, list(plan.pairs[group[0]][2]))
+            started = time.perf_counter()
+            summaries = plan.run_inline(task, recorder.spans(task))
+            recorder.record_whole(task, summaries,
+                                  time.perf_counter() - started)
+        return
+    # A task decides one chunk for every pair of its flowchart that a
+    # resumed journal does not already hold.
+    tasks, done = [], recorder.summaries
+    for group in plan.groups:
+        for chunk_index, points in enumerate(recorder.layout[group[0]]):
+            todo = tuple(pair_index for pair_index in group
+                         if (pair_index, chunk_index) not in done)
+            if todo:
+                tasks.append((todo, chunk_index, points))
+    if _obs.active:
+        _obs.inc("sweep.chunks_scheduled", sum(len(task[0]) for task in tasks))
+    ladder = _MODE_LADDER[mode]
+    for rung, current_mode in enumerate(ladder):
+        tasks = [task for task in tasks
+                 if _task_key(task) not in recorder.summaries]
+        if not tasks:
+            return
+        try:
+            if current_mode == "serial":
+                for task in tasks:
+                    reason = halt()
+                    if reason:
+                        raise _StopRequested(reason)
+                    started = time.monotonic()
+                    summaries = plan.run_inline(task, recorder.spans(task))
+                    recorder.record(task, summaries,
+                                    time.monotonic() - started)
+                return
+            if current_mode == "thread":
+                pool = ThreadPoolExecutor(max_workers=workers)
+                runner = plan.run
+            else:
+                try:
+                    pool = ProcessPoolExecutor(
+                        max_workers=workers, initializer=_start_worker,
+                        initargs=(plan,))
+                except OSError as error:
+                    raise _PoolBroken(
+                        f"cannot spawn process pool: {error!r}") from error
+                runner = _run_in_worker
+            finished = False
+            try:
+                finished = _drive_pool(plan, recorder, pool, runner, tasks,
+                                       chunk_timeout, max_retries, halt)
+            finally:
+                # Join a pool whose every attempt has finished; a
+                # broken pool, a stop or an abandoned attempt may
+                # still hold a worker.
+                pool.shutdown(wait=finished, cancel_futures=True)
+            return
+        except _PoolBroken as broken:
+            next_mode = ladder[rung + 1]
+            if _obs.active:
+                _obs.inc("sweep.pool_degraded")
+                _obs.emit("pool_degraded", from_mode=current_mode,
+                          to_mode=next_mode, reason=str(broken))
+
+
+def _drive_pool(plan: _Plan, recorder: _Recorder, pool, runner, tasks,
+                chunk_timeout: Optional[float], max_retries: int,
+                halt: Callable[[], Optional[str]]) -> bool:
+    """Supervise one pool: retries, timeouts, inline recovery, stop.
+
+    ``runner(task, spans, inject, delay)`` runs one attempt.  Returns
+    whether every attempt has finished (none abandoned while running).
+    Raises :class:`_PoolBroken` when the pool itself can no longer run
+    tasks and :class:`_StopRequested` once a stop has drained; per-task
+    failures never propagate.
+    """
+    attempts = dict.fromkeys(map(_task_key, tasks), 0)
+    pending: Dict[object, Tuple[Tuple, float]] = {}
+    queue = list(tasks)
+    abandoned = False
+    # A bounded wait keeps stop and deadline responsive without a
+    # chunk_timeout.
+    poll = 0.25 if chunk_timeout is None else max(
+        0.01, min(chunk_timeout / 4.0, 0.25))
+    while queue or pending:
+        for task in queue:
+            key = _task_key(task)
+            inject, delay = plan.faults(*key, attempts[key])
+            try:
+                future = pool.submit(runner, task, recorder.spans(task),
+                                     inject, delay)
+            except BrokenExecutor as error:
+                raise _PoolBroken(f"pool rejected work: {error!r}") from error
+            pending[future] = (task, time.monotonic())
+        queue = []
+        finished, _ = wait(list(pending), timeout=poll,
+                           return_when=FIRST_COMPLETED)
+        failed = _land(recorder, pending, finished)
+        if chunk_timeout is not None:
+            now = time.monotonic()
+            for future, (task, started) in list(pending.items()):
+                if now - started >= chunk_timeout and not future.done():
+                    abandoned |= not future.cancel()
+                    pending.pop(future)
+                    failed.append((task, f"timeout after {chunk_timeout}s"))
+        for task, reason in failed:
+            key = _task_key(task)
+            attempts[key] += 1
+            if _obs.active:
+                chunk_span = recorder.chunk_spans.get(key)
+                fields = {"pair": key[0], "chunk": key[1],
+                          "attempt": attempts[key], "reason": reason}
+                if chunk_span is not None:
+                    fields["span"] = chunk_span.id
+                _obs.emit("worker_retry", **fields)
+            if attempts[key] <= max_retries:
+                if _obs.active:
+                    _obs.inc("sweep.chunks_retried")
+                queue.append(task)
+                continue
+            # Bounded retries exhausted — recover in the parent so one
+            # poisoned task cannot sink the sweep.
+            if _obs.active:
+                _obs.inc("sweep.chunks_failed")
+            started = time.monotonic()
+            summaries = plan.run_inline(task, recorder.spans(task))
+            recorder.record(task, summaries, time.monotonic() - started)
+        reason = halt()
+        if reason:
+            # Drain: drop what has not started, let in-flight tasks
+            # finish (bounded by chunk_timeout when set) and journal
+            # them — an interrupted checkpoint keeps every chunk that
+            # completed.  An attempt that fails mid-drain is left for a
+            # resumed sweep to re-run.
+            for future in list(pending):
+                if future.cancel():
+                    pending.pop(future)
+            if pending:
+                drained, _ = wait(list(pending), timeout=chunk_timeout)
+                _land(recorder, pending, drained, draining=True)
+            raise _StopRequested(reason)
+    return not abandoned
+
+
+def _land(recorder: _Recorder, pending: Dict, finished,
+          draining: bool = False) -> List[Tuple[Tuple, str]]:
+    """Record the finished attempts' summaries; returns the failed
+    attempts' tasks with their reasons.  A dead pool raises
+    :class:`_PoolBroken`, except while draining."""
+    now = time.monotonic()
+    failed = []
+    for future in finished:
+        task, started = pending.pop(future)
+        try:
+            summaries = future.result()
+        except BrokenExecutor as error:
+            if not draining:
+                raise _PoolBroken(f"pool broke: {error!r}") from error
+        except Exception as error:
+            failed.append((task, f"worker failure: {error!r}"))
+        else:
+            recorder.record(task, summaries, now - started)
+    return failed
 
 
 def parallel_soundness_sweep(
@@ -880,626 +1470,31 @@ def parallel_soundness_sweep(
             f"deadline must be positive seconds; got {deadline}")
     if resume and checkpoint is None:
         raise ReproError("resume=True needs a checkpoint path")
-    value_cap = resolve_value_cap(value_cap)
-    # Legacy 3-arg callables are honoured at the *default* backend only
-    # (the fuel contract): an explicitly requested backend must reach
-    # the factory or fail loudly, but the mere existence of a process
-    # default must not break them.
-    backend_requested = backend is not None
-    backend = resolve_backend(backend)
-
-    grid = grid or default_grid
-    policies = policies or all_allow_policies
-    factory = resolve_factory(mechanism_factory)
-    workers = max_workers or _cpu_count() or 1
-
-    if isinstance(mechanism_factory, str):
-        family: Optional[str] = mechanism_factory
-    else:
-        family = next((name for name, fn in FACTORIES.items()
-                       if fn is factory), None)
-    # Shared runs decide every chunk of a registered family, except on
-    # the interpreter, which stays the per-point reference; provenance
-    # (explain) needs the per-point machinery, so it degrades too.
-    batch_family: Optional[str] = None
-    if (backend != "interpreted" and not _obs.explain_active
-            and family in _BATCH_FAMILIES
-            and (family in _WALK_FAMILIES or not any(
-                flowchart.has_channels() for flowchart in flowcharts))):
-        # Channel programs stay off the batch tier: literal
-        # instrumentation cannot model labelled channel queues, and a
-        # lane's channel fault is not one the tier totalizes.  The
-        # label walks carry both.
-        batch_family = family
-    # The tier for chunks evaluated per-point: under backend="batch"
-    # that work runs on the compiled engine, the tier batch lanes call,
-    # rather than on whatever the process-global environment happens
-    # to say, so two callers of the same process cannot retarget each
-    # other's degraded chunks.
-    point_backend = "compiled" if backend == "batch" else backend
-    mech_backend = point_backend if backend_requested else None
-    # The tier a chunk's per-point evaluation really ran on: the
-    # label-walk families' mechanisms walk interpreter-level whatever
-    # the backend.
-    point_tier = "interpreted" if family in _WALK_FAMILIES else point_backend
-
-    # Materialise the (flowchart, policy) pair list once, in sweep order,
-    # and each flowchart's pair indices: its policies share one domain.
-    pairs: List[Tuple[Flowchart, AllowPolicy, ProductDomain]] = []
-    groups: List[Tuple[int, ...]] = []
-    for flowchart in flowcharts:
-        domain = grid(flowchart.arity)
-        first = len(pairs)
-        for policy in policies(flowchart.arity):
-            pairs.append((flowchart, policy, domain))
-        if len(pairs) > first:
-            groups.append(tuple(range(first, len(pairs))))
-    total_points = sum(len(domain) for _, _, domain in pairs)
-
-    mode = _pick_executor(executor, mechanism_factory, workers, total_points)
-
-    # Audit ledger: opened fresh so the file is a pure function of this
-    # sweep's inputs, appended parent-side only (workers never touch
-    # it).  No wall clock in the payloads — timestamps would make the
-    # "bit-identical across executors" guarantee a lie.
-    audit_ledger: Optional[AuditLedger] = None
-    audit_budget: Optional[str] = None
-    if audit is not None:
-        audit_ledger = AuditLedger(audit, fresh=True)
-        audit_budget = budget_fingerprint(fuel=fuel, value_cap=value_cap,
-                                          backend=backend)
-    # Canonical JSON of class keys and names, each encoded once per
-    # sweep, and the record heads, one per distinct notice (None:
-    # accept).
-    audit_texts = EncodedValues()
-    audit_heads: Dict[Optional[str], RecordHead] = {}
-
-    def audit_records(pair_index: int, chunk_index: int,
-                      summary: "ChunkSummary") -> Iterable[RecordLine]:
-        """One decision record per policy class of a merged chunk.
-
-        Class insertion order follows the chunk's point order, which is
-        fixed by the grid — deterministic across executors because the
-        summaries themselves are.  The class representative *is* the
-        enforcement decision the soundness verdict inspects, so each
-        record carries the provenance ``repro explain`` needs to replay
-        it: program, policy, encoded class key, and chunk coordinates.
-        Records are assembled from parts encoded once per distinct
-        notice, class key and pair.
-        """
-        flowchart, policy, _ = pairs[pair_index]
-        before, after = canonical_object_around(
-            {"program": audit_texts[flowchart.name],
-             "policy": audit_texts[policy.name],
-             "pair": str(pair_index), "chunk": str(chunk_index)}, "class")
-        for policy_value, output in summary.classes.items():
-            notice = str(output) if is_violation(output) else None
-            head = audit_heads.get(notice)
-            if head is None:
-                head = audit_heads[notice] = RecordHead(decision_payload(
-                    "accept" if notice is None else "notice",
-                    notice=notice, endpoint="sweep", budget=audit_budget))
-            yield RecordLine(head,
-                             before + audit_texts[policy_value] + after)
-
-    sweep_started = time.perf_counter()
-    # The sweep span roots the whole trace: every pair/chunk/point span
-    # links (transitively) back to it, in whichever process it is
-    # reconstructed.  Pushed, so parent-side leaf events attach to it.
-    sweep_span = _obs.span_begin("sweep", push=True, executor=mode,
-                                 pairs=len(pairs), points=total_points)
-    if _obs.active:
-        _obs.inc("sweep.count")
-        _obs.emit("sweep_start", pairs=len(pairs), points=total_points,
-                  executor=mode, workers=workers,
-                  factory=str(mechanism_factory) if isinstance(
-                      mechanism_factory, str)
-                  else getattr(factory, "__name__", "callable"))
-
-    results_by_pair: Dict[int, SweepResult] = {}
-    completed_pairs = [0]
-    # Pair spans are supervised across pool callbacks (not pushed):
-    # opened lazily at the pair's first scheduled chunk, closed when its
-    # verdict merges in finish_pair.
-    pair_spans: Dict[int, _obs.Span] = {}
-
-    def pair_span_for(pair_index: int) -> Optional[_obs.Span]:
-        handle = pair_spans.get(pair_index)
-        if handle is None and _obs.trace_active:
-            flowchart, policy, _ = pairs[pair_index]
-            handle = _obs.span_begin(
-                "pair", parent=sweep_span.id if sweep_span else None,
-                pair=pair_index, program=flowchart.name,
-                policy=policy.name)
-            if handle is not None:
-                pair_spans[pair_index] = handle
-        return handle
-
-    mechanisms: Dict[int, object] = {}
-    namer = FACTORY_NAMES.get(family) if family is not None else None
-
-    def mechanism_for(pair_index: int):
-        mechanism = mechanisms.get(pair_index)
-        if mechanism is None:
-            flowchart, policy, domain = pairs[pair_index]
-            mechanism = build_mechanism(factory, flowchart, policy, domain,
-                                        fuel, value_cap=value_cap,
-                                        backend=mech_backend)
-            mechanisms[pair_index] = mechanism
-        return mechanism
-
-    def name_for(pair_index: int) -> str:
-        if namer is None:
-            return mechanism_for(pair_index).name
-        flowchart, policy, _ = pairs[pair_index]
-        return namer(flowchart, policy)
-
-    def finish_pair(pair_index: int, sound: bool, accepts: int,
-                    pair_seconds: float,
-                    backends: Optional[Dict[str, int]] = None) -> None:
-        flowchart, policy, domain = pairs[pair_index]
-        result = SweepResult(flowchart.name, policy.name,
-                             name_for(pair_index), sound, accepts,
-                             len(domain), backends=backends)
-        results_by_pair[pair_index] = result
-        completed_pairs[0] += 1
-        pair_span = pair_spans.pop(pair_index, None)
-        if _obs.active:
-            _obs.observe("sweep.pair_seconds", pair_seconds)
-            fields = {"pair": pair_index, "program": flowchart.name,
-                      "policy": policy.name, "sound": sound,
-                      "accepts": accepts}
-            if pair_span is not None:
-                fields["span"] = pair_span.id
-            _obs.emit("pair_done", **fields)
-        _obs.span_finish(pair_span, sound=sound, accepts=accepts)
-        if progress is not None:
-            progress(completed_pairs[0], len(pairs), result)
-
-    def finalize() -> List[SweepResult]:
-        results = [results_by_pair[index] for index in range(len(pairs))]
-        if _obs.active:
-            elapsed = time.perf_counter() - sweep_started
-            _obs.emit("sweep_end", pairs=len(pairs),
-                      elapsed_s=round(elapsed, 6),
-                      unsound=sum(1 for r in results if not r.sound))
-        _obs.span_finish(sweep_span)
-        return results
-
-    # Chunk spans are supervised in the parent (opened at first submit,
-    # closed when the summary lands), so a process-pool sweep — whose
-    # workers run with observability off — still yields one rooted
-    # sweep → pair → chunk tree in the parent's trace.
-    chunk_spans: Dict[Tuple[int, int], _obs.Span] = {}
-
-    def task_spans(task) -> List[Optional[str]]:
-        """The chunk span id of each pair of ``task``, opening any not
-        yet open."""
-        pair_indices, chunk_index, points = task
-        ids = []
-        for pair_index in pair_indices:
-            key = (pair_index, chunk_index)
-            handle = chunk_spans.get(key)
-            if handle is None and _obs.trace_active:
-                pair_span = pair_span_for(pair_index)
-                handle = _obs.span_begin(
-                    "chunk", parent=pair_span.id if pair_span else None,
-                    pair=pair_index, chunk=chunk_index, points=len(points))
-                if handle is not None:
-                    chunk_spans[key] = handle
-            ids.append(handle.id if handle else None)
-        return ids
-
-    def run_task_inline(task) -> List[ChunkSummary]:
-        # Inline execution is the last line of defence (the serial rung
-        # and post-retry recovery), so each pair runs under quarantine:
-        # a deterministic crash is bisected to its point(s) rather than
-        # unwinding the sweep.  The shared run is tried once for the
-        # whole task; if it crashes, each pair bisects from that crash.
-        pair_indices, chunk_index, points = task
-        spans = task_spans(task)
-        flowchart = pairs[pair_indices[0]][0]
-        policies = [pairs[pair_index][1] for pair_index in pair_indices]
-        crash: Optional[BaseException] = None
-        if batch_family is not None:
-            try:
-                return _evaluate_chunk_batch(flowchart, batch_family,
-                                             policies, points, fuel,
-                                             value_cap)
-            except Exception as error:
-                crash = error
-        summaries = []
-        for pair_index, policy, span in zip(pair_indices, policies, spans):
-            mechanism = mechanism_for(pair_index)
-            summary = (quarantine_chunk(mechanism, policy, points, pair_index,
-                                        chunk_index, span=span)
-                       if crash is None else
-                       _quarantine(mechanism, policy, points, pair_index,
-                                   chunk_index, span, None, crash))
-            summary.backend = point_tier
-            summaries.append(summary)
-        return summaries
-
-    # The one-chunk-per-pair fast path is only safe when nothing needs
-    # the chunked schedule: a checkpoint's meaning *is* its chunk
-    # layout, stop/deadline need chunk boundaries to drain at, and an
-    # audit ledger's records are keyed by (pair, chunk) — a serial run
-    # on the fast path would ledger a different chunk layout than the
+    plan = _Plan(flowcharts, mechanism_factory, grid or default_grid,
+                 policies or all_allow_policies, fuel,
+                 resolve_value_cap(value_cap), backend)
+    workers = max_workers or os.cpu_count() or 1
+    mode = _pick_executor(executor, plan, workers)
+    if mode == "process" and plan.family is None:
+        raise ReproError(
+            "executor='process' needs a registered factory name "
+            f"(one of {sorted(FACTORIES)}); arbitrary callables "
+            "do not survive pickling")
+    # The one-chunk-per-pair path is only safe when nothing needs the
+    # chunked schedule: a checkpoint's meaning *is* its chunk layout,
+    # stop/deadline need chunk boundaries to drain at, and an audit
+    # ledger's records are keyed by (pair, chunk) — a serial run on the
+    # one-chunk path would ledger a different chunk layout than the
     # pooled executors, breaking bit-identical ledgers across modes.
-    if (mode == "serial" and checkpoint is None and stop is None
-            and deadline is None and audit is None):
-        if _obs.active:
-            _obs.inc("sweep.chunks_scheduled", len(pairs))
-        for group in groups:
-            started = time.perf_counter()
-            points = list(pairs[group[0]][2])
-            group_summaries = run_task_inline((group, 0, points))
-            elapsed = time.perf_counter() - started
-            for pair_index, summary in zip(group, group_summaries):
-                _obs.span_finish(chunk_spans.pop((pair_index, 0), None),
-                                 accepts=summary.accepts)
-                if _obs.active:
-                    _obs.inc("sweep.chunks_done")
-                    _obs.record_chunk_evaluated(len(points), summary.accepts)
-                # One chunk per pair: folding a single summary through
-                # merge_chunks rebuilds its class dict only to rediscover
-                # its own conflict flag.
-                finish_pair(pair_index, not summary.conflict,
-                            summary.accepts, elapsed,
-                            backends={summary.backend: 1})
-        return finalize()
-
-    # Chunked schedule: one task per (flowchart, chunk), its pairs'
-    # summaries merged back in order.  The pairs of a flowchart share
-    # one chunk list.
-    per_pair_chunks: List[List[List[Tuple]]] = []
-    for group in groups:
-        points = list(pairs[group[0]][2])
-        size = chunk_size or max(64, -(-len(points) // (workers * 4)))
-        per_pair_chunks.extend([_chunk(points, size)] * len(group))
-
-    total_chunks = sum(len(chunks) for chunks in per_pair_chunks)
-    summaries: Dict[Tuple[int, int], ChunkSummary] = {}
-    remaining_chunks: List[int] = [len(chunks) for chunks in per_pair_chunks]
-    pair_seconds: List[float] = [0.0] * len(pairs)
-    pair_started_wall = time.perf_counter()
-    sweep_started_mono = time.monotonic()
-    ckpt_writer: Optional[CheckpointWriter] = None
-
-    def check_stop() -> Optional[str]:
-        """The interruption reason, if a stop/deadline has fired."""
-        if stop is not None:
-            reason = stop()
-            if reason:
-                return reason if isinstance(reason, str) else "stop"
-        if (deadline is not None
-                and time.monotonic() - sweep_started_mono >= deadline):
-            return "deadline"
-        return None
-
-    factory_name: Optional[str] = None
-    if mode == "process":
-        if not isinstance(mechanism_factory, str):
-            names = {fn: name for name, fn in FACTORIES.items()}
-            if factory not in names:
-                raise ReproError(
-                    "executor='process' needs a registered factory name "
-                    f"(one of {sorted(FACTORIES)}); arbitrary callables "
-                    "do not survive pickling")
-            factory_name = names[factory]
-        else:
-            factory_name = mechanism_factory
-
-    def merge_pair(pair_index: int, seconds: float) -> None:
-        """Fold a pair's chunk summaries, in domain order, into its row."""
-        ordered = [summaries[(pair_index, index)]
-                   for index in range(len(per_pair_chunks[pair_index]))]
-        sound, accepts = merge_chunks(ordered)
-        backends = Counter(summary.backend or "unknown" for summary in ordered)
-        finish_pair(pair_index, sound, accepts, seconds,
-                    backends=dict(backends))
-
-    def record_task(task, task_summaries: List[ChunkSummary],
-                    elapsed: float) -> None:
-        pair_indices, chunk_index, points = task
-        for pair_index, summary in zip(pair_indices, task_summaries):
-            key = (pair_index, chunk_index)
-            if key in summaries:  # late duplicate from an abandoned future
-                continue
-            if summary.backend is None:
-                summary.backend = point_tier
-            summaries[key] = summary
-            if ckpt_writer is not None:
-                ckpt_writer.write_chunk(pair_index, chunk_index, summary)
-                if _obs.active:
-                    _obs.inc("sweep.checkpoints_written")
-                    _obs.emit("checkpoint_written", pair=pair_index,
-                              chunk=chunk_index, accepts=summary.accepts)
-            chunk_span = chunk_spans.pop(key, None)
-            _obs.span_finish(chunk_span, accepts=summary.accepts)
-            # The pairs of a task share its time.
-            pair_seconds[pair_index] += elapsed
-            # Point accounting happens here, in the parent, so
-            # process-pool sweeps (whose workers carry their own
-            # disabled registries) still report complete sweep.points_*
-            # counters.
-            if _obs.active:
-                _obs.record_chunk_evaluated(len(points), summary.accepts)
-                _obs.inc("sweep.chunks_done")
-                fields = {"pair": pair_index, "chunk": chunk_index,
-                          "points": len(points), "accepts": summary.accepts,
-                          "elapsed_s": round(elapsed, 6)}
-                if chunk_span is not None:
-                    fields["span"] = chunk_span.id
-                _obs.emit("chunk_done", **fields)
-            remaining_chunks[pair_index] -= 1
-            if remaining_chunks[pair_index] == 0:
-                merge_pair(pair_index, pair_seconds[pair_index] or
-                           (time.perf_counter() - pair_started_wall))
-
-    def drive_pool(submit_task, pool_tasks) -> None:
-        """Supervise one pool: retries, timeouts, inline recovery.
-
-        ``submit_task(task, spans, inject_failure, delay)`` hands one
-        task attempt to the pool.  Raises :class:`_PoolBroken` when the
-        pool itself can no longer run tasks (crashed worker process,
-        failed spawn); per-task failures never propagate.
-        """
-        attempts: Dict[Tuple[int, int], int] = {
-            (task[0][0], task[1]): 0 for task in pool_tasks}
-        pending: Dict[object, Tuple[Tuple, float]] = {}
-
-        def submit(task) -> None:
-            spans = task_spans(task)
-            inject, delay = injected_faults(task[0][0], task[1],
-                                            attempts[(task[0][0], task[1])])
-            try:
-                future = submit_task(task, spans, inject, delay)
-            except BrokenExecutor as error:
-                raise _PoolBroken(f"pool rejected work: {error!r}") from error
-            pending[future] = (task, time.monotonic())
-
-        def retry_or_recover(task, reason: str) -> None:
-            key = (task[0][0], task[1])
-            attempts[key] += 1
-            attempt = attempts[key]
-            if _obs.active:
-                chunk_span = chunk_spans.get(key)
-                fields = {"pair": key[0], "chunk": key[1],
-                          "attempt": attempt, "reason": reason}
-                if chunk_span is not None:
-                    fields["span"] = chunk_span.id
-                _obs.emit("worker_retry", **fields)
-            if attempt <= max_chunk_retries:
-                if _obs.active:
-                    _obs.inc("sweep.chunks_retried")
-                submit(task)
-                return
-            # Bounded retries exhausted — recover in the parent so one
-            # poisoned task cannot sink the sweep.
-            if _obs.active:
-                _obs.inc("sweep.chunks_failed")
-            started = time.monotonic()
-            task_summaries = run_task_inline(task)
-            record_task(task, task_summaries, time.monotonic() - started)
-
-        for task in pool_tasks:
-            submit(task)
-        poll = None
-        if chunk_timeout is not None:
-            poll = max(0.01, min(chunk_timeout / 4.0, 0.25))
-        if stop is not None or deadline is not None:
-            # Stop/deadline need a bounded wait to stay responsive even
-            # without a chunk_timeout.
-            poll = 0.25 if poll is None else min(poll, 0.25)
-        while pending:
-            finished, _ = wait(list(pending), timeout=poll,
-                               return_when=FIRST_COMPLETED)
-            now = time.monotonic()
-            for future in finished:
-                task, started = pending.pop(future)
-                try:
-                    task_summaries = future.result()
-                except BrokenExecutor as error:
-                    raise _PoolBroken(f"pool broke: {error!r}") from error
-                except Exception as error:
-                    retry_or_recover(task, f"worker failure: {error!r}")
-                else:
-                    record_task(task, task_summaries, now - started)
-            if chunk_timeout is not None:
-                for future, (task, started) in list(pending.items()):
-                    if now - started >= chunk_timeout and not future.done():
-                        future.cancel()
-                        pending.pop(future)
-                        retry_or_recover(
-                            task, f"timeout after {chunk_timeout}s")
-            reason = check_stop()
-            if reason:
-                # Drain: drop what has not started, let in-flight tasks
-                # finish (bounded by chunk_timeout when set) and journal
-                # them — an interrupted checkpoint keeps every chunk
-                # that completed.
-                for future in list(pending):
-                    if future.cancel():
-                        pending.pop(future)
-                if pending:
-                    drained, _ = wait(list(pending), timeout=chunk_timeout)
-                    now = time.monotonic()
-                    for future in drained:
-                        task, started = pending.pop(future)
-                        try:
-                            task_summaries = future.result()
-                        except Exception:
-                            continue  # crashed mid-drain; resume re-runs it
-                        record_task(task, task_summaries, now - started)
-                raise _StopRequested(reason)
-
-    # ----- checkpoint: open the journal, restore completed chunks -----
-    if checkpoint is not None:
-        descriptor = {
-            "pairs": [[flowchart.name, policy.name, len(domain)]
-                      for flowchart, policy, domain in pairs],
-            "chunks": [[len(chunk) for chunk in chunks]
-                       for chunks in per_pair_chunks],
-            "factory": (mechanism_factory
-                        if isinstance(mechanism_factory, str)
-                        else getattr(factory, "__name__", "callable")),
-            "fuel": fuel,
-            "value_cap": value_cap,
-        }
-        fingerprint = config_fingerprint(descriptor)
-        if resume:
-            _, restored, record_count = load_checkpoint(checkpoint,
-                                                        fingerprint)
-            for (pair_index, chunk_index), summary in restored.items():
-                if (pair_index >= len(pairs) or chunk_index
-                        >= len(per_pair_chunks[pair_index])):
-                    raise ReproError(
-                        f"checkpoint {checkpoint!r} references chunk "
-                        f"({pair_index}, {chunk_index}) outside this "
-                        "sweep's layout")
-                summaries[(pair_index, chunk_index)] = summary
-                remaining_chunks[pair_index] -= 1
-            if _obs.active:
-                _obs.inc("sweep.chunks_restored", len(restored))
-                _obs.emit("sweep_resumed", chunks_restored=len(restored))
-            for pair_index in range(len(pairs)):
-                if (remaining_chunks[pair_index] == 0
-                        and pair_index not in results_by_pair):
-                    merge_pair(pair_index, 0.0)
-            ckpt_writer = CheckpointWriter(checkpoint, descriptor,
-                                           fresh=False,
-                                           start_seq=record_count)
-        else:
-            ckpt_writer = CheckpointWriter(checkpoint, descriptor,
-                                           fresh=True)
-
-    def injected_faults(pair_index: int, chunk_index: int,
-                        attempt: int) -> Tuple[bool, float]:
-        """Submit-time fault injection: legacy hooks ∪ the chaos plan."""
-        inject = bool(_FAIL_INJECTOR and _FAIL_INJECTOR(
-            pair_index, chunk_index, attempt))
-        delay = (_DELAY_INJECTOR(pair_index, chunk_index, attempt)
-                 if _DELAY_INJECTOR else 0.0)
-        plan = chaos.current_plan()
-        if plan is not None:
-            decision = plan.decide(pair_index, chunk_index, attempt)
-            inject = inject or decision.crash
-            delay = max(delay, decision.delay)
-        # Retry backoff rides the same worker-side sleep the injectors
-        # use, so the parent supervision loop never blocks on it.
-        delay += retry_backoff(pair_index, chunk_index, attempt,
-                               seed=plan.seed if plan is not None else 0)
-        return inject, delay
-
-    # A task decides one chunk for every pair of its flowchart that a
-    # resumed journal does not already hold.
-    tasks: List[Tuple[Tuple[int, ...], int, List[Tuple]]] = []
-    for group in groups:
-        for chunk_index, points in enumerate(per_pair_chunks[group[0]]):
-            todo = tuple(pair_index for pair_index in group
-                         if (pair_index, chunk_index) not in summaries)
-            if todo:
-                tasks.append((todo, chunk_index, points))
-    if _obs.active:
-        _obs.inc("sweep.chunks_scheduled", total_chunks - len(summaries))
-
+    one_chunk = (mode == "serial" and checkpoint is None and stop is None
+                 and deadline is None and audit is None)
+    halt = partial(_stop_reason, stop, deadline, time.monotonic())
+    recorder = _Recorder(plan, None if one_chunk else
+                         plan.chunks(chunk_size, workers), mode, workers,
+                         progress, checkpoint, resume, audit)
     try:
-        ladder = _MODE_LADDER[mode]
-        for rung, current_mode in enumerate(ladder):
-            pool_tasks = [task for task in tasks
-                          if (task[0][0], task[1]) not in summaries]
-            if not pool_tasks:
-                break
-            try:
-                if current_mode == "serial":
-                    for task in pool_tasks:
-                        reason = check_stop()
-                        if reason:
-                            raise _StopRequested(reason)
-                        started = time.monotonic()
-                        task_summaries = run_task_inline(task)
-                        record_task(task, task_summaries,
-                                    time.monotonic() - started)
-                elif current_mode == "thread":
-                    def submit_thread(task, spans, inject, delay):
-                        pair_indices, chunk_index, points = task
-                        return thread_pool.submit(
-                            _run_task, pair_indices[0], chunk_index,
-                            pairs[pair_indices[0]][0],
-                            [pairs[index][1] for index in pair_indices],
-                            points, batch_family, fuel, value_cap,
-                            map(mechanism_for, pair_indices), spans, inject,
-                            delay)
-
-                    thread_pool = ThreadPoolExecutor(max_workers=workers)
-                    try:
-                        drive_pool(submit_thread, pool_tasks)
-                    finally:
-                        thread_pool.shutdown(wait=False,
-                                             cancel_futures=True)
-                else:  # process
-                    def submit_process(task, spans, inject, delay):
-                        pair_indices, chunk_index, points = task
-                        flowchart, _, domain = pairs[pair_indices[0]]
-                        payload = pickle.dumps(
-                            (pair_indices[0], chunk_index, flowchart,
-                             [pairs[index][1] for index in pair_indices],
-                             domain, factory_name, points, fuel, value_cap,
-                             inject, delay, chaos.current_plan(), spans,
-                             batch_family, mech_backend))
-                        return process_pool.submit(_run_pickled_task,
-                                                   payload)
-
-                    try:
-                        process_pool = ProcessPoolExecutor(
-                            max_workers=workers)
-                    except OSError as error:
-                        raise _PoolBroken(
-                            f"cannot spawn process pool: {error!r}"
-                        ) from error
-                    try:
-                        drive_pool(submit_process, pool_tasks)
-                    finally:
-                        process_pool.shutdown(wait=False,
-                                              cancel_futures=True)
-                break
-            except _PoolBroken as broken:
-                next_mode = ladder[rung + 1]
-                if _obs.active:
-                    _obs.inc("sweep.pool_degraded")
-                    _obs.emit("pool_degraded", from_mode=current_mode,
-                              to_mode=next_mode, reason=str(broken))
+        _schedule(plan, recorder, mode, workers, chunk_timeout,
+                  max_chunk_retries, halt)
     except _StopRequested as stopped:
-        if ckpt_writer is not None:
-            ckpt_writer.close()
-        if audit_ledger is not None:
-            # An interrupted sweep appends nothing: partial ledgers in
-            # completion order would differ per executor.  The resumed
-            # run re-derives every segment from its merged summaries.
-            audit_ledger.close()
-        if _obs.active:
-            _obs.inc("sweep.interrupted")
-            _obs.emit("sweep_interrupted", reason=stopped.reason,
-                      chunks_done=len(summaries))
-        _obs.span_finish(sweep_span, interrupted=stopped.reason)
-        raise SweepInterruptedError(
-            stopped.reason, len(summaries), total_chunks,
-            checkpoint or "") from None
-
-    if ckpt_writer is not None:
-        ckpt_writer.close()
-    if audit_ledger is not None:
-        # Records in (pair, chunk) order — the checkpoint journal's
-        # merge discipline — regardless of the completion order the
-        # pool delivered them in.
-        audit_ledger.append_batch(
-            record
-            for pair_index, chunks in enumerate(per_pair_chunks)
-            for chunk_index in range(len(chunks))
-            if (pair_index, chunk_index) in summaries
-            for record in audit_records(
-                pair_index, chunk_index,
-                summaries[(pair_index, chunk_index)]))
-        audit_ledger.close()
-    return finalize()
+        raise recorder.interrupt(stopped.reason) from None
+    return recorder.close()

@@ -7,13 +7,16 @@ field against :func:`repro.verify.soundness_sweep` on the same
 recount.
 """
 
+import contextlib
+import multiprocessing
+
 import pytest
 
 from repro.core.mechanism import is_violation
 from repro.core.errors import ReproError
 from repro.core.soundness import check_soundness, check_soundness_with_accepts
 from repro.flowchart import library
-from repro.verify import (FACTORIES, parallel_soundness_sweep,
+from repro.verify import (FACTORIES, chaos, parallel_soundness_sweep,
                           resolve_factory, soundness_sweep)
 from repro.verify.enumerate import default_grid
 from repro.verify.parallel import (ChunkSummary, evaluate_chunk,
@@ -41,11 +44,21 @@ def test_executor_matches_serial_sweep(executor, serial_baseline):
     assert rows(parallel) == rows(serial_baseline)
 
 
+def live_pool_threads():
+    from concurrent.futures import process
+
+    return {thread for thread in list(process._threads_wakeups)
+            if thread.is_alive()}
+
+
 def test_process_executor_matches_serial_sweep(serial_baseline):
+    before = live_pool_threads()
     parallel = parallel_soundness_sweep(
         FLOWCHARTS, "surveillance", executor="process", max_workers=2,
         chunk_size=7)
     assert rows(parallel) == rows(serial_baseline)
+    # A pool whose every task landed is joined before the sweep returns.
+    assert not live_pool_threads() - before
 
 
 def test_auto_executor_small_product_stays_correct():
@@ -67,13 +80,26 @@ def test_callable_factory_accepted_by_thread_executor():
     assert rows(parallel) == rows(serial)
 
 
-def test_process_executor_rejects_unpicklable_factory():
-    with pytest.raises(ReproError, match="pickling"):
-        parallel_soundness_sweep(
-            [library.parity_program()],
-            lambda flowchart, policy, domain:
-                FACTORIES["surveillance"](flowchart, policy, domain),
-            executor="process")
+def test_process_executor_rejects_unpicklable_factory(tmp_path):
+    from repro import obs
+    from repro.obs import runtime
+
+    # The error comes before the sweep has any side effect.
+    ledger = tmp_path / "audit.jsonl"
+    ledger.write_text("an earlier sweep's ledger\n")
+    ring = obs.RingBufferSink()
+    with obs.observed(sinks=[ring], reset=True):
+        with pytest.raises(ReproError, match="pickling"):
+            parallel_soundness_sweep(
+                [library.parity_program()],
+                lambda flowchart, policy, domain:
+                    FACTORIES["surveillance"](flowchart, policy, domain),
+                executor="process", audit=str(ledger))
+        open_span = runtime.current_span()
+    assert ledger.read_text() == "an earlier sweep's ledger\n"
+    assert open_span is None
+    assert not ring.events("sweep_start")
+    assert "sweep.count" not in obs.snapshot()["counters"]
 
 
 def test_unknown_executor_and_factory_rejected():
@@ -205,18 +231,42 @@ class TestValidation:
 # Fault tolerance: retries, inline recovery, pool degradation, timeouts
 # ---------------------------------------------------------------------------
 
+class KeyedFaults:
+    """A chaos plan that faults exact ``(pair, chunk, attempt)`` keys:
+    ``crash`` is a set of keys, ``delay`` maps keys to seconds."""
+
+    seed = 0
+
+    def __init__(self, crash=(), delay=None):
+        self.crash = set(crash)
+        self.delay = delay or {}
+
+    def decide(self, pair, chunk, attempt):
+        key = (pair, chunk, attempt)
+        return chaos.FaultDecision(crash=key in self.crash,
+                                   delay=self.delay.get(key, 0.0))
+
+    def poisons(self, point):
+        return False
+
+
+@contextlib.contextmanager
+def keyed_faults(**keys):
+    """Install a :class:`KeyedFaults` plan for the sweeps in the block."""
+    chaos.install(KeyedFaults(**keys))
+    try:
+        yield
+    finally:
+        chaos.clear()
+
+
 class TestFaultTolerance:
-    def test_injected_failure_is_retried_not_fatal(self, monkeypatch,
-                                                   serial_baseline):
+    def test_injected_failure_is_retried_not_fatal(self, serial_baseline):
         from repro import obs
-        from repro.verify import parallel as parallel_module
 
-        def injector(pair, chunk, attempt):
-            return pair == 0 and chunk == 0 and attempt == 0
-
-        monkeypatch.setattr(parallel_module, "_FAIL_INJECTOR", injector)
         ring = obs.RingBufferSink()
-        with obs.observed(sinks=[ring], reset=True):
+        with keyed_faults(crash={(0, 0, 0)}), obs.observed(sinks=[ring],
+                                                           reset=True):
             results = parallel_soundness_sweep(
                 FLOWCHARTS, "surveillance", executor="thread",
                 max_workers=2, chunk_size=5)
@@ -227,18 +277,13 @@ class TestFaultTolerance:
         counters = obs.snapshot()["counters"]
         assert counters["sweep.chunks_retried"] >= 1
 
-    def test_injected_process_failure_is_retried(self, monkeypatch,
-                                                 serial_baseline):
+    def test_injected_process_failure_is_retried(self, serial_baseline):
         from repro import obs
-        from repro.verify import parallel as parallel_module
 
         # Pair 4 is parity's first pair, so it keys a task.
-        monkeypatch.setattr(
-            parallel_module, "_FAIL_INJECTOR",
-            lambda pair, chunk, attempt:
-                pair == 4 and chunk == 0 and attempt == 0)
         ring = obs.RingBufferSink()
-        with obs.observed(sinks=[ring], reset=True):
+        with keyed_faults(crash={(4, 0, 0)}), obs.observed(sinks=[ring],
+                                                           reset=True):
             results = parallel_soundness_sweep(
                 FLOWCHARTS, "surveillance", executor="process",
                 max_workers=2, chunk_size=7)
@@ -248,18 +293,14 @@ class TestFaultTolerance:
             (4, 0)]
         assert "injected" in retries[0]["reason"]
 
-    def test_poisoned_chunk_recovered_inline(self, monkeypatch,
-                                             serial_baseline):
+    def test_poisoned_chunk_recovered_inline(self, serial_baseline):
         from repro import obs
-        from repro.verify import parallel as parallel_module
 
-        # Chunk (0, 0) fails on every pooled attempt; after the retry
+        # Chunk (0, 0) fails on both pooled attempts; after the retry
         # budget the parent evaluates it inline, so the sweep still
         # completes with exact results.
-        monkeypatch.setattr(
-            parallel_module, "_FAIL_INJECTOR",
-            lambda pair, chunk, attempt: (pair, chunk) == (0, 0))
-        with obs.observed(reset=True):
+        with keyed_faults(crash={(0, 0, 0), (0, 0, 1)}), obs.observed(
+                reset=True):
             results = parallel_soundness_sweep(
                 FLOWCHARTS, "surveillance", executor="thread",
                 max_workers=2, chunk_size=5, max_chunk_retries=1)
@@ -276,7 +317,8 @@ class TestFaultTolerance:
         from repro.verify import parallel as parallel_module
 
         class ExplodingPool:
-            def __init__(self, max_workers=None):
+            def __init__(self, max_workers=None, initializer=None,
+                         initargs=()):
                 pass
 
             def submit(self, *args, **kwargs):
@@ -298,16 +340,12 @@ class TestFaultTolerance:
         assert degraded[0]["from_mode"] == "process"
         assert degraded[0]["to_mode"] == "thread"
 
-    def test_timed_out_chunk_is_retried(self, monkeypatch, serial_baseline):
+    def test_timed_out_chunk_is_retried(self, serial_baseline):
         from repro import obs
-        from repro.verify import parallel as parallel_module
 
-        def delay(pair, chunk, attempt):
-            return 0.6 if (pair, chunk) == (0, 0) and attempt == 0 else 0.0
-
-        monkeypatch.setattr(parallel_module, "_DELAY_INJECTOR", delay)
         ring = obs.RingBufferSink()
-        with obs.observed(sinks=[ring], reset=True):
+        with keyed_faults(delay={(0, 0, 0): 0.6}), obs.observed(
+                sinks=[ring], reset=True):
             results = parallel_soundness_sweep(
                 FLOWCHARTS, "surveillance", executor="thread",
                 max_workers=2, chunk_size=5, chunk_timeout=0.15)
@@ -361,25 +399,118 @@ class TestRetryBackoff:
         # The backoff sleeps ride the worker-side delay channel; rows
         # must stay bit-identical however many retries fire.
         from repro import obs
-        from repro.verify import parallel as parallel_module
 
         # Tasks are keyed by their first pair: 0 (forgetting), 4
         # (parity) and 6 (max).
         failures = {(0, 0, 0), (0, 0, 1), (4, 0, 0)}
-        original = parallel_module._FAIL_INJECTOR
-        parallel_module._FAIL_INJECTOR = (
-            lambda pair, chunk, attempt: (pair, chunk, attempt) in failures)
         ring = obs.RingBufferSink()
-        try:
-            with obs.observed(sinks=[ring], reset=True):
-                results = parallel_soundness_sweep(
-                    FLOWCHARTS, "surveillance", executor="thread",
-                    max_workers=2, chunk_size=5, max_chunk_retries=3)
-        finally:
-            parallel_module._FAIL_INJECTOR = original
+        with keyed_faults(crash=failures), obs.observed(sinks=[ring],
+                                                        reset=True):
+            results = parallel_soundness_sweep(
+                FLOWCHARTS, "surveillance", executor="thread",
+                max_workers=2, chunk_size=5, max_chunk_retries=3)
         assert rows(results) == rows(serial_baseline)
         # Each injected failure fired once; the event names the attempt
         # it schedules next.
         assert sorted((event["pair"], event["chunk"], event["attempt"] - 1)
                       for event in ring.events("worker_retry")) == sorted(
             failures)
+
+
+# ---------------------------------------------------------------------------
+# The plan reaches each process worker once
+# ---------------------------------------------------------------------------
+
+class TestPlanShippedOnce:
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="counts calls through a patch that "
+                               "fork-started workers inherit")
+    @pytest.mark.parametrize("family", ["program", "surveillance"])
+    def test_process_workers_compile_each_flowchart_once(
+            self, family, monkeypatch, tmp_path):
+        from repro.flowchart import fastpath
+
+        log = tmp_path / "compilations.log"
+        generate_source = fastpath.generate_source
+
+        def counted(flowchart):
+            with open(log, "a") as handle:
+                handle.write(f"{flowchart.name}\n")
+            return generate_source(flowchart)
+
+        monkeypatch.setattr(fastpath, "generate_source", counted)
+        # Fresh flowcharts: nothing in this process has compiled them.
+        programs = [library.gcd_program(), library.parity_program(),
+                    library.max_program(), library.mixer_program()]
+        # Chunks of 2 points: one task per chunk of a flowchart's grid.
+        tasks = sum((len(default_grid(flowchart.arity)) + 1) // 2
+                    for flowchart in programs)
+        assert tasks > 2 * len(programs)
+        results = parallel_soundness_sweep(
+            programs, family, executor="process", max_workers=2,
+            chunk_size=2, backend="compiled")
+        assert all(set(result.backends) == {"batch"} for result in results)
+        compilations = log.read_text().splitlines()
+        # Each worker compiles each flowchart at most once.
+        assert len(programs) <= len(compilations) <= 2 * len(programs)
+
+
+
+# ---------------------------------------------------------------------------
+# Channel programs
+# ---------------------------------------------------------------------------
+
+#: x2 decides whether the receive finds a message: Λ!msg otherwise.
+CHANNEL_RELAY = ("program p(x1, x2) { if x2 == 0 { send ch(x1) }; "
+                 "recv ch(u); y := u }")
+
+
+def relay():
+    from repro.flowchart.parser import parse_program
+
+    return parse_program(CHANNEL_RELAY).compile()
+
+
+class TestChannelPrograms:
+    @pytest.mark.parametrize("backend", ["compiled", "interpreted"])
+    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    def test_surveillance_sweep_matches_the_interpreter_mechanism(
+            self, executor, backend):
+        from repro.surveillance import surveillance_mechanism
+        from repro.surveillance.instrument import instrumented_name
+        from repro.verify.enumerate import all_allow_policies
+
+        results = parallel_soundness_sweep(
+            [relay()], "surveillance", executor=executor, max_workers=2,
+            chunk_size=4, backend=backend)
+        reference = soundness_sweep(
+            [relay()], lambda flowchart, policy, domain:
+                surveillance_mechanism(flowchart, policy, domain))
+        verdicts = [(r.program_name, r.policy_name, r.sound, r.accepts,
+                     r.domain_size) for r in results]
+        assert verdicts == [(r.program_name, r.policy_name, r.sound,
+                             r.accepts, r.domain_size) for r in reference]
+        # Rows keep the family's instrumented names.
+        assert [r.mechanism_name for r in results] == [
+            instrumented_name(relay(), policy)
+            for policy in all_allow_policies(2)]
+
+    @pytest.mark.parametrize("family", ["timed", "highwater"])
+    def test_walk_counters_ignore_channel_faults(self, family):
+        from repro import obs
+
+        def counters(backend):
+            with obs.observed(reset=True) as registry:
+                parallel_soundness_sweep([relay()], family,
+                                         executor="serial", backend=backend)
+                counters = registry.snapshot()["counters"]
+            return {name: counters.get(name, 0)
+                    for name in ("violations.raised",
+                                 "violations.surveillance",
+                                 "run.fuel_exhausted",
+                                 "run.value_cap_exceeded")}
+
+        # A Λ!msg channel fault is no violation, on either path.
+        interpreted = counters("interpreted")
+        assert interpreted["violations.raised"]
+        assert counters("compiled") == interpreted
