@@ -25,8 +25,10 @@ for arm.  The only genuinely distributed arms:
   the run totalizes as ``Λ!msg[empty:ch]``.
 
 Durability: every accepted (post-dedup) envelope is journalled through
-:class:`repro.verify.checkpoint.JournalWriter` *before* it is
-processed.  Crash recovery replays the journal through the normal
+:class:`repro.verify.checkpoint.JournalWriter`, whose ``write`` commits
+(flush and fsync) before it returns, so the record is durable *before*
+the envelope is processed or acked; a respawn truncates a torn tail
+before appending.  Crash recovery replays the journal through the normal
 handler — re-sends and all; receivers dedup and re-ack — so a respawned
 incarnation deterministically reconstructs mailboxes, dedup state, and
 any in-flight token.  Chaos kills (``FaultPlan.decide_kill``) fire only

@@ -16,18 +16,13 @@ which every record is hash-chained to its predecessor:
 - a sidecar head file (``<path>.head``) is atomically replaced with
   ``{"records": N, "head": H}`` — the seal that lets
   :func:`verify_ledger` detect tail truncation and mutation of the
-  final record, which an intra-file chain alone cannot see.  By
-  default the seal is replaced on every append; a hot path may pass
-  ``seal_every=N`` to amortise the replace over N records, or
-  ``seal_every=0`` to seal only on batch/flush/close (the server
-  stages decisions and drains them through :meth:`append_batch` from
-  a periodic task, keeping both the write and the seal off the
-  request path) — rotation, batch appends, flush, and close always
-  re-seal, so any cleanly quiesced ledger seals exactly.  Every seal
-  fsyncs the data file before the sidecar's atomic replace (and the
-  sidecar before the replace), so a sealed prefix is durable against
-  power loss; ``durable=False`` opts a hot path back down to
-  flush-only crash consistency.
+  final record, which an intra-file chain alone cannot see.  Every
+  append seals, and a batch seals once (the server drains staged
+  decisions through :meth:`AuditLedger.append_batch` from a periodic
+  task, off the request path).  Each seal commits the data file
+  (:meth:`JsonlLog.commit`, the repo's one append-only writer) before
+  the sidecar's fsync and atomic replace, so a sealed prefix is
+  durable against power loss.
 
 Tamper detection is total: flipping any single byte of any line either
 breaks that line's JSON, changes its parsed content (so the next
@@ -62,7 +57,7 @@ from ..core.errors import ReproError
 from . import runtime as _obs
 
 __all__ = [
-    "GENESIS", "AuditLedger", "AuditVerifyResult", "RecordHead",
+    "GENESIS", "AuditLedger", "AuditVerifyResult", "JsonlLog", "RecordHead",
     "RecordLine", "SpikeTracker", "budget_fingerprint", "canonical_object",
     "canonical_object_around", "classify_notice", "decision_payload",
     "iter_jsonl", "iter_ledger", "ledger_stats",
@@ -263,69 +258,36 @@ class AuditLedger:
     """Append-only hash-chained decision ledger; thread-safe.
 
     Opening an existing path resumes its chain (from the sidecar when
-    intact, else by rescanning the file); ``fresh=True`` truncates.
-    ``sample`` drops a deterministic fraction of :meth:`append` calls;
-    ``max_bytes`` rotates generations (``keep`` retained);
-    ``seal_every`` defers the sidecar seal to every Nth append, and
-    ``seal_every=0`` never seals inline — the owner seals via
-    :meth:`flush` (the server does, from a periodic task off the
-    request path, because the seal's atomic replace occasionally
-    blocks for milliseconds on filesystem journaling).  Either way a
-    crash can leave the seal behind the file — verify reports it, and
-    a torn ledger *should* fail.
-
-    ``durable`` (default on) fsyncs the data file and the sidecar at
-    every seal boundary — per-append seals, batch seals, rotation,
-    flush, close — so a sealed prefix survives power loss, not just
-    process death.  Hot paths that already amortise sealing can pass
-    ``durable=False`` to keep seals flush-only.
+    intact, else by rescanning the file, as a torn tail forces);
+    ``fresh=True`` truncates.  ``sample`` drops a deterministic
+    fraction of :meth:`append` calls; ``max_bytes`` rotates
+    generations (``keep`` retained).  A crash between a data commit
+    and its seal leaves the seal behind the file — verify reports it.
     """
 
     def __init__(self, path: str, sample: float = 1.0,
                  max_bytes: Optional[int] = None, keep: int = 3,
-                 fresh: bool = False, seal_every: int = 1,
-                 durable: bool = True) -> None:
+                 fresh: bool = False) -> None:
         self.path = path
         self.sample = float(sample)
         self.max_bytes = max_bytes
         self.keep = max(1, int(keep))
-        self.seal_every = max(0, int(seal_every))
-        self.durable = bool(durable)
         self._lock = threading.Lock()
         self._records = 0
         self._head = GENESIS
         self._size = 0
-        self._unsealed = 0
-        torn = False
-        if not fresh and os.path.exists(path):
-            torn = self._truncate_torn_tail(path)
-            self._records, self._head = (self._rescan(path) if torn
+        resume = not fresh and os.path.exists(path)
+        self._log = JsonlLog(path, fresh)
+        if resume:
+            self._records, self._head = (self._rescan(path) if self._log.torn
                                          else self._resume(path))
             self._size = os.path.getsize(path)
-        self._file = open(path, "a" if not fresh else "w", encoding="utf-8")
-        if fresh or torn:
+        if fresh or self._log.torn:
             self._write_head()
 
     @staticmethod
     def head_path(path: str) -> str:
         return path + ".head"
-
-    @staticmethod
-    def _truncate_torn_tail(path: str) -> bool:
-        """Drop an unterminated final line (a torn mid-write crash tail).
-
-        A record exists only once its newline does — every seal runs
-        after the full line was written — so truncating back to the
-        last newline restores the longest well-formed prefix and lets
-        the chain resume cleanly instead of gluing the next record
-        onto half-written bytes.
-        """
-        with open(path, "rb+") as handle:
-            data = handle.read()
-            if not data or data.endswith(b"\n"):
-                return False
-            handle.truncate(data.rfind(b"\n") + 1)
-        return True
 
     @staticmethod
     def _resume(path: str) -> Tuple[int, str]:
@@ -381,21 +343,8 @@ class AuditLedger:
         rate = self.sample if sample is None else float(sample)
         if not sampled_in(payload, rate):
             return None
-        return self.append_record(payload)
-
-    def append_record(self, payload: Dict) -> Dict:
-        """Chain and write one pre-built payload (no sampling)."""
-        with self._lock:
-            written = self._chain_locked((payload,))
-            self._file.flush()
-            if self.seal_every and self._unsealed >= self.seal_every:
-                self._write_head()
-        self._observe(written)
-        (rec, prev, _), = written
-        record = dict(payload)
-        record["rec"] = rec
-        record["prev"] = prev
-        return record
+        (rec, prev, _), = self._append_sealed((payload,))
+        return dict(payload, rec=rec, prev=prev)
 
     def append_batch(self, payloads: Iterable) -> int:
         """Chain and write many payloads, sealing once at the end.
@@ -408,17 +357,20 @@ class AuditLedger:
         Payloads are decision dicts or :class:`RecordLine` templates;
         returns the number of records appended.
         """
+        return len(self._append_sealed(payloads))
+
+    def _append_sealed(self, payloads: Iterable) -> List[Tuple]:
+        """Chain and write ``payloads``, then seal if any were written;
+        ``(rec, prev, payload)`` of each record written."""
         with self._lock:
             written = self._chain_locked(payloads)
-            self._file.flush()
             if written:
                 self._write_head()
         self._observe(written)
-        return len(written)
+        return written
 
     def _chain_locked(self, payloads: Iterable) -> List[Tuple]:
-        """The chaining loop every append shares; ``(rec, prev, payload)``
-        of each record written.
+        """The chaining loop every append shares.
 
         Each record gets the next ``rec`` and the previous line's hash
         as ``prev``; a record that would push the file past
@@ -434,12 +386,11 @@ class AuditLedger:
                 prev = GENESIS
                 line = _record_line(payload, 0, prev)
             written.append((self._records, prev, payload))
-            self._file.write(line + "\n")
+            self._log.write(line)
             data = line.encode("utf-8")
             self._head = hashlib.sha256(data).hexdigest()
             self._records += 1
             self._size += len(data) + 1
-            self._unsealed += 1
         return written
 
     @staticmethod
@@ -463,28 +414,20 @@ class AuditLedger:
         # sidecar claims it does — else a power cut can leave a seal
         # pointing past the file's durable tail, which verify reports
         # as truncation of a ledger that never held those records.
-        # ``durable=False`` (hot-path opt-out) keeps the old
-        # flush-only behaviour: crash-consistent against process
-        # death, not against power loss.
-        if self.durable and not self._file.closed:
-            self._file.flush()
-            os.fsync(self._file.fileno())
+        self._log.commit()
         head_path = self.head_path(self.path)
         tmp = head_path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as handle:
             handle.write(_canonical({"records": self._records,
                                      "head": self._head}) + "\n")
-            if self.durable:
-                handle.flush()
-                os.fsync(handle.fileno())
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(tmp, head_path)
-        self._unsealed = 0
 
     def _rotate_locked(self) -> None:
         """Shift generations up and restart the chain at genesis."""
-        if self._unsealed:
-            self._write_head()  # the retired generation must seal exactly
-        self._file.close()
+        self._write_head()  # the retired generation must seal exactly
+        self._log.close()
         rotated_records = self._records
         oldest = f"{self.path}.{self.keep}"
         for target in (oldest, self.head_path(oldest)):
@@ -500,7 +443,7 @@ class AuditLedger:
         if os.path.exists(self.head_path(self.path)):
             os.replace(self.head_path(self.path),
                        self.head_path(f"{self.path}.1"))
-        self._file = open(self.path, "w", encoding="utf-8")
+        self._log = JsonlLog(self.path, fresh=True)
         self._records = 0
         self._head = GENESIS
         self._size = 0
@@ -511,20 +454,9 @@ class AuditLedger:
                 _obs.emit("audit_rotated", path=self.path,
                           records=rotated_records)
 
-    def flush(self) -> None:
-        with self._lock:
-            if not self._file.closed:
-                self._file.flush()
-                if self._unsealed:
-                    self._write_head()
-
     def close(self) -> None:
         with self._lock:
-            if not self._file.closed:
-                self._file.flush()
-                if self._unsealed:
-                    self._write_head()
-                self._file.close()
+            self._log.close()
 
     def __enter__(self) -> "AuditLedger":
         return self
@@ -534,21 +466,65 @@ class AuditLedger:
 
 
 # ---------------------------------------------------------------------------
-# Reading, verification, analytics
+# The append-only JSONL log: its write half and its read half
 # ---------------------------------------------------------------------------
+
+class JsonlLog:
+    """The one append-only JSONL writer: the audit ledger, sweep
+    checkpoints and node journals write through it.
+
+    :meth:`commit` (flush and fsync) is its one durability point; each
+    client commits where it acts on what it wrote.  A record exists
+    once its newline does, so reopening an existing file truncates an
+    unterminated final line — a crash's torn tail — and sets ``torn``;
+    ``fresh`` truncates the whole file.
+    """
+
+    def __init__(self, path: str, fresh: bool = False) -> None:
+        self.torn = False
+        if not fresh and os.path.exists(path):
+            with open(path, "rb+") as handle:
+                data = handle.read()
+                if data and not data.endswith(b"\n"):
+                    handle.truncate(data.rfind(b"\n") + 1)
+                    self.torn = True
+        self._file = open(path, "w" if fresh else "a", encoding="utf-8")
+        self._dirty = False
+
+    def write(self, line: str) -> None:
+        """Buffer one line (canonical JSON, no newline)."""
+        self._file.write(line + "\n")
+        self._dirty = True
+
+    def commit(self) -> None:
+        """Make every line written so far durable: flush and fsync."""
+        self._file.flush()
+        os.fsync(self._file.fileno())
+        self._dirty = False
+
+    def close(self) -> None:
+        """Commit what was written since the last commit, then close."""
+        if not self._file.closed:
+            if self._dirty:
+                self.commit()
+            self._file.close()
+
 
 def iter_jsonl(path: str, kind: str) -> Iterator[Dict]:
     """Yield a JSONL file's decoded records, tolerating a torn final line.
 
-    The load half of every fsync-per-record log in the repo (the audit
-    ledger here, sweep checkpoints and node journals in
-    :mod:`repro.verify.checkpoint`): a writer SIGKILLed mid-record
-    leaves at worst one unparsable final line, which is skipped.  A bad
-    line anywhere else raises :class:`ReproError` naming ``kind``,
-    because a mid-file tear means the file is not the one written.
+    The read half of :class:`JsonlLog` (the audit ledger here, sweep
+    checkpoints and node journals in :mod:`repro.verify.checkpoint`):
+    a writer killed mid-record leaves at worst one torn final line — an
+    unterminated one, which the writer truncates on reopening, or an
+    unparsable one — and it is skipped.  A bad line anywhere else raises
+    :class:`ReproError` naming ``kind``, because a mid-file tear means
+    the file is not the one written.
     """
     with open(path, encoding="utf-8") as handle:
         lines = handle.readlines()
+    if lines and not lines[-1].endswith("\n"):
+        lines.pop()  # a record exists once its newline does
     for index, line in enumerate(lines):
         line = line.strip()
         if not line:
@@ -561,6 +537,10 @@ def iter_jsonl(path: str, kind: str) -> Iterator[Dict]:
             raise ReproError(
                 f"{kind} {path!r} is corrupt at line {index + 1}")
 
+
+# ---------------------------------------------------------------------------
+# Reading, verification, analytics
+# ---------------------------------------------------------------------------
 
 def iter_ledger(path: str) -> Iterator[Dict]:
     """Yield decoded records, tolerating a torn final line (crash tail)."""

@@ -99,8 +99,6 @@ class ServerConfig:
                  audit_path: Optional[str] = None,
                  audit_sample: float = 1.0,
                  audit_max_bytes: Optional[int] = None,
-                 audit_keep: int = 3,
-                 audit_durable: bool = True,
                  drain_grace_s: float = 0.0,
                  drain_deadline_s: float = 10.0) -> None:
         self.host = host
@@ -123,8 +121,6 @@ class ServerConfig:
         self.audit_path = audit_path
         self.audit_sample = audit_sample
         self.audit_max_bytes = audit_max_bytes
-        self.audit_keep = audit_keep
-        self.audit_durable = audit_durable
         # Graceful drain: once stop is requested /healthz answers 503
         # so load balancers stop routing here; ``drain_grace_s`` keeps
         # the listener open that long for probes to notice, and
@@ -201,18 +197,15 @@ class ReproServer:
                                   else default_value_cap())
 
         if self.config.audit_path is not None:
-            # seal_every=0: requests stage decisions in memory and a
-            # periodic pool-thread task drains them via append_batch,
-            # which seals once per drain — neither the write nor the
-            # sidecar seal's atomic replace (which can block for
-            # milliseconds on filesystem journaling) ever runs on the
-            # request path.  Shutdown drains and closes, re-sealing
-            # exactly.
+            # Requests stage decisions in memory and a periodic
+            # pool-thread task drains them via append_batch, which seals
+            # once per drain — neither the write nor the sidecar seal's
+            # atomic replace (which can block for milliseconds on
+            # filesystem journaling) ever runs on the request path.
+            # Shutdown drains the rest, so the ledger closes sealed.
             self.audit = AuditLedger(
                 self.config.audit_path, sample=self.config.audit_sample,
-                max_bytes=self.config.audit_max_bytes,
-                keep=self.config.audit_keep, seal_every=0,
-                durable=self.config.audit_durable)
+                max_bytes=self.config.audit_max_bytes)
 
         self._loop = asyncio.get_running_loop()
         self._stopped = asyncio.Event()

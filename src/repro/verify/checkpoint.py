@@ -11,13 +11,14 @@ A checkpoint is a JSONL file of *valid trace events* (they pass
   count, per-policy-class representatives in domain order, conflict
   flag).
 
-Crash safety is line-at-a-time: every record is flushed as it is
-written, so a sweep killed mid-flight leaves at worst one torn final
-line, which :func:`load_checkpoint` tolerates.  Resume re-opens the
-journal in append mode and the sweep re-schedules only the chunks the
-journal does not already cover; because the summaries are merged in
-chunk order either way, a resumed sweep's rows are bit-identical to an
-uninterrupted run's.
+Crash safety is line-at-a-time: the sweep commits the journal once
+per task, so a sweep killed mid-flight loses at most that task's
+records and leaves at worst one torn final line, which
+:func:`load_checkpoint` tolerates and resume truncates before it
+appends.  The sweep re-schedules only the chunks the journal does not
+already cover; because the summaries are merged in chunk order either
+way, a resumed sweep's rows are bit-identical to an uninterrupted
+run's.
 
 The config fingerprint is the resume guard: a checkpoint written under
 one sweep configuration (different grid, fuel, value cap, chunk size…)
@@ -34,7 +35,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.errors import ReproError
 from ..core.mechanism import ViolationNotice
-from ..obs.audit import _canonical, canonical_object, iter_jsonl
+from ..obs.audit import JsonlLog, _canonical, canonical_object, iter_jsonl
 
 __all__ = ["CheckpointWriter", "EncodedValues", "JournalWriter",
            "config_fingerprint", "encode_value", "decode_value",
@@ -95,14 +96,14 @@ def config_fingerprint(descriptor: Dict) -> str:
 
 
 class JournalWriter:
-    """A crash-safe append-only JSONL journal: fsync per record.
+    """A crash-safe append-only journal, written through
+    :class:`~repro.obs.audit.JsonlLog`.
 
-    The durability contract every journal in the repo shares (sweep
-    checkpoints here, node-state journals in :mod:`repro.dist`): each
-    record gains a monotone ``seq`` and relative timestamp ``t``, is
-    written as one line, and is flushed *and* fsynced before the write
-    returns — a SIGKILL leaves at worst one torn final line, which
-    :func:`load_journal` tolerates.
+    The format every journal in the repo shares (sweep checkpoints
+    here, node-state journals in :mod:`repro.dist`): each record gains
+    a monotone ``seq`` and relative timestamp ``t`` and is one line.
+    :meth:`write` commits before it returns (a node acks only what it
+    journalled); chunk records wait for the sweep's :meth:`commit`.
 
     ``fresh`` truncates; resume passes ``fresh=False`` (and
     ``start_seq`` past the restored records) to append.
@@ -113,7 +114,7 @@ class JournalWriter:
         self.path = path
         self._seq = start_seq
         self._t0 = time.monotonic()
-        self._file = open(path, "w" if fresh else "a", encoding="utf-8")
+        self._log = JsonlLog(path, fresh)
 
     def _stamp(self) -> Tuple[int, float]:
         """The next record's ``(seq, t)``."""
@@ -121,26 +122,19 @@ class JournalWriter:
         self._seq += 1
         return seq, round(time.monotonic() - self._t0, 6)
 
-    def _append(self, line: str) -> None:
-        self._file.write(line + "\n")
-        # Flush per record: the journal must survive a SIGKILL with at
-        # worst a torn final line (the resume test exercises this).
-        self._file.flush()
-        os.fsync(self._file.fileno())
-
-    def _write(self, record: Dict) -> None:
-        record = dict(record)
-        record["seq"], record["t"] = self._stamp()
-        self._append(_canonical(record))
-
     def write(self, record: Dict) -> None:
         """Append one record durably (seq and timestamp added here)."""
-        self._write(record)
+        record = dict(record)
+        record["seq"], record["t"] = self._stamp()
+        self._log.write(_canonical(record))
+        self.commit()
+
+    def commit(self) -> None:
+        """Make every record written so far durable."""
+        self._log.commit()
 
     def close(self) -> None:
-        if not self._file.closed:
-            self._file.flush()
-            self._file.close()
+        self._log.close()
 
     def __enter__(self) -> "JournalWriter":
         return self
@@ -150,7 +144,7 @@ class JournalWriter:
 
 
 class CheckpointWriter(JournalWriter):
-    """Appends one flushed and fsynced JSONL record per completed chunk.
+    """Appends one JSONL record per completed chunk.
 
     ``fresh`` truncates and writes the ``checkpoint_meta`` header;
     resume passes ``fresh=False`` (and ``start_seq`` past the restored
@@ -162,12 +156,12 @@ class CheckpointWriter(JournalWriter):
         super().__init__(path, fresh=fresh, start_seq=start_seq)
         self.texts = EncodedValues()
         if fresh:
-            self._write({"kind": "checkpoint_meta",
-                         "config": config_fingerprint(descriptor),
-                         "sweep": descriptor})
+            self.write({"kind": "checkpoint_meta",
+                        "config": config_fingerprint(descriptor),
+                        "sweep": descriptor})
 
     def write_chunk(self, pair: int, chunk: int, summary) -> None:
-        """Journal one chunk summary, durably, before returning.
+        """Journal one chunk summary; durable at the next :meth:`commit`.
 
         ``classes`` lists ``[key, output]`` pairs in domain order; each
         distinct class key and output is encoded once per writer.
@@ -184,7 +178,7 @@ class CheckpointWriter(JournalWriter):
             record["backend"] = texts[backend]
         seq, t = self._stamp()
         record["seq"], record["t"] = str(seq), repr(t)
-        self._append(canonical_object(record))
+        self._log.write(canonical_object(record))
 
 
 def load_journal(path: str) -> List[Dict]:

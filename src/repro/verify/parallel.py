@@ -83,11 +83,12 @@ planned.  A pool whose every attempt has finished is joined.
 Checkpoint / resume
 -------------------
 ``checkpoint=`` journals every completed chunk summary to a crash-safe
-JSONL file (see :mod:`repro.verify.checkpoint`); ``resume=True``
-restores the journalled chunks and re-schedules only the remainder,
-producing bit-identical merged rows.  ``stop=`` / ``deadline=`` let a
+JSONL file (see :mod:`repro.verify.checkpoint`), committed once per
+task; ``resume=True`` checks the journal before anything else, restores
+the journalled chunks and re-schedules only the remainder, producing
+bit-identical merged rows.  ``stop=`` / ``deadline=`` let a
 signal handler or watchdog interrupt the sweep cleanly: in-flight
-chunks drain, the journal flushes, and the sweep raises
+chunks drain and are journalled, and the sweep raises
 :class:`~repro.core.errors.SweepInterruptedError`.
 
 Observability
@@ -489,6 +490,17 @@ def _evaluate_walk_chunk(flowchart: Flowchart, family: str,
             _record_tally(tally, flowchart,
                           FACTORY_NAMES[family](flowchart, policy), fuel,
                           value_cap, "surveillance", timed)
+            # As each per-point surveil call records: a run that reached
+            # a halt or J's first failing timed test, with its steps (a
+            # faulted run records none).
+            steps = [step for step in (
+                next((step for step, indices in run.first_test
+                      if indices & ~allowed),
+                     None if run.fault is not None else run.steps)
+                for run in runs) if step is not None]
+            if steps:
+                _obs.inc("surveillance.runs", len(steps))
+                _obs.inc("surveillance.steps_total", sum(steps))
         # The walk is interpreter-level whatever the sweep's backend.
         summaries.append(_summarize_outputs(policy, points, outputs,
                                             "interpreted"))
@@ -913,6 +925,12 @@ class _Recorder:
         self.results: Dict[int, SweepResult] = {}
         self.pair_spans: Dict[int, _obs.Span] = {}
         self.chunk_spans: Dict[Tuple[int, int], _obs.Span] = {}
+        # Resume reads and checks the journal before anything else: a
+        # refused resume leaves the ledger, the span stack and the
+        # counters untouched.  (A checkpoint implies the chunked layout.)
+        if checkpoint is not None:
+            descriptor, restored, record_count = self._read_journal(
+                checkpoint, resume)
         # Audit ledger: opened fresh so the file is a pure function of
         # this sweep's inputs, appended parent-side only (workers never
         # touch it).  No wall clock in the payloads — timestamps would
@@ -946,12 +964,26 @@ class _Recorder:
             return
         self.remaining = [len(chunks) for chunks in layout]
         self.seconds = [0.0] * len(plan.pairs)
-        if checkpoint is not None:
-            self._open_journal(checkpoint, resume)
+        if checkpoint is None:
+            return
+        if resume:
+            for (pair_index, chunk_index), summary in restored.items():
+                self.summaries[(pair_index, chunk_index)] = summary
+                self.remaining[pair_index] -= 1
+            if _obs.active:
+                _obs.inc("sweep.chunks_restored", len(restored))
+                _obs.emit("sweep_resumed", chunks_restored=len(restored))
+            for pair_index, remaining in enumerate(self.remaining):
+                if remaining == 0:
+                    self._merge(pair_index, 0.0)
+        self.journal = CheckpointWriter(checkpoint, descriptor,
+                                        fresh=not resume,
+                                        start_seq=record_count)
 
-    def _open_journal(self, path: str, resume: bool) -> None:
-        """Open the checkpoint journal; on resume, restore its chunks
-        and merge every pair they complete."""
+    def _read_journal(self, path: str,
+                      resume: bool) -> Tuple[Dict, Dict, int]:
+        """The journal's descriptor and, on resume, its summaries and
+        record count, once its fingerprint and chunks are checked."""
         plan = self.plan
         descriptor = {
             "pairs": [[flowchart.name, policy.name, len(domain)]
@@ -963,27 +995,17 @@ class _Recorder:
             "value_cap": plan.value_cap,
         }
         if not resume:
-            self.journal = CheckpointWriter(path, descriptor, fresh=True)
-            return
+            return descriptor, {}, 0
         _, restored, record_count = load_checkpoint(
             path, config_fingerprint(descriptor))
-        for (pair_index, chunk_index), summary in restored.items():
+        for pair_index, chunk_index in restored:
             if (pair_index >= len(plan.pairs)
                     or chunk_index >= len(self.layout[pair_index])):
                 raise ReproError(
                     f"checkpoint {path!r} references chunk "
                     f"({pair_index}, {chunk_index}) outside this "
                     "sweep's layout")
-            self.summaries[(pair_index, chunk_index)] = summary
-            self.remaining[pair_index] -= 1
-        if _obs.active:
-            _obs.inc("sweep.chunks_restored", len(restored))
-            _obs.emit("sweep_resumed", chunks_restored=len(restored))
-        for pair_index, remaining in enumerate(self.remaining):
-            if remaining == 0:
-                self._merge(pair_index, 0.0)
-        self.journal = CheckpointWriter(path, descriptor, fresh=False,
-                                        start_seq=record_count)
+        return descriptor, restored, record_count
 
     def spans(self, task) -> List[Optional[str]]:
         """The chunk span id of each pair of ``task``, opening any not
@@ -1043,6 +1065,10 @@ class _Recorder:
             if self.remaining[pair_index] == 0:
                 self._merge(pair_index, self.seconds[pair_index] or
                             (time.perf_counter() - self.started))
+        if self.journal is not None:
+            # A crash loses at most this task's records; resume
+            # recomputes them.
+            self.journal.commit()
 
     def record_whole(self, task, summaries: Sequence[ChunkSummary],
                      elapsed: float) -> None:

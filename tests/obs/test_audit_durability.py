@@ -1,19 +1,19 @@
 """Ledger durability: fsync at seal boundaries, torn-tail recovery.
 
 Every seal asserts "these N records exist with this head hash", so the
-data must be on disk before the sidecar claims it is.  ``durable=True``
-(the default) fsyncs both the ledger file and the sidecar at every
-seal boundary; ``durable=False`` opts a hot path back down to
-flush-only crash consistency.  A crash mid-write leaves an
-unterminated final line, which a resumed ledger truncates away and
-re-seals, so the chain continues from the longest well-formed prefix.
+data must be on disk before the sidecar claims it is: every seal
+commits the ledger file (flush and fsync) and fsyncs the sidecar
+before its atomic replace.  A crash mid-write leaves an unterminated
+final line, which a resumed ledger truncates away and re-seals, so the
+chain continues from the longest well-formed prefix.
 """
 
 import os
 
 import pytest
 
-from repro.obs.audit import AuditLedger, load_ledger, verify_ledger
+from repro.obs.audit import (AuditLedger, decision_payload, load_ledger,
+                             verify_ledger)
 
 
 @pytest.fixture
@@ -39,25 +39,16 @@ class TestDurableSeals:
         # and close() found nothing unsealed so added none.
         assert len(counted_fsync) == 2
 
-    def test_opt_out_never_fsyncs(self, tmp_path, counted_fsync):
-        path = str(tmp_path / "ledger.jsonl")
-        with AuditLedger(path, fresh=True, durable=False) as ledger:
-            for _ in range(5):
-                ledger.append("accept")
-            ledger.flush()
-        assert counted_fsync == []
-        assert verify_ledger(path).ok
-
     def test_deferred_seal_fsyncs_once_per_batch(self, tmp_path,
                                                  counted_fsync):
         path = str(tmp_path / "ledger.jsonl")
-        with AuditLedger(path, fresh=True, seal_every=0) as ledger:
+        with AuditLedger(path, fresh=True) as ledger:
             counted_fsync.clear()
-            ledger.append("accept")
-            ledger.append("notice", notice="Λ")
-            assert counted_fsync == []  # no inline seal, no inline fsync
-            ledger.flush()
+            ledger.append_batch([decision_payload("accept"),
+                                 decision_payload("notice", notice="Λ")])
+            # One data commit and one sidecar fsync for the whole batch.
             assert len(counted_fsync) == 2
+        assert len(counted_fsync) == 2  # close() found nothing to commit
         assert verify_ledger(path).ok
 
     def test_rotation_seals_durably(self, tmp_path, counted_fsync):

@@ -413,29 +413,34 @@ class TestCheckpointResume:
 
 def per_point_outcomes(family, fuel, value_cap):
     """Outcome counts of the family's per-policy mechanisms over
-    ``TALLIED`` x ``tally_grid``, called point by point."""
+    ``TALLIED`` x ``tally_grid``, called point by point, with the
+    ``surveillance.*`` run counters their surveil calls record."""
     counts = Counter()
-    for flowchart in TALLIED:
-        domain = tally_grid(flowchart.arity)
-        for policy in all_allow_policies(flowchart.arity):
-            mechanism = FACTORIES[family](flowchart, policy, domain, fuel,
-                                          value_cap=value_cap,
-                                          backend="compiled")
-            for point in domain:
-                counts["points"] += 1
-                try:
-                    output = mechanism(*point)
-                except FuelExhaustedError:
-                    counts["fuel"] += 1
-                except ValueCapExceededError:
-                    counts["cap"] += 1
-                else:
-                    if not is_violation(output):
-                        continue
-                    notice = str(output)
-                    counts["fuel" if notice.startswith("Λ!fuel[")
-                           else "cap" if notice.startswith("Λ!cap[")
-                           else "violation"] += 1
+    with obs.observed(metrics=True, reset=True) as registry:
+        for flowchart in TALLIED:
+            domain = tally_grid(flowchart.arity)
+            for policy in all_allow_policies(flowchart.arity):
+                mechanism = FACTORIES[family](flowchart, policy, domain,
+                                              fuel, value_cap=value_cap,
+                                              backend="compiled")
+                for point in domain:
+                    counts["points"] += 1
+                    try:
+                        output = mechanism(*point)
+                    except FuelExhaustedError:
+                        counts["fuel"] += 1
+                    except ValueCapExceededError:
+                        counts["cap"] += 1
+                    else:
+                        if not is_violation(output):
+                            continue
+                        notice = str(output)
+                        counts["fuel" if notice.startswith("Λ!fuel[")
+                               else "cap" if notice.startswith("Λ!cap[")
+                               else "violation"] += 1
+        counters = registry.snapshot()["counters"]
+    counts["runs"] = counters.get("surveillance.runs", 0)
+    counts["steps"] = counters.get("surveillance.steps_total", 0)
     return counts
 
 
@@ -450,6 +455,9 @@ class TestObservability:
         # tallies it or the per-point run that faulted records it.
         expected = per_point_outcomes(family, fuel=10, value_cap=4)
         assert expected["fuel"] and expected["cap"] and expected["violation"]
+        # The label walks of timed and high-water count their runs and
+        # steps on every backend, as the per-point surveil calls do.
+        assert bool(expected["runs"]) == (family != "surveillance")
         source = "instrumented" if family == "surveillance" else (
             "surveillance")
 
@@ -464,14 +472,18 @@ class TestObservability:
                     "source": counters.get(f"violations.{source}", 0),
                     "fuel": counters.get("run.fuel_exhausted", 0),
                     "cap": counters.get("run.value_cap_exceeded", 0),
-                    "points": counters.get("sweep.points_evaluated", 0)}
+                    "points": counters.get("sweep.points_evaluated", 0),
+                    "runs": counters.get("surveillance.runs", 0),
+                    "steps": counters.get("surveillance.steps_total", 0)}
 
         counters = counted()
         assert counters == {"violation": expected["violation"],
                             "source": expected["violation"],
                             "fuel": expected["fuel"],
                             "cap": expected["cap"],
-                            "points": expected["points"]}
+                            "points": expected["points"],
+                            "runs": expected["runs"],
+                            "steps": expected["steps"]}
         # A trace still gets one event per decision.
         ring = obs.RingBufferSink(capacity=1 << 16)
         assert counted([ring]) == counters

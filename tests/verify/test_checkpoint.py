@@ -1,6 +1,7 @@
 """Crash-safe checkpoint journals and bit-identical resume."""
 
 import json
+import os
 
 import pytest
 
@@ -11,7 +12,7 @@ from repro.flowchart import library as figure_library
 from repro.verify import (CheckpointWriter, load_checkpoint,
                           parallel_soundness_sweep)
 from repro.verify.checkpoint import (config_fingerprint, decode_value,
-                                     encode_value)
+                                     encode_value, load_journal)
 from repro.verify.parallel import ChunkSummary
 
 DESCRIPTOR = {"pairs": [["p", "allow(1)", 4]], "chunks": [[2, 2]],
@@ -153,6 +154,19 @@ class TestSweepResume:
         with pytest.raises(ReproError, match="different sweep"):
             sweep(checkpoint=path, resume=True, fuel=77)
 
+    def test_journal_commits_once_per_task(self, tmp_path, monkeypatch):
+        fsyncs = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(os, "fsync",
+                            lambda fd: (fsyncs.append(fd), real_fsync(fd)))
+        path = str(tmp_path / "ck.jsonl")
+        sweep(checkpoint=path)
+        # One task per (flowchart, chunk): parity's 3 grid points and
+        # max's 9 in chunks of 2, each task deciding every policy.
+        tasks = 2 + 5
+        assert len(load_journal(path)) > tasks + 1
+        assert len(fsyncs) == tasks + 1  # the header, then once per task
+
     def test_resume_requires_checkpoint_path(self):
         with pytest.raises(ReproError):
             sweep(resume=True)
@@ -204,6 +218,27 @@ class TestJournalWriter:
             handle.write(b'{"kind": "torn')  # SIGKILL mid-write
         records = load_journal(path)
         assert [r["kind"] for r in records] == ["a", "b"]
+
+    def test_reopening_a_torn_journal_appends_cleanly(self, tmp_path):
+        # A node respawned after a crash mid-write reopens its journal
+        # past the records it replayed: the torn tail goes, whatever
+        # byte the tear fell on, and the next record gets the next seq.
+        from repro.verify.checkpoint import JournalWriter, load_journal
+        path = tmp_path / "journal.jsonl"
+        with JournalWriter(str(path)) as journal:
+            for kind in ("a", "b", "c"):
+                journal.write({"kind": kind})
+        data = path.read_bytes()
+        start = data.rstrip(b"\n").rfind(b"\n") + 1
+        for cut in range(start, len(data)):
+            path.write_bytes(data[:cut])
+            replayed = len(load_journal(str(path)))
+            with JournalWriter(str(path), fresh=False,
+                               start_seq=replayed) as journal:
+                journal.write({"kind": "d"})
+            records = load_journal(str(path))
+            assert [r["kind"] for r in records] == ["a", "b", "d"], cut
+            assert [r["seq"] for r in records] == [0, 1, 2], cut
 
     def test_mid_file_corruption_raises(self, tmp_path):
         from repro.core.errors import ReproError
