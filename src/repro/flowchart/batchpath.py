@@ -20,14 +20,27 @@ batch (:mod:`repro.verify.parallel`).  Sweeps on the ``compiled`` and
 ``batch`` backends alike decide their chunks this way; a single point
 (``run --backend batch``) is one compiled-tier call, since a one-lane
 batch only adds overhead.
+
+``execute_batch(..., labels=rule)`` runs the lanes through the compiled
+tier's *labelled* function (rules in
+:data:`~repro.flowchart.fastpath.LABEL_RULES`): each lane's row is then
+the policy-free labelled run of
+:func:`repro.surveillance.dynamic.policy_free_runs`, ``(value, steps,
+ȳ ∪ C̄, active policy, epoch, early stop, first-test steps)``, and a
+lane that runs out of fuel or breaks the cap keeps the first-test
+steps it recorded before the fault.  The ``timed`` and ``highwater``
+sweeps decide every policy from these rows.  Labelled lanes need a
+channel-free flowchart: a channel program's labels run on the
+interpreter's walk.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.errors import (ArityMismatchError, FuelExhaustedError,
-                           ValueCapExceededError)
+                           ReproError, ValueCapExceededError)
 from ..obs import runtime as _obs
 from ..robustness.faults import default_value_cap, resolve_value_cap
 from .fastpath import CompiledFlowchart, compile_flowchart
@@ -41,9 +54,11 @@ K_OK, K_FUEL, K_CAP = 0, 1, 2
 _FAULTED = (0, 0, 0, None)
 
 
-def compile_batch(flowchart: Flowchart) -> CompiledFlowchart:
-    """The compiled-tier function every lane of ``flowchart`` calls."""
-    return compile_flowchart(flowchart)
+def compile_batch(flowchart: Flowchart,
+                  labels: Optional[str] = None) -> CompiledFlowchart:
+    """The compiled-tier function every lane of ``flowchart`` calls,
+    labelled by the named rule if ``labels`` is given."""
+    return compile_flowchart(flowchart, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -56,11 +71,14 @@ class BatchResult:
     Lane ``i`` corresponds to ``points[i]``; ``kind(i)`` is one of
     ``K_OK`` / ``K_FUEL`` / ``K_CAP``, and the accessors reproduce the
     interpreter's observables for that lane.  A faulted lane's value
-    and steps read 0 and its environment None.
+    and steps read 0 and its environment None.  ``rows[i]`` is lane
+    i's ``(value, steps, touched, env)``, or on a labelled batch its
+    labelled run (a faulted lane's value None, its first-test steps
+    kept); ``touched`` and ``env`` are a plain batch's.
     """
 
     __slots__ = ("compiled", "points", "arity", "fuel", "cap", "kinds",
-                 "values", "lane_steps", "lane_touched", "lane_envs")
+                 "rows")
 
     def __init__(self, compiled: Optional[CompiledFlowchart], points,
                  arity: int, fuel: int, cap: Optional[int],
@@ -76,8 +94,7 @@ class BatchResult:
         for i, kind in faults.items():
             kinds[i] = kind
         self.kinds = kinds
-        (self.values, self.lane_steps, self.lane_touched,
-         self.lane_envs) = zip(*rows) if rows else ((), (), (), ())
+        self.rows = rows
 
     def __len__(self) -> int:
         return len(self.points)
@@ -86,19 +103,19 @@ class BatchResult:
         return self.kinds[i]
 
     def value(self, i: int) -> int:
-        return self.values[i]
+        return self.rows[i][0]
 
     def steps(self, i: int) -> int:
-        return self.lane_steps[i]
+        return self.rows[i][1]
 
     def touched(self, i: int) -> frozenset:
-        touched = self.lane_touched[i]
+        touched = self.rows[i][2]
         if self.compiled is None:
             return touched
         return self.compiled.touched_set(touched)
 
     def env(self, i: int) -> Optional[Dict[str, int]]:
-        return self.lane_envs[i]
+        return self.rows[i][3]
 
 
 # ---------------------------------------------------------------------------
@@ -109,15 +126,17 @@ def execute_batch(flowchart: Flowchart,
                   points: Sequence[Sequence[int]],
                   fuel: int = DEFAULT_FUEL,
                   value_cap: Optional[int] = None,
-                  need_env: bool = False) -> BatchResult:
+                  need_env: bool = False,
+                  labels: Optional[str] = None) -> BatchResult:
     """Run a whole batch of grid points through one flowchart.
 
     Returns a :class:`BatchResult` whose rows are bit-identical to
-    running the interpreter per point.  Undeclared faults (e.g. a
-    LoopExpr exceeding its own fuel) raise exactly as the interpreter
-    would.  Metrics see the batch as one run whose steps are its
-    halted lanes' steps; a lane's fuel or cap fault is for the caller
-    that decides on it to count.
+    running the interpreter per point, or with ``labels`` (a label
+    rule) to its policy-free labelled walk per point.  Undeclared
+    faults (e.g. a LoopExpr exceeding its own fuel) raise exactly as
+    the interpreter would.  Metrics see the batch as one run whose
+    steps are its halted lanes' steps; a lane's fuel or cap fault is
+    for the caller that decides on it to count.
     """
     arity = flowchart.arity
     cap = (default_value_cap() if value_cap is None
@@ -129,13 +148,20 @@ def execute_batch(flowchart: Flowchart,
             raise ArityMismatchError(
                 f"flowchart {flowchart.name} takes {arity} "
                 f"inputs, got {len(point)}")
-    compiled = None if flowchart.has_channels() else compile_batch(flowchart)
+    if not flowchart.has_channels():
+        compiled = compile_batch(flowchart, labels)
+    elif labels is None:
+        compiled = None
+    else:
+        raise ReproError(
+            f"flowchart {flowchart.name} has channels: its labels run on "
+            "the interpreter's walk, not in labelled lanes")
     faults, rows = _run_lanes(flowchart, compiled, points, fuel, cap,
                               need_env)
-    result = BatchResult(compiled, points, arity, fuel, cap, faults, rows)
     if _obs.active and compiled is not None:
-        _obs.record_run("batch", flowchart.name, sum(result.lane_steps))
-    return result
+        _obs.record_run("batch", flowchart.name,
+                        sum(map(itemgetter(1), rows)))
+    return BatchResult(compiled, points, arity, fuel, cap, faults, rows)
 
 
 def _run_lanes(flowchart: Flowchart, compiled: Optional[CompiledFlowchart],
@@ -145,10 +171,11 @@ def _run_lanes(flowchart: Flowchart, compiled: Optional[CompiledFlowchart],
 
     ``faults`` maps each lane that ran out of fuel or broke the cap to
     its kind; ``rows`` holds every lane's ``(value, steps, touched,
-    env)``, a faulted lane's zeroed.  Lanes call the compiled function
-    directly, unobserved: the batch records itself as one run.  Without
-    ``compiled`` (a channel program) each lane runs on the interpreter,
-    which records its own runs.
+    env)``, a faulted lane's zeroed, or a labelled function's rows.
+    Lanes call the compiled function directly, unobserved: the batch
+    records itself as one run.  Without ``compiled`` (a channel
+    program) each lane runs on the interpreter, which records its own
+    runs.
     """
     faults: Dict[int, int] = {}
     rows: List[Tuple] = []
@@ -169,6 +196,20 @@ def _run_lanes(flowchart: Flowchart, compiled: Optional[CompiledFlowchart],
         return faults, rows
     function = compiled.function
     capb = None if cap is None else 1 << cap
+    if compiled.labels is not None:
+        for point in points:
+            # Each lane appends its first-test steps to a list of its
+            # own, which a fault leaves in its row.
+            tests: List[Tuple[int, int]] = []
+            try:
+                append(function(point, fuel, tests, cap, capb))
+            except FuelExhaustedError:
+                faults[len(rows)] = K_FUEL
+                append((None, 0, 0, None, 0, False, tests))
+            except ValueCapExceededError:
+                faults[len(rows)] = K_CAP
+                append((None, 0, 0, None, 0, False, tests))
+        return faults, rows
     for point in points:
         try:
             append(function(point, fuel, need_env, cap, capb))

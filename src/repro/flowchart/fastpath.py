@@ -38,6 +38,24 @@ block a precomputed mask: one ``|=`` per executed block replaces two
 set operations per executed box.  The mask→frozenset decoding is
 memoised per compiled flowchart (runs revisit the same few masks).
 
+Labelled mode
+-------------
+Section 3 defines surveillance as a program transformation, so labels
+are computation like any other.  ``generate_source(Q, labels=rule)``
+emits, from the same block skeleton (leaders, chains, bulk or per-box
+fuel checks, the capped twin), a function that keeps each variable's
+label as an int-mask local beside its value (bit ``i-1`` for input
+``x_i``) and returns the fields of the *policy-free* labelled run of
+:func:`repro.surveillance.dynamic.policy_free_runs`: ``(value, steps,
+ȳ ∪ C̄, active policy, epoch, early stop, first-test steps)``.  The
+rules (:data:`LABEL_RULES`) are ``timed`` (labels forget; each
+epoch-0 test appends ``(step, fresh indices)`` to the caller's list,
+and past a policy change a test outside the installed policy stops the
+run) and ``highwater`` (labels accumulate).  The caller passes the
+first-test list in, so the entries recorded before a fuel or cap fault
+survive the raise.  Steps count the original boxes; channel programs
+keep the interpreter's walk, the reference semantics.
+
 Backends
 --------
 :func:`resolve_backend` decides between ``"compiled"``,
@@ -49,11 +67,11 @@ on the interpreter or, for ``compiled`` and ``batch`` alike, as one
 call of the compiled function.  ``batch`` names a whole-grid mode, not
 an engine (:mod:`repro.flowchart.batchpath`).
 
-The one cache here is the per-flowchart compiled function (weak-keyed —
-dies with the graph).  Results are not memoised: a sweep task runs each
-grid point of its chunk once and decides every policy of the flowchart
-from that run (:mod:`repro.verify.parallel`), and ``repro serve``
-caches responses.
+The one cache here is the per-flowchart compiled function, one per
+label rule (weak-keyed — dies with the graph).  Results are not
+memoised: a sweep task runs each grid point of its chunk once and
+decides every policy of the flowchart from that run
+(:mod:`repro.verify.parallel`), and ``repro serve`` caches responses.
 """
 
 from __future__ import annotations
@@ -68,6 +86,7 @@ from ..core.errors import (ArityMismatchError, FuelExhaustedError,
                            ReproError, ValueCapExceededError)
 from ..obs import runtime as _obs
 from ..robustness.faults import default_value_cap, resolve_value_cap
+from ..surveillance.labels import to_mask
 from .boxes import (AssignBox, Box, DecisionBox, DowngradeBox, HaltBox,
                     NodeId, PolicyChangeBox, RecvBox, SendBox, StartBox)
 from .expr import (And, BinOp, BoolConst, Compare, Const, Expr, Ite,
@@ -87,6 +106,11 @@ BACKEND_ALIASES: Dict[str, str] = {"interp": "interpreted"}
 #: Execution backend names.  A single run under ``batch`` is a
 #: compiled-tier call; sweeps and ``repro serve`` batch whole grids.
 BACKENDS: Tuple[str, ...] = ("compiled", "interpreted", "batch")
+
+#: The label rules of the labelled mode, each with the ``(timed,
+#: forgetting)`` flags of the label walk it equals.
+LABEL_RULES: Dict[str, Tuple[bool, bool]] = {"timed": (True, True),
+                                             "highwater": (False, False)}
 
 
 #: Cached ``REPRO_BACKEND`` read: ``(loaded, choice)``.  The env var is
@@ -322,19 +346,102 @@ def _block_chain(flowchart: Flowchart, leader: NodeId,
         current = nxt
 
 
+class _Labels:
+    """The label statements of one rule, for the labelled mode of
+    :func:`generate_source`: each box's run before its value statement.
+
+    Each environment variable's label is the local ``_l<i>`` beside its
+    value ``_v<i>``, C̄ is ``_lC``; the timed rule keeps ``_tested``
+    (indices already in an epoch-0 test label), and a flowchart with
+    policy changes keeps ``_active`` (None in epoch 0) and ``_epoch``.
+    """
+
+    def __init__(self, gen: _Codegen, flowchart: Flowchart,
+                 rule: str) -> None:
+        try:
+            self.timed, self.forgetting = LABEL_RULES[rule]
+        except KeyError:
+            raise ReproError(f"unknown label rule {rule!r}; expected one "
+                             f"of {tuple(LABEL_RULES)}") from None
+        self.epochs = bool(flowchart.policy_change_ids())
+        self.label_of = {name: f"_l{index}"
+                         for index, name in enumerate(gen.env_names)}
+        self.bits = {name: 1 << position for position, name
+                     in enumerate(flowchart.input_variables)}
+        output = self.label_of[flowchart.output_variable]
+        active, epoch = ("_active", "_epoch") if self.epochs else ("None",
+                                                                   "0")
+        #: The fields after the value of every return: steps, ȳ ∪ C̄,
+        #: the active policy and the epoch.
+        self.state = f"_steps, {output} | _lC, {active}, {epoch}"
+
+    def prologue(self) -> List[str]:
+        lines = [f"{self.label_of[name]} = {self.bits.get(name, 0)}"
+                 for name in self.label_of]
+        lines.append("_lC = 0")
+        if self.timed:
+            lines.append("_tested = 0")
+        if self.epochs:
+            lines += ["_active = None", "_epoch = 0"]
+        return lines
+
+    def _join(self, names) -> List[str]:
+        return [self.label_of[name] for name in sorted(names)]
+
+    def box(self, box: Box) -> List[str]:
+        if isinstance(box, AssignBox):
+            # v̄ := w̄1 ∪ ... ∪ w̄p ∪ C̄, replacing or accumulating.
+            incoming = " | ".join(
+                ["_lC"] + self._join(box.expression.variables()))
+            operator = "=" if self.forgetting else "|="
+            return [f"{self.label_of[box.target]} {operator} {incoming}"]
+        if isinstance(box, DecisionBox):
+            test = " | ".join(self._join(box.predicate.variables()))
+            if not test:
+                return []
+            if not self.timed:
+                return [f"_lC |= {test}"]
+            record = ["_f = _t & ~_tested", "if _f:", "    _tested |= _f",
+                      "    _tests.append((_steps, _f))"]
+            if self.epochs:
+                # Past a policy change the installed policy guards the
+                # test (Theorem 3′): a bit outside it stops the run.
+                record = (["if _active is None:"]
+                          + ["    " + line for line in record]
+                          + ["elif _t & ~_active:",
+                             f"    return (None, {self.state}, True, "
+                             "_tests)"])
+            return [f"_t = {test}"] + record + ["_lC |= _t"]
+        if isinstance(box, PolicyChangeBox):
+            return [f"_active = {to_mask(box.allowed)}", "_epoch += 1"]
+        if isinstance(box, DowngradeBox):
+            return [f"{self.label_of[box.variable]} &= "
+                    f"~{to_mask(box.indices)}"]
+        return []
+
+    def halt(self, value: str) -> str:
+        return f"return ({value}, {self.state}, False, _tests)"
+
+
 class CompiledFlowchart:
-    """One flowchart's compiled executor plus its decode tables."""
+    """One flowchart's compiled executor plus its decode tables.
+
+    ``labels`` is the label rule of a labelled function, None for the
+    plain one.
+    """
 
     __slots__ = ("flowchart_name", "arity", "source", "function",
-                 "env_names", "_mask_cache")
+                 "env_names", "labels", "_mask_cache")
 
     def __init__(self, flowchart_name: str, arity: int, source: str,
-                 function, env_names: Tuple[str, ...]) -> None:
+                 function, env_names: Tuple[str, ...],
+                 labels: Optional[str] = None) -> None:
         self.flowchart_name = flowchart_name
         self.arity = arity
         self.source = source
         self.function = function
         self.env_names = env_names
+        self.labels = labels
         self._mask_cache: Dict[int, frozenset] = {}
 
     def touched_set(self, mask: int) -> frozenset:
@@ -349,29 +456,37 @@ class CompiledFlowchart:
             return names
 
 
-def generate_source(flowchart: Flowchart) -> Tuple[str, Dict[str, object],
-                                                   Tuple[str, ...]]:
+def generate_source(flowchart: Flowchart, labels: Optional[str] = None
+                    ) -> Tuple[str, Dict[str, object], Tuple[str, ...]]:
     """Generate the executor source for a flowchart.
 
     Returns ``(source, namespace, env_names)``; exposed separately from
     :func:`compile_flowchart` so tests and the curious can inspect the
-    generated code.
+    generated code.  ``labels`` names a rule of :data:`LABEL_RULES` for
+    the labelled function (see "Labelled mode" above), called as
+    ``function(inputs, fuel, first_test, cap, cap_bound)``.
     """
     gen = _Codegen(flowchart)
     entry = flowchart.boxes[flowchart.start_id].successors()[0]
     leaders = _find_leaders(flowchart, entry)
     leader_set = frozenset(leaders)
     pc_of = {leader: index for index, leader in enumerate(leaders)}
+    rule = None if labels is None else _Labels(gen, flowchart, labels)
 
     lines: List[str] = []
     emit = lines.append
-    emit("def _compiled(_inputs, _fuel, _capture_env, _cap, _capb):")
+    emit("def _compiled(_inputs, _fuel, "
+         f"{'_capture_env' if rule is None else '_tests'}, _cap, _capb):")
     for name in gen.env_names:
         emit(f"    {gen.local_of[name]} = 0")
     for position, name in enumerate(flowchart.input_variables):
         emit(f"    {gen.local_of[name]} = int(_inputs[{position}])")
+    if rule is not None:
+        for line in rule.prologue():
+            emit(f"    {line}")
     emit("    _steps = 0")
-    emit("    _touched = 0")
+    if rule is None:
+        emit("    _touched = 0")
     emit("    _pc = 0")
 
     env_literal = "{" + ", ".join(
@@ -387,10 +502,13 @@ def generate_source(flowchart: Flowchart) -> Tuple[str, Dict[str, object],
         blow the cap and box *j > i* would blow the fuel must raise the
         same exception the interpreter raises — the bulk fuel precheck
         would report fuel where the interpreter reports the cap.
+        A labelled function keeps no touch mask; each box's label
+        statements precede its value statement.
         """
         block_mask = 0
-        for box in boxes:
-            block_mask |= _box_touch_bits(box, flowchart, gen.bit_of)
+        if rule is None:
+            for box in boxes:
+                block_mask |= _box_touch_bits(box, flowchart, gen.bit_of)
         hazardous = any(_box_hazardous(box) for box in boxes)
         per_box = capped or hazardous
 
@@ -403,12 +521,16 @@ def generate_source(flowchart: Flowchart) -> Tuple[str, Dict[str, object],
 
         for box in boxes:
             if per_box:
-                box_mask = _box_touch_bits(box, flowchart, gen.bit_of)
+                box_mask = (0 if rule is not None else
+                            _box_touch_bits(box, flowchart, gen.bit_of))
                 emit(f"{indent}if _steps >= _fuel:")
                 emit(f"{indent}    raise _fuel_error(_fuel, _inputs)")
                 emit(f"{indent}_steps += 1")
                 if box_mask:
                     emit(f"{indent}_touched |= {box_mask}")
+            if rule is not None:
+                for line in rule.box(box):
+                    emit(f"{indent}{line}")
             if isinstance(box, AssignBox):
                 target = gen.local_of[box.target]
                 emit(f"{indent}{target} = {gen.expr(box.expression)}")
@@ -424,8 +546,11 @@ def generate_source(flowchart: Flowchart) -> Tuple[str, Dict[str, object],
                 emit(f"{indent}continue")
             elif isinstance(box, HaltBox):
                 value = gen.local_of[flowchart.output_variable]
-                emit(f"{indent}return ({value}, _steps, _touched, "
-                     f"{env_literal} if _capture_env else None)")
+                if rule is None:
+                    emit(f"{indent}return ({value}, _steps, _touched, "
+                         f"{env_literal} if _capture_env else None)")
+                else:
+                    emit(f"{indent}{rule.halt(value)}")
             elif isinstance(box, (PolicyChangeBox, DowngradeBox)):
                 # Label-layer effects only: no value change at this tier.
                 # The step and touch accounting above already covers them.
@@ -475,26 +600,33 @@ def generate_source(flowchart: Flowchart) -> Tuple[str, Dict[str, object],
 
 
 _compile_lock = threading.Lock()
-_COMPILED: "weakref.WeakKeyDictionary[Flowchart, CompiledFlowchart]" = (
+#: Each flowchart's compiled functions, by label rule (None: plain).
+_COMPILED: ("weakref.WeakKeyDictionary[Flowchart, "
+            "Dict[Optional[str], CompiledFlowchart]]") = (
     weakref.WeakKeyDictionary())
 
 
-def compile_flowchart(flowchart: Flowchart) -> CompiledFlowchart:
-    """Compile (with per-flowchart caching) a flowchart to native code."""
-    compiled = _COMPILED.get(flowchart)
-    if compiled is not None:
-        return compiled
-    with _compile_lock:
-        compiled = _COMPILED.get(flowchart)
+def compile_flowchart(flowchart: Flowchart,
+                      labels: Optional[str] = None) -> CompiledFlowchart:
+    """Compile (with per-flowchart caching) a flowchart to native code;
+    ``labels`` names the label rule of a labelled function."""
+    functions = _COMPILED.get(flowchart)
+    if functions is not None:
+        compiled = functions.get(labels)
         if compiled is not None:
             return compiled
-        source, namespace, env_names = generate_source(flowchart)
-        code = compile(source, f"<fastpath:{flowchart.name}>", "exec")
-        exec(code, namespace)
-        compiled = CompiledFlowchart(
+    with _compile_lock:
+        functions = _COMPILED.setdefault(flowchart, {})
+        compiled = functions.get(labels)
+        if compiled is not None:
+            return compiled
+        source, namespace, env_names = generate_source(flowchart, labels)
+        rule = "" if labels is None else f":{labels}"
+        exec(compile(source, f"<fastpath:{flowchart.name}{rule}>", "exec"),
+             namespace)
+        compiled = functions[labels] = CompiledFlowchart(
             flowchart.name, flowchart.arity, source,
-            namespace["_compiled"], env_names)
-        _COMPILED[flowchart] = compiled
+            namespace["_compiled"], env_names, labels)
         return compiled
 
 

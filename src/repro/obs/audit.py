@@ -469,15 +469,35 @@ class AuditLedger:
 # The append-only JSONL log: its write half and its read half
 # ---------------------------------------------------------------------------
 
+def _records_end(data: bytes) -> int:
+    """Where the records of a JSONL file's bytes end.
+
+    A record exists once its newline does and its line parses, so a
+    crash's torn tail is an unterminated last line, or a last line that
+    does not parse (a block the file system left zero-filled ends in a
+    newline too).  The one rule of the reader (:func:`iter_jsonl`, which
+    skips the tail) and the writer (:class:`JsonlLog`, which truncates
+    it on reopening).
+    """
+    end = data.rfind(b"\n") + 1
+    start = data.rfind(b"\n", 0, end - 1) + 1
+    last = data[start:end]
+    if last.strip():
+        try:
+            json.loads(last.decode("utf-8"))
+        except ValueError:
+            return start
+    return end
+
+
 class JsonlLog:
     """The one append-only JSONL writer: the audit ledger, sweep
     checkpoints and node journals write through it.
 
     :meth:`commit` (flush and fsync) is its one durability point; each
-    client commits where it acts on what it wrote.  A record exists
-    once its newline does, so reopening an existing file truncates an
-    unterminated final line — a crash's torn tail — and sets ``torn``;
-    ``fresh`` truncates the whole file.
+    client commits where it acts on what it wrote.  Reopening an
+    existing file truncates a crash's torn tail (:func:`_records_end`)
+    and sets ``torn``; ``fresh`` truncates the whole file.
     """
 
     def __init__(self, path: str, fresh: bool = False) -> None:
@@ -485,8 +505,9 @@ class JsonlLog:
         if not fresh and os.path.exists(path):
             with open(path, "rb+") as handle:
                 data = handle.read()
-                if data and not data.endswith(b"\n"):
-                    handle.truncate(data.rfind(b"\n") + 1)
+                end = _records_end(data)
+                if end < len(data):
+                    handle.truncate(end)
                     self.torn = True
         self._file = open(path, "w" if fresh else "a", encoding="utf-8")
         self._dirty = False
@@ -511,31 +532,28 @@ class JsonlLog:
 
 
 def iter_jsonl(path: str, kind: str) -> Iterator[Dict]:
-    """Yield a JSONL file's decoded records, tolerating a torn final line.
+    """Yield a JSONL file's decoded records, tolerating a torn tail.
 
     The read half of :class:`JsonlLog` (the audit ledger here, sweep
     checkpoints and node journals in :mod:`repro.verify.checkpoint`):
-    a writer killed mid-record leaves at worst one torn final line — an
-    unterminated one, which the writer truncates on reopening, or an
-    unparsable one — and it is skipped.  A bad line anywhere else raises
-    :class:`ReproError` naming ``kind``, because a mid-file tear means
-    the file is not the one written.
+    a writer killed mid-record leaves at worst a torn last line, which
+    is skipped (:func:`_records_end`, the rule the writer truncates
+    by).  A bad line anywhere else raises :class:`ReproError` naming
+    ``kind``, because a mid-file tear means the file is not the one
+    written.
     """
-    with open(path, encoding="utf-8") as handle:
-        lines = handle.readlines()
-    if lines and not lines[-1].endswith("\n"):
-        lines.pop()  # a record exists once its newline does
+    with open(path, "rb") as handle:
+        data = handle.read()
+    lines = data[:_records_end(data)].split(b"\n")[:-1]
     for index, line in enumerate(lines):
-        line = line.strip()
-        if not line:
+        if not line.strip():
             continue
         try:
-            yield json.loads(line)
+            record = json.loads(line.decode("utf-8"))
         except ValueError:
-            if index == len(lines) - 1:
-                return  # torn tail from a mid-write kill — expected
             raise ReproError(
-                f"{kind} {path!r} is corrupt at line {index + 1}")
+                f"{kind} {path!r} is corrupt at line {index + 1}") from None
+        yield record
 
 
 # ---------------------------------------------------------------------------

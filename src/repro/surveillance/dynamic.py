@@ -29,10 +29,16 @@ outputs, exactly as the Observability Postulate demands.  This is what
 makes the untimed mechanism demonstrably unsound under observable time
 (Theorem 3's proviso) and the timed one sound (Theorem 3′).
 
-Sweeps of the timed and high-water families walk each grid point once
-with no policy (:func:`policy_free_runs`) and decide every allow-policy
-from the run's final labels.  The sweep task that holds a chunk of a
-flowchart's grid asks for its runs once, so no walk is cached.
+This walk is the reference semantics of the labels: ``surveil``,
+``repro explain``, the per-point mechanisms on every backend and the
+``interpreted`` sweeps run it.  A ``timed`` or ``highwater`` sweep on
+the shared path runs each grid point once with no policy and decides
+every allow-policy from that run's final labels
+(:mod:`repro.verify.parallel`); the run is a lane of the flowchart's
+labelled compiled function
+(:func:`~repro.flowchart.batchpath.execute_batch` with ``labels=``),
+whose fields equal :func:`policy_free_runs`' exactly, and only a
+channel program's runs take this walk.  No run is cached.
 """
 
 from __future__ import annotations
@@ -328,42 +334,16 @@ class PolicyFreeRun:
     ``Λ!cap[C]``, ``Λ!msg[...]``) or None.  Otherwise the run stopped
     after ``steps`` steps at a halt with output ``value``, or — after a
     policy change — at a failing timed guard (``early``).  ``mask`` is
-    the halt's ȳ ∪ C̄; ``active`` is the policy in force at the end
+    the stop's ȳ ∪ C̄; ``active`` is the policy in force at the end
     (None: still epoch 0, so the halt check is J's own);
     ``first_test`` lists, in step order, the steps at which input
-    indices first entered an epoch-0 test label (timed runs only).
+    indices first entered an epoch-0 test label (timed runs only),
+    also on a faulted run.  The sweep's decider
+    (:func:`repro.verify.parallel._decide_labelled`) reads these fields.
     """
 
     __slots__ = ("fault", "value", "steps", "mask", "active", "epoch",
-                 "early", "first_test", "has_epochs")
-
-    def output(self, allowed: int, time_observable: bool):
-        """The mechanism's output under allow(J), J given as a mask.
-
-        Exactly what :func:`surveillance_mechanism` returns for J (a
-        time-observable mechanism stamps notices ``Λ@t`` and passes
-        ``(value, steps)``), with declared faults as their notices.
-        """
-        for step, indices in self.first_test:
-            if indices & ~allowed:
-                # J's first failing timed guard, ahead of anything later.
-                if time_observable:
-                    return ViolationNotice(f"Λ@{step}")
-                return _notice(0, self.has_epochs)
-        if self.fault is not None:
-            return self.fault
-        if self.early:
-            violated = True
-        else:
-            in_force = allowed if self.active is None else self.active
-            violated = self.mask & ~in_force
-        if violated:
-            if time_observable:
-                return ViolationNotice(f"Λ@{self.steps}")
-            return _notice(self.epoch, self.has_epochs)
-        if time_observable:
-            return (self.value, self.steps)
-        return self.value
+                 "early", "first_test")
 
 
 def _policy_free_run(flowchart: Flowchart, point: Tuple[int, ...],
@@ -375,7 +355,6 @@ def _policy_free_run(flowchart: Flowchart, point: Tuple[int, ...],
     run.steps = run.mask = run.epoch = 0
     run.early = False
     run.first_test = first_test
-    run.has_epochs = bool(flowchart.policy_change_ids())
     try:
         (run.steps, run.value, labels, pc, run.active, run.epoch,
          run.early) = _walk(flowchart, point, None, timed, forgetting, fuel,
@@ -397,12 +376,12 @@ def policy_free_runs(flowchart: Flowchart, points: Sequence[Tuple[int, ...]],
                      value_cap: Optional[int] = None) -> List[PolicyFreeRun]:
     """One policy-free labelled run per point, shared by every policy.
 
-    A timed or high-water sweep on any backend but ``interpreted``
-    decides all 2^k allow-policies of a flowchart from these runs by
-    bitmask tests (:meth:`PolicyFreeRun.output`) instead of re-walking
-    each point once per policy: one sweep task asks for a chunk's runs
-    once and decides every policy from them.  ``points`` must be
-    tuples.
+    A timed or high-water sweep of a channel program on any backend but
+    ``interpreted`` decides all 2^k allow-policies of the flowchart
+    from these runs by bitmask tests instead of re-walking each point
+    once per policy; a channel-free flowchart's runs are lanes of its
+    labelled compiled function instead, with the same fields.
+    ``points`` must be tuples.
     """
     cap = (default_value_cap() if value_cap is None
            else resolve_value_cap(value_cap))

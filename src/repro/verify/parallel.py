@@ -39,7 +39,12 @@ halt test and the timed guard, so a registered family's task runs each
 of its points once with no policy and decides every policy of the
 flowchart from that run (:func:`_evaluate_chunk_batch`): the batch is
 decoded into per-lane outputs once, and each policy only overwrites
-the lanes it refuses.  The sharing comes from the schedule, not from a
+the lanes it refuses.  Every family's runs are batch lanes: the
+flowchart, the allow-all instrumented flowchart (``surveillance``), or
+the flowchart's labelled function (``timed``, ``highwater``), whose
+lanes one decider groups so that each policy is decided once per group
+(:func:`_decide_labelled`; a channel program's label walks take the
+same decider).  The sharing comes from the schedule, not from a
 cache.  The ``compiled`` and ``batch`` backends both take it.
 Per-point evaluation (:func:`evaluate_chunk`, each policy's mechanism
 called once per point) remains where it is the only path or the
@@ -135,7 +140,7 @@ from ..core.mechanism import (ViolationNotice, is_violation,
                               program_mechanism_name)
 from ..core.policy import AllowPolicy, allow
 from ..flowchart.batchpath import K_CAP, K_FUEL, K_OK, execute_batch
-from ..flowchart.fastpath import resolve_backend
+from ..flowchart.fastpath import LABEL_RULES, resolve_backend
 from ..flowchart.interpreter import DEFAULT_FUEL
 from ..flowchart.program import Flowchart
 from ..obs import runtime as _obs
@@ -272,15 +277,16 @@ def evaluate_chunk(mechanism, policy, points: Iterable[Tuple],
 
 #: Factory families the batch path evaluates whole-chunk.  Each runs a
 #: grid point once with no policy and decides all 2^k allow-policies of
-#: a pair from that run: ``program`` and ``surveillance`` execute on the
-#: batch tier (surveillance as the allow-all instrumented flowchart),
-#: the label-walk families below as interpreter-level walks.
+#: a pair from that run, on the batch tier: ``program`` the flowchart,
+#: ``surveillance`` the allow-all instrumented flowchart, and the
+#: label-rule families below the flowchart's labelled function (a
+#: channel program's labels take the interpreter's walk).
 _BATCH_FAMILIES = ("program", "surveillance", "timed", "highwater")
 
-#: The label-walk families: ``(timed, forgetting, time_observable)`` of
-#: the mechanism their :data:`FACTORIES` entry builds.
-_WALK_FAMILIES = {"timed": (True, True, True),
-                  "highwater": (False, False, False)}
+#: The label-rule families, each named after its rule in
+#: :data:`~repro.flowchart.fastpath.LABEL_RULES`, and whether the
+#: mechanism their :data:`FACTORIES` entry builds observes time.
+_LABEL_FAMILIES = {"timed": True, "highwater": False}
 
 _VIOL_KIND = 3  # merged outcome code for a surveillance violation
 
@@ -323,7 +329,7 @@ def _summarize_outputs(policy, points, outputs: List,
     return ChunkSummary(accepts, classes, conflict, backend=backend)
 
 
-def _decode_batch(rows, flowchart: Flowchart,
+def _decode_batch(batch, flowchart: Flowchart,
                   surveillance: bool) -> Tuple[List, List, Dict]:
     """A batch's policy-free outcomes, decoded once for every policy.
 
@@ -338,20 +344,20 @@ def _decode_batch(rows, flowchart: Flowchart,
     exactly ``fuel`` steps runs dry (``Λ!fuel[N]``), any other reads
     ``Λ`` (``Λ@e0`` on a flowchart with policy changes).
     """
-    fuel = rows.fuel
+    fuel = batch.fuel
     fuel_out = fuel_notice(fuel)
-    cap_out = cap_notice(rows.cap) if rows.cap is not None else None
-    codes = list(rows.kinds)
-    outputs = [value if code == K_OK else fuel_out if code == K_FUEL
-               else cap_out for code, value in zip(codes, rows.values)]
+    cap_out = cap_notice(batch.cap) if batch.cap is not None else None
+    codes = list(batch.kinds)
+    outputs = [row[0] if code == K_OK else fuel_out if code == K_FUEL
+               else cap_out for code, row in zip(codes, batch.rows)]
     refusals: Dict[int, List[Tuple]] = {}
     if not surveillance:
         return codes, outputs, refusals
     has_epochs = bool(flowchart.policy_change_ids())
     refused = ViolationNotice("Λ@e0" if has_epochs else "Λ")
     label = surveillance_variable(flowchart.output_variable)
-    for lane, (code, steps, env) in enumerate(
-            zip(rows.kinds, rows.lane_steps, rows.lane_envs)):
+    for lane, (code, (_, steps, _, env)) in enumerate(
+            zip(batch.kinds, batch.rows)):
         if code != K_OK:
             continue
         epoch = env[EPOCH_VAR] if has_epochs else 0
@@ -389,8 +395,9 @@ def _evaluate_chunk_batch(flowchart: Flowchart, family: str,
     - ``surveillance`` runs ``instrument(flowchart, allow(1..k))`` on
       the batch tier, and J overwrites the outcome of each lane whose
       final mask has a bit outside J (:func:`_decode_batch`);
-    - ``timed`` and ``highwater`` take the interpreter-level
-      :func:`~repro.surveillance.dynamic.policy_free_runs`.
+    - ``timed`` and ``highwater`` run the flowchart's labelled function
+      on the batch tier (:func:`_evaluate_walk_chunk`), and each policy
+      is decided once per group of lanes it can refuse.
 
     The batch is decoded once, whatever the number of policies.
 
@@ -408,7 +415,7 @@ def _evaluate_chunk_batch(flowchart: Flowchart, family: str,
         for point in points:
             if plan.poisons(point):
                 raise MemoryError(f"chaos poison point {tuple(point)!r}")
-    if family in _WALK_FAMILIES:
+    if family in _LABEL_FAMILIES:
         return _evaluate_walk_chunk(flowchart, family, policies, points,
                                     fuel, value_cap)
     surveillance = family == "surveillance"
@@ -417,9 +424,9 @@ def _evaluate_chunk_batch(flowchart: Flowchart, family: str,
         arity = flowchart.arity
         target = instrument(flowchart, allow(*range(1, arity + 1),
                                              arity=arity))
-    rows = execute_batch(target, points, fuel=fuel, value_cap=value_cap,
-                         need_env=surveillance)
-    codes, outputs, refusals = _decode_batch(rows, flowchart, surveillance)
+    batch = execute_batch(target, points, fuel=fuel, value_cap=value_cap,
+                          need_env=surveillance)
+    codes, outputs, refusals = _decode_batch(batch, flowchart, surveillance)
     summaries = []
     for policy in policies:
         allowed = to_mask(policy.allowed) if refusals else 0
@@ -435,21 +442,21 @@ def _evaluate_chunk_batch(flowchart: Flowchart, family: str,
         if _obs.active:
             _record_tally(Counter(policy_codes), flowchart,
                           FACTORY_NAMES[family](flowchart, policy), fuel,
-                          rows.cap)
+                          batch.cap)
         summaries.append(_summarize_outputs(policy, points, policy_outputs,
                                             "batch",
                                             policy_codes.count(K_OK)))
     return summaries
 
 
-#: Outcome code of a notice kind (:func:`classify_notice`); every other
-#: notice kind counts as a violation.
+#: Outcome code of a fault notice's kind (:func:`classify_notice`); a
+#: channel fault (``Λ!msg``) has none, as on the per-point path, which
+#: records nothing for it.
 _NOTICE_CODES = {"fuel": K_FUEL, "cap": K_CAP}
 
 
 def _record_tally(tally: Counter, flowchart: Flowchart, mechanism_name: str,
-                  fuel: int, cap: Optional[int],
-                  source: str = "instrumented", timed: bool = False) -> None:
+                  fuel: int, cap: Optional[int]) -> None:
     """A chunk's fault and violation metrics from its outcome-code tally:
     one hook call per outcome kind, not one per decision."""
     if tally[K_FUEL]:
@@ -458,53 +465,174 @@ def _record_tally(tally: Counter, flowchart: Flowchart, mechanism_name: str,
         _obs.record_value_cap_exceeded(mechanism_name, cap,
                                        count=tally[K_CAP])
     if tally[_VIOL_KIND]:
-        _obs.record_violation(flowchart.name, source,
-                              count=tally[_VIOL_KIND], timed=timed)
+        _obs.record_violation(flowchart.name, "instrumented",
+                              count=tally[_VIOL_KIND], timed=False)
 
 
 def _evaluate_walk_chunk(flowchart: Flowchart, family: str,
                          policies: Sequence[AllowPolicy],
                          points: List[Tuple], fuel: int,
                          value_cap: Optional[int]) -> List[ChunkSummary]:
-    """A label-walk family's chunk, every policy decided from one
-    policy-free run per point."""
-    timed, forgetting, time_observable = _WALK_FAMILIES[family]
-    runs = policy_free_runs(flowchart, points, timed=timed,
-                            forgetting=forgetting, fuel=fuel,
-                            value_cap=value_cap)
+    """A label-rule family's chunk, every policy decided from one
+    policy-free labelled run per point (:func:`_decide_labelled`).
+
+    The runs are lanes of the flowchart's labelled function on the
+    batch tier.  A channel program's are the interpreter's label walks
+    (:func:`~repro.surveillance.dynamic.policy_free_runs`), decided the
+    same way.
+    """
+    if flowchart.has_channels():
+        timed, forgetting = LABEL_RULES[family]
+        runs = policy_free_runs(flowchart, points, timed=timed,
+                                forgetting=forgetting, fuel=fuel,
+                                value_cap=value_cap)
+        faults = [run.fault for run in runs]
+        rows = [(run.value, run.steps, run.mask, run.active, run.epoch,
+                 run.early, run.first_test) for run in runs]
+        tier = "interpreted"
+    else:
+        batch = execute_batch(flowchart, points, fuel=fuel,
+                              value_cap=value_cap, labels=family)
+        notices = {K_OK: None, K_FUEL: fuel_notice(fuel),
+                   K_CAP: cap_notice(batch.cap)}
+        faults = [notices[kind] for kind in batch.kinds]
+        rows, tier = batch.rows, "batch"
+    return _decide_labelled(flowchart, family, policies, points, faults,
+                            rows, fuel, value_cap, tier)
+
+
+def _decide_labelled(flowchart: Flowchart, family: str,
+                     policies: Sequence[AllowPolicy], points: List[Tuple],
+                     faults: List, rows: List[Tuple], fuel: int,
+                     value_cap: Optional[int],
+                     tier: str) -> List[ChunkSummary]:
+    """Every policy's summary of a chunk from its policy-free labelled
+    runs: each lane decoded once, each policy decided once per group.
+
+    ``faults[i]`` is lane i's declared-fault notice or None, ``rows[i]``
+    its ``(value, steps, ȳ ∪ C̄, active policy, epoch, early stop,
+    first-test steps)``.  A lane's J-free output is its value
+    (``(value, steps)`` when time is observable), its fault notice, or,
+    past epoch 0, the verdict of the policy it installed.  J can change
+    it only through the lane's epoch-0 first-test entries or, for a
+    lane that halted in epoch 0, its mask; lanes alike in both form a
+    group.  If a first-test entry fails J, J's run stopped there, ahead
+    of anything later (a fault included): every lane of the group reads
+    ``Λ@t`` (``Λ``/``Λ@e0`` untimed).  Otherwise a mask bit outside J
+    refuses each lane with its own notice: ``Λ@steps`` for the timed
+    family, ``Λ`` or ``Λ@e0`` for high-water.  A policy that refuses no
+    group reuses the J-free outputs.
+    """
+    time_observable = _LABEL_FAMILIES[family]
+    plain = ViolationNotice("Λ@e0" if flowchart.policy_change_ids() else "Λ")
+    stamped: Dict[int, ViolationNotice] = {}
+
+    def refusal(steps: int) -> ViolationNotice:
+        """J's notice for a run it stopped after ``steps`` steps."""
+        if not time_observable:
+            return plain
+        notice = stamped.get(steps)
+        if notice is None:
+            notice = stamped[steps] = ViolationNotice(f"Λ@{steps}")
+        return notice
+
+    base: List = []
+    grouped: Dict[Tuple, List[int]] = {}
+    for lane, (fault, (value, steps, mask, active, epoch, early,
+                       tests)) in enumerate(zip(faults, rows)):
+        if fault is not None:
+            output, mask = fault, 0
+        elif active is None:
+            output = (value, steps) if time_observable else value
+        else:
+            # Past epoch 0 the installed policy decided, alike for all J.
+            output = (ViolationNotice(f"Λ@{steps}" if time_observable
+                                      else f"Λ@e{epoch}")
+                      if early or mask & ~active
+                      else (value, steps) if time_observable else value)
+            mask = 0
+        base.append(output)
+        if tests or mask:
+            grouped.setdefault((tuple(tests), mask), []).append(lane)
+    violated = list(map(is_violation, base))
+    accepts = len(base) - sum(violated)
+    # Per group: its first-test entries as (indices, step, notice), its
+    # halt mask, its lanes, each lane's halt refusal, and how many of
+    # its lanes the J-free outputs accept.
+    groups = [([(indices, step, refusal(step)) for step, indices in tests],
+               mask, lanes, [refusal(rows[lane][1]) for lane in lanes],
+               len(lanes) - sum(map(violated.__getitem__, lanes)))
+              for (tests, mask), lanes in grouped.items()]
+    records = tally = None
+    if _obs.active:
+        # Each lane's J-free (outcome code, steps, early) for the counts.
+        records = [(_NOTICE_CODES.get(classify_notice(str(fault)))
+                    if fault is not None else _VIOL_KIND if refused
+                    else K_OK, row[1], row[5])
+                   for fault, refused, row in zip(faults, violated, rows)]
+        tally = Counter(records)
     summaries = []
     for policy in policies:
-        allowed = to_mask(policy.allowed)
-        outputs = [run.output(allowed, time_observable) for run in runs]
-        if _obs.active:
-            tally: Counter = Counter()
-            # A channel fault (Λ!msg) is no violation: the per-point
-            # mechanism records nothing for it either.
-            notices = Counter(str(output) for output in outputs
-                              if is_violation(output))
-            for notice, count in notices.items():
-                if "Λ!msg" in notice:
+        outside = ~to_mask(policy.allowed)
+        outputs, policy_accepts = base, accepts
+        policy_tally = None if tally is None else tally.copy()
+        for tests, mask, lanes, halts, accepted in groups:
+            for indices, step, notice in tests:
+                if indices & outside:
+                    break
+            else:
+                notice = None
+                if not mask & outside:
                     continue
-                tally[_NOTICE_CODES.get(classify_notice(notice),
-                                        _VIOL_KIND)] += count
-            _record_tally(tally, flowchart,
-                          FACTORY_NAMES[family](flowchart, policy), fuel,
-                          value_cap, "surveillance", timed)
-            # As each per-point surveil call records: a run that reached
-            # a halt or J's first failing timed test, with its steps (a
-            # faulted run records none).
-            steps = [step for step in (
-                next((step for step, indices in run.first_test
-                      if indices & ~allowed),
-                     None if run.fault is not None else run.steps)
-                for run in runs) if step is not None]
-            if steps:
-                _obs.inc("surveillance.runs", len(steps))
-                _obs.inc("surveillance.steps_total", sum(steps))
-        # The walk is interpreter-level whatever the sweep's backend.
-        summaries.append(_summarize_outputs(policy, points, outputs,
-                                            "interpreted"))
+            if outputs is base:
+                outputs = list(base)
+            policy_accepts -= accepted
+            if notice is not None:
+                # J's run stopped at this guard, ahead of anything later.
+                for lane in lanes:
+                    outputs[lane] = notice
+            else:
+                for lane, halt in zip(lanes, halts):
+                    outputs[lane] = halt
+            if policy_tally is not None:
+                for lane in lanes:
+                    policy_tally[records[lane]] -= 1
+                    policy_tally[(_VIOL_KIND, step, True) if notice
+                                 else (_VIOL_KIND, rows[lane][1], False)] += 1
+        if policy_tally is not None:
+            _record_runs(policy_tally, flowchart,
+                         FACTORY_NAMES[family](flowchart, policy), fuel,
+                         value_cap, LABEL_RULES[family][0])
+        summaries.append(_summarize_outputs(policy, points, outputs, tier,
+                                            policy_accepts))
     return summaries
+
+
+def _record_runs(tally: Counter, flowchart: Flowchart, mechanism_name: str,
+                 fuel: int, cap: Optional[int], timed: bool) -> None:
+    """One policy's labelled decisions of a chunk, counted as the
+    per-point ``surveil`` calls count theirs: faults by kind, and each
+    run that reached a halt or a timed guard as a surveilled run with
+    its steps, whose refusal is a ``violation`` event carrying its
+    ``steps`` and ``early``.  ``tally`` counts (code, steps, early)."""
+    faults: Counter = Counter()
+    runs = steps_total = 0
+    for (code, steps, early), count in tally.items():
+        if code is None or count <= 0:
+            continue
+        if code in (K_FUEL, K_CAP):
+            faults[code] += count
+            continue
+        runs += count
+        steps_total += count * steps
+        if code == _VIOL_KIND:
+            _obs.record_violation(flowchart.name, "surveillance",
+                                  count=count, steps=steps, timed=timed,
+                                  early=early)
+    _record_tally(faults, flowchart, mechanism_name, fuel, cap)
+    if runs:
+        _obs.inc("surveillance.runs", runs)
+        _obs.inc("surveillance.steps_total", steps_total)
 
 
 def _merge_summaries(parts: Sequence[ChunkSummary]) -> ChunkSummary:
@@ -754,20 +882,23 @@ class _Plan:
         # on the interpreter (the per-point reference) and under explain
         # (per-point provenance).  Channel programs stay off the batch
         # tier, which cannot model labelled channel queues or totalize a
-        # lane's channel fault; the label walks carry both.
+        # lane's channel fault; the label-rule families take the
+        # interpreter's label walks for them, which carry both.
         self.shared: Optional[str] = None
         if (self.backend != "interpreted" and not _obs.explain_active
                 and self.family in _BATCH_FAMILIES
-                and (self.family in _WALK_FAMILIES or not any(
+                and (self.family in _LABEL_FAMILIES or not any(
                     flowchart.has_channels() for flowchart in flowcharts))):
             self.shared = self.family
         # Per-point chunks under backend="batch" run on the compiled
         # engine the batch lanes call, not on the process-global
         # default, so two callers cannot retarget each other's degraded
-        # chunks; the label-walk families walk interpreter-level.
+        # chunks.  A label-rule family's per-point mechanism (explain,
+        # quarantine, the interpreted backend) walks its labels in the
+        # interpreter, and its chunks report that tier.
         point_backend = "compiled" if self.backend == "batch" else self.backend
         self.mech_backend = point_backend if backend_requested else None
-        self.point_tier = ("interpreted" if self.family in _WALK_FAMILIES
+        self.point_tier = ("interpreted" if self.family in _LABEL_FAMILIES
                            else point_backend)
         self.chaos = chaos.current_plan()
         self._mechanisms: Dict[int, object] = {}

@@ -82,6 +82,24 @@ class TestTornTailRecovery:
         assert result.records == 4
         assert [r["rec"] for r in load_ledger(path)] == [0, 1, 2, 3]
 
+    def test_resume_truncates_zero_filled_tail_and_reseals(self, tmp_path):
+        # A crash can leave a zero-filled block that ends in a newline:
+        # the reader skips that last line, so reopening truncates it
+        # and the chain goes on from the last record.
+        path = str(tmp_path / "ledger.jsonl")
+        self._seed_ledger(path)
+        with open(path, "ab") as handle:
+            handle.write(b"\0\0\0\0\n")
+        assert len(load_ledger(path)) == 3
+        ledger = AuditLedger(path)
+        assert ledger.records == 3
+        ledger.append("notice", notice="Λ")
+        ledger.close()
+        result = verify_ledger(path)
+        assert result.ok, result.problems
+        assert result.records == 4
+        assert [r["rec"] for r in load_ledger(path)] == [0, 1, 2, 3]
+
     def test_torn_only_file_recovers_to_genesis(self, tmp_path):
         path = str(tmp_path / "ledger.jsonl")
         with open(path, "w", encoding="utf-8") as handle:

@@ -292,9 +292,9 @@ class TestLibraryPrograms:
         compiled = Counter()
         generate = fastpath.generate_source
 
-        def counting(flowchart):
+        def counting(flowchart, labels=None):
             compiled[flowchart.name] += 1
-            return generate(flowchart)
+            return generate(flowchart, labels)
 
         monkeypatch.setattr(fastpath, "generate_source", counting)
         fastpath.clear_caches()

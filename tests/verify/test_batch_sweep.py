@@ -46,10 +46,10 @@ FAMILIES = ["program"] + MONITORS
 #: The backends whose sweeps share one run per point across policies.
 SHARED = ("batch", "compiled")
 
-#: The tier a batch sweep's chunks report: the label walks of the
-#: timed and high-water families are interpreter-level.
+#: The tier a batch sweep's chunks report: every family's shared runs
+#: are batch lanes, the timed and high-water families' labelled ones.
 BATCH_TIER = {"program": "batch", "surveillance": "batch",
-              "timed": "interpreted", "highwater": "interpreted"}
+              "timed": "batch", "highwater": "batch"}
 
 #: Loops, branches, three inputs and policy epochs: every way a run can
 #: end (halt, timed guard, epoch change, fuel, cap).
@@ -220,16 +220,31 @@ class TestRowParity:
         assert_rows_match_interpreter("program", programs=programs,
                                       grid=wide)
 
-    def test_walk_families_record_the_interpreted_tier(self):
-        # Timed and high-water decide every policy from one label walk
-        # per point; the walk is interpreter-level, per point (explain
-        # mode) or shared, whatever the backend asked for.
+    def test_walk_families_record_their_tier(self):
+        # Timed and high-water decide every policy from one labelled run
+        # per point: a batch lane when shared, an interpreter-level walk
+        # per point (explain mode, the interpreted backend) or for a
+        # channel program.
+        from repro.flowchart.parser import parse_program
+
+        relay = parse_program(
+            "program p(x1, x2) { if x2 == 0 { send ch(x1) }; "
+            "recv ch(u); y := u }").compile()
         for family in ("timed", "highwater"):
             shared = sweep(family, "compiled")
-            with obs.observed(reset=True, explain=True):
+            with obs.observed(reset=True, explain=True,
+                              sinks=[obs.RingBufferSink()]):
                 per_pair = sweep(family, "compiled")
-            assert rows(shared) == rows(per_pair)
-            for result in shared + per_pair:
+            interpreted = sweep(family, "interpreted")
+            assert rows(shared) == rows(per_pair) == rows(interpreted)
+            for result in shared:
+                assert set(result.backends) == {"batch"}
+            for result in per_pair + interpreted:
+                assert set(result.backends) == {"interpreted"}
+            channels = sweep(family, "compiled", programs=[relay])
+            assert rows(channels) == rows(sweep(family, "interpreted",
+                                                programs=[relay]))
+            for result in channels:
                 assert set(result.backends) == {"interpreted"}
 
 
@@ -291,6 +306,27 @@ class TestSharedRuns:
         # runs every point again.
         sweep(family, backend, programs=programs, **SCHEDULES[schedule])
         assert sum(runs) == 2 * points
+
+    @pytest.mark.parametrize("family", ["timed", "highwater"])
+    def test_labelled_sweeps_take_no_walk(self, family, monkeypatch):
+        # Channel-free flowcharts run their labels in batch lanes of the
+        # labelled function on every shared schedule: the interpreter's
+        # label walk is never taken.
+        from repro.surveillance import dynamic
+
+        walks = []
+        walk = dynamic._walk
+
+        def counted(*args, **kwargs):
+            walks.append(args[0].name)
+            return walk(*args, **kwargs)
+
+        monkeypatch.setattr(dynamic, "_walk", counted)
+        for backend in SHARED:
+            for schedule in SCHEDULES.values():
+                sweep(family, backend, programs=PROGRAMS + MIXED,
+                      fuel=12, value_cap=6, **schedule)
+        assert walks == []
 
     def test_sharing_needs_no_cache_capacity(self, monkeypatch, tmp_path):
         # 600 one-point chunks per pair: a sweep that shared runs
@@ -411,12 +447,22 @@ class TestCheckpointResume:
                                            chunk_size=3))
 
 
+def violation_fields(ring):
+    """The multiset of a trace's ``violation`` events, by the fields a
+    per-point run gives each."""
+    return Counter((event["program"], event["source"], event.get("steps"),
+                    event.get("timed"), event.get("early"))
+                   for event in ring.events("violation"))
+
+
 def per_point_outcomes(family, fuel, value_cap):
     """Outcome counts of the family's per-policy mechanisms over
     ``TALLIED`` x ``tally_grid``, called point by point, with the
-    ``surveillance.*`` run counters their surveil calls record."""
+    ``surveillance.*`` run counters their surveil calls record and the
+    fields of their ``violation`` events."""
     counts = Counter()
-    with obs.observed(metrics=True, reset=True) as registry:
+    ring = obs.RingBufferSink(capacity=1 << 16)
+    with obs.observed(metrics=True, reset=True, sinks=[ring]) as registry:
         for flowchart in TALLIED:
             domain = tally_grid(flowchart.arity)
             for policy in all_allow_policies(flowchart.arity):
@@ -441,7 +487,7 @@ def per_point_outcomes(family, fuel, value_cap):
         counters = registry.snapshot()["counters"]
     counts["runs"] = counters.get("surveillance.runs", 0)
     counts["steps"] = counters.get("surveillance.steps_total", 0)
-    return counts
+    return counts, violation_fields(ring)
 
 
 class TestObservability:
@@ -453,10 +499,10 @@ class TestObservability:
                                                      executor, backend):
         # Each decision counts a fault once, whether the batch path
         # tallies it or the per-point run that faulted records it.
-        expected = per_point_outcomes(family, fuel=10, value_cap=4)
+        expected, events = per_point_outcomes(family, fuel=10, value_cap=4)
         assert expected["fuel"] and expected["cap"] and expected["violation"]
-        # The label walks of timed and high-water count their runs and
-        # steps on every backend, as the per-point surveil calls do.
+        # Timed and high-water count their surveilled runs and steps on
+        # every backend, as the per-point surveil calls do.
         assert bool(expected["runs"]) == (family != "surveillance")
         source = "instrumented" if family == "surveillance" else (
             "surveillance")
@@ -484,7 +530,8 @@ class TestObservability:
                             "points": expected["points"],
                             "runs": expected["runs"],
                             "steps": expected["steps"]}
-        # A trace still gets one event per decision.
+        # A trace still gets one event per decision, and each
+        # violation event carries the fields of the per-point run's.
         ring = obs.RingBufferSink(capacity=1 << 16)
         assert counted([ring]) == counters
         assert {"violation": len(ring.events("violation")),
@@ -492,6 +539,7 @@ class TestObservability:
                 "cap": len(ring.events("value_cap_exceeded"))} == {
             "violation": counters["violation"], "fuel": counters["fuel"],
             "cap": counters["cap"]}
+        assert violation_fields(ring) == events
 
     def test_explain_mode_degrades_to_per_point(self):
         # --explain replays per-point provenance; the batch path would

@@ -223,6 +223,8 @@ class TestJournalWriter:
         # A node respawned after a crash mid-write reopens its journal
         # past the records it replayed: the torn tail goes, whatever
         # byte the tear fell on, and the next record gets the next seq.
+        # A zero-filled block in place of the last record ends in a
+        # newline and goes the same way.
         from repro.verify.checkpoint import JournalWriter, load_journal
         path = tmp_path / "journal.jsonl"
         with JournalWriter(str(path)) as journal:
@@ -230,8 +232,10 @@ class TestJournalWriter:
                 journal.write({"kind": kind})
         data = path.read_bytes()
         start = data.rstrip(b"\n").rfind(b"\n") + 1
-        for cut in range(start, len(data)):
-            path.write_bytes(data[:cut])
+        tails = [data[:cut] for cut in range(start, len(data))]
+        tails.append(data[:start] + b"\0\0\0\0\n")
+        for cut, torn in enumerate(tails, start):
+            path.write_bytes(torn)
             replayed = len(load_journal(str(path)))
             with JournalWriter(str(path), fresh=False,
                                start_seq=replayed) as journal:
