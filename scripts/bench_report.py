@@ -1,81 +1,17 @@
 #!/usr/bin/env python
 """Write a ``BENCH_PR*.json``-shaped machine-readable benchmark report.
 
-Eleven sections:
-
-``micro_sweep_kernel``
-    The sweep's inner kernel (full-domain flowchart evaluation, same
-    pair as ``benchmarks/bench_micro_checker.py::test_micro_sweep_kernel``)
-    timed under the interpreted and compiled backends.  The PR claims
-    ≥ 3× here.
-
-``soundness_sweep``
-    Wall-clock of the Theorem 3/3′ sweep: the seed's double-pass
-    interpreted version (reconstructed inline), the current single-pass
-    sweep under each backend, and the parallel runner in auto mode.
-
-``flowlint``
-    Wall-clock of the static analyzer: a full default-pass lint of
-    every (library program, allow policy) pair, and one run of the
-    static-vs-dynamic precision harness.
-
-``per_program``
-    Interpreted-vs-compiled full-grid timing for every flowchart in the
-    figure library.
-
-``telemetry``
-    The cost of the observability layer (``repro.obs``) on the micro
-    kernel: the guarded no-op hooks with observability *off* (the
-    default, compared against the ``BENCH_PR1.json`` pre-instrumentation
-    baseline and the *previous PR's* identical measurement in
-    ``BENCH_PR5.json`` — both claimed < 3%), and the measured overhead
-    with metrics and tracing *on*.
-
-``guards``
-    The cost of the resource-guard machinery: the micro kernel with no
-    cap set (the dual-arm compiled prologue whose disabled cost is
-    claimed < 3% of the ``BENCH_PR4.json`` hooks-off kernel), with a
-    generous never-tripping cap (the per-assignment check armed), and
-    the quarantine-wrapped serial sweep with and without a cap.
-
-``batch``
-    The Gen-2 batch tier: the micro kernel evaluated through
-    ``execute_batch`` against the per-point compiled loop, and the PR5
-    ``guards.sweep_uncapped`` sweep re-run under ``backend="batch"``
-    against the same sweep evaluated point by point on the compiled
-    tier (a callable factory).  The PR claims ≥ 5× sweep throughput
-    over the ``BENCH_PR5.json`` ``sweep_uncapped`` best.
-
-``provenance``
-    The cost of the PR's audit features on a serial soundness sweep:
-    spans+tracing on, spans+tracing+violation explanations on, the
-    per-call cost of ``explain()`` itself, and the analytics side
-    (``summarize`` / ``build_span_tree``) over the captured trace.
-
-``serving``
-    The PR8 serving tier: ``repro serve`` /execute latency (p50/p99
-    over a keep-alive connection, response cache disabled) and the
-    sustained request rate from a concurrent client fleet.  The PR
-    claims ≥ 200 req/s.
-
-``audit``
-    The PR9 audit ledger: /execute latency with the hash-chained
-    ledger off vs on (same harness as ``serving``), and a thread-pool
-    sweep wall time with and without ``audit=``.  The PR claims the
-    audit-on serve p50 overhead stays under 3%.
-
-``distributed``
-    The PR10 multi-node runtime: a three-hop relay program run
-    serially, partitioned across 2 and 3 OS processes over clean
-    links, and under a seeded drop+dup+delay+kill schedule.  The PR
-    claims every arm reproduces the serial row bit-for-bit
-    (``rows_match_serial``).
-
-No execution result is memoised anywhere, so every timed rep executes.
-``--smoke`` shrinks repetition counts and the program set for CI.
-``--out`` is required: the committed ``BENCH_PR*.json`` files are the
-baselines ``scripts/bench_compare.py`` gates against, so a run never
-overwrites one by default.
+A front end to the repository benchmark.  The end-to-end and
+per-layer numbers are one run of
+``bench/run.py --seed 1`` over every ``BENCHMARK.json`` workload
+(``--smoke`` passed through), kept as the ``bench`` section: a wrong
+output or a layer table that does not reconcile there fails the
+report.  The sections ``bench/`` lacks are the functions in
+``SECTIONS``; their kernel timings run :func:`kernel`, and their
+claims against an earlier ``BENCH_PR*.json`` go through :func:`versus`.
+One table prints each claim beside the figure it rests on, and a
+summary row per section.  No execution result is memoised, so every
+timed rep executes.
 
 Usage:
     PYTHONPATH=src python scripts/bench_report.py [--smoke] --out PATH
@@ -84,11 +20,14 @@ Usage:
 from __future__ import annotations
 
 import argparse
-import contextlib
+import json
 import os
 import platform
+import subprocess
 import sys
+import tempfile
 import time
+from functools import partial
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -96,79 +35,117 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(REPO_ROOT))
 
 from benchmarks._common import time_callable, write_json  # noqa: E402
-from repro.core import ProductDomain, check_soundness, is_violation  # noqa: E402
-from repro.flowchart import fastpath, library  # noqa: E402
+from repro import obs  # noqa: E402
+from repro.core import (ProductDomain, check_soundness,  # noqa: E402
+                        is_violation)
+from repro.flowchart import library  # noqa: E402
 from repro.flowchart.fastpath import run_flowchart  # noqa: E402
 from repro.flowchart.interpreter import execute  # noqa: E402
-from repro.verify import (FACTORIES, parallel_soundness_sweep,  # noqa: E402
-                          soundness_sweep)
-from repro.verify.enumerate import all_allow_policies, default_grid  # noqa: E402
+from repro.verify import (FACTORIES, Table,  # noqa: E402
+                          parallel_soundness_sweep, soundness_sweep)
+from repro.verify.enumerate import all_allow_policies  # noqa: E402
+
+#: The kernel's flowchart and grid, and the small sweeps' programs,
+#: built once: compile caches key on flowchart identity.
+KERNEL = library.gcd_program()
+KERNEL_GRID = ProductDomain.integer_grid(1, 24, 2)
+PAIR = [library.forgetting_program(), library.parity_program()]
 
 
-@contextlib.contextmanager
-def forced_backend(backend: str):
-    """Pin the default backend for code that doesn't take a backend arg.
+def kernel(backend: str = "compiled", value_cap=None):
+    """The gcd kernel on one backend: total steps over its 576 points."""
+    return lambda: sum(run_flowchart(KERNEL, point, backend=backend,
+                                     value_cap=value_cap).steps
+                       for point in KERNEL_GRID)
 
-    The env default is cached at first use, so the cache is reset on
-    the way in *and* out — otherwise the pinned value (or the stale
-    pre-pin value) would stick for the rest of the bench run.
+
+def interleaved(repeats: int, *runs) -> list:
+    """Best-of-``repeats`` timings of ``runs``, one rep of each in turn
+    after a warm-up round: the machine's speed moves by tens of percent
+    within seconds, so what a claim divides is timed side by side."""
+    samples = [[] for _ in runs]
+    for _ in range(repeats + 1):
+        for run, taken in zip(runs, samples):
+            started = time.perf_counter()
+            run()
+            taken.append(time.perf_counter() - started)
+    return [{"best": min(taken[1:]), "mean": sum(taken[1:]) / repeats,
+             "reps": repeats} for taken in samples]
+
+
+def wide_grid(arity: int):
+    """A grid where per-point execution dominates mechanism setup."""
+    return ProductDomain.integer_grid(0, 9 if arity <= 2 else 4, arity)
+
+
+def overhead(now: dict, base: dict) -> float:
+    """How much slower ``now``'s best is than ``base``'s, in percent."""
+    return round((now["best"] / base["best"] - 1.0) * 100, 2)
+
+
+def percentile(samples, fraction: float) -> float:
+    ordered = sorted(samples)
+    return ordered[round(fraction * (len(ordered) - 1))]
+
+
+def leaf(doc: dict, path: str):
+    """The value at a '/'-joined path of a report, or None."""
+    for key in path.split("/"):
+        doc = doc.get(key) if isinstance(doc, dict) else None
+    return doc
+
+
+def versus(section: dict, now: float, pr: int, path: str, name: str,
+           reference: "float | None", stem: str = "noop",
+           claim: "str | None" = None, limit: float = 3.0):
+    """Record ``now`` against the best at ``path`` of ``BENCH_PR<pr>.json``.
+
+    Writes ``pr<pr>_<name>_best_s`` and the overhead
+    ``<stem>_overhead_vs_pr<pr>_pct``.  A best recorded in another run
+    also measures that run's machine, so given ``reference``, this run's
+    best of the interpreted micro kernel (which every report records),
+    the drift scale and the overhead at this run's speed,
+    ``..._adjusted_pct``, are written too.  ``claim`` holds when that
+    overhead (else the raw one) is under ``limit`` %.  Returns the
+    baseline best, or None when the baseline lacks it.
     """
-    saved = os.environ.get(fastpath.BACKEND_ENV)
-    os.environ[fastpath.BACKEND_ENV] = backend
-    fastpath.reset_backend_cache()
-    try:
-        yield
-    finally:
-        if saved is None:
-            os.environ.pop(fastpath.BACKEND_ENV, None)
-        else:
-            os.environ[fastpath.BACKEND_ENV] = saved
-        fastpath.reset_backend_cache()
+    stored = REPO_ROOT / f"BENCH_PR{pr}.json"
+    base_doc = json.loads(stored.read_text()) if stored.exists() else {}
+    base = leaf(base_doc, path)
+    if base is None:
+        return None
+    section[f"pr{pr}_{name}_best_s"] = base
+    gated = section[f"{stem}_overhead_vs_pr{pr}_pct"] = round(
+        (now / base - 1.0) * 100, 2)
+    base_reference = leaf(base_doc, "micro_sweep_kernel/interpreted_s/best")
+    if reference and base_reference:
+        scale = reference / base_reference
+        section[f"machine_drift_scale_vs_pr{pr}"] = round(scale, 4)
+        gated = section[f"{stem}_overhead_vs_pr{pr}_adjusted_pct"] = round(
+            (now / (base * scale) - 1.0) * 100, 2)
+    if claim:
+        section[claim] = gated < limit
+    return base
 
 
-# ---------------------------------------------------------------------------
-# Section 1: the sweep's inner kernel, one backend against the other
-# ---------------------------------------------------------------------------
-
-def bench_micro_kernel(repeats: int) -> dict:
-    grid = ProductDomain.integer_grid(1, 24, 2)
-    flowchart = library.gcd_program()
-
-    def kernel(backend):
-        def run():
-            total = 0
-            for point in grid:
-                total += run_flowchart(flowchart, point,
-                                       backend=backend).steps
-            return total
-        return run
-
-    expected = sum(execute(flowchart, point).steps for point in grid)
+def bench_micro_kernel(smoke: bool) -> dict:
+    expected = sum(execute(KERNEL, point).steps for point in KERNEL_GRID)
     for backend in ("interpreted", "compiled"):
         assert kernel(backend)() == expected, backend
-
-    interpreted = time_callable(kernel("interpreted"), repeats=repeats)
-    compiled = time_callable(kernel("compiled"), repeats=repeats)
-    return {
-        "flowchart": flowchart.name,
-        "points": len(grid),
-        "interpreted_s": interpreted,
-        "compiled_s": compiled,
-        "speedup": round(interpreted["best"] / compiled["best"], 2),
-    }
+    interpreted, compiled = interleaved(2 if smoke else 5,
+                                        kernel("interpreted"), kernel())
+    speedup = round(interpreted["best"] / compiled["best"], 2)
+    return {"flowchart": KERNEL.name, "points": len(KERNEL_GRID),
+            "interpreted_s": interpreted, "compiled_s": compiled,
+            "speedup": speedup, "speedup_at_least_3x": speedup >= 3.0}
 
 
-# ---------------------------------------------------------------------------
-# Section 2: the soundness sweep, seed baseline vs the PR's variants
-# ---------------------------------------------------------------------------
-
-def seed_style_sweep(flowcharts, factory, grid=None):
-    """The pre-PR sweep, verbatim shape: factorization check, then a
-    second full pass over the domain for the acceptance count."""
-    grid = grid or default_grid
+def seed_style_sweep(flowcharts, factory):
+    """The seed's sweep: a factorization check, then a second full pass
+    over the domain for the acceptance count."""
     results = []
     for flowchart in flowcharts:
-        domain = grid(flowchart.arity)
+        domain = wide_grid(flowchart.arity)
         for policy in all_allow_policies(flowchart.arity):
             mechanism = factory(flowchart, policy, domain)
             report = check_soundness(mechanism, policy, domain)
@@ -178,874 +155,311 @@ def seed_style_sweep(flowcharts, factory, grid=None):
     return results
 
 
-def wide_grid(arity: int):
-    """A larger grid than the test default, so per-point execution cost
-    (what the compiled backend attacks) dominates mechanism setup."""
-    return ProductDomain.integer_grid(0, 9 if arity <= 2 else 4, arity)
-
-
-def bench_soundness_sweep(repeats: int, smoke: bool) -> dict:
-    programs = [library.forgetting_program(), library.parity_program()]
-    if not smoke:
-        programs += [library.max_program(), library.reconvergence_program(),
-                     library.gcd_program()]
-    # "program" exercises the flowchart-evaluation kernel the compiled
-    # backend accelerates; "surveillance" runs the interpreter-level
-    # shadow execution, so its win comes from the single-pass fix only.
-    factory_names = ["program"] if smoke else ["program", "surveillance"]
-
-    sections = {}
-    for factory_name in factory_names:
-        factory = FACTORIES[factory_name]
-
-        def timed(variant, factory=factory, factory_name=factory_name):
-            def run():
-                if variant == "seed_double_pass_interpreted":
-                    with forced_backend("interpreted"):
-                        return seed_style_sweep(programs, factory,
-                                                grid=wide_grid)
-                if variant == "single_pass_interpreted":
-                    with forced_backend("interpreted"):
-                        return soundness_sweep(programs, factory,
-                                               grid=wide_grid)
-                if variant == "single_pass_compiled":
-                    with forced_backend("compiled"):
-                        return soundness_sweep(programs, factory,
-                                               grid=wide_grid)
-                with forced_backend("compiled"):
-                    return parallel_soundness_sweep(
-                        programs, factory_name, grid=wide_grid,
-                        executor="auto")
-            return time_callable(run, repeats=repeats)
-
-        timings = {variant: timed(variant)
-                   for variant in ("seed_double_pass_interpreted",
-                                   "single_pass_interpreted",
-                                   "single_pass_compiled",
-                                   "parallel_auto_compiled")}
-        seed_best = timings["seed_double_pass_interpreted"]["best"]
-        sections[factory_name] = {
-            "timings_s": timings,
-            "speedup_vs_seed": {
-                variant: round(seed_best / timing["best"], 2)
-                for variant, timing in timings.items()},
+def bench_soundness_sweep(smoke: bool) -> dict:
+    programs = PAIR + ([] if smoke else [library.max_program(),
+                                         library.reconvergence_program(),
+                                         library.gcd_program()])
+    repeats = 2 if smoke else 5
+    factories = {}
+    for name in ["program"] if smoke else ["program", "surveillance"]:
+        interpreted = partial(FACTORIES[name], backend="interpreted")
+        compiled = partial(FACTORIES[name], backend="compiled")
+        variants = {
+            "seed_double_pass_interpreted": lambda: seed_style_sweep(
+                programs, interpreted),
+            "single_pass_interpreted": lambda: soundness_sweep(
+                programs, interpreted, grid=wide_grid),
+            "single_pass_compiled": lambda: soundness_sweep(
+                programs, compiled, grid=wide_grid),
+            "parallel_auto_compiled": lambda: parallel_soundness_sweep(
+                programs, name, grid=wide_grid, executor="auto",
+                backend="compiled"),
         }
+        timings = {variant: time_callable(run, repeats=repeats)
+                   for variant, run in variants.items()}
+        seed = timings["seed_double_pass_interpreted"]["best"]
+        factories[name] = {
+            "timings_s": timings,
+            "speedup_vs_seed": {variant: round(seed / timing["best"], 2)
+                                for variant, timing in timings.items()}}
+    # The seed's check stops at the first witness and a single pass
+    # cannot, so single_pass_interpreted may trail the seed.
+    slowest = min(factory["speedup_vs_seed"]["single_pass_compiled"]
+                  for factory in factories.values())
+    return {"programs": [program.name for program in programs],
+            "pairs": sum(2 ** program.arity for program in programs),
+            "factories": factories,
+            "slowest_compiled_speedup_vs_seed": slowest,
+            "faster_than_seed": slowest > 1.0}
 
-    return {
-        "programs": [program.name for program in programs],
-        "pairs": sum(2 ** program.arity for program in programs),
-        "grid": "integer_grid(0, 9) per input (arity<=2)",
-        "factories": sections,
-        "notes": (
-            "The seed's check_soundness stops at the first witness; the "
-            "single-pass walk cannot (the acceptance count needs every "
-            "point), so single_pass_interpreted may trail the seed on "
-            "mostly-unsound pairs. The compiled backend recovers that "
-            "and more. The surveillance factory executes the "
-            "instrumented flowchart (Section 3's literal construction), "
-            "so both its mechanism and the protected program ride the "
-            "selected backend."),
-    }
 
-
-# ---------------------------------------------------------------------------
-# Section 3: flowlint — static analysis wall-clock over the library
-# ---------------------------------------------------------------------------
-
-def bench_flowlint(repeats: int, smoke: bool,
-                   interp_ref: "float | None" = None) -> dict:
-    import json
-
+def bench_flowlint(smoke: bool) -> dict:
     from repro.analysis import PassManager, precision_harness
-    from repro.verify.enumerate import all_allow_policies as _policies
 
     suite = library.extended_suite()
     dynamic_suite = library.dynamic_policy_suite()
     if smoke:
-        suite = suite[:4]
-        dynamic_suite = dynamic_suite[:4]
+        suite, dynamic_suite = suite[:4], dynamic_suite[:4]
     manager = PassManager.with_default_passes()
 
     def lint_suite(flowcharts):
-        def run():
-            errors = 0
-            for flowchart in flowcharts:
-                for policy in _policies(flowchart.arity):
-                    errors += len(manager.run(flowchart, policy).errors)
-            return errors
-        return run
+        return lambda: sum(len(manager.run(flowchart, policy).errors)
+                           for flowchart in flowcharts
+                           for policy in all_allow_policies(flowchart.arity))
 
-    # The classic-suite measurement is kept identical to the PR6 one
-    # on purpose: same programs, same policies, default passes — so
-    # the cross-file overhead claim below compares like with like.
-    # The new DYN/INT passes gate on has_dynamic_policy()/downgrade_ids
-    # and must stay near-free on classic flowcharts.
-    lint = time_callable(lint_suite(suite), repeats=repeats)
-    dynamic_lint = time_callable(lint_suite(dynamic_suite),
-                                 repeats=repeats)
-    harness = time_callable(lambda: precision_harness(suite),
-                            repeats=max(1, repeats - 1))
-    harness_full = time_callable(
-        lambda: precision_harness(list(suite) + list(dynamic_suite)),
-        repeats=max(1, repeats - 1))
-
-    pairs = sum(2 ** flowchart.arity for flowchart in suite)
-    dynamic_pairs = sum(2 ** flowchart.arity
-                        for flowchart in dynamic_suite)
+    # The classic suite is linted as in BENCH_PR6.json (same programs,
+    # policies and default passes), so the overhead claim compares like
+    # with like; the dynamic-policy passes must stay near-free on it.
+    reference, lint = interleaved(12, kernel("interpreted"),
+                                  lint_suite(suite))
+    dynamic_lint = time_callable(lint_suite(dynamic_suite), repeats=12)
     section = {
-        "programs": len(suite),
-        "pairs": pairs,
+        "pairs": sum(2 ** flowchart.arity for flowchart in suite),
         "lint_all_policies_s": lint,
-        "lint_ms_per_pair": round(lint["best"] * 1000 / pairs, 3),
-        "precision_harness_s": harness,
-        "dynamic_programs": len(dynamic_suite),
-        "dynamic_pairs": dynamic_pairs,
+        "precision_harness_s": time_callable(
+            lambda: precision_harness(suite), repeats=11),
+        "dynamic_pairs": sum(2 ** flowchart.arity
+                             for flowchart in dynamic_suite),
         "dynamic_lint_s": dynamic_lint,
-        "dynamic_lint_ms_per_pair": round(
-            dynamic_lint["best"] * 1000 / dynamic_pairs, 3),
-        "precision_harness_full_s": harness_full,
+        "precision_harness_full_s": time_callable(
+            lambda: precision_harness(suite + dynamic_suite), repeats=11),
     }
-
-    # The overhead claim: registering the epoch + unwinding passes must
-    # cost the *pre-existing* pair set less than 10% of lint wall-time
-    # (drift-adjusted against the same-file micro-kernel reference, as
-    # for the telemetry claims).
-    baseline_path = REPO_ROOT / "BENCH_PR6.json"
-    if baseline_path.exists() and not smoke:
-        with open(baseline_path) as handle:
-            pr6 = json.load(handle)
-        baseline_best = pr6["flowlint"]["lint_all_policies_s"]["best"]
-        overhead_pct = round((lint["best"] / baseline_best - 1.0) * 100, 2)
-        scale = machine_drift_scale(pr6, interp_ref)
-        adjusted_pct = drift_adjusted_overhead(
-            lint["best"], baseline_best, scale)
-        section["pr6_lint_best_s"] = baseline_best
-        section["lint_overhead_vs_pr6_pct"] = overhead_pct
-        if adjusted_pct is not None:
-            section["machine_drift_scale_vs_pr6"] = round(scale, 4)
-            section["lint_overhead_vs_pr6_adjusted_pct"] = adjusted_pct
-        section["lint_overhead_under_10pct_vs_pr6"] = (
-            adjusted_pct if adjusted_pct is not None else overhead_pct
-        ) < 10.0
+    if not smoke:
+        versus(section, lint["best"], 6, "flowlint/lint_all_policies_s/best",
+               "lint", reference["best"], stem="lint",
+               claim="lint_overhead_under_10pct_vs_pr6", limit=10.0)
     return section
 
 
-# ---------------------------------------------------------------------------
-# Section 4: per-program backend comparison over the default grid
-# ---------------------------------------------------------------------------
-
-def bench_per_program(repeats: int, smoke: bool) -> dict:
-    suite = library.extended_suite()
-    if smoke:
-        suite = suite[:4]
-    report = {}
-    for flowchart in suite:
-        grid = default_grid(flowchart.arity)
-
-        def sweep(backend, flowchart=flowchart, grid=grid):
-            def run():
-                for point in grid:
-                    run_flowchart(flowchart, point, backend=backend)
-            return run
-
-        interpreted = time_callable(sweep("interpreted"), repeats=repeats)
-        compiled = time_callable(sweep("compiled"), repeats=repeats)
-        report[flowchart.name] = {
-            "points": len(grid),
-            "interpreted_best_s": interpreted["best"],
-            "compiled_best_s": compiled["best"],
-            "speedup": round(interpreted["best"] /
-                             max(compiled["best"], 1e-9), 2),
-        }
-    return report
-
-
-# ---------------------------------------------------------------------------
-# Section 5: observability overhead on the micro kernel
-# ---------------------------------------------------------------------------
-
-def machine_drift_scale(baseline_doc: dict,
-                        interp_ref: "float | None") -> "float | None":
-    """Machine-speed ratio between this run and a recorded baseline.
-
-    Cross-file overhead claims compare a best-of-N from this process
-    against a number recorded weeks earlier in a different one.  The
-    hardware drifts: this VM's *untouched* pure-interpreter micro
-    kernel — code no PR has modified since the seed — moved 25%
-    between the PR5 recording and the PR6 one, which would read as a
-    25% "regression" in any absolute cross-file comparison.  Every
-    BENCH file records that same kernel, so interp_now/interp_then is
-    a machine reference measured by the very runs being compared.
-    Returns None when either side lacks the reference.
-    """
-    base_ref = (baseline_doc.get("micro_sweep_kernel", {})
-                .get("interpreted_s", {}).get("best"))
-    if not interp_ref or not base_ref:
-        return None
-    return interp_ref / base_ref
-
-
-def drift_adjusted_overhead(now_best: float, base_best: float,
-                            scale: "float | None") -> "float | None":
-    """Overhead of now_best vs base_best at this run's machine speed."""
-    if scale is None:
-        return None
-    return round((now_best / (base_best * scale) - 1.0) * 100, 2)
-
-
-def bench_telemetry(repeats: int, interp_ref: "float | None" = None) -> dict:
-    import json
-
-    from repro import obs
-
-    grid = ProductDomain.integer_grid(1, 24, 2)
-    flowchart = library.gcd_program()
-
-    def kernel():
-        total = 0
-        for point in grid:
-            total += run_flowchart(flowchart, point,
-                                   backend="compiled").steps
-        return total
-
+def bench_telemetry(smoke: bool) -> dict:
     obs.disable()
-    hooks_off = time_callable(kernel, repeats=repeats)
-
-    obs.enable(metrics=True, reset=True)
-    try:
-        metrics_on = time_callable(kernel, repeats=repeats)
-    finally:
-        obs.disable()
-
-    ring = obs.RingBufferSink(capacity=4096)
-    obs.enable(metrics=True, sinks=[ring], reset=True)
-    try:
-        traced = time_callable(kernel, repeats=repeats)
-    finally:
-        obs.disable()
-
-    section = {
-        "flowchart": flowchart.name,
-        "points": len(grid),
-        "hooks_off_s": hooks_off,
-        "metrics_on_s": metrics_on,
-        "traced_s": traced,
-        "metrics_overhead_pct": round(
-            (metrics_on["best"] / hooks_off["best"] - 1.0) * 100, 2),
-        "traced_overhead_pct": round(
-            (traced["best"] / hooks_off["best"] - 1.0) * 100, 2),
-    }
-
-    # The headline claim: the *disabled* hooks (one module-global truth
-    # test per run) must stay within 3% of the pre-instrumentation
-    # kernel recorded in BENCH_PR1.json on this machine.  "This
-    # machine" does the heavy lifting: the raw percentage is recorded
-    # for the trail, but the claim gates on the drift-adjusted number
-    # (see machine_drift_scale) so a globally slower or faster VM day
-    # doesn't masquerade as a hook cost.
-    baseline_path = REPO_ROOT / "BENCH_PR1.json"
-    if baseline_path.exists():
-        with open(baseline_path) as handle:
-            pr1 = json.load(handle)
-        baseline_best = pr1["micro_sweep_kernel"]["compiled_s"]["best"]
-        overhead_pct = round(
-            (hooks_off["best"] / baseline_best - 1.0) * 100, 2)
-        scale = machine_drift_scale(pr1, interp_ref)
-        adjusted_pct = drift_adjusted_overhead(
-            hooks_off["best"], baseline_best, scale)
-        section["pr1_compiled_best_s"] = baseline_best
-        section["noop_overhead_vs_pr1_pct"] = overhead_pct
-        if adjusted_pct is not None:
-            section["machine_drift_scale_vs_pr1"] = round(scale, 4)
-            section["noop_overhead_vs_pr1_adjusted_pct"] = adjusted_pct
-        section["noop_overhead_under_3pct"] = (
-            adjusted_pct if adjusted_pct is not None else overhead_pct
-        ) < 3.0
-
-    # The incremental claim: this PR's disabled-hook cost must stay
-    # within 3% of the *previous* PR's identical measurement
-    # (BENCH_PR5.json telemetry.hooks_off_s — same kernel, same
-    # machine).  Earlier revisions compared against BENCH_PR3.json,
-    # which was two PRs stale by PR5 and silently recorded ``false``
-    # for drift PR5 itself had already measured and accepted; the
-    # baseline now always tracks the immediately preceding PR.
-    pr5_path = REPO_ROOT / "BENCH_PR5.json"
-    if pr5_path.exists():
-        with open(pr5_path) as handle:
-            pr5 = json.load(handle)
-        pr5_best = (pr5.get("telemetry", {})
-                    .get("hooks_off_s", {}).get("best"))
-        if pr5_best is None:
-            pr5_best = pr5["micro_sweep_kernel"]["compiled_s"]["best"]
-        pr5_overhead_pct = round(
-            (hooks_off["best"] / pr5_best - 1.0) * 100, 2)
-        scale = machine_drift_scale(pr5, interp_ref)
-        pr5_adjusted_pct = drift_adjusted_overhead(
-            hooks_off["best"], pr5_best, scale)
-        section["pr5_hooks_off_best_s"] = pr5_best
-        section["noop_overhead_vs_pr5_pct"] = pr5_overhead_pct
-        if pr5_adjusted_pct is not None:
-            section["machine_drift_scale_vs_pr5"] = round(scale, 4)
-            section["noop_overhead_vs_pr5_adjusted_pct"] = pr5_adjusted_pct
-        section["noop_overhead_under_3pct_vs_pr5"] = (
-            pr5_adjusted_pct if pr5_adjusted_pct is not None
-            else pr5_overhead_pct) < 3.0
+    reference, hooks_off = interleaved(16, kernel("interpreted"), kernel())
+    with obs.observed(metrics=True, reset=True):
+        metrics_on = time_callable(kernel(), repeats=16)
+    with obs.observed(metrics=True, reset=True,
+                      sinks=[obs.RingBufferSink(capacity=4096)]):
+        traced = time_callable(kernel(), repeats=16)
+    section = {"hooks_off_s": hooks_off,
+               "metrics_on_s": metrics_on,
+               "traced_s": traced,
+               "metrics_overhead_pct": overhead(metrics_on, hooks_off),
+               "traced_overhead_pct": overhead(traced, hooks_off)}
+    # The disabled hooks (one truth test per run) must stay within 3 % of
+    # the pre-instrumentation kernel and of BENCH_PR5.json's.
+    versus(section, hooks_off["best"], 1, "micro_sweep_kernel/compiled_s/best",
+           "compiled", reference["best"], claim="noop_overhead_under_3pct")
+    versus(section, hooks_off["best"], 5, "telemetry/hooks_off_s/best",
+           "hooks_off", reference["best"],
+           claim="noop_overhead_under_3pct_vs_pr5")
     return section
 
 
-# ---------------------------------------------------------------------------
-# Section 6: resource-guard overhead (value caps + quarantine wrapping)
-# ---------------------------------------------------------------------------
-
-def bench_guards(repeats: int, interp_ref: "float | None" = None) -> dict:
-    import json
-
-    from repro import obs
-
+def bench_guards(smoke: bool) -> dict:
     obs.disable()
-    grid = ProductDomain.integer_grid(1, 24, 2)
-    flowchart = library.gcd_program()
-
-    def kernel(value_cap):
-        def run():
-            total = 0
-            for point in grid:
-                total += run_flowchart(flowchart, point,
-                                       backend="compiled",
-                                       value_cap=value_cap).steps
-            return total
-        return run
-
-    # gcd on [1..24]^2 never widens past 5 bits, so a 64-bit cap arms
-    # the per-assignment check without ever tripping it: the measured
-    # difference is pure guard cost.
-    assert kernel(None)() == kernel(64)()
-
-    uncapped = time_callable(kernel(None), repeats=repeats)
-    capped = time_callable(kernel(64), repeats=repeats)
+    # gcd on [1..24]^2 stays within 5 bits: a 64-bit cap arms the
+    # per-assignment check and never trips, so the difference is guards.
+    assert kernel()() == kernel(value_cap=64)()
+    reference, uncapped, capped = interleaved(
+        16, kernel("interpreted"), kernel(), kernel(value_cap=64))
 
     def sweep(value_cap):
-        def run():
-            with forced_backend("compiled"):
-                return parallel_soundness_sweep(
-                    [library.forgetting_program(),
-                     library.parity_program()],
-                    "program", grid=wide_grid, executor="serial",
-                    value_cap=value_cap)
-        return run
+        return lambda: parallel_soundness_sweep(
+            [library.forgetting_program(), library.parity_program()],
+            "program", grid=wide_grid, executor="serial",
+            backend="compiled", value_cap=value_cap)
 
-    sweep_uncapped = time_callable(sweep(None), repeats=repeats)
-    sweep_capped = time_callable(sweep(64), repeats=repeats)
-
-    section = {
-        "flowchart": flowchart.name,
-        "points": len(grid),
-        "uncapped_s": uncapped,
-        "capped_noop_s": capped,
-        "armed_cap_overhead_pct": round(
-            (capped["best"] / uncapped["best"] - 1.0) * 100, 2),
-        "sweep_uncapped_s": sweep_uncapped,
-        "sweep_capped_s": sweep_capped,
-        "sweep_armed_cap_overhead_pct": round(
-            (sweep_capped["best"] / sweep_uncapped["best"] - 1.0) * 100,
-            2),
-    }
-
-    # The headline claim: with no cap set (the default), the dual-arm
-    # prologue and quarantine wrapping must cost nothing measurable
-    # over the plain hooks-off kernel.  As of PR6 the claim's baseline
-    # is BENCH_PR5 — the immediately preceding PR — mirroring the
-    # rebaseline the telemetry section adopted at PR5 and for the same
-    # reason: a fixed early baseline compounds machine drift with
-    # every PR.  The PR4 comparison (the claim's original baseline)
-    # stays recorded below for the trail; note PR4's machine reference
-    # is an outlier (its interpreted/compiled ratio is 7.38 against
-    # 6.6–6.8 in every other BENCH file), so its drift-adjusted figure
-    # carries several points of phase noise that the PR5 reference
-    # does not.
-    pr4_path = REPO_ROOT / "BENCH_PR4.json"
-    if pr4_path.exists():
-        with open(pr4_path) as handle:
-            pr4 = json.load(handle)
-        pr4_best = (pr4.get("telemetry", {})
-                    .get("hooks_off_s", {}).get("best"))
-        if pr4_best is None:
-            pr4_best = pr4["micro_sweep_kernel"]["compiled_s"]["best"]
-        overhead_pct = round(
-            (uncapped["best"] / pr4_best - 1.0) * 100, 2)
-        scale = machine_drift_scale(pr4, interp_ref)
-        adjusted_pct = drift_adjusted_overhead(
-            uncapped["best"], pr4_best, scale)
-        section["pr4_hooks_off_best_s"] = pr4_best
-        section["noop_overhead_vs_pr4_pct"] = overhead_pct
-        if adjusted_pct is not None:
-            section["machine_drift_scale_vs_pr4"] = round(scale, 4)
-            section["noop_overhead_vs_pr4_adjusted_pct"] = adjusted_pct
-    pr5_path = REPO_ROOT / "BENCH_PR5.json"
-    if pr5_path.exists():
-        with open(pr5_path) as handle:
-            pr5 = json.load(handle)
-        pr5_best = (pr5.get("telemetry", {})
-                    .get("hooks_off_s", {}).get("best"))
-        if pr5_best is None:
-            pr5_best = pr5["micro_sweep_kernel"]["compiled_s"]["best"]
-        overhead_pct = round(
-            (uncapped["best"] / pr5_best - 1.0) * 100, 2)
-        scale = machine_drift_scale(pr5, interp_ref)
-        adjusted_pct = drift_adjusted_overhead(
-            uncapped["best"], pr5_best, scale)
-        section["pr5_hooks_off_best_s"] = pr5_best
-        section["noop_overhead_vs_pr5_pct"] = overhead_pct
-        if adjusted_pct is not None:
-            section["machine_drift_scale_vs_pr5"] = round(scale, 4)
-            section["noop_overhead_vs_pr5_adjusted_pct"] = adjusted_pct
-        section["noop_overhead_under_3pct_vs_pr5"] = (
-            adjusted_pct if adjusted_pct is not None else overhead_pct
-        ) < 3.0
+    sweep_uncapped = time_callable(sweep(None), repeats=16)
+    sweep_capped = time_callable(sweep(64), repeats=16)
+    section = {"uncapped_s": uncapped,
+               "capped_noop_s": capped,
+               "armed_cap_overhead_pct": overhead(capped, uncapped),
+               "sweep_uncapped_s": sweep_uncapped,
+               "sweep_capped_s": sweep_capped,
+               "sweep_armed_cap_overhead_pct": overhead(sweep_capped,
+                                                        sweep_uncapped)}
+    # With no cap set, the dual-arm prologue and quarantine wrapping
+    # must cost nothing over BENCH_PR5.json's hooks-off kernel; the
+    # claim's first baseline, BENCH_PR4.json's, stays for the trail.
+    for pr, claim in ((4, None), (5, "noop_overhead_under_3pct_vs_pr5")):
+        versus(section, uncapped["best"], pr, "telemetry/hooks_off_s/best",
+               "hooks_off", reference["best"], claim=claim)
     return section
 
 
-# ---------------------------------------------------------------------------
-# Section 7: the Gen-2 batch tier vs the per-point compiled loop
-# ---------------------------------------------------------------------------
-
-def bench_batch(repeats: int) -> dict:
-    import json
-
-    from repro import obs
+def bench_batch(smoke: bool) -> dict:
     from repro.flowchart.batchpath import execute_batch
 
     obs.disable()
-    grid = ProductDomain.integer_grid(1, 24, 2)
-    points = list(grid)
-    flowchart = library.gcd_program()
-
-    def compiled_kernel():
-        total = 0
-        for point in grid:
-            total += run_flowchart(flowchart, point,
-                                   backend="compiled").steps
-        return total
+    points = list(KERNEL_GRID)
 
     def batch_kernel():
-        rows = execute_batch(flowchart, points)
+        rows = execute_batch(KERNEL, points)
         return sum(rows.steps(i) for i in range(len(points)))
 
-    expected = compiled_kernel()
-    assert batch_kernel() == expected
-
-    # Timings are keyed by the lanes the batch ran on, the same paths
-    # earlier reports used: every lane is a compiled-tier call.
-    lanes = "compiled"
-    compiled = time_callable(compiled_kernel, repeats=repeats)
-    kernel_batch = {lanes: time_callable(batch_kernel, repeats=repeats)}
-
-    # Built once: both compile caches key on flowchart identity, so
-    # compiled artifacts stay warm across reps — constructing programs
-    # inside the timed callable would charge every rep a full recompile
-    # no real sweep pays twice.
-    sweep_programs = [library.forgetting_program(),
-                      library.parity_program()]
-
-    def per_point_program(flowchart, policy, domain, fuel, value_cap=None,
-                          backend=None):
-        # A callable the sweep cannot name runs point by point, once per
-        # policy: the compiled reference the shared runs are measured
-        # against (a named "compiled" sweep shares runs like "batch").
-        return FACTORIES["program"](flowchart, policy, domain, fuel,
-                                    value_cap=value_cap, backend=backend)
-
     def sweep(factory, backend):
-        def run():
-            return parallel_soundness_sweep(
-                sweep_programs,
-                factory, grid=wide_grid, executor="serial",
-                backend=backend)
-        return run
+        return lambda: parallel_soundness_sweep(
+            PAIR, factory, grid=wide_grid, executor="serial",
+            backend=backend)
 
-    # The batch sweep's verdicts must be row-identical to the per-point
-    # sweep's before any of its timings count.
-    def rows_of(results):
+    def rows(results):
         return [(r.program_name, r.policy_name, r.sound, r.accepts)
                 for r in results]
 
-    per_point_sweep = sweep(per_point_program, "compiled")
-    batch_sweep = sweep("program", "batch")
-    compiled_rows = rows_of(per_point_sweep())
-    assert rows_of(batch_sweep()) == compiled_rows
-
-    sweep_compiled = time_callable(per_point_sweep, repeats=repeats)
-    sweep_batch = {lanes: time_callable(batch_sweep, repeats=repeats)}
-
-    section = {
-        "flowchart": flowchart.name,
-        "points": len(grid),
-        "lanes": lanes,
-        "kernel_compiled_s": compiled,
-        "kernel_batch_s": kernel_batch,
-        "kernel_speedup": {
-            lanes: round(compiled["best"] / kernel_batch[lanes]["best"], 2)},
-        "sweep_compiled_s": sweep_compiled,
-        "sweep_batch_s": sweep_batch,
-        "sweep_speedup_vs_compiled": {
-            lanes: round(sweep_compiled["best"] / sweep_batch[lanes]["best"],
-                         2)},
-        "notes": (
-            "kernel_* is the 576-point gcd grid: one execute_batch call "
-            "against the per-point compiled loop. sweep_* is the PR5 "
-            "guards.sweep_uncapped shape (forgetting + parity x all "
-            "allow policies, serial executor) under --backend batch, "
-            "against the same sweep evaluated point by point on the "
-            "compiled tier through a callable factory, with programs "
-            "constructed once so compiled artifacts stay warm across "
-            "reps. Every lane is a compiled-tier call (lanes: "
-            "compiled)."),
-    }
-
-    # The headline claim: the batch sweep beats the BENCH_PR5.json
-    # guards.sweep_uncapped best — the same sweep under the per-point
-    # compiled tier, recorded on the same machine — by at least 5x.
-    pr5_path = REPO_ROOT / "BENCH_PR5.json"
-    if pr5_path.exists():
-        with open(pr5_path) as handle:
-            pr5 = json.load(handle)
-        pr5_best = (pr5.get("guards", {})
-                    .get("sweep_uncapped_s", {}).get("best"))
-        if pr5_best is not None:
-            speedup = round(pr5_best / sweep_batch[lanes]["best"], 2)
-            section["pr5_sweep_uncapped_best_s"] = pr5_best
-            section["sweep_speedup_vs_pr5"] = speedup
-            section["sweep_speedup_at_least_5x_vs_pr5"] = speedup >= 5.0
+    # A callable the sweep cannot name runs point by point, once per
+    # policy (a named "compiled" sweep shares runs like "batch").
+    per_point = sweep(partial(FACTORIES["program"]), "compiled")
+    shared = sweep("program", "batch")
+    # Both must agree with their references before any timing counts.
+    assert batch_kernel() == kernel()()
+    assert rows(shared()) == rows(per_point())
+    compiled = time_callable(kernel(), repeats=16)
+    kernel_batch = time_callable(batch_kernel, repeats=16)
+    sweep_compiled = time_callable(per_point, repeats=16)
+    sweep_batch = time_callable(shared, repeats=16)
+    # Every lane is a compiled-tier call; the batch timings are keyed so.
+    section = {"kernel_compiled_s": compiled,
+               "kernel_batch_s": {"compiled": kernel_batch},
+               "kernel_speedup": round(
+                   compiled["best"] / kernel_batch["best"], 2),
+               "sweep_compiled_s": sweep_compiled,
+               "sweep_batch_s": {"compiled": sweep_batch},
+               "sweep_speedup_vs_compiled": round(
+                   sweep_compiled["best"] / sweep_batch["best"], 2)}
+    # The batch sweep must beat BENCH_PR5.json's guards.sweep_uncapped,
+    # the same sweep on the per-point compiled tier, by at least 5x.
+    base = versus(section, sweep_batch["best"], 5,
+                  "guards/sweep_uncapped_s/best", "sweep_uncapped", None,
+                  stem="sweep")
+    if base is not None:
+        speedup = section["sweep_speedup_vs_pr5"] = round(
+            base / sweep_batch["best"], 2)
+        section["sweep_speedup_at_least_5x_vs_pr5"] = speedup >= 5.0
     return section
 
 
-# ---------------------------------------------------------------------------
-# Section 8: provenance and trace-analytics overhead
-# ---------------------------------------------------------------------------
-
-def bench_provenance(repeats: int) -> dict:
-    from repro import obs
+def bench_provenance(smoke: bool) -> dict:
     from repro.core.policy import AllowPolicy
 
-    programs = [library.forgetting_program(), library.parity_program()]
-    factory = FACTORIES["surveillance"]
+    repeats = 2 if smoke else 4
 
     def sweep():
-        with forced_backend("interpreted"):
-            return soundness_sweep(programs, factory)
+        return soundness_sweep(PAIR, partial(FACTORIES["surveillance"],
+                                             backend="interpreted"))
 
+    traced = partial(obs.observed, metrics=True, reset=True)
     obs.disable()
     plain = time_callable(sweep, repeats=repeats)
-
-    obs.enable(metrics=True, sinks=[obs.RingBufferSink(capacity=65536)],
-               reset=True)
-    try:
-        traced = time_callable(sweep, repeats=repeats)
-    finally:
-        obs.disable()
-
-    obs.enable(metrics=True, sinks=[obs.RingBufferSink(capacity=65536)],
-               reset=True, explain=True)
-    try:
-        explained = time_callable(sweep, repeats=repeats)
-    finally:
-        obs.disable()
-
-    # One clean traced+explained sweep for the analytics numbers (the
-    # timing rings above hold events from every rep).
+    with traced(sinks=[obs.RingBufferSink(capacity=65536)]):
+        sweep_traced = time_callable(sweep, repeats=repeats)
+    with traced(sinks=[obs.RingBufferSink(capacity=65536)], explain=True):
+        sweep_explain = time_callable(sweep, repeats=repeats)
+    # One clean traced and explained sweep for the analytics numbers.
     capture = obs.RingBufferSink(capacity=65536)
-    obs.enable(metrics=True, sinks=[capture], reset=True, explain=True)
-    try:
+    with traced(sinks=[capture], explain=True):
         sweep()
-    finally:
-        obs.disable()
     events = capture.events()
-    explanations = len(capture.events("explanation"))
-
-    # Per-call cost of a single violation explanation: the replayed
-    # surveillance run plus the backward dependence slice.
-    flowchart = library.gcd_program()
-    policy = AllowPolicy([1], 2)
-    explain_call = time_callable(
-        lambda: obs.explain(flowchart, policy, (6, 4)), repeats=repeats)
-
-    summarize_timing = time_callable(lambda: obs.summarize(events),
-                                     repeats=repeats)
-    tree_timing = time_callable(lambda: obs.build_span_tree(events),
-                                repeats=repeats)
     forest = obs.build_span_tree(events)
-
     return {
-        "programs": [program.name for program in programs],
-        "pairs": sum(2 ** program.arity for program in programs),
         "sweep_plain_s": plain,
-        "sweep_traced_s": traced,
-        "sweep_explain_s": explained,
-        "traced_overhead_pct": round(
-            (traced["best"] / plain["best"] - 1.0) * 100, 2),
-        "explain_overhead_pct": round(
-            (explained["best"] / plain["best"] - 1.0) * 100, 2),
+        "sweep_traced_s": sweep_traced,
+        "sweep_explain_s": sweep_explain,
+        "traced_overhead_pct": overhead(sweep_traced, plain),
+        "explain_overhead_pct": overhead(sweep_explain, plain),
         "trace_events_per_sweep": len(events),
         "span_roots": len(forest.roots),
         "span_problems": len(forest.problems),
-        "explanations_per_sweep": explanations,
-        "explain_call_s": explain_call,
-        "summarize_s": summarize_timing,
-        "span_tree_s": tree_timing,
-        "notes": (
-            "Tracing and explanations are opt-in; the sweep numbers "
-            "here quantify what a user pays for --trace and --explain. "
-            "explain_call_s is one replayed surveillance run plus the "
-            "backward label slice on gcd under allow(1)."),
-    }
-
-
-# ---------------------------------------------------------------------------
-# Section 9: the serving tier — request latency and sustained throughput
-# ---------------------------------------------------------------------------
-
-def _serve_percentile(samples, fraction: float) -> float:
-    ordered = sorted(samples)
-    index = min(len(ordered) - 1, int(round(fraction * (len(ordered) - 1))))
-    return ordered[index]
-
-
-def bench_serving(smoke: bool) -> dict:
-    """`repro serve` under load: /execute latency and sustained RPS.
-
-    The server runs in-process (`serve_in_thread`) with the response
-    cache *disabled* so every request is a real execution through the
-    batch-coalescing path — cache hits would make the RPS claim
-    vacuous.  Latency is measured on one keep-alive connection; the
-    throughput phase aims a small fleet of keep-alive clients at the
-    server so the 2ms coalescing window actually earns its keep.
-    """
-    import http.client
-    import json as _json
-    import threading
-
-    from repro.serve import ServerConfig, serve_in_thread
-
-    latency_n = 100 if smoke else 300
-    clients = 8
-    per_client = 50 if smoke else 150
-
-    handle = serve_in_thread(ServerConfig(port=0, cache_size=0))
-    try:
-        def one_request(conn, i: int) -> None:
-            conn.request("POST", "/execute", body=_json.dumps(
-                {"library": "max", "inputs": [i % 50, (i * 7 + 3) % 50]}),
-                headers={"Content-Type": "application/json"})
-            response = conn.getresponse()
-            payload = _json.loads(response.read())
-            if response.status != 200 or payload["value"] is None:
-                raise RuntimeError(f"request {i} failed: {payload}")
-
-        # Phase 1: sequential latency on one keep-alive connection.
-        conn = http.client.HTTPConnection("127.0.0.1", handle.port,
-                                          timeout=60)
-        for i in range(20):  # warmup: compile caches, thread pool spinup
-            one_request(conn, i)
-        samples = []
-        for i in range(latency_n):
-            started = time.perf_counter()
-            one_request(conn, i)
-            samples.append(time.perf_counter() - started)
-        conn.close()
-
-        # Phase 2: sustained throughput from a concurrent client fleet.
-        errors: list = []
-
-        def client_body(seed: int) -> None:
-            conn = http.client.HTTPConnection("127.0.0.1", handle.port,
-                                              timeout=60)
-            try:
-                for i in range(per_client):
-                    one_request(conn, seed * per_client + i)
-            except Exception as error:  # recorded, fails the claim
-                errors.append(repr(error))
-            finally:
-                conn.close()
-
-        threads = [threading.Thread(target=client_body, args=(seed,))
-                   for seed in range(clients)]
-        wall_started = time.perf_counter()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        wall = time.perf_counter() - wall_started
-    finally:
-        handle.stop()
-
-    total = clients * per_client
-    rps = total / wall if not errors else 0.0
-    return {
-        "latency_requests": latency_n,
-        "latency_p50_ms": round(_serve_percentile(samples, 0.50) * 1e3, 3),
-        "latency_p99_ms": round(_serve_percentile(samples, 0.99) * 1e3, 3),
-        "throughput_clients": clients,
-        "throughput_requests": total,
-        "throughput_wall_s": round(wall, 3),
-        "throughput_rps": round(rps, 1),
-        "errors": errors,
-        "sustains_200_rps": rps >= 200.0 and not errors,
-        "notes": (
-            "Response cache disabled (cache_size=0), and no execution "
-            "result is memoised: every request is a real batch-tier "
-            "execution.  Latency is sequential over "
-            "one keep-alive connection, so each request is a lone "
-            "batch that flushes on the next loop turn; the concurrent "
-            "fleet coalesces the requests that arrive while a batch "
-            "of their key executes."),
+        "single_rooted": len(forest.roots) == 1 and not forest.problems,
+        "explanations_per_sweep": len(capture.events("explanation")),
+        # One replayed surveillance run plus the backward label slice.
+        "explain_call_s": time_callable(
+            lambda: obs.explain(library.gcd_program(), AllowPolicy([1], 2),
+                                (6, 4)), repeats=repeats),
+        "summarize_s": time_callable(lambda: obs.summarize(events),
+                                     repeats=repeats),
+        "span_tree_s": time_callable(lambda: obs.build_span_tree(events),
+                                     repeats=repeats),
     }
 
 
 def bench_audit(smoke: bool) -> dict:
-    """The audit ledger's cost: serve p50/p99 and sweep wall, off vs on.
+    """The ledger's cost on serve p50/p99, off vs on (``bench/``'s
+    ``sweep_observed`` times a ledgered sweep).
 
-    Serve phase: two servers run concurrently — audit off and audit
-    on (full sampling, ledger on disk) — with request bursts
-    interleaved between them, cache disabled on both so every request
-    both executes *and* appends.
-    Sweep phase: a thread-pool sweep with and without ``audit=``
-    (thread mode on both sides so the executor machinery is identical;
-    a serial audit-off sweep would take the one-chunk-per-pair fast
-    path and the comparison would measure scheduling, not ledgering).
+    Two servers (cache off; audit off, on) run at once, request bursts
+    alternating in ABBA order, in two phases with creation order
+    swapped: null experiments showed the arm measured second in a pair,
+    and the server created second, run slower.
     """
     import http.client
-    import json as _json
-    import tempfile
 
-    from repro.flowchart.library import paper_figures
-    from repro.obs.audit import load_ledger
     from repro.serve import ServerConfig, serve_in_thread
-    from repro.verify.parallel import parallel_soundness_sweep
 
-    # Each request costs ~3ms, so samples are cheap — and the effect
-    # under measurement (tens of microseconds on a ~3ms p50) needs a
-    # lot of them before the p50 estimate is tighter than the claim.
     latency_n = 300 if smoke else 1000
     burst = 10
-    tmpdir = tempfile.mkdtemp(prefix="bench_audit_")
 
-    # Both servers run concurrently and request bursts alternate
-    # between them: the 3% effect under measurement is smaller than
-    # the drift between two phases benchmarked tens of seconds apart,
-    # but bursts interleaved on a sub-second cadence expose both arms
-    # to the same machine conditions.  Two null experiments (both
-    # arms audit-off) exposed two systematic biases this harness must
-    # cancel: whichever arm is measured second within a burst pair
-    # runs slower (hence the ABBA order), and whichever *server* was
-    # created second runs slower (hence two phases with creation
-    # order swapped, samples pooled per role).
     def one_request(conn, i: int) -> None:
-        conn.request("POST", "/execute", body=_json.dumps(
-            {"library": "max",
-             "inputs": [i % 50, (i * 7 + 3) % 50]}),
+        conn.request("POST", "/execute", body=json.dumps(
+            {"library": "max", "inputs": [i % 50, (i * 7 + 3) % 50]}),
             headers={"Content-Type": "application/json"})
         response = conn.getresponse()
-        payload = _json.loads(response.read())
+        payload = json.loads(response.read())
         if response.status != 200 or payload["value"] is None:
             raise RuntimeError(f"request {i} failed: {payload}")
 
     off, on = [], []
     per_phase = latency_n // 2
-    for phase in range(2):
-        roles = [(None, off),
-                 (os.path.join(tmpdir, f"serve_audit_{phase}.jsonl"), on)]
-        if phase % 2:
-            roles.reverse()
-        handles = [serve_in_thread(ServerConfig(
-            port=0, cache_size=0, audit_path=audit_path))
-            for audit_path, _ in roles]
-        try:
-            arms = [(http.client.HTTPConnection(
-                "127.0.0.1", handle.port, timeout=60), samples)
-                for handle, (_, samples) in zip(handles, roles)]
-            for conn, _ in arms:
-                for i in range(20):
-                    one_request(conn, i)
-            for pair_index, start in enumerate(range(0, per_phase, burst)):
-                ordered = arms if pair_index % 2 == 0 else arms[::-1]
-                for conn, samples in ordered:
-                    for i in range(start, min(start + burst, per_phase)):
-                        started = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="bench_audit_") as tmpdir:
+        for phase in range(2):
+            roles = [(None, off),
+                     (os.path.join(tmpdir, f"serve_audit_{phase}.jsonl"), on)]
+            if phase % 2:
+                roles.reverse()
+            handles = [serve_in_thread(ServerConfig(
+                port=0, cache_size=0, audit_path=audit_path))
+                for audit_path, _ in roles]
+            try:
+                arms = [(http.client.HTTPConnection(
+                    "127.0.0.1", handle.port, timeout=60), samples)
+                    for handle, (_, samples) in zip(handles, roles)]
+                for conn, _ in arms:
+                    for i in range(20):
                         one_request(conn, i)
-                        samples.append(time.perf_counter() - started)
-            for conn, _ in arms:
-                conn.close()
-        finally:
-            for handle in handles:
-                handle.stop()
+                for pair_index, start in enumerate(range(0, per_phase, burst)):
+                    ordered = arms if pair_index % 2 == 0 else arms[::-1]
+                    for conn, samples in ordered:
+                        for i in range(start, min(start + burst, per_phase)):
+                            started = time.perf_counter()
+                            one_request(conn, i)
+                            samples.append(time.perf_counter() - started)
+                for conn, _ in arms:
+                    conn.close()
+            finally:
+                for handle in handles:
+                    handle.stop()
 
-    off_p50 = _serve_percentile(off, 0.50)
-    on_p50 = _serve_percentile(on, 0.50)
+    off_p50, on_p50 = percentile(off, 0.50), percentile(on, 0.50)
     serve_overhead_pct = (on_p50 - off_p50) / off_p50 * 100.0
-
-    flowcharts = paper_figures()[:2 if smoke else 4]
-
-    def sweep(audit_path):
-        started = time.perf_counter()
-        parallel_soundness_sweep(flowcharts, "surveillance",
-                                 executor="thread", max_workers=2,
-                                 chunk_size=64, audit=audit_path)
-        return time.perf_counter() - started
-
-    sweep_reps = 2 if smoke else 6
-    sweep_path = os.path.join(tmpdir, "sweep_audit.jsonl")
-    sweep_off = min(sweep(None) for _ in range(sweep_reps))
-    sweep_on = min(sweep(sweep_path) for _ in range(sweep_reps))
-    sweep_overhead_pct = (sweep_on - sweep_off) / sweep_off * 100.0
-    # The relative number is dominated by how cheap the sweep itself
-    # is (a couple of ms for the paper figures); the per-record cost
-    # is the durable fact.
-    sweep_records = len(load_ledger(sweep_path))
-    sweep_us_per_record = ((sweep_on - sweep_off) / sweep_records * 1e6
-                          if sweep_records else 0.0)
-
     return {
         "latency_requests": latency_n,
         "serve_off_p50_ms": round(off_p50 * 1e3, 3),
         "serve_on_p50_ms": round(on_p50 * 1e3, 3),
-        "serve_off_p99_ms": round(_serve_percentile(off, 0.99) * 1e3, 3),
-        "serve_on_p99_ms": round(_serve_percentile(on, 0.99) * 1e3, 3),
+        "serve_off_p99_ms": round(percentile(off, 0.99) * 1e3, 3),
+        "serve_on_p99_ms": round(percentile(on, 0.99) * 1e3, 3),
+        "serve_added_ms": round((on_p50 - off_p50) * 1e3, 3),
         "serve_overhead_pct": round(serve_overhead_pct, 2),
-        "sweep_off_s": round(sweep_off, 4),
-        "sweep_on_s": round(sweep_on, 4),
-        "sweep_overhead_pct": round(sweep_overhead_pct, 2),
-        "sweep_records": sweep_records,
-        "sweep_us_per_record": round(sweep_us_per_record, 1),
         "audit_overhead_under_3pct": serve_overhead_pct < 3.0,
-        "notes": (
-            "Audited requests stage their canonically-serialized "
-            "payload in memory; a periodic task chains, hashes, "
-            "writes, and seals off the request path.  The serve "
-            "comparison interleaves ABBA bursts between two "
-            "concurrently running servers and repeats with creation "
-            "order swapped, cancelling the two systematic biases null "
-            "experiments exposed.  The sweep comparison holds "
-            "executor machinery fixed (thread mode both sides) so "
-            "the delta is ledgering, not scheduling; its relative "
-            "overhead is large only because the paper-figure sweep "
-            "itself is a few milliseconds."),
     }
 
 
 def bench_distributed(smoke: bool) -> dict:
-    """The multi-node runtime: serial vs distributed, clean and chaosed.
-
-    A three-hop relay program runs serially (the reference row), then
-    partitioned across OS processes over clean links, then under a
-    seeded drop+dup+delay+kill schedule.  Every arm must produce the
-    serial row bit-for-bit; the timings quantify what process spawn,
-    message hops, and fault recovery cost on top of the serial run.
-    """
+    """A three-hop relay serially, on 2 and 3 processes, and chaosed:
+    the timings price spawn, commits, hops and recovery, and every arm
+    must reproduce the serial row bit for bit."""
     from repro.dist import run_distributed, serial_reference
     from repro.flowchart.parser import parse_program
     from repro.verify.chaos import FaultPlan
 
-    source = """
+    flowchart = parse_program("""
     program relay3(x1, x2) {
         s := x1 + x2;
         send a(s);
@@ -1055,235 +469,176 @@ def bench_distributed(smoke: bool) -> dict:
         recv b(v);
         y := v + x1
     }
-    """
-    flowchart = parse_program(source).compile()
+    """).compile()
     inputs, allowed = (3, 4), (1, 2)
     reps = 1 if smoke else 3
-
-    reference = serial_reference(flowchart, inputs, allowed)
-    serial_s = time_callable(
-        lambda: serial_reference(flowchart, inputs, allowed),
-        reps, warmup=0)
+    serial = partial(serial_reference, flowchart, inputs, allowed)
+    reference = serial()
+    serial_s = time_callable(serial, reps, warmup=0)
 
     def run(nodes, plan=None):
-        result = run_distributed(flowchart, inputs, allowed,
-                                 nodes=nodes, plan=plan)
-        timing = time_callable(
-            lambda: run_distributed(flowchart, inputs, allowed,
-                                    nodes=nodes, plan=plan),
-            reps, warmup=0)
-        return timing, result
+        once = partial(run_distributed, flowchart, inputs, allowed,
+                       nodes=nodes, plan=plan)
+        result = once()
+        return time_callable(once, reps, warmup=0), result
 
+    chaos_plan = "seed=1,drop=0.3,dup=0.2,mdelay=0.3,mdelay_s=0.02,kill=0.08"
     clean2_s, clean2 = run(2)
     clean3_s, clean3 = run(3)
-    plan = FaultPlan(seed=1, msg_drop=0.3, msg_dup=0.2, msg_delay=0.3,
-                     msg_delay_seconds=0.02, kill=0.08)
-    chaos_s, chaosed = run(3, plan)
-
-    rows_match = (clean2.row() == reference
-                  and clean3.row() == reference
-                  and chaosed.row() == reference)
+    chaos_s, chaosed = run(3, FaultPlan.parse(chaos_plan))
     return {
-        "flowchart": "relay3",
         "messages": clean3.messages_sent,
         "serial_s": serial_s,
         "dist_2node_s": clean2_s,
         "dist_3node_s": clean3_s,
         "chaos_3node_s": chaos_s,
-        "chaos_plan": "seed=1,drop=0.3,dup=0.2,mdelay=0.3,"
-                      "mdelay_s=0.02,kill=0.08",
+        "chaos_plan": chaos_plan,
         "chaos_crashes": chaosed.crashes,
         "chaos_recoveries": chaosed.recoveries,
         "chaos_messages_retried": chaosed.messages_retried,
-        "rows_match_serial": rows_match,
-        "notes": (
-            "Distribution is a robustness feature, not a speedup: a "
-            "single migrating control token keeps serial semantics by "
-            "construction, so the distributed timings price process "
-            "spawn, journal fsyncs, and message hops.  The chaosed arm "
-            "additionally pays seeded retransmission backoff and "
-            "journal-replay crash recovery, and still must reproduce "
-            "the serial row bit-for-bit."),
+        "rows_match_serial": all(arm.row() == reference
+                                 for arm in (clean2, clean3, chaosed)),
     }
+
+
+#: The sections bench/ lacks, in run order, each called with ``smoke``.
+SECTIONS = {
+    "micro_sweep_kernel": bench_micro_kernel,
+    "soundness_sweep": bench_soundness_sweep,
+    "flowlint": bench_flowlint,
+    "telemetry": bench_telemetry,
+    "guards": bench_guards,
+    "batch": bench_batch,
+    "provenance": bench_provenance,
+    "audit": bench_audit,
+    "distributed": bench_distributed,
+}
+
+
+def run_bench(smoke: bool) -> dict:
+    """``bench/run.py --seed 1`` over every workload: its combined
+    result (``correct``, ``attempted``, ``failed``, ``metrics``)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "bench.json")
+        done = subprocess.run(
+            [sys.executable, str(REPO_ROOT / "bench" / "run.py"), "--seed",
+             "1", "--out", out] + (["--smoke"] if smoke else []),
+            cwd=REPO_ROOT, check=False)
+        if not os.path.exists(out):
+            return {"correct": False, "attempted": 0, "failed": 0,
+                    "metrics": {}, "exit": done.returncode}
+        with open(out, encoding="utf-8") as handle:
+            return json.load(handle)
+
+
+#: Each claim: the section and field that hold it, and the figure it
+#: rests on (a template over the section).
+CLAIMS = [
+    ("micro_speedup_at_least_3x", "micro_sweep_kernel",
+     "speedup_at_least_3x", "compiled {speedup}x over interpreted"),
+    ("sweep_faster_than_seed", "soundness_sweep", "faster_than_seed",
+     "single pass {slowest_compiled_speedup_vs_seed}x the seed at worst"),
+    ("span_tree_single_rooted", "provenance", "single_rooted",
+     "{span_roots} root(s), {span_problems} problem(s)"),
+    ("serve_sustains_200_rps", "serving", "sustains_200_rps",
+     "serve_execute {throughput_per_s:.0f} requests per server CPU-s"),
+    ("audit_overhead_under_3pct", "audit", "audit_overhead_under_3pct",
+     "{serve_added_ms:+} ms on a {serve_off_p50_ms} ms p50 "
+     "({serve_overhead_pct} %)"),
+    ("distributed_rows_match_serial", "distributed", "rows_match_serial",
+     "2 and 3 nodes, chaosed ({chaos_crashes} crashes)"),
+    ("telemetry_noop_overhead_under_3pct", "telemetry",
+     "noop_overhead_under_3pct", "{noop_overhead_vs_pr1_adjusted_pct} % "
+     "drift-adjusted ({noop_overhead_vs_pr1_pct} % raw)"),
+    ("telemetry_noop_overhead_under_3pct_vs_pr5", "telemetry",
+     "noop_overhead_under_3pct_vs_pr5", "{noop_overhead_vs_pr5_adjusted_pct}"
+     " % drift-adjusted ({noop_overhead_vs_pr5_pct} % raw)"),
+    ("guards_noop_overhead_under_3pct_vs_pr5", "guards",
+     "noop_overhead_under_3pct_vs_pr5", "{noop_overhead_vs_pr5_adjusted_pct}"
+     " % drift-adjusted ({noop_overhead_vs_pr5_pct} % raw)"),
+    ("batch_sweep_speedup_at_least_5x_vs_pr5", "batch",
+     "sweep_speedup_at_least_5x_vs_pr5",
+     "{sweep_speedup_vs_pr5}x over BENCH_PR5's sweep_uncapped"),
+    ("flowlint_overhead_under_10pct_vs_pr6", "flowlint",
+     "lint_overhead_under_10pct_vs_pr6", "{lint_overhead_vs_pr6_adjusted_pct}"
+     " % drift-adjusted ({lint_overhead_vs_pr6_pct} % raw)"),
+]
+
+#: One summary row per section, a template over the section.
+SUMMARIES = {
+    "flowlint": "{pairs} pairs in {lint_all_policies_s[best]:.3f} s",
+    "telemetry": "metrics on {metrics_overhead_pct:+} %, traced "
+                 "{traced_overhead_pct:+} %",
+    "guards": "armed cap {armed_cap_overhead_pct:+} % on the kernel, "
+              "{sweep_armed_cap_overhead_pct:+} % on the sweep",
+    "batch": "kernel {kernel_speedup}x, sweep {sweep_speedup_vs_compiled}x "
+             "over per-point compiled",
+    "provenance": "--trace {traced_overhead_pct:+} %, --explain "
+                  "{explain_overhead_pct:+} %",
+    "distributed": "serial {serial_s[best]:.4f} s, 3 nodes "
+                   "{dist_3node_s[best]:.3f} s, chaosed "
+                   "{chaos_3node_s[best]:.3f} s",
+}
+
+
+def claims_table(report: dict):
+    """``(claims, table)``: every claim whose section holds it, and the
+    table of those claims (``holds`` or ``WARNING``) and summaries."""
+    rps = report["bench"]["metrics"].get(
+        "serve_execute/throughput_per_s", {}).get("value", 0.0)
+    sections = dict(report, serving={"throughput_per_s": rps,
+                                     "sustains_200_rps": rps >= 200.0})
+    claims = {}
+    table = Table("bench report", ["claim or section", "figure", "status"])
+    for key, name, field, figure in CLAIMS:
+        if field in sections[name]:
+            held = claims[key] = sections[name][field]
+            table.add_row(key, figure.format(**sections[name]),
+                          "holds" if held else "WARNING")
+    for name, figure in SUMMARIES.items():
+        table.add_row(name, figure.format(**sections[name]), "")
+    return claims, table
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
-                        help="CI mode: fewer reps, smaller program set")
+                        help="CI mode: bench/run.py --smoke, fewer reps, "
+                             "a smaller program set")
     parser.add_argument("--out", required=True,
                         help="output path (the committed BENCH_PR*.json "
-                             "files are baselines; name a new file)")
+                             "files are the bench_compare.py baselines; "
+                             "name a new file)")
     args = parser.parse_args(argv)
 
-    repeats = 2 if args.smoke else 5
     started = time.perf_counter()
-
-    micro = bench_micro_kernel(repeats)
-    sweep = bench_soundness_sweep(repeats, args.smoke)
-    # The lint-overhead claim is another cross-file min-statistic
-    # comparison (vs BENCH_PR6's lint best), so it also needs enough
-    # reps to reach the floor — and the micro kernel's interpreted
-    # best as the machine-drift reference.
-    interp_ref = micro["interpreted_s"]["best"]
-    flowlint = bench_flowlint(max(repeats, 12), args.smoke,
-                              interp_ref=interp_ref)
-    per_program = bench_per_program(max(1, repeats - 1), args.smoke)
-    # The telemetry claim compares best-of-N against a number recorded
-    # in a different process run; a couple of smoke reps is too noisy
-    # for a <3% assertion, so this section always gets enough reps
-    # (best-of-N is a min statistic — the PR3 file itself shows ~6%
-    # spread between two same-run measurements of this kernel, so N
-    # must be large enough to reach the floor).
-    telemetry = bench_telemetry(max(repeats, 16), interp_ref=interp_ref)
-    # Same story for the guards claim: it compares against a number
-    # recorded by a different process (BENCH_PR5), so it needs enough
-    # reps to reach the min-statistic floor.
-    guards = bench_guards(max(repeats, 16), interp_ref=interp_ref)
-    # And for the batch 5x claim (vs the BENCH_PR5 sweep best).
-    batch = bench_batch(max(repeats, 16))
-    provenance = bench_provenance(max(2, repeats - 1))
-    serving = bench_serving(args.smoke)
-    audit = bench_audit(args.smoke)
-    distributed = bench_distributed(args.smoke)
-
-    claims = {
-        "micro_speedup_at_least_3x": micro["speedup"] >= 3.0,
-        "sweep_faster_than_seed": all(
-            section["speedup_vs_seed"]["single_pass_compiled"] > 1.0
-            for section in sweep["factories"].values()),
-        "span_tree_single_rooted": provenance["span_roots"] == 1
-        and provenance["span_problems"] == 0,
-        "serve_sustains_200_rps": serving["sustains_200_rps"],
-        "audit_overhead_under_3pct": audit["audit_overhead_under_3pct"],
-        "distributed_rows_match_serial": distributed["rows_match_serial"],
+    # The sections time in this process first, as every earlier report
+    # did; bench/run.py runs each workload in a process of its own.
+    report = {name: section(args.smoke) for name, section in SECTIONS.items()}
+    report["bench"] = run_bench(args.smoke)
+    claims, table = claims_table(report)
+    report["claims"] = claims
+    report["meta"] = {
+        "benchmark": "bench/run.py workloads and the sections bench/ lacks",
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "cpu_count": os.cpu_count(),
+        "smoke": args.smoke,
+        "total_wall_s": round(time.perf_counter() - started, 3),
     }
-    if "noop_overhead_under_3pct" in telemetry:
-        claims["telemetry_noop_overhead_under_3pct"] = (
-            telemetry["noop_overhead_under_3pct"])
-    if "noop_overhead_under_3pct_vs_pr5" in telemetry:
-        claims["telemetry_noop_overhead_under_3pct_vs_pr5"] = (
-            telemetry["noop_overhead_under_3pct_vs_pr5"])
-    if "noop_overhead_under_3pct_vs_pr5" in guards:
-        claims["guards_noop_overhead_under_3pct_vs_pr5"] = (
-            guards["noop_overhead_under_3pct_vs_pr5"])
-    if "sweep_speedup_at_least_5x_vs_pr5" in batch:
-        claims["batch_sweep_speedup_at_least_5x_vs_pr5"] = (
-            batch["sweep_speedup_at_least_5x_vs_pr5"])
-    if "lint_overhead_under_10pct_vs_pr6" in flowlint:
-        claims["flowlint_overhead_under_10pct_vs_pr6"] = (
-            flowlint["lint_overhead_under_10pct_vs_pr6"])
-
-    payload = {
-        "meta": {
-            "benchmark": ("PR10 robustness: distributed enforcement "
-                          "over faulty typed channels"),
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "cpu_count": os.cpu_count(),
-            "smoke": args.smoke,
-            "total_wall_s": round(time.perf_counter() - started, 3),
-        },
-        "micro_sweep_kernel": micro,
-        "soundness_sweep": sweep,
-        "flowlint": flowlint,
-        "per_program": per_program,
-        "telemetry": telemetry,
-        "guards": guards,
-        "batch": batch,
-        "provenance": provenance,
-        "serving": serving,
-        "audit": audit,
-        "distributed": distributed,
-        "claims": claims,
-    }
-    path = write_json(payload, args.out)
-
-    print(f"wrote {path}")
-    print(f"  micro kernel ({micro['flowchart']}, {micro['points']} pts): "
-          f"{micro['speedup']}x compiled over interpreted")
-    for factory_name, section in sweep["factories"].items():
-        for variant, speedup in section["speedup_vs_seed"].items():
-            print(f"  sweep[{factory_name}] {variant}: {speedup}x vs seed")
-    print(f"  flowlint: {flowlint['pairs']} (program, policy) pairs in "
-          f"{flowlint['lint_all_policies_s']['best']:.3f}s "
-          f"({flowlint['lint_ms_per_pair']}ms/pair); precision harness "
-          f"{flowlint['precision_harness_s']['best']:.3f}s")
-    print(f"  telemetry: metrics-on overhead "
-          f"{telemetry['metrics_overhead_pct']}%, traced "
-          f"{telemetry['traced_overhead_pct']}%"
-          + (f", no-op hooks vs PR1 baseline "
-             f"{telemetry['noop_overhead_vs_pr1_pct']}%"
-             if "noop_overhead_vs_pr1_pct" in telemetry else "")
-          + (f", vs PR5 baseline "
-             f"{telemetry['noop_overhead_vs_pr5_pct']}%"
-             if "noop_overhead_vs_pr5_pct" in telemetry else ""))
-    print(f"  guards: armed-cap overhead "
-          f"{guards['armed_cap_overhead_pct']}% on the kernel, "
-          f"{guards['sweep_armed_cap_overhead_pct']}% on the sweep"
-          + (f", uncapped vs PR5 baseline "
-             f"{guards['noop_overhead_vs_pr5_pct']}%"
-             if "noop_overhead_vs_pr5_pct" in guards else ""))
-    print("  batch: kernel "
-          + ", ".join(f"{engine} {speedup}x"
-                      for engine, speedup in batch["kernel_speedup"].items())
-          + " vs compiled; sweep "
-          + ", ".join(
-              f"{engine} {speedup}x"
-              for engine, speedup
-              in batch["sweep_speedup_vs_compiled"].items())
-          + " vs per-point compiled"
-          + (f"; {batch['sweep_speedup_vs_pr5']}x vs PR5 sweep_uncapped"
-             if "sweep_speedup_vs_pr5" in batch else ""))
-    print(f"  provenance: --trace costs "
-          f"{provenance['traced_overhead_pct']}%, --trace --explain "
-          f"{provenance['explain_overhead_pct']}% on the serial sweep; "
-          f"explain() {provenance['explain_call_s']['best'] * 1e6:.0f}us/"
-          f"call, {provenance['trace_events_per_sweep']} events and "
-          f"{provenance['explanations_per_sweep']} explanations per sweep")
-    print(f"  serving: /execute p50 {serving['latency_p50_ms']}ms, "
-          f"p99 {serving['latency_p99_ms']}ms; "
-          f"{serving['throughput_rps']} req/s sustained across "
-          f"{serving['throughput_clients']} clients")
-    print(f"  audit: serve p50 {audit['serve_off_p50_ms']}ms off → "
-          f"{audit['serve_on_p50_ms']}ms on "
-          f"({audit['serve_overhead_pct']}%); sweep "
-          f"{audit['sweep_off_s']}s → {audit['sweep_on_s']}s "
-          f"({audit['sweep_us_per_record']}us per record, "
-          f"{audit['sweep_records']} records)")
-    print(f"  distributed: serial {distributed['serial_s']['best']:.4f}s, "
-          f"3-node {distributed['dist_3node_s']['best']:.3f}s, chaosed "
-          f"{distributed['chaos_3node_s']['best']:.3f}s "
-          f"({distributed['chaos_crashes']} crashes, "
-          f"{distributed['chaos_messages_retried']} retries); "
-          f"rows match serial: {distributed['rows_match_serial']}")
-    if not serving["sustains_200_rps"]:
-        print("WARNING: served /execute throughput below the claimed "
-              "200 req/s", file=sys.stderr)
-    if not audit["audit_overhead_under_3pct"]:
-        print("WARNING: audit-on serve p50 overhead above the claimed "
-              "3% (noisy machine?)", file=sys.stderr)
-    if telemetry.get("noop_overhead_under_3pct") is False:
-        print("WARNING: disabled-hook overhead above the claimed 3% "
-              "of the PR1 baseline (noisy machine?)", file=sys.stderr)
-    if telemetry.get("noop_overhead_under_3pct_vs_pr5") is False:
-        print("WARNING: disabled-hook overhead above the claimed 3% "
-              "of the PR5 baseline (noisy machine?)", file=sys.stderr)
-    if guards.get("noop_overhead_under_3pct_vs_pr5") is False:
-        print("WARNING: uncapped guard overhead above the claimed 3% "
-              "of the PR5 baseline (noisy machine?)", file=sys.stderr)
-    if batch.get("sweep_speedup_at_least_5x_vs_pr5") is False:
-        print("WARNING: batch sweep speedup below the claimed 5x over "
-              "the PR5 sweep_uncapped baseline", file=sys.stderr)
-    if not distributed["rows_match_serial"]:
-        print("ERROR: a distributed run diverged from the serial row",
-              file=sys.stderr)
-        return 1
-    if not payload["claims"]["micro_speedup_at_least_3x"] and not args.smoke:
-        print("WARNING: micro kernel speedup below the claimed 3x",
-              file=sys.stderr)
-        return 1
-    return 0
+    print(f"wrote {write_json(report, args.out)}")
+    print(table.render())
+    errors = [message for failed, message in (
+        (not report["bench"]["correct"],
+         "bench/run.py: a wrong output or an unreconciled layer table"),
+        (not claims["distributed_rows_match_serial"],
+         "a distributed run diverged from the serial row"),
+        (not args.smoke and not claims["micro_speedup_at_least_3x"],
+         "the micro kernel speedup is below the claimed 3x"),
+    ) if failed]
+    for message in errors:
+        print(f"ERROR: {message}", file=sys.stderr)
+    return 1 if errors else 0
 
 
 if __name__ == "__main__":

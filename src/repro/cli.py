@@ -598,12 +598,21 @@ def command_metrics(args) -> int:
         print(json.dumps(obs.EVENT_SCHEMA, indent=2, sort_keys=True))
         return 0
     if args.validate:
-        with open(args.validate, encoding="utf-8") as handle:
-            count, problems = obs.validate_jsonl(handle)
+        from .obs.audit import _records_end
+
+        # A crash's torn last line is skipped, as the journal reader
+        # and --resume skip it; a bad line anywhere else is a problem.
+        with open(args.validate, "rb") as handle:
+            data = handle.read()
+        end = _records_end(data)
+        count, problems = obs.validate_jsonl(data[:end].split(b"\n"))
         for problem in problems:
             print(problem, file=sys.stderr)
         print(f"{args.validate}: {count} event(s), "
               f"{len(problems)} problem(s)")
+        if end < len(data):
+            print(f"{args.validate}: skipped a torn last line "
+                  f"({len(data) - end} byte(s))")
         return 0 if not problems else 1
 
     if args.from_json:
@@ -1157,7 +1166,8 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="print the trace-event schema as JSON")
     metrics_parser.add_argument("--validate", metavar="TRACE",
                                 help="validate a JSONL trace file against "
-                                     "the event schema")
+                                     "the event schema (a torn last line "
+                                     "is skipped and reported)")
     metrics_parser.add_argument("--from-json", metavar="PATH",
                                 help="render a --metrics-json snapshot file")
     metrics_parser.add_argument("--prometheus", action="store_true",

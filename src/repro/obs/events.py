@@ -168,8 +168,10 @@ def validate_event(event: object) -> List[str]:
     return problems
 
 
-def validate_jsonl(lines: Iterable[str]) -> Tuple[int, List[str]]:
-    """Validate a JSONL trace stream; returns ``(events, problems)``.
+def validate_jsonl(lines: Iterable[Union[str, bytes]]
+                   ) -> Tuple[int, List[str]]:
+    """Validate a JSONL trace stream (str or UTF-8 bytes lines);
+    returns ``(events, problems)``.
 
     Problems localise three ways: the 1-based *line* number in the
     stream, the 1-based *event* index among non-blank lines (the two

@@ -440,9 +440,8 @@ def _evaluate_chunk_batch(flowchart: Flowchart, family: str,
                     policy_codes[lane] = code
                     policy_outputs[lane] = output
         if _obs.active:
-            _record_tally(Counter(policy_codes), flowchart,
-                          FACTORY_NAMES[family](flowchart, policy), fuel,
-                          batch.cap)
+            _record_tally(Counter(policy_codes), flowchart, target.name,
+                          fuel, batch.cap)
         summaries.append(_summarize_outputs(policy, points, policy_outputs,
                                             "batch",
                                             policy_codes.count(K_OK)))
@@ -455,15 +454,16 @@ def _evaluate_chunk_batch(flowchart: Flowchart, family: str,
 _NOTICE_CODES = {"fuel": K_FUEL, "cap": K_CAP}
 
 
-def _record_tally(tally: Counter, flowchart: Flowchart, mechanism_name: str,
+def _record_tally(tally: Counter, flowchart: Flowchart, ran: str,
                   fuel: int, cap: Optional[int]) -> None:
     """A chunk's fault and violation metrics from its outcome-code tally:
-    one hook call per outcome kind, not one per decision."""
+    one hook call per outcome kind, not one per decision.  Fault events
+    name ``ran``, the flowchart that ran (the instrumented one for
+    surveillance), as the per-point runs' do."""
     if tally[K_FUEL]:
-        _obs.record_fuel_exhausted(mechanism_name, fuel, count=tally[K_FUEL])
+        _obs.record_fuel_exhausted(ran, fuel, count=tally[K_FUEL])
     if tally[K_CAP]:
-        _obs.record_value_cap_exceeded(mechanism_name, cap,
-                                       count=tally[K_CAP])
+        _obs.record_value_cap_exceeded(ran, cap, count=tally[K_CAP])
     if tally[_VIOL_KIND]:
         _obs.record_violation(flowchart.name, "instrumented",
                               count=tally[_VIOL_KIND], timed=False)
@@ -600,16 +600,15 @@ def _decide_labelled(flowchart: Flowchart, family: str,
                     policy_tally[(_VIOL_KIND, step, True) if notice
                                  else (_VIOL_KIND, rows[lane][1], False)] += 1
         if policy_tally is not None:
-            _record_runs(policy_tally, flowchart,
-                         FACTORY_NAMES[family](flowchart, policy), fuel,
-                         value_cap, LABEL_RULES[family][0])
+            _record_runs(policy_tally, flowchart, fuel, value_cap,
+                         LABEL_RULES[family][0])
         summaries.append(_summarize_outputs(policy, points, outputs, tier,
                                             policy_accepts))
     return summaries
 
 
-def _record_runs(tally: Counter, flowchart: Flowchart, mechanism_name: str,
-                 fuel: int, cap: Optional[int], timed: bool) -> None:
+def _record_runs(tally: Counter, flowchart: Flowchart, fuel: int,
+                 cap: Optional[int], timed: bool) -> None:
     """One policy's labelled decisions of a chunk, counted as the
     per-point ``surveil`` calls count theirs: faults by kind, and each
     run that reached a halt or a timed guard as a surveilled run with
@@ -629,7 +628,7 @@ def _record_runs(tally: Counter, flowchart: Flowchart, mechanism_name: str,
             _obs.record_violation(flowchart.name, "surveillance",
                                   count=count, steps=steps, timed=timed,
                                   early=early)
-    _record_tally(faults, flowchart, mechanism_name, fuel, cap)
+    _record_tally(faults, flowchart, flowchart.name, fuel, cap)
     if runs:
         _obs.inc("surveillance.runs", runs)
         _obs.inc("surveillance.steps_total", steps_total)

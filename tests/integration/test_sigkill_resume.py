@@ -81,8 +81,9 @@ def test_sigkill_then_resume_is_bit_identical(tmp_path, baseline_rows):
         process.wait(timeout=30)
     assert not os.path.exists(results)  # it never got to the report
 
-    # The torn journal still validates (the loader drops at most the
-    # final partial line; validate_jsonl skips it the same way).
+    # The torn journal still validates, wherever the SIGKILL landed:
+    # `metrics --validate` skips a torn last line by the rule the
+    # loader and --resume read it by (obs.audit._records_end).
     validated = run_cli(["metrics", "--validate", checkpoint])
     assert validated.returncode == 0, validated.stdout + validated.stderr
 

@@ -346,6 +346,33 @@ class TestMetricsCommand:
         assert "problem" in captured.out
         assert captured.err  # per-line problems on stderr
 
+    def test_validate_skips_a_torn_last_line(self, tmp_path, capsys):
+        # A journal cut at any byte inside its last record, or ending
+        # in a zero-filled block, validates as the journal reader and
+        # --resume read it: the tail is skipped and reported.  A bad
+        # line before the last one is still a problem.
+        journal = tmp_path / "ck.jsonl"
+        assert main(["sweep", "--programs", "gcd,max", "--high", "3",
+                     "--chunk-size", "2", "--checkpoint",
+                     str(journal)]) == 0
+        data = journal.read_bytes()
+        start = data.rstrip(b"\n").rfind(b"\n") + 1
+        complete = data[:start].count(b"\n")
+        tails = [data[:cut] for cut in range(start + 1, len(data))]
+        tails.append(data[:start] + b"\0\0\0\0\n")
+        torn = tmp_path / "torn.jsonl"
+        capsys.readouterr()
+        for tail in tails:
+            torn.write_bytes(tail)
+            assert main(["metrics", "--validate", str(torn)]) == 0, tail
+            out = capsys.readouterr().out
+            assert f"{complete} event(s), 0 problem(s)" in out, tail
+            assert "skipped a torn last line" in out, tail
+        lines = data.splitlines(keepends=True)
+        torn.write_bytes(b"".join(lines[:2] + [b"garbage\n"] + lines[2:]))
+        assert main(["metrics", "--validate", str(torn)]) == 1
+        assert "line 3: event 3: not JSON" in capsys.readouterr().err
+
     def test_render_from_json(self, tmp_path, capsys):
         metrics_path = tmp_path / "metrics.json"
         main(["sweep", "--programs", "parity", "--executor", "thread",

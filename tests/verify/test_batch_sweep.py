@@ -455,11 +455,18 @@ def violation_fields(ring):
                    for event in ring.events("violation"))
 
 
+def fault_events(ring):
+    """The multiset of a trace's fault events, by (kind, program)."""
+    return Counter((event["kind"], event["program"])
+                   for kind in ("fuel_exhausted", "value_cap_exceeded")
+                   for event in ring.events(kind))
+
+
 def per_point_outcomes(family, fuel, value_cap):
     """Outcome counts of the family's per-policy mechanisms over
     ``TALLIED`` x ``tally_grid``, called point by point, with the
-    ``surveillance.*`` run counters their surveil calls record and the
-    fields of their ``violation`` events."""
+    ``surveillance.*`` run counters their surveil calls record, the
+    fields of their ``violation`` events and their fault events."""
     counts = Counter()
     ring = obs.RingBufferSink(capacity=1 << 16)
     with obs.observed(metrics=True, reset=True, sinks=[ring]) as registry:
@@ -487,7 +494,7 @@ def per_point_outcomes(family, fuel, value_cap):
         counters = registry.snapshot()["counters"]
     counts["runs"] = counters.get("surveillance.runs", 0)
     counts["steps"] = counters.get("surveillance.steps_total", 0)
-    return counts, violation_fields(ring)
+    return counts, violation_fields(ring), fault_events(ring)
 
 
 class TestObservability:
@@ -499,7 +506,8 @@ class TestObservability:
                                                      executor, backend):
         # Each decision counts a fault once, whether the batch path
         # tallies it or the per-point run that faulted records it.
-        expected, events = per_point_outcomes(family, fuel=10, value_cap=4)
+        expected, events, _ = per_point_outcomes(family, fuel=10,
+                                                 value_cap=4)
         assert expected["fuel"] and expected["cap"] and expected["violation"]
         # Timed and high-water count their surveilled runs and steps on
         # every backend, as the per-point surveil calls do.
@@ -540,6 +548,25 @@ class TestObservability:
             "violation": counters["violation"], "fuel": counters["fuel"],
             "cap": counters["cap"]}
         assert violation_fields(ring) == events
+
+    @pytest.mark.parametrize("backend", ["batch", "compiled",
+                                         "interpreted"])
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_fault_events_name_the_program_that_ran(self, family, executor,
+                                                    backend):
+        # A fault event names the flowchart that ran, as the per-point
+        # run's does (the instrumented one for surveillance), not the
+        # mechanism one policy's decision was made for.
+        _, _, expected = per_point_outcomes(family, fuel=10, value_cap=4)
+        assert {kind for kind, _ in expected} == {"fuel_exhausted",
+                                                  "value_cap_exceeded"}
+        ring = obs.RingBufferSink(capacity=1 << 16)
+        with obs.observed(metrics=True, reset=True, sinks=[ring]):
+            sweep(family, backend, programs=TALLIED, grid=tally_grid,
+                  fuel=10, value_cap=4, executor=executor, max_workers=2,
+                  chunk_size=16)
+        assert fault_events(ring) == expected
 
     def test_explain_mode_degrades_to_per_point(self):
         # --explain replays per-point provenance; the batch path would
