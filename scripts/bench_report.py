@@ -34,6 +34,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(REPO_ROOT))
 
+from bench.calibrate import kernel as calibrate_kernel  # noqa: E402
 from benchmarks._common import time_callable, write_json  # noqa: E402
 from repro import obs  # noqa: E402
 from repro.core import (ProductDomain, check_soundness,  # noqa: E402
@@ -71,6 +72,16 @@ def interleaved(repeats: int, *runs) -> list:
             taken.append(time.perf_counter() - started)
     return [{"best": min(taken[1:]), "mean": sum(taken[1:]) / repeats,
              "reps": repeats} for taken in samples]
+
+
+def observed(run, **config):
+    """``run`` with an observability state of its own: the runtime is
+    enabled with ``config`` and disabled again inside each call, so
+    arms observed differently time interleaved."""
+    def arm():
+        with obs.observed(**config):
+            return run()
+    return arm
 
 
 def wide_grid(arity: int):
@@ -132,11 +143,15 @@ def bench_micro_kernel(smoke: bool) -> dict:
     expected = sum(execute(KERNEL, point).steps for point in KERNEL_GRID)
     for backend in ("interpreted", "compiled"):
         assert kernel(backend)() == expected, backend
-    interpreted, compiled = interleaved(2 if smoke else 5,
-                                        kernel("interpreted"), kernel())
+    # bench/calibrate.py's kernel runs no repro code, so no change to
+    # the program moves it: recorded beside the interpreted kernel, the
+    # drift reference every versus() claim divides by today.
+    interpreted, compiled, calibrate = interleaved(
+        2 if smoke else 5, kernel("interpreted"), kernel(), calibrate_kernel)
     speedup = round(interpreted["best"] / compiled["best"], 2)
     return {"flowchart": KERNEL.name, "points": len(KERNEL_GRID),
             "interpreted_s": interpreted, "compiled_s": compiled,
+            "calibrate_kernel_s": calibrate,
             "speedup": speedup, "speedup_at_least_3x": speedup >= 3.0}
 
 
@@ -233,12 +248,11 @@ def bench_flowlint(smoke: bool) -> dict:
 
 def bench_telemetry(smoke: bool) -> dict:
     obs.disable()
-    reference, hooks_off = interleaved(16, kernel("interpreted"), kernel())
-    with obs.observed(metrics=True, reset=True):
-        metrics_on = time_callable(kernel(), repeats=16)
-    with obs.observed(metrics=True, reset=True,
-                      sinks=[obs.RingBufferSink(capacity=4096)]):
-        traced = time_callable(kernel(), repeats=16)
+    reference, hooks_off, metrics_on, traced = interleaved(
+        16, kernel("interpreted"), kernel(),
+        observed(kernel(), metrics=True, reset=True),
+        observed(kernel(), metrics=True, reset=True,
+                 sinks=[obs.RingBufferSink(capacity=4096)]))
     section = {"hooks_off_s": hooks_off,
                "metrics_on_s": metrics_on,
                "traced_s": traced,
@@ -259,8 +273,6 @@ def bench_guards(smoke: bool) -> dict:
     # gcd on [1..24]^2 stays within 5 bits: a 64-bit cap arms the
     # per-assignment check and never trips, so the difference is guards.
     assert kernel()() == kernel(value_cap=64)()
-    reference, uncapped, capped = interleaved(
-        16, kernel("interpreted"), kernel(), kernel(value_cap=64))
 
     def sweep(value_cap):
         return lambda: parallel_soundness_sweep(
@@ -268,8 +280,9 @@ def bench_guards(smoke: bool) -> dict:
             "program", grid=wide_grid, executor="serial",
             backend="compiled", value_cap=value_cap)
 
-    sweep_uncapped = time_callable(sweep(None), repeats=16)
-    sweep_capped = time_callable(sweep(64), repeats=16)
+    reference, uncapped, capped, sweep_uncapped, sweep_capped = interleaved(
+        16, kernel("interpreted"), kernel(), kernel(value_cap=64),
+        sweep(None), sweep(64))
     section = {"uncapped_s": uncapped,
                "capped_noop_s": capped,
                "armed_cap_overhead_pct": overhead(capped, uncapped),
@@ -312,10 +325,8 @@ def bench_batch(smoke: bool) -> dict:
     # Both must agree with their references before any timing counts.
     assert batch_kernel() == kernel()()
     assert rows(shared()) == rows(per_point())
-    compiled = time_callable(kernel(), repeats=16)
-    kernel_batch = time_callable(batch_kernel, repeats=16)
-    sweep_compiled = time_callable(per_point, repeats=16)
-    sweep_batch = time_callable(shared, repeats=16)
+    compiled, kernel_batch, sweep_compiled, sweep_batch = interleaved(
+        16, kernel(), batch_kernel, per_point, shared)
     # Every lane is a compiled-tier call; the batch timings are keyed so.
     section = {"kernel_compiled_s": compiled,
                "kernel_batch_s": {"compiled": kernel_batch},
@@ -346,17 +357,17 @@ def bench_provenance(smoke: bool) -> dict:
         return soundness_sweep(PAIR, partial(FACTORIES["surveillance"],
                                              backend="interpreted"))
 
-    traced = partial(obs.observed, metrics=True, reset=True)
     obs.disable()
-    plain = time_callable(sweep, repeats=repeats)
-    with traced(sinks=[obs.RingBufferSink(capacity=65536)]):
-        sweep_traced = time_callable(sweep, repeats=repeats)
-    with traced(sinks=[obs.RingBufferSink(capacity=65536)], explain=True):
-        sweep_explain = time_callable(sweep, repeats=repeats)
+    plain, sweep_traced, sweep_explain = interleaved(
+        repeats, sweep,
+        observed(sweep, metrics=True, reset=True,
+                 sinks=[obs.RingBufferSink(capacity=65536)]),
+        observed(sweep, metrics=True, reset=True,
+                 sinks=[obs.RingBufferSink(capacity=65536)], explain=True))
     # One clean traced and explained sweep for the analytics numbers.
     capture = obs.RingBufferSink(capacity=65536)
-    with traced(sinks=[capture], explain=True):
-        sweep()
+    observed(sweep, metrics=True, reset=True, sinks=[capture],
+             explain=True)()
     events = capture.events()
     forest = obs.build_span_tree(events)
     return {

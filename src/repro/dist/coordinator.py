@@ -14,15 +14,17 @@ processes, injects the initial control token at node 0, and supervises:
   the coordinator's ``dist_run`` span, so ``repro trace spans --tree``
   shows one rooted tree across processes.
 - **totalization** — a node that hits a declared fault (fuel, value
-  cap, empty or corrupted channel) reports it; the coordinator turns it
-  into the same distinguished notice the serial sweep path would
-  (``Λ!fuel[N]``, ``Λ!cap[C]``, ``Λ!msg[detail]``), never a silent
-  wrong answer.
+  cap, empty or corrupted channel) reports the same distinguished
+  notice the serial sweep path would (``Λ!fuel[N]``, ``Λ!cap[C]``,
+  ``Λ!msg[detail]``), never a silent wrong answer.
 
 :func:`serial_reference` computes the row the single-node semantics
 produce for the same point — the comparison the headline invariant
 (serial == distributed row-for-row for non-corrupting plans under any
-recoverable fault schedule) is stated against.
+recoverable fault schedule) is stated against.  Both rows come off one
+walk, :func:`repro.surveillance.dynamic._walk`, from the same start
+state (the initial control token): the reference takes it in one piece
+over every box, the nodes hop by hop over their own boxes.
 """
 
 from __future__ import annotations
@@ -33,19 +35,17 @@ import queue as queue_module
 import shutil
 import tempfile
 import time
-from typing import Dict, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
-from ..core.errors import ArityMismatchError, ReproError
+from ..core.errors import ReproError
 from ..core.mechanism import ViolationNotice
-from ..flowchart.interpreter import DEFAULT_FUEL, initial_environment
+from ..flowchart.interpreter import DEFAULT_FUEL
 from ..flowchart.program import Flowchart
 from ..obs import runtime as _obs
-from ..robustness.faults import (DECLARED_FAULTS, cap_notice,
-                                 default_value_cap, fault_notice,
-                                 fuel_notice, message_notice,
-                                 resolve_value_cap)
-from ..surveillance.dynamic import surveil
-from ..surveillance.labels import EMPTY, singleton
+from ..robustness.faults import (DECLARED_FAULTS, default_value_cap,
+                                 fault_notice, resolve_value_cap)
+from ..surveillance.dynamic import GUARD, _decide, _Queues, _start, _walk
+from ..surveillance.labels import from_mask, to_mask
 from ..verify.chaos import FaultPlan
 from .envelope import control_envelope
 from .node import NodeSpec, node_main, pack_token
@@ -57,21 +57,22 @@ MAX_INCARNATIONS = 8
 
 
 class DistResult:
-    """One distributed run: the row plus the supervision ledger."""
+    """One distributed run: the row plus the supervision ledger.
 
-    __slots__ = ("outcome", "steps", "env", "labels", "pc_label", "epoch",
-                 "halted_early", "nodes", "crashes", "recoveries",
-                 "messages_sent", "messages_retried", "elapsed_s")
+    ``state`` is the walk's machine state where the run ended (label
+    masks; see :data:`~repro.surveillance.dynamic.STATE_FIELDS`), or
+    None when a corrupted envelope ended it.
+    """
 
-    def __init__(self, outcome, steps, env, labels, pc_label, epoch,
-                 halted_early, nodes, crashes, recoveries, messages_sent,
-                 messages_retried, elapsed_s) -> None:
+    __slots__ = ("outcome", "state", "halted_early", "nodes", "crashes",
+                 "recoveries", "messages_sent", "messages_retried",
+                 "elapsed_s")
+
+    def __init__(self, outcome, state, halted_early, nodes, crashes,
+                 recoveries, messages_sent, messages_retried,
+                 elapsed_s) -> None:
         self.outcome = outcome
-        self.steps = steps
-        self.env = env
-        self.labels = labels
-        self.pc_label = pc_label
-        self.epoch = epoch
+        self.state = state
         self.halted_early = halted_early
         self.nodes = nodes
         self.crashes = crashes
@@ -81,56 +82,55 @@ class DistResult:
         self.elapsed_s = elapsed_s
 
     @property
+    def steps(self) -> Optional[int]:
+        """The steps taken (the state's last field)."""
+        return self.state[-1] if self.state is not None else None
+
+    @property
     def violated(self) -> bool:
         return isinstance(self.outcome, ViolationNotice)
 
     def row(self) -> Dict:
         """The comparison row: outcome, steps, final store, labels."""
-        return _row(self.outcome, self.steps, self.env, self.labels,
-                    self.pc_label, self.epoch)
+        return _row(self.outcome, self.state)
 
     def __repr__(self) -> str:
         return (f"DistResult(outcome={self.outcome!r}, steps={self.steps}, "
                 f"nodes={self.nodes}, crashes={self.crashes})")
 
 
-def _row(outcome, steps, env, labels, pc_label, epoch) -> Dict:
+def _row(outcome, state: Optional[List]) -> Dict:
+    """The row of a run that ended with ``outcome`` in walk state ``state``."""
+    row = {"outcome": str(outcome), "steps": None, "env": None,
+           "labels": None, "pc": None, "epoch": None}
     # Totalized fault rows (Λ!…) normalise their machine state away:
-    # the serial path raised out of the interpreter, so the notice text
-    # is the whole observable and both sides must agree on exactly that.
-    faulted = str(outcome).startswith("Λ!")
-    return {
-        "outcome": str(outcome),
-        "steps": None if faulted else steps,
-        "env": dict(env) if env is not None and not faulted else None,
-        "labels": ({name: sorted(label) for name, label in labels.items()}
-                   if labels is not None and not faulted else None),
-        "pc": (sorted(pc_label)
-               if pc_label is not None and not faulted else None),
-        "epoch": None if faulted else epoch,
-    }
+    # the serial walk raised, so the notice text is the whole observable
+    # and both sides must agree on exactly that.
+    if not row["outcome"].startswith("Λ!"):
+        _, env, labels, pc, _, row["epoch"], row["steps"] = state
+        if not isinstance(outcome, ViolationNotice):
+            row["env"] = dict(env)
+        row["labels"] = {name: sorted(from_mask(mask))
+                         for name, mask in labels.items()}
+        row["pc"] = sorted(from_mask(pc))
+    return row
 
 
 def serial_reference(flowchart: Flowchart, inputs: Sequence[int], allowed,
                      timed: bool = False, forgetting: bool = True,
                      fuel: int = DEFAULT_FUEL,
                      value_cap: Optional[int] = None) -> Dict:
-    """The single-node row a distributed run must reproduce exactly."""
-    from ..flowchart.interpreter import execute
-
+    """The single-node row a distributed run must reproduce exactly:
+    one walk over every box, recorded as ``surveil`` records it."""
+    cap = (default_value_cap() if value_cap is None
+           else resolve_value_cap(value_cap))
+    state = _start(flowchart, inputs, to_mask(allowed))
     try:
-        run = surveil(flowchart, inputs, frozenset(allowed), timed=timed,
-                      forgetting=forgetting, fuel=fuel, value_cap=value_cap)
+        early = _walk(flowchart, inputs, state, flowchart.boxes, _Queues(),
+                      timed, forgetting, fuel, cap, True, None, None) is GUARD
     except DECLARED_FAULTS as error:
-        return _row(fault_notice(error), None, None, None, None, None)
-    env = None
-    if not run.violated:
-        # The surveillance walk does not snapshot the store; the plain
-        # interpreter is value-identical, so its final env is the store.
-        env = execute(flowchart, inputs, fuel=fuel, capture_env=True,
-                      value_cap=value_cap).env
-    return _row(run.outcome, run.steps, env, run.labels, run.pc_label,
-                run.epoch)
+        return _row(fault_notice(error), None)
+    return _row(_decide(flowchart, state, early, timed, True), state)
 
 
 def run_distributed(flowchart: Flowchart, inputs: Sequence[int], allowed,
@@ -141,10 +141,8 @@ def run_distributed(flowchart: Flowchart, inputs: Sequence[int], allowed,
                     timeout: float = 60.0,
                     workdir: Optional[str] = None) -> DistResult:
     """Run ``flowchart`` under surveillance across ``nodes`` processes."""
-    if len(inputs) != flowchart.arity:
-        raise ArityMismatchError(
-            f"flowchart {flowchart.name} takes {flowchart.arity} inputs, "
-            f"got {len(inputs)}")
+    # The initial control token is the walk's start state.
+    token = pack_token(_start(flowchart, inputs, to_mask(allowed)), {})
     cap = (default_value_cap() if value_cap is None
            else resolve_value_cap(value_cap))
     partition = build_partition(flowchart, nodes)
@@ -152,30 +150,11 @@ def run_distributed(flowchart: Flowchart, inputs: Sequence[int], allowed,
     if owns_workdir:
         workdir = tempfile.mkdtemp(prefix="repro-dist-")
     try:
-        return _supervise(flowchart, inputs, frozenset(allowed), nodes,
-                          partition, plan, timed, forgetting, fuel, cap,
-                          timeout, workdir)
+        return _supervise(flowchart, inputs, token, nodes, partition, plan,
+                          timed, forgetting, fuel, cap, timeout, workdir)
     finally:
         if owns_workdir:
             shutil.rmtree(workdir, ignore_errors=True)
-
-
-def _initial_token(flowchart: Flowchart, inputs, allowed) -> Dict:
-    env = initial_environment(flowchart, inputs)
-    labels = {name: EMPTY for name in env}
-    for position, name in enumerate(flowchart.input_variables, 1):
-        labels[name] = singleton(position)
-    return {
-        "current": flowchart.boxes[flowchart.start_id].successors()[0],
-        "env": env,
-        "labels": labels,
-        "pc": EMPTY,
-        "allowed": frozenset(allowed),
-        "epoch": 0,
-        "steps": 0,
-        "sent": {},
-        "has_epochs": bool(flowchart.policy_change_ids()),
-    }
 
 
 def _spawn(context, spec: NodeSpec):
@@ -184,7 +163,7 @@ def _spawn(context, spec: NodeSpec):
     return process
 
 
-def _supervise(flowchart, inputs, allowed, nodes, partition: Partition,
+def _supervise(flowchart, inputs, token, nodes, partition: Partition,
                plan, timed, forgetting, fuel, cap, timeout,
                workdir) -> DistResult:
     try:
@@ -199,8 +178,9 @@ def _supervise(flowchart, inputs, allowed, nodes, partition: Partition,
 
     def spec_for(node: int, incarnation: int) -> NodeSpec:
         return NodeSpec(
-            node=node, flowchart=flowchart, partition=partition, plan=plan,
-            fuel=fuel, cap=cap, timed=timed, forgetting=forgetting,
+            node=node, flowchart=flowchart, inputs=inputs,
+            partition=partition, plan=plan, fuel=fuel, cap=cap,
+            timed=timed, forgetting=forgetting,
             journal_path=os.path.join(workdir, f"node{node}.jsonl"),
             incarnation=incarnation, queues=queues,
             coord_queue=coord_queue, root_span=root_span, trace=trace)
@@ -217,11 +197,8 @@ def _supervise(flowchart, inputs, allowed, nodes, partition: Partition,
 
     # Inject the token where the first box lives (reliably: the chaos
     # plan governs inter-node links, not the coordinator's ignition).
-    entry = partition.node_of(
-        flowchart.boxes[flowchart.start_id].successors()[0])
-    token = _initial_token(flowchart, inputs, allowed)
-    queues[entry].put(control_envelope(0, pack_token(token), src=-1,
-                                       dst=entry))
+    entry = partition.node_of(token["current"])
+    queues[entry].put(control_envelope(0, token, src=-1, dst=entry))
 
     try:
         while terminal is None:
@@ -242,7 +219,7 @@ def _supervise(flowchart, inputs, allowed, nodes, partition: Partition,
                 elif kind == "event":
                     event = message["event"]
                     _obs.emit(event.pop("kind"), **event)
-                elif kind in ("result", "fault"):
+                elif kind == "result":
                     terminal = message
                 continue
             # No traffic: check liveness and recover dead nodes.
@@ -301,30 +278,7 @@ def _supervise(flowchart, inputs, allowed, nodes, partition: Partition,
             q.close()
 
     elapsed = round(time.monotonic() - started, 6)
-    messages_sent = sum(entry["sent"] for entry in stats.values())
-    messages_retried = sum(entry["retried"] for entry in stats.values())
-    if terminal["kind"] == "fault":
-        outcome = _totalize(terminal)
-        return DistResult(outcome, terminal.get("steps"), None, None, None,
-                          None, False, nodes, crashes, recoveries,
-                          messages_sent, messages_retried, elapsed)
-    raw = terminal["outcome"]
-    outcome: Union[int, ViolationNotice] = (
-        ViolationNotice(raw["notice"]) if "notice" in raw else raw["value"])
-    env = terminal["env"] if "value" in raw else None
     return DistResult(
-        outcome, terminal["steps"], env,
-        {name: frozenset(label)
-         for name, label in terminal["labels"].items()},
-        frozenset(terminal["pc"]), terminal["epoch"],
-        terminal["halted_early"], nodes, crashes, recoveries,
-        messages_sent, messages_retried, elapsed)
-
-
-def _totalize(fault: Dict) -> ViolationNotice:
-    kind = fault["fault"]
-    if kind == "fuel":
-        return fuel_notice(fault["arg"])
-    if kind == "cap":
-        return cap_notice(fault["arg"])
-    return message_notice(fault["arg"])
+        terminal["outcome"], terminal["state"], terminal["early"], nodes,
+        crashes, recoveries, sum(entry["sent"] for entry in stats.values()),
+        sum(entry["retried"] for entry in stats.values()), elapsed)

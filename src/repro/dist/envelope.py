@@ -4,10 +4,11 @@ Every value that crosses a node boundary travels inside an envelope
 that carries, next to the payload, the two things the single-node
 semantics would otherwise lose:
 
-- the value's **surveillance label** (v̄ ∪ C̄ at the send site) — the
-  distributed-setting soundness requirement: a label must migrate with
-  its value or the receiving node under-approximates what the receive
-  taught the program (Almeida Matos & Cederquist);
+- the value's **surveillance label** (v̄ ∪ C̄ at the send site, a
+  bitmask over input indices) — the distributed-setting soundness
+  requirement: a label must migrate with its value or the receiving
+  node under-approximates what the receive taught the program (Almeida
+  Matos & Cederquist);
 - a **checksum** over the canonical payload, so in-flight corruption
   is *detected* and totalized as a ``Λ!msg[corrupt:CH#SEQ]`` notice,
   never silently decoded into a wrong answer.
@@ -39,11 +40,11 @@ def checksum(payload: Dict) -> str:
     return hashlib.sha256(_canonical(payload).encode()).hexdigest()[:16]
 
 
-def data_envelope(channel: str, seq: int, value: int, label,
+def data_envelope(channel: str, seq: int, value: int, label: int,
                   src: int, dst: int) -> Dict:
     """One labelled value in flight to its channel's home node."""
     payload = {"channel": channel, "seq": seq, "value": int(value),
-               "label": sorted(label)}
+               "label": label}
     return {"kind": "data", "src": src, "dst": dst,
             "sum": checksum(payload), **payload}
 
@@ -51,8 +52,9 @@ def data_envelope(channel: str, seq: int, value: int, label,
 def control_envelope(hop: int, state: Dict, src: int, dst: int) -> Dict:
     """The migrating control token: the full machine state, checksummed.
 
-    ``state`` is the packed token (current box, env, labels, pc label,
-    epoch, active policy, step count, per-channel send ordinals) — see
+    ``state`` is the packed token (the surveillance walk's state —
+    current box, store, label masks, C̄, policy in force, epoch, step
+    count — and the per-channel send ordinals) — see
     :mod:`repro.dist.node`.  ``hop`` is the token's migration ordinal;
     it doubles as the envelope's dedup seq on the control channel.
     """

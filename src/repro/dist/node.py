@@ -2,27 +2,32 @@
 
 A node owns a partition slice of the flowchart, the mailboxes of the
 channels homed on it, and — intermittently — the **control token**: the
-full machine state (environment, surveillance labels, PC label, active
-policy, epoch, step count, per-channel send ordinals) packed into a
-checksummed control envelope.  Exactly one token exists, so at most one
-node is executing boxes at any moment and the distributed run *is* the
-serial run, spread across processes: row-for-row identical final store,
-notices (including ``Λ@e{n}`` epoch tags) and step counts, which is the
-headline invariant the test suite checks under chaos.
+surveillance walk's machine state (current box, store, label masks, C̄,
+policy in force, epoch, step count) plus the per-channel send
+ordinals, packed into a checksummed control envelope.  Exactly one
+token exists, so at most one node is executing boxes at any moment and
+the distributed run *is* the serial run, spread across processes:
+row-for-row identical final store, notices (including ``Λ@e{n}`` epoch
+tags) and step counts, which is the headline invariant the test suite
+checks under chaos.
 
-Box stepping mirrors :func:`repro.surveillance.dynamic.surveil` arm
-for arm.  The only genuinely distributed arms:
+A node steps the token with :func:`repro.surveillance.dynamic._walk`,
+the walk ``surveil`` takes, over its own boxes, with itself as the
+walk's channels.  Its only distributed parts are the walk's two
+exits and its channel calls:
 
+- reaching a box homed elsewhere, the walk stops and the node ships
+  the token to that box's node;
 - ``send ch(v)``: the labelled value goes to ``ch``'s home node inside
   a data envelope (or straight into the local mailbox when the home is
   this node); the token's per-channel send ordinal becomes the
-  envelope's dedup seq.
+  envelope's dedup seq;
 - ``recv ch(v)``: consumed strictly in seq order from the home
   mailbox.  If the token's send ordinal says a message exists but it
-  has not arrived (dropped, delayed, in retransmit), the node **parks**
-  — keeps the token and retries as traffic lands.  If no send ever
-  happened, the serial semantics would have found the queue empty too:
-  the run totalizes as ``Λ!msg[empty:ch]``.
+  has not arrived (dropped, delayed, in retransmit), the walk **parks**
+  — the node keeps the token and retries as traffic lands.  If no send
+  ever happened, the serial queue would be empty too: the run
+  totalizes as ``Λ!msg[empty:ch]``.
 
 Durability: every accepted (post-dedup) envelope is journalled through
 :class:`repro.verify.checkpoint.JournalWriter`, whose ``write`` commits
@@ -43,12 +48,11 @@ import queue as queue_module
 import time
 from typing import Dict, List, Optional
 
-from ..flowchart.boxes import (AssignBox, DecisionBox, DowngradeBox, HaltBox,
-                               PolicyChangeBox, RecvBox, SendBox, StartBox)
-from ..surveillance.labels import join, permitted
+from ..robustness.faults import DECLARED_FAULTS, fault_notice, message_notice
+from ..surveillance.dynamic import (GUARD, MIGRATE, PARK, STATE_FIELDS,
+                                    _decide, _walk)
 from ..verify.checkpoint import JournalWriter, load_journal
-from .envelope import (CONTROL_CHANNEL, control_envelope, data_envelope,
-                       verify_checksum)
+from .envelope import control_envelope, data_envelope, verify_checksum
 from .transport import Transport
 
 #: Exit code of a chaos-scheduled node kill (distinguishes an injected
@@ -62,15 +66,16 @@ HEARTBEAT_S = 0.1
 class NodeSpec:
     """Everything a node process needs, bundled for the spawn call."""
 
-    __slots__ = ("node", "flowchart", "partition", "plan", "fuel", "cap",
-                 "timed", "forgetting", "journal_path", "incarnation",
+    __slots__ = ("node", "flowchart", "inputs", "partition", "plan", "fuel",
+                 "cap", "timed", "forgetting", "journal_path", "incarnation",
                  "queues", "coord_queue", "root_span", "trace")
 
-    def __init__(self, node, flowchart, partition, plan, fuel, cap, timed,
-                 forgetting, journal_path, incarnation, queues, coord_queue,
-                 root_span, trace) -> None:
+    def __init__(self, node, flowchart, inputs, partition, plan, fuel, cap,
+                 timed, forgetting, journal_path, incarnation, queues,
+                 coord_queue, root_span, trace) -> None:
         self.node = node
         self.flowchart = flowchart
+        self.inputs = inputs
         self.partition = partition
         self.plan = plan
         self.fuel = fuel
@@ -85,37 +90,15 @@ class NodeSpec:
         self.trace = trace
 
 
-def pack_token(state: Dict) -> Dict:
-    """The JSON-safe wire form of the control token."""
-    return {
-        "current": state["current"],
-        "env": dict(state["env"]),
-        "labels": {name: sorted(label)
-                   for name, label in state["labels"].items()},
-        "pc": sorted(state["pc"]),
-        "allowed": sorted(state["allowed"]),
-        "epoch": state["epoch"],
-        "steps": state["steps"],
-        "sent": dict(state["sent"]),
-        "has_epochs": state["has_epochs"],
-    }
+def pack_token(state: List, sent: Dict[str, int]) -> Dict:
+    """The JSON-safe wire form of the control token: the walk's state by
+    field name, and the per-channel send ordinals."""
+    return dict(zip(STATE_FIELDS, state), sent=sent)
 
 
-def unpack_token(wire: Dict) -> Dict:
-    """Invert :func:`pack_token` (labels back to frozensets)."""
-    return {
-        "current": wire["current"],
-        "env": {name: int(value) for name, value in wire["env"].items()},
-        "labels": {name: frozenset(label)
-                   for name, label in wire["labels"].items()},
-        "pc": frozenset(wire["pc"]),
-        "allowed": frozenset(wire["allowed"]),
-        "epoch": int(wire["epoch"]),
-        "steps": int(wire["steps"]),
-        "sent": {name: int(count)
-                 for name, count in wire["sent"].items()},
-        "has_epochs": bool(wire["has_epochs"]),
-    }
+def unpack_token(wire: Dict):
+    """Invert :func:`pack_token`: ``(state, sent)``."""
+    return [wire[field] for field in STATE_FIELDS], wire["sent"]
 
 
 class NodeRuntime:
@@ -126,6 +109,9 @@ class NodeRuntime:
         self.flowchart = spec.flowchart
         self.partition = spec.partition
         self.node = spec.node
+        #: the boxes this node executes; the walk stops at any other
+        self.boxes = {box_id: spec.flowchart.boxes[box_id]
+                      for box_id in spec.partition.boxes_on(spec.node)}
         self.inbox = spec.queues[spec.node]
         self.coord = spec.coord_queue
         self.transport = Transport(spec.node, spec.queues, spec.plan,
@@ -135,9 +121,10 @@ class NodeRuntime:
         #: channel -> next seq to consume (== count already consumed)
         self.consumed: Dict[str, int] = {}
         self.last_hop = -1
-        self.token: Optional[Dict] = None
+        #: the held token's walk state and per-channel send ordinals
+        self.token: Optional[List] = None
+        self.sent: Dict[str, int] = {}
         self.accepted = 0
-        self.finished = False
         self._stop = False
         self._journal: Optional[JournalWriter] = None
         self._span = f"{os.getpid()}-node{spec.node}i{spec.incarnation}"
@@ -208,8 +195,7 @@ class NodeRuntime:
             # A damaged envelope is detected, totalized, and terminal —
             # never decoded into a silent wrong answer.
             detail = f"corrupt:{envelope['channel']}#{envelope['seq']}"
-            self.coord.put({"kind": "fault", "node": self.node,
-                            "fault": "msg", "arg": detail})
+            self._report(message_notice(detail), None, False)
             return
         if self._duplicate(envelope):
             self.transport.ack(envelope)
@@ -236,12 +222,10 @@ class NodeRuntime:
     def _accept(self, envelope: Dict) -> None:
         if envelope["kind"] == "control":
             self.last_hop = envelope["seq"]
-            self.token = unpack_token(envelope["state"])
-            self.token["hop"] = envelope["seq"]
+            self.token, self.sent = unpack_token(envelope["state"])
         else:
             self.mailboxes.setdefault(envelope["channel"], {})[
-                envelope["seq"]] = (envelope["value"],
-                                    frozenset(envelope["label"]))
+                envelope["seq"]] = (envelope["value"], envelope["label"])
 
     def _recover(self) -> int:
         """Replay the journal through the normal handler; returns records.
@@ -267,143 +251,57 @@ class NodeRuntime:
     # -- driving the control token ----------------------------------------
 
     def _drive_token(self) -> None:
-        """Execute boxes until the token migrates, parks, or the run ends.
+        """Walk the token until it migrates, parks, or the run ends."""
+        spec, token = self.spec, self.token
+        try:
+            stop = _walk(self.flowchart, spec.inputs, token, self.boxes, self,
+                         spec.timed, spec.forgetting, spec.fuel, spec.cap,
+                         False, None, None)
+        except DECLARED_FAULTS as error:
+            self._finish(fault_notice(error), False)
+            return
+        if stop is MIGRATE:
+            owner = self.partition.node_of(token[0])  # the box it stopped at
+            self.transport.send(control_envelope(
+                self.last_hop + 1, pack_token(token, self.sent),
+                src=self.node, dst=owner))
+            self.token = None
+        elif stop is not PARK:
+            early = stop is GUARD
+            self._finish(_decide(self.flowchart, token, early, spec.timed,
+                                 False), early)
 
-        Arm-for-arm the semantics of
-        :func:`repro.surveillance.dynamic.surveil`; every completed box
-        costs one step, a parked receive costs nothing until it fires.
-        """
-        token = self.token
-        flowchart = self.flowchart
-        spec = self.spec
-        bound = (1 << spec.cap) if spec.cap is not None else None
-        while True:
-            current = token["current"]
-            owner = self.partition.node_of(current)
-            if owner != self.node:
-                self._migrate(owner)
-                return
-            if token["steps"] >= spec.fuel:
-                self._fault("fuel", spec.fuel)
-                return
-            box = flowchart.boxes[current]
-            if isinstance(box, RecvBox):
-                # Park *before* the step is charged: arrival at a recv
-                # whose message is still in flight is not an executed box.
-                want = self.consumed.get(box.channel, 0)
-                if want < token["sent"].get(box.channel, 0):
-                    if want not in self.mailboxes.get(box.channel, ()):
-                        return  # in flight — park, keep the token
-                else:
-                    token["steps"] += 1
-                    self._fault("msg", f"empty:{box.channel}")
-                    return
-            token["steps"] += 1
-            labels = token["labels"]
-            env = token["env"]
-            if isinstance(box, HaltBox):
-                output_label = join(labels[flowchart.output_variable],
-                                    token["pc"])
-                if permitted(output_label, token["allowed"]):
-                    self._result({"value": env[flowchart.output_variable]},
-                                 halted_early=False)
-                else:
-                    self._result({"notice": self._notice(token)},
-                                 halted_early=False)
-                return
-            if isinstance(box, AssignBox):
-                incoming = join(*(labels[name]
-                                  for name in box.expression.variables()),
-                                token["pc"])
-                if spec.forgetting:
-                    labels[box.target] = incoming
-                else:
-                    labels[box.target] = join(labels[box.target], incoming)
-                value = box.expression.eval(env)
-                env[box.target] = value
-                if bound is not None and (value >= bound or value <= -bound):
-                    self._fault("cap", spec.cap)
-                    return
-                token["current"] = box.next
-            elif isinstance(box, DecisionBox):
-                test_label = join(*(labels[name]
-                                    for name in box.predicate.variables()))
-                if spec.timed and not permitted(test_label,
-                                                token["allowed"]):
-                    self._result({"notice": self._notice(token)},
-                                 halted_early=True)
-                    return
-                token["pc"] = join(token["pc"], test_label)
-                token["current"] = (box.true_next if box.predicate.eval(env)
-                                    else box.false_next)
-            elif isinstance(box, PolicyChangeBox):
-                token["allowed"] = frozenset(box.allowed)
-                token["epoch"] += 1
-                token["current"] = box.next
-            elif isinstance(box, DowngradeBox):
-                labels[box.variable] = (labels[box.variable]
-                                        - frozenset(box.indices))
-                token["current"] = box.next
-            elif isinstance(box, SendBox):
-                seq = token["sent"].get(box.channel, 0)
-                token["sent"][box.channel] = seq + 1
-                label = join(labels[box.variable], token["pc"])
-                home = self.partition.homes[box.channel]
-                if home == self.node:
-                    self.mailboxes.setdefault(box.channel, {})[seq] = (
-                        env[box.variable], label)
-                else:
-                    self.transport.send(data_envelope(
-                        box.channel, seq, env[box.variable], label,
-                        src=self.node, dst=home))
-                token["current"] = box.next
-            elif isinstance(box, RecvBox):
-                want = self.consumed[box.channel] = self.consumed.get(
-                    box.channel, 0)
-                value, message_label = self.mailboxes[box.channel].pop(want)
-                self.consumed[box.channel] = want + 1
-                env[box.variable] = value
-                incoming = join(message_label, token["pc"])
-                if spec.forgetting:
-                    labels[box.variable] = incoming
-                else:
-                    labels[box.variable] = join(labels[box.variable],
-                                                incoming)
-                token["current"] = box.next
-            elif isinstance(box, StartBox):  # pragma: no cover - partition
-                token["current"] = box.successors()[0]
+    # -- the walk's channels ------------------------------------------------
 
-    def _notice(self, token: Dict) -> str:
-        return (f"Λ@e{token['epoch']}" if token["has_epochs"] else "Λ")
+    def send(self, channel: str, value: int, label: int) -> None:
+        seq = self.sent.get(channel, 0)
+        self.sent[channel] = seq + 1
+        home = self.partition.homes[channel]
+        if home == self.node:
+            self.mailboxes.setdefault(channel, {})[seq] = (value, label)
+        else:
+            self.transport.send(data_envelope(channel, seq, value, label,
+                                              src=self.node, dst=home))
 
-    def _migrate(self, owner: int) -> None:
-        token = self.token
-        hop = token.get("hop", -1) + 1
-        self.transport.send(control_envelope(hop, pack_token(token),
-                                             src=self.node, dst=owner))
+    def recv(self, channel: str):
+        want = self.consumed.get(channel, 0)
+        if want >= self.sent.get(channel, 0):
+            return None  # nothing sent: the serial queue is empty too
+        message = self.mailboxes.get(channel, {}).pop(want, None)
+        if message is None:
+            return PARK  # in flight
+        self.consumed[channel] = want + 1
+        return message
+
+    # -- the end of the run -------------------------------------------------
+
+    def _report(self, outcome, state: Optional[List], early: bool) -> None:
+        self.coord.put({"kind": "result", "node": self.node,
+                        "outcome": outcome, "state": state, "early": early})
+
+    def _finish(self, outcome, early: bool) -> None:
+        self._report(outcome, self.token, early)
         self.token = None
-
-    def _result(self, outcome: Dict, halted_early: bool) -> None:
-        token = self.token
-        self.coord.put({
-            "kind": "result", "node": self.node,
-            "outcome": outcome, "steps": token["steps"],
-            "env": dict(token["env"]),
-            "labels": {name: sorted(label)
-                       for name, label in token["labels"].items()},
-            "pc": sorted(token["pc"]),
-            "epoch": token["epoch"],
-            "halted_early": halted_early,
-        })
-        self.token = None
-        self.finished = True
-
-    def _fault(self, fault: str, arg) -> None:
-        self.coord.put({"kind": "fault", "node": self.node,
-                        "fault": fault, "arg": arg,
-                        "steps": self.token["steps"]})
-        self.token = None
-        self.finished = True
 
 
 def node_main(spec: NodeSpec) -> None:

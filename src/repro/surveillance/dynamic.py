@@ -29,13 +29,18 @@ outputs, exactly as the Observability Postulate demands.  This is what
 makes the untimed mechanism demonstrably unsound under observable time
 (Theorem 3's proviso) and the timed one sound (Theorem 3′).
 
-This walk is the reference semantics of the labels: ``surveil``,
-``repro explain``, the per-point mechanisms on every backend and the
-``interpreted`` sweeps run it.  A ``timed`` or ``highwater`` sweep on
-the shared path runs each grid point once with no policy and decides
-every allow-policy from that run's final labels
-(:mod:`repro.verify.parallel`); the run is a lane of the flowchart's
-labelled compiled function
+This walk is the reference semantics of the labels and the one
+statement of the box rules: ``surveil``, ``repro explain``, the
+per-point mechanisms on every backend, the ``interpreted`` sweeps,
+:func:`policy_free_runs` and the distributed runtime
+(:mod:`repro.dist`: its serial reference and every node's share of the
+control token) run it.  The walk steps an explicit machine state and
+hands it back where it stops, so a node resumes the walk where the
+previous node stopped, with its own mailboxes as the channels.  A
+``timed`` or ``highwater`` sweep on the shared path runs each grid
+point once with no policy and decides every allow-policy from that
+run's final labels (:mod:`repro.verify.parallel`); the run is a lane
+of the flowchart's labelled compiled function
 (:func:`~repro.flowchart.batchpath.execute_batch` with ``labels=``),
 whose fields equal :func:`policy_free_runs`' exactly, and only a
 channel program's runs take this walk.  No run is cached.
@@ -57,8 +62,8 @@ from ..flowchart.boxes import (AssignBox, DecisionBox, DowngradeBox, HaltBox,
 from ..flowchart.interpreter import DEFAULT_FUEL, as_program, initial_environment
 from ..flowchart.program import Flowchart
 from ..obs import runtime as _obs
-from ..robustness.faults import (cap_notice, default_value_cap, fuel_notice,
-                                 message_notice, resolve_value_cap)
+from ..robustness.faults import (DECLARED_FAULTS, default_value_cap,
+                                 fault_notice, resolve_value_cap)
 from .labels import Label, from_mask, to_mask
 
 
@@ -101,141 +106,196 @@ Observer = Callable[[str, Dict[str, Label], Label], None]
 PolicyObserver = Callable[[str, Dict[str, Label], Label, Label, int], None]
 
 
-def _walk(flowchart: Flowchart, inputs: Sequence[int], allowed: Optional[int],
-          timed: bool, forgetting: bool, fuel: int,
-          value_cap: Optional[int], record: bool,
-          first_test: Optional[List[Tuple[int, int]]] = None,
-          watch: Optional[Callable] = None):
+#: The walk's stops besides a declared fault: a halt box, a timed guard
+#: (Theorem 3′), a box the caller does not hold, and a ``recv`` whose
+#: message the caller's channels report in flight.
+HALT, GUARD, MIGRATE, PARK = "halt", "guard", "migrate", "park"
+
+
+#: The fields of the walk's machine state, a list in this order: the
+#: current box, the store, the label masks, C̄'s mask, the policy mask in
+#: force, the epoch and the steps taken.  Every field is JSON-safe; a
+#: distributed run's control token names them.
+STATE_FIELDS = ("current", "env", "labels", "pc", "active", "epoch", "steps")
+
+
+def _start(flowchart: Flowchart, inputs: Sequence[int],
+           allowed: Optional[int]) -> List:
+    """The walk's state on leaving the start box: ``x̄_i = {i}``, every
+    other label and ``C̄`` empty, ``allowed`` (J's mask, or None for a
+    policy-free walk) in force in epoch 0, no step taken."""
+    env = initial_environment(flowchart, inputs)
+    labels = dict.fromkeys(env, 0)
+    for position, name in enumerate(flowchart.input_variables):
+        labels[name] = 1 << position
+    return [flowchart.boxes[flowchart.start_id].next, env, labels, 0,
+            allowed, 0, 0]
+
+
+class _Queues(dict):
+    """The serial channels: one FIFO of ``(value, label)`` per name."""
+
+    def send(self, channel: str, value: int, label: int) -> None:
+        self.setdefault(channel, []).append((value, label))
+
+    def recv(self, channel: str):
+        queue = self.get(channel)
+        return queue.pop(0) if queue else None
+
+
+def _walk(flowchart: Flowchart, inputs: Sequence[int], state: List,
+          boxes: Dict, channels, timed: bool, forgetting: bool, fuel: int,
+          cap: Optional[int], record: bool,
+          first_test: Optional[List[Tuple[int, int]]],
+          watch: Optional[Callable]) -> str:
     """The box rules over bitmask labels (bit i-1 ⇔ input index i).
+
+    Steps ``state`` (from :func:`_start`, or where an earlier walk
+    stopped) through ``boxes``, moves it to where it stops and returns
+    the stop: HALT at a halt box, GUARD at a failing timed guard,
+    MIGRATE at a box not in ``boxes``, PARK at a ``recv`` whose message
+    ``channels`` reports in flight (the step is not charged).  Declared
+    faults raise, ``state`` at the fault.  A serial walk passes every
+    box and :class:`_Queues`; a distributed node its own boxes and
+    mailboxes.  ``channels.send(channel, value, label)`` takes a message
+    with its label, v̄ ∪ C̄ at the send site (the distributed-setting
+    soundness requirement of Almeida Matos & Cederquist), and
+    ``channels.recv(channel)`` returns ``(value, label)``, None when
+    nothing was sent (the run faults), or PARK.
 
     The labels x̄ and C̄ never depend on the policy: J is read only by
     the rule-4 halt check and the timed rule-3′ guard, and only until a
-    ``policy_change`` installs a policy of the program's own.  So
-    ``allowed`` is J's mask for a run under one policy, or None for the
-    *policy-free* walk that serves every J at once: until the first
+    ``policy_change`` installs a policy of the program's own.  So the
+    policy in force is J's mask for a run under one policy, or None for
+    the *policy-free* walk that serves every J at once: until the first
     policy change it takes no guard, appends ``(step, indices)`` to
-    ``first_test`` when input indices first enter a test label, and
-    leaves the halt check to the caller.
-
-    Returns ``(steps, value, labels, pc, active, epoch, early)``:
-    ``active`` is the policy mask in force at the end (None while a
-    policy-free walk is still in epoch 0), ``early`` is True when a
-    timed guard stopped the run (``value`` is then None).  Declared
-    faults raise.  ``watch(node, labels, pc, active, epoch)`` sees each
-    box on arrival, before it acts.
+    ``first_test`` when input indices first enter a test label (such a
+    walk runs whole), and leaves the halt check to the caller.
+    ``watch(node, labels, pc, active, epoch)`` sees each box on
+    arrival, before it acts.
     """
-    if len(inputs) != flowchart.arity:
-        raise ArityMismatchError(
-            f"flowchart {flowchart.name} takes {flowchart.arity} inputs, "
-            f"got {len(inputs)}"
-        )
-    cap = (default_value_cap() if value_cap is None
-           else resolve_value_cap(value_cap))
     bound = (1 << cap) if cap is not None else None
-    env = initial_environment(flowchart, inputs)
-    labels: Dict[str, int] = dict.fromkeys(env, 0)
-    for position, name in enumerate(flowchart.input_variables):
-        labels[name] = 1 << position
-    boxes = flowchart.boxes
     reads = flowchart.box_reads()
-    pc = 0
-    active = allowed
-    epoch = 0
+    current, env, labels, pc, active, epoch, steps = state
     tested = 0  # indices already in an epoch-0 test label
-    # Typed channels under surveillance: each message carries its label
-    # (v̄ ∪ C̄ at the send site) inside the envelope — the distributed-
-    # setting soundness requirement (Almeida Matos & Cederquist).
-    channels: Dict[str, List[Tuple[int, int]]] = {}
-    steps = 0
-    current = boxes[flowchart.start_id].successors()[0]
-    while True:
-        if steps >= fuel:
-            if _obs.active and record:
-                _obs.record_fuel_exhausted(flowchart.name, fuel)
-            raise FuelExhaustedError(fuel,
-                                     f"surveilled {flowchart.name} exceeded "
-                                     f"{fuel} steps on {tuple(inputs)!r}")
-        box = boxes[current]
-        if watch is not None:
-            watch(current, labels, pc, active, epoch)
-        steps += 1
-        if isinstance(box, AssignBox):
-            # v̄ := w̄1 ∪ ... ∪ w̄p ∪ C̄ — replacing (surveillance allows
-            # forgetting) or accumulating (high-water mark).
-            incoming = pc
-            for name in reads[current]:
-                incoming |= labels[name]
-            target = box.target
-            labels[target] = (incoming if forgetting
-                              else labels[target] | incoming)
-            value = box.expression.eval(env)
-            env[target] = value
-            if bound is not None and (value >= bound or value <= -bound):
+    try:
+        while True:
+            try:
+                box = boxes[current]
+            except KeyError:
+                return MIGRATE
+            if steps >= fuel:
                 if _obs.active and record:
-                    _obs.record_value_cap_exceeded(flowchart.name, cap)
-                raise ValueCapExceededError(
-                    cap, f"surveilled {flowchart.name} assigned a value "
-                         f"wider than {cap} bits on {tuple(inputs)!r}")
-            current = box.next
-        elif isinstance(box, DecisionBox):
-            test = 0
-            for name in reads[current]:
-                test |= labels[name]
-            if timed:
-                if active is None:
-                    fresh = test & ~tested
-                    if fresh:
-                        tested |= fresh
-                        first_test.append((steps, fresh))
-                elif test & ~active:
-                    # Theorem 3′: a disallowed variable is about to be
-                    # tested — halt immediately with a violation notice.
-                    return steps, None, labels, pc, active, epoch, True
-            pc |= test
-            current = box.true_next if box.predicate.eval(env) else box.false_next
-        elif isinstance(box, HaltBox):
-            return (steps, env[flowchart.output_variable], labels, pc,
-                    active, epoch, False)
-        elif isinstance(box, PolicyChangeBox):
-            active = to_mask(box.allowed)
-            epoch += 1
-            if _obs.active and record:
-                _obs.emit("policy_changed", program=flowchart.name,
-                          epoch=epoch, allowed=sorted(box.allowed))
-            current = box.next
-        elif isinstance(box, DowngradeBox):
-            labels[box.variable] &= ~to_mask(box.indices)
-            if _obs.active and record:
-                _obs.emit("downgrade_applied", program=flowchart.name,
-                          variable=box.variable,
-                          dropped=sorted(box.indices))
-            current = box.next
-        elif isinstance(box, SendBox):
-            # The envelope label is v̄ ∪ C̄: a receive learns both the
-            # sent value and the control context that reached the send.
-            channels.setdefault(box.channel, []).append(
-                (env[box.variable], labels[box.variable] | pc))
-            current = box.next
-        elif isinstance(box, RecvBox):
-            queue = channels.get(box.channel)
-            if not queue:
-                raise MessageError(
-                    f"empty:{box.channel}",
-                    f"surveilled {flowchart.name} received on empty channel "
-                    f"{box.channel!r} on {tuple(inputs)!r}")
-            value, message_label = queue.pop(0)
-            env[box.variable] = value
-            incoming = message_label | pc
-            labels[box.variable] = (incoming if forgetting
-                                    else labels[box.variable] | incoming)
-            current = box.next
-        else:  # pragma: no cover - StartBox is never re-entered
-            current = box.successors()[0]
+                    _obs.record_fuel_exhausted(flowchart.name, fuel)
+                raise FuelExhaustedError(
+                    fuel, f"surveilled {flowchart.name} exceeded {fuel} "
+                          f"steps on {tuple(inputs)!r}")
+            if watch is not None:
+                watch(current, labels, pc, active, epoch)
+            steps += 1
+            if isinstance(box, AssignBox):
+                # v̄ := w̄1 ∪ ... ∪ w̄p ∪ C̄ — replacing (surveillance
+                # allows forgetting) or accumulating (high-water mark).
+                incoming = pc
+                for name in reads[current]:
+                    incoming |= labels[name]
+                target = box.target
+                labels[target] = (incoming if forgetting
+                                  else labels[target] | incoming)
+                value = box.expression.eval(env)
+                env[target] = value
+                if bound is not None and (value >= bound or value <= -bound):
+                    if _obs.active and record:
+                        _obs.record_value_cap_exceeded(flowchart.name, cap)
+                    raise ValueCapExceededError(
+                        cap, f"surveilled {flowchart.name} assigned a value "
+                             f"wider than {cap} bits on {tuple(inputs)!r}")
+                current = box.next
+            elif isinstance(box, DecisionBox):
+                test = 0
+                for name in reads[current]:
+                    test |= labels[name]
+                if timed:
+                    if active is None:
+                        fresh = test & ~tested
+                        if fresh:
+                            tested |= fresh
+                            first_test.append((steps, fresh))
+                    elif test & ~active:
+                        # Theorem 3′: a disallowed variable is about to
+                        # be tested — halt now with a violation notice.
+                        return GUARD
+                pc |= test
+                current = (box.true_next if box.predicate.eval(env)
+                           else box.false_next)
+            elif isinstance(box, HaltBox):
+                return HALT
+            elif isinstance(box, PolicyChangeBox):
+                active = to_mask(box.allowed)
+                epoch += 1
+                if _obs.active and record:
+                    _obs.emit("policy_changed", program=flowchart.name,
+                              epoch=epoch, allowed=sorted(box.allowed))
+                current = box.next
+            elif isinstance(box, DowngradeBox):
+                labels[box.variable] &= ~to_mask(box.indices)
+                if _obs.active and record:
+                    _obs.emit("downgrade_applied", program=flowchart.name,
+                              variable=box.variable,
+                              dropped=sorted(box.indices))
+                current = box.next
+            elif isinstance(box, SendBox):
+                # The label is v̄ ∪ C̄: a receive learns both the sent
+                # value and the control context that reached the send.
+                channels.send(box.channel, env[box.variable],
+                              labels[box.variable] | pc)
+                current = box.next
+            elif isinstance(box, RecvBox):
+                message = channels.recv(box.channel)
+                if message is PARK:
+                    steps -= 1  # arriving at a parked recv is no step
+                    return PARK
+                if message is None:
+                    raise MessageError(
+                        f"empty:{box.channel}",
+                        f"surveilled {flowchart.name} received on empty "
+                        f"channel {box.channel!r} on {tuple(inputs)!r}")
+                value, message_label = message
+                env[box.variable] = value
+                incoming = message_label | pc
+                labels[box.variable] = (incoming if forgetting
+                                        else labels[box.variable] | incoming)
+                current = box.next
+            else:  # pragma: no cover - StartBox is never re-entered
+                current = box.successors()[0]
+    finally:
+        state[:] = current, env, labels, pc, active, epoch, steps
 
 
-def _notice(epoch: int, has_epochs: bool) -> ViolationNotice:
-    """Λ, epoch-tagged (``Λ@e<n>``) only where the program has epochs:
-    classic programs keep the paper's plain Λ bit-for-bit."""
+def _decide(flowchart: Flowchart, state: List, early: bool, timed: bool,
+            record: bool) -> Union[int, ViolationNotice]:
+    """Rule 4 at a walk's HALT or GUARD stop: the output, or Λ.
+
+    The halt check is ȳ ∪ C̄ ⊆ J.  C̄ must participate: reaching *this*
+    halt (rather than issuing a notice on some other path) is itself
+    information, and Example 4 demands that "any decision made by M to
+    output a violation notice can depend only on allowed data".  J is
+    the policy *in force now* — the van Delft et al. completion-time
+    rule.  Λ is epoch-tagged (``Λ@e<n>``) only where the program has
+    epochs: classic programs keep the paper's plain Λ bit-for-bit.
+    ``record`` counts the run as ``surveil`` does.
+    """
+    _, env, labels, pc, active, epoch, steps = state
+    output = flowchart.output_variable
+    violated = early or bool((labels[output] | pc) & ~active)
+    has_epochs = bool(flowchart.policy_change_ids())
+    if _obs.active and record:
+        if violated and has_epochs:
+            _obs.emit("epoch_violation", program=flowchart.name, epoch=epoch)
+        _obs.record_surveil_run(flowchart.name, steps, violated=violated,
+                                timed=timed, halted_early=early)
+    if not violated:
+        return env[output]
     return ViolationNotice(f"Λ@e{epoch}" if has_epochs else "Λ")
 
 
@@ -301,30 +361,18 @@ def surveil(flowchart: Flowchart, inputs: Sequence[int], allowed: Label,
                                 allowed if epoch == 0 else from_mask(active),
                                 epoch)
 
-    steps, value, labels, pc, active, epoch, early = _walk(
-        flowchart, inputs, to_mask(allowed), timed, forgetting, fuel,
-        value_cap, record, watch=watch)
-    # Rule 4: the halt check is ȳ ∪ C̄ ⊆ J.  C̄ must participate:
-    # reaching *this* halt (rather than issuing a notice on some other
-    # path) is itself information, and Example 4 demands that "any
-    # decision made by M to output a violation notice can depend only
-    # on allowed data".  J is the policy *in force now* — the van Delft
-    # et al. completion-time rule.
-    violated = early or bool(
-        (labels[flowchart.output_variable] | pc) & ~active)
-    has_epochs = bool(flowchart.policy_change_ids())
-    outcome: Union[int, ViolationNotice] = (
-        _notice(epoch, has_epochs) if violated else value)
-    if _obs.active and record:
-        if violated and has_epochs:
-            _obs.emit("epoch_violation", program=flowchart.name, epoch=epoch)
-        _obs.record_surveil_run(flowchart.name, steps, violated=violated,
-                                timed=timed, halted_early=early)
+    cap = (default_value_cap() if value_cap is None
+           else resolve_value_cap(value_cap))
+    state = _start(flowchart, inputs, to_mask(allowed))
+    early = _walk(flowchart, inputs, state, flowchart.boxes, _Queues(), timed,
+                  forgetting, fuel, cap, record, None, watch) is GUARD
+    outcome = _decide(flowchart, state, early, timed, record)
+    _, _, labels, pc, active, epoch, steps = state
     return SurveillanceRun(
         outcome, steps,
         {name: from_mask(mask) for name, mask in labels.items()},
-        from_mask(pc), halted_early=early, epoch=epoch,
-        final_allowed=allowed if epoch == 0 else from_mask(active))
+        from_mask(pc), early, epoch,
+        allowed if epoch == 0 else from_mask(active))
 
 
 class PolicyFreeRun:
@@ -355,18 +403,19 @@ def _policy_free_run(flowchart: Flowchart, point: Tuple[int, ...],
     run.steps = run.mask = run.epoch = 0
     run.early = False
     run.first_test = first_test
+    state = _start(flowchart, point, None)
     try:
-        (run.steps, run.value, labels, pc, run.active, run.epoch,
-         run.early) = _walk(flowchart, point, None, timed, forgetting, fuel,
-                            value_cap, False, first_test=first_test)
-    except FuelExhaustedError as error:
-        run.fault = fuel_notice(error.fuel)
-    except ValueCapExceededError as error:
-        run.fault = cap_notice(error.cap)
-    except MessageError as error:
-        run.fault = message_notice(error.detail)
+        stop = _walk(flowchart, point, state, flowchart.boxes, _Queues(),
+                     timed, forgetting, fuel, value_cap, False, first_test,
+                     None)
+    except DECLARED_FAULTS as error:
+        run.fault = fault_notice(error)
     else:
-        run.mask = labels[flowchart.output_variable] | pc
+        _, env, labels, pc, run.active, run.epoch, run.steps = state
+        output = flowchart.output_variable
+        run.early = stop is GUARD
+        run.value = None if run.early else env[output]
+        run.mask = labels[output] | pc
     return run
 
 

@@ -7,7 +7,7 @@ collect the verdicts, so tests/benches state *what* to sweep, not how.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 import inspect
 
@@ -20,64 +20,27 @@ from ..flowchart.program import Flowchart
 from ..robustness.faults import TotalizedMechanism, fuel_notice
 
 __all__ = [
-    "FuelGuardedMechanism", "SweepResult", "all_allow_policies",
-    "build_mechanism", "default_grid", "fuel_notice", "sampled_soundness",
-    "soundness_sweep", "unsound_results",
+    "SweepResult", "all_allow_policies", "build_mechanism", "default_grid",
+    "fuel_notice", "sampled_soundness", "soundness_sweep", "unsound_results",
 ]
 
-#: Historical name for the totalizing wrapper.  Since the value-cap
-#: guard joined the fault taxonomy it totalizes *every* declared fault
-#: (``Λ!fuel[N]`` and ``Λ!cap[C]``), not just fuel; the canonical home
-#: is :class:`repro.robustness.faults.TotalizedMechanism`.
-FuelGuardedMechanism = TotalizedMechanism
 
-
-#: Signature introspection is pure in the factory object; a sweep asks
-#: the same question for every (pair, chunk), so memoize per factory.
-_ACCEPTS_MEMO: dict = {}
-
-
-def _accepts_parameter(factory, name: str, positional_rank: int) -> bool:
-    """Whether a mechanism factory can receive a given sweep budget.
-
-    True when the factory takes ``name`` (or ``**kwargs``/``*args``),
-    or has at least ``positional_rank`` positional slots.
-    """
-    try:
-        memo_key = (factory, name, positional_rank)
-        cached = _ACCEPTS_MEMO.get(memo_key)
-    except TypeError:  # unhashable callable
-        memo_key = None
-        cached = None
-    if cached is not None:
-        return cached
-    try:
-        signature = inspect.signature(factory)
-    except (TypeError, ValueError):  # pragma: no cover - builtins etc.
-        if memo_key is not None:
-            _ACCEPTS_MEMO[memo_key] = False
+def _accepts(parameters, name: str, positional_rank: int) -> bool:
+    """Whether a factory with these signature ``parameters`` (None: no
+    signature) can receive a given sweep budget: it takes ``name`` (or
+    ``**kwargs``/``*args``), or has ``positional_rank`` positional slots."""
+    if parameters is None:
         return False
-    parameters = signature.parameters
-    if name in parameters:
-        accepts = True
-    elif any(parameter.kind is inspect.Parameter.VAR_KEYWORD
-             or parameter.kind is inspect.Parameter.VAR_POSITIONAL
-             for parameter in parameters.values()):
-        accepts = True
-    else:
-        positional = [
-            parameter for parameter in parameters.values()
-            if parameter.kind in (inspect.Parameter.POSITIONAL_ONLY,
-                                  inspect.Parameter.POSITIONAL_OR_KEYWORD)]
-        accepts = len(positional) >= positional_rank
-    if memo_key is not None:
-        _ACCEPTS_MEMO[memo_key] = accepts
-    return accepts
-
-
-def _accepts_fuel(factory) -> bool:
-    """Whether a mechanism factory can receive the sweep's fuel budget."""
-    return _accepts_parameter(factory, "fuel", 4)
+    if name in parameters or any(
+            parameter.kind in (inspect.Parameter.VAR_KEYWORD,
+                               inspect.Parameter.VAR_POSITIONAL)
+            for parameter in parameters.values()):
+        return True
+    positional = [
+        parameter for parameter in parameters.values()
+        if parameter.kind in (inspect.Parameter.POSITIONAL_ONLY,
+                              inspect.Parameter.POSITIONAL_OR_KEYWORD)]
+    return len(positional) >= positional_rank
 
 
 def build_mechanism(factory, flowchart, policy, domain,
@@ -91,9 +54,14 @@ def build_mechanism(factory, flowchart, policy, domain,
     callables are still accepted — but only at the default budgets;
     silently dropping a caller's explicit fuel, value cap, or backend
     is exactly the bug this helper exists to prevent, so those cases
-    raise instead.
+    raise instead.  A sweep builds each pair's mechanism once per
+    process, so the factory's signature is read once per pair.
     """
-    takes_fuel = _accepts_fuel(factory)
+    try:
+        parameters = inspect.signature(factory).parameters
+    except (TypeError, ValueError):  # pragma: no cover - builtins etc.
+        parameters = None
+    takes_fuel = _accepts(parameters, "fuel", 4)
     if not takes_fuel and fuel != DEFAULT_FUEL:
         raise ReproError(
             f"mechanism factory {getattr(factory, '__name__', factory)!r} "
@@ -101,14 +69,14 @@ def build_mechanism(factory, flowchart, policy, domain,
             f"fuel={fuel}; extend it to accept a fuel argument")
     kwargs = {}
     if value_cap is not None:
-        if not _accepts_parameter(factory, "value_cap", 5):
+        if not _accepts(parameters, "value_cap", 5):
             raise ReproError(
                 f"mechanism factory {getattr(factory, '__name__', factory)!r} "
                 f"cannot honour value_cap={value_cap}; extend it to accept "
                 "a value_cap argument")
         kwargs["value_cap"] = value_cap
     if backend is not None:
-        if not _accepts_parameter(factory, "backend", 6):
+        if not _accepts(parameters, "backend", 6):
             raise ReproError(
                 f"mechanism factory {getattr(factory, '__name__', factory)!r} "
                 f"cannot honour backend={backend!r}; extend it to accept "

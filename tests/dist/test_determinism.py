@@ -9,6 +9,7 @@ envelopes totalize as ``Λ!msg[...]`` — never a silent wrong answer.
 import pytest
 
 from repro.dist import run_distributed, serial_reference
+from repro.flowchart import library
 from repro.flowchart.parser import parse_program
 from repro.verify.chaos import FaultPlan
 
@@ -74,6 +75,17 @@ class TestCleanRuns:
         reference, result = both(PINGPONG, (4, 5), (1, 2))
         assert result.row() == reference
         assert result.outcome == 50  # (4+3+2+1)*5
+
+    def test_highwater_recv_keeps_the_overwritten_label(self):
+        # The recv overwrites u: surveillance forgets x2's label there,
+        # the high-water rule keeps it, so only the high-water row is Λ.
+        source = ("program p(x1, x2) { u := x2; send ch(x1); recv ch(u); "
+                  "y := u }")
+        for forgetting, outcome in ((True, "3"), (False, "Λ")):
+            reference, result = both(source, (3, 4), (1,),
+                                     forgetting=forgetting)
+            assert result.row() == reference
+            assert reference["outcome"] == outcome
 
     def test_violation_rows_match(self):
         # epochy ends under allow(1) with u ⊒ {1} and x2 ⊒ {2}: the
@@ -143,3 +155,20 @@ class TestFaultParity:
         reference, result = both(source, (1, 0), (1,), timed=True)
         assert result.row() == reference
         assert str(result.outcome) == "Λ"
+
+
+class TestDynamicPolicyRuns:
+    """The policy-change and downgrade arms (van Delft/Hunt/Sands) under
+    every label rule, with the token crossing nodes between epochs."""
+
+    @pytest.mark.parametrize("mode", [
+        {}, {"timed": True}, {"forgetting": False}],
+        ids=["untimed", "timed", "highwater"])
+    @pytest.mark.parametrize("flowchart", library.dynamic_policy_suite(),
+                             ids=lambda flowchart: flowchart.name)
+    def test_rows_match_serial(self, flowchart, mode):
+        # allow(1) leaves x2 out, so the notices and their epoch tags
+        # depend on where each policy change and downgrade ran.
+        reference = serial_reference(flowchart, (2, 2), (1,), **mode)
+        result = run_distributed(flowchart, (2, 2), (1,), nodes=2, **mode)
+        assert result.row() == reference

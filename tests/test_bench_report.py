@@ -165,6 +165,34 @@ class TestVersus:
             load(f"BENCH_PR{pr}.json"))
 
 
+class TestObservedArm:
+    def test_the_runtime_is_on_inside_and_off_after_each_arm(
+            self, bench_report):
+        from repro import obs
+        from repro.obs import runtime
+
+        ring = obs.RingBufferSink(capacity=16)
+        seen = []
+
+        def run():
+            seen.append((runtime.active, runtime.trace_active))
+            obs.emit("span_start", span="s", op="arm")
+            return len(seen)
+
+        obs.disable()
+        arm = bench_report.observed(run, metrics=True, reset=True,
+                                    sinks=[ring])
+        for call in (1, 2):
+            assert arm() == call
+            assert (runtime.active, runtime.trace_active) == (False, False)
+        assert seen == [(True, True), (True, True)]
+        assert len(ring.events("span_start")) == 2
+        # A plain arm interleaved after it runs with the runtime off.
+        plain, traced = bench_report.interleaved(1, run, arm)
+        assert seen[-2:] == [(False, False), (True, True)]
+        assert plain["reps"] == traced["reps"] == 1
+
+
 class TestClaimsTable:
     def test_emits_every_claim_key(self, bench_report):
         claims, table = bench_report.claims_table(synthetic_report())
