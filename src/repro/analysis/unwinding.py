@@ -34,30 +34,13 @@ from ..core.policy import AllowPolicy
 from ..flowchart.boxes import (AssignBox, DecisionBox, DowngradeBox, HaltBox,
                                NodeId, PolicyChangeBox, StartBox)
 from ..flowchart.program import Flowchart
+from ..surveillance.labels import from_mask, to_mask
 from .diagnostics import Diagnostic, Severity
 from .manager import AnalysisContext, AnalysisPass
 
 #: Exact abstract monitor state: (node, sorted nonzero variable label
 #: masks, PC label mask, in-force policy mask).
 AbstractState = Tuple[NodeId, Tuple[Tuple[str, int], ...], int, int]
-
-
-def _to_mask(indices: FrozenSet[int]) -> int:
-    mask = 0
-    for index in indices:
-        mask |= 1 << (index - 1)
-    return mask
-
-
-def _from_mask(mask: int) -> FrozenSet[int]:
-    indices = []
-    index = 1
-    while mask:
-        if mask & 1:
-            indices.append(index)
-        mask >>= 1
-        index += 1
-    return frozenset(indices)
 
 
 class UnwindingViolation:
@@ -138,7 +121,7 @@ def unwinding_check(flowchart: Flowchart,
         (name, 1 << (position - 1))
         for position, name in enumerate(flowchart.input_variables, 1)))
     initial: AbstractState = (flowchart.start_id, initial_labels,
-                              0, _to_mask(policy.allowed))
+                              0, to_mask(policy.allowed))
 
     def label_of(labels: Tuple[Tuple[str, int], ...], name: str) -> int:
         for entry_name, mask in labels:
@@ -182,9 +165,9 @@ def unwinding_check(flowchart: Flowchart,
             successors.append((box.false_next, labels, test, allowed))
         elif isinstance(box, PolicyChangeBox):
             successors.append((box.next, labels, pc,
-                               _to_mask(frozenset(box.allowed))))
+                               to_mask(box.allowed)))
         elif isinstance(box, DowngradeBox):
-            dropped = _to_mask(frozenset(box.indices))
+            dropped = to_mask(box.indices)
             # Step consistency: the occurrence of this declassification
             # step is conditioned on the PC; indices there that are
             # neither in force nor discharged by the admitted edge make
@@ -193,8 +176,8 @@ def unwinding_check(flowchart: Flowchart,
             if excess and ("INT002", node, excess) not in flagged:
                 flagged.add(("INT002", node, excess))
                 step_consistency.append(UnwindingViolation(
-                    "step-consistency", node, _from_mask(excess),
-                    _from_mask(allowed), _from_mask(pc)))
+                    "step-consistency", node, from_mask(excess),
+                    from_mask(allowed), from_mask(pc)))
             current = label_of(labels, box.variable)
             successors.append((box.next,
                                with_label(labels, box.variable,
@@ -209,8 +192,8 @@ def unwinding_check(flowchart: Flowchart,
             if excess and ("INT001", node, excess) not in flagged:
                 flagged.add(("INT001", node, excess))
                 local_respect.append(UnwindingViolation(
-                    "local-respect", node, _from_mask(excess),
-                    _from_mask(allowed), _from_mask(pc)))
+                    "local-respect", node, from_mask(excess),
+                    from_mask(allowed), from_mask(pc)))
         for successor in successors:
             if successor not in seen:
                 seen.add(successor)

@@ -6,9 +6,18 @@ of each policy of each flowchart bottoms out in recursive ``Expr.eval``
 calls and per-box ``isinstance`` dispatch.  This module translates a
 :class:`~repro.flowchart.program.Flowchart` once into a single native
 Python function — expressions become Python expressions over local
-variables, basic blocks become straight-line statement runs, control
-flow becomes a small ``while``/``elif`` dispatch loop — and caches the
-result per flowchart.
+variables, basic blocks become straight-line statement runs — and
+caches the result per flowchart.  Control flow is native where it can
+be: only the entry and the join points (leaders with other than one
+incoming edge) get an arm of the ``while``/``elif`` dispatch loop.
+Every other block is emitted inline at its one incoming edge, a
+decision as ``if pred:`` with the true path inside and the false path
+after it.  An arm whose inline paths jump back to its own leader runs
+them inside a ``while True:`` whose back edge is ``continue``; a jump
+to another arm is ``_pc = J`` and ``break`` (or ``continue`` from an
+arm that does not loop), so structured loops become native Python
+loops.  A block nested deeper than :data:`_MAX_INLINE_DEPTH` ``if``
+bodies gets an arm of its own.
 
 The Observability Postulate makes this a *semantics-preserving*
 exercise, not just a fast one: running time (the box-count convention
@@ -16,34 +25,51 @@ documented in ``interpreter.py``) and the page-fault proxy (number of
 distinct variables touched) are outputs of the program, so the compiled
 function must reproduce ``(value, steps, faults)`` bit-for-bit,
 including *when* a :class:`FuelExhaustedError` is raised.  The
-differential test suite (``tests/flowchart/test_fastpath.py``) checks
-this against the interpreter over the whole figure library.
+differential test suites (``tests/flowchart/test_fastpath.py``,
+``test_fault_differential.py``) check this against the interpreter over
+the whole figure library and over arbitrary box graphs.
 
 Step-count fidelity
 -------------------
-The interpreter checks ``steps >= fuel`` before executing each box.  A
-basic block of ``n`` boxes therefore completes iff
-``steps_before + n <= fuel`` — so one comparison per block is exact,
-*provided* no box in the block can raise from inside an expression.
-Expressions are total except :class:`~repro.flowchart.expr.LoopExpr`
-(whose own fuel can raise ``ExecutionError``); blocks containing such a
-box fall back to per-box fuel checks so the interpreter's exception
-(fuel vs. loop error) is reproduced exactly.
+The interpreter checks ``steps >= fuel`` before executing each box, so
+a run raises iff it would execute more than ``fuel`` boxes, and the
+error carries only the fuel and the inputs.  The uncapped functions
+(plain and labelled) therefore check fuel once per block and settle
+steps once per *path*: each inline path from an arm adds up its boxes'
+steps and touch bits when the source is generated, each block on it
+checks ``_steps + k > _fuel`` before it runs (``k`` the path's steps
+through the block's end), and the path adds its steps to ``_steps``
+and its bits to ``_touched`` once, where it ends (back edge, arm
+transfer or halt).  A block that would cross the budget raises before
+any of its boxes runs, so no box past the budget ever runs: fuel bounds
+time.  Skipping the block's first boxes is exact *provided* none of
+them can raise from inside an expression and none is observed after
+the raise.  Expressions are total except
+:class:`~repro.flowchart.expr.LoopExpr` (whose own fuel can raise
+``ExecutionError``): a block holding one settles its path's steps
+before it and keeps the interpreter's per-box check, so the exception
+(fuel vs. loop error) is the interpreter's.
+
+The capped twins check fuel per box, interleaved with the cap check
+after each assignment, because which fault fires first (and, in a
+labelled function, the first-test steps a faulted lane keeps) depends
+on the box where the run stops.
 
 Fault-count fidelity
 --------------------
 ``touched`` is a per-run union of statically known per-box variable
 sets, so the compiler assigns every environment variable a bit and each
-block a precomputed mask: one ``|=`` per executed block replaces two
-set operations per executed box.  The mask→frozenset decoding is
-memoised per compiled flowchart (runs revisit the same few masks).
+path (each box, in the capped twin) a precomputed mask: one ``|=`` per
+executed path replaces two set operations per executed box.  The
+mask→frozenset decoding is memoised per compiled flowchart (runs
+revisit the same few masks).
 
 Labelled mode
 -------------
 Section 3 defines surveillance as a program transformation, so labels
 are computation like any other.  ``generate_source(Q, labels=rule)``
-emits, from the same block skeleton (leaders, chains, bulk or per-box
-fuel checks, the capped twin), a function that keeps each variable's
+emits, from the same skeleton (arms, inline blocks, the capped twin)
+with the exact fuel checks above, a function that keeps each variable's
 label as an int-mask local beside its value (bit ``i-1`` for input
 ``x_i``) and returns the fields of the *policy-free* labelled run of
 :func:`repro.surveillance.dynamic.policy_free_runs`: ``(value, steps,
@@ -88,7 +114,7 @@ from ..obs import runtime as _obs
 from ..robustness.faults import default_value_cap, resolve_value_cap
 from ..surveillance.labels import to_mask
 from .boxes import (AssignBox, Box, DecisionBox, DowngradeBox, HaltBox,
-                    NodeId, PolicyChangeBox, RecvBox, SendBox, StartBox)
+                    NodeId, PolicyChangeBox, RecvBox, SendBox)
 from .expr import (And, BinOp, BoolConst, Compare, Const, Expr, Ite,
                    LoopExpr, Neg, Not, Or, Pred, Var)
 from .interpreter import DEFAULT_FUEL, ExecutionResult, execute
@@ -346,6 +372,53 @@ def _block_chain(flowchart: Flowchart, leader: NodeId,
         current = nxt
 
 
+def _block_exits(flowchart: Flowchart, chain: List[NodeId],
+                 fallthrough: Optional[NodeId]) -> List[Tuple[NodeId, int]]:
+    """A block's successor leaders, each with the extra ``if`` nesting
+    its inline emission takes: the true branch one, the rest none."""
+    last = flowchart.boxes[chain[-1]]
+    if isinstance(last, DecisionBox):
+        return [(last.true_next, 1), (last.false_next, 0)]
+    return [] if fallthrough is None else [(fallthrough, 0)]
+
+
+#: ``if`` bodies a single-predecessor block may sit inside before it
+#: gets a dispatch arm of its own (CPython refuses source indented
+#: 100 levels deep).
+_MAX_INLINE_DEPTH = 32
+
+
+def _find_arms(flowchart: Flowchart, entry: NodeId,
+               leader_set: frozenset) -> List[NodeId]:
+    """The leaders that get a dispatch arm, the entry first.
+
+    An arm is the entry, a join point (a leader whose number of
+    predecessor edges is not one), or a block nested deeper than
+    :data:`_MAX_INLINE_DEPTH`.  Every other leader has one incoming
+    edge, from a decision, and is emitted inline there, so each arm
+    owns a tree of inline blocks; every cycle passes through an arm.
+    """
+    predecessors = flowchart.predecessors()
+    arms = [entry]
+    is_arm = {entry}
+    for arm in arms:  # grows while it is walked
+        stack = [(arm, 0)]
+        while stack:
+            leader, depth = stack.pop()
+            chain, fallthrough = _block_chain(flowchart, leader, leader_set)
+            for target, nesting in _block_exits(flowchart, chain,
+                                                fallthrough):
+                if target in is_arm:
+                    continue
+                if (len(predecessors[target]) != 1
+                        or depth + nesting > _MAX_INLINE_DEPTH):
+                    is_arm.add(target)
+                    arms.append(target)
+                else:
+                    stack.append((target, depth + nesting))
+    return arms
+
+
 class _Labels:
     """The label statements of one rule, for the labelled mode of
     :func:`generate_source`: each box's run before its value statement.
@@ -371,9 +444,9 @@ class _Labels:
         output = self.label_of[flowchart.output_variable]
         active, epoch = ("_active", "_epoch") if self.epochs else ("None",
                                                                    "0")
-        #: The fields after the value of every return: steps, ȳ ∪ C̄,
-        #: the active policy and the epoch.
-        self.state = f"_steps, {output} | _lC, {active}, {epoch}"
+        #: The fields after the value and the steps of every return:
+        #: ȳ ∪ C̄, the active policy and the epoch.
+        self.state = f"{output} | _lC, {active}, {epoch}"
 
     def prologue(self) -> List[str]:
         lines = [f"{self.label_of[name]} = {self.bits.get(name, 0)}"
@@ -388,7 +461,10 @@ class _Labels:
     def _join(self, names) -> List[str]:
         return [self.label_of[name] for name in sorted(names)]
 
-    def box(self, box: Box) -> List[str]:
+    def box(self, box: Box, pending: int) -> List[str]:
+        """``box``'s label statements; ``pending`` steps have run but
+        are not yet added to ``_steps``."""
+        steps = f"_steps + {pending}" if pending else "_steps"
         if isinstance(box, AssignBox):
             # v̄ := w̄1 ∪ ... ∪ w̄p ∪ C̄, replacing or accumulating.
             incoming = " | ".join(
@@ -402,15 +478,15 @@ class _Labels:
             if not self.timed:
                 return [f"_lC |= {test}"]
             record = ["_f = _t & ~_tested", "if _f:", "    _tested |= _f",
-                      "    _tests.append((_steps, _f))"]
+                      f"    _tests.append(({steps}, _f))"]
             if self.epochs:
                 # Past a policy change the installed policy guards the
                 # test (Theorem 3′): a bit outside it stops the run.
                 record = (["if _active is None:"]
                           + ["    " + line for line in record]
                           + ["elif _t & ~_active:",
-                             f"    return (None, {self.state}, True, "
-                             "_tests)"])
+                             f"    return (None, {steps}, {self.state}, "
+                             "True, _tests)"])
             return [f"_t = {test}"] + record + ["_lC |= _t"]
         if isinstance(box, PolicyChangeBox):
             return [f"_active = {to_mask(box.allowed)}", "_epoch += 1"]
@@ -420,7 +496,7 @@ class _Labels:
         return []
 
     def halt(self, value: str) -> str:
-        return f"return ({value}, {self.state}, False, _tests)"
+        return f"return ({value}, _steps, {self.state}, False, _tests)"
 
 
 class CompiledFlowchart:
@@ -468,9 +544,9 @@ def generate_source(flowchart: Flowchart, labels: Optional[str] = None
     """
     gen = _Codegen(flowchart)
     entry = flowchart.boxes[flowchart.start_id].successors()[0]
-    leaders = _find_leaders(flowchart, entry)
-    leader_set = frozenset(leaders)
-    pc_of = {leader: index for index, leader in enumerate(leaders)}
+    leader_set = frozenset(_find_leaders(flowchart, entry))
+    arms = _find_arms(flowchart, entry, leader_set)
+    pc_of = {leader: index for index, leader in enumerate(arms)}
     rule = None if labels is None else _Labels(gen, flowchart, labels)
 
     lines: List[str] = []
@@ -487,94 +563,138 @@ def generate_source(flowchart: Flowchart, labels: Optional[str] = None
     emit("    _steps = 0")
     if rule is None:
         emit("    _touched = 0")
-    emit("    _pc = 0")
+    if len(arms) > 1:
+        emit("    _pc = 0")
 
     env_literal = "{" + ", ".join(
         f"{name!r}: {gen.local_of[name]}" for name in gen.env_names) + "}"
 
-    def emit_body(boxes, fallthrough, indent: str, capped: bool) -> None:
-        """One block body, in one of two fidelity modes.
+    def arm_body(arm: NodeId, capped: bool) -> Tuple[List[str], bool]:
+        """One arm's inline tree of blocks: its lines, and whether a
+        path jumps back to the arm's own leader.
 
-        ``capped=False`` is today's fast shape: one exact fuel check for
-        a whole non-hazardous block (see module docstring).  ``capped``
-        mode interleaves the interpreter's per-box fuel check with the
-        post-assignment cap check, because a block where box *i* would
-        blow the cap and box *j > i* would blow the fuel must raise the
-        same exception the interpreter raises — the bulk fuel precheck
-        would report fuel where the interpreter reports the cap.
-        A labelled function keeps no touch mask; each box's label
-        statements precede its value statement.
+        Fuel accounting takes one of two shapes (see module docstring).
+        Uncapped, a block checks ``_steps + k > _fuel`` before it runs,
+        ``k`` being the steps of its path from the arm through the
+        block's end (a constant here), and the path adds its steps and
+        touch bits once, where it ends.  Capped, the interpreter's
+        per-box check is interleaved with the cap check after each
+        assignment, because a block where box *i* would blow the cap
+        and box *j > i* the fuel must raise what the interpreter
+        raises.  A block holding a box whose expression can raise (a
+        ``LoopExpr``) adds its path's steps before it and is checked
+        per box in both.  A labelled function keeps no touch mask; each
+        box's label statements precede its value statement.
         """
-        block_mask = 0
-        if rule is None:
-            for box in boxes:
-                block_mask |= _box_touch_bits(box, flowchart, gen.bit_of)
-        hazardous = any(_box_hazardous(box) for box in boxes)
-        per_box = capped or hazardous
+        body: List[str] = []
+        exits: List[int] = []
+        loops = False
+        #: Blocks and transfers still to emit: (leader, indent, the
+        #: steps and touch bits the path has checked but not added).
+        stack: List[Tuple[NodeId, str, int, int]] = []
 
-        if not per_box:
-            emit(f"{indent}if _steps + {len(boxes)} > _fuel:")
-            emit(f"{indent}    raise _fuel_error(_fuel, _inputs)")
-            emit(f"{indent}_steps += {len(boxes)}")
-            if block_mask:
-                emit(f"{indent}_touched |= {block_mask}")
+        def settle(pad: str, steps: int, mask: int) -> None:
+            if steps:
+                body.append(f"{pad}_steps += {steps}")
+            if mask:
+                body.append(f"{pad}_touched |= {mask}")
 
-        for box in boxes:
+        def block(leader: NodeId, pad: str, steps: int, mask: int) -> None:
+            chain, fallthrough = _block_chain(flowchart, leader, leader_set)
+            boxes = [flowchart.boxes[node_id] for node_id in chain]
+            per_box = capped or any(_box_hazardous(box) for box in boxes)
             if per_box:
+                settle(pad, steps, mask)
+                steps = mask = 0
+            else:
+                steps += len(boxes)
+                body.append(f"{pad}if _steps + {steps} > _fuel:")
+                body.append(f"{pad}    raise _fuel_error(_fuel, _inputs)")
+            for box in boxes:
                 box_mask = (0 if rule is not None else
                             _box_touch_bits(box, flowchart, gen.bit_of))
-                emit(f"{indent}if _steps >= _fuel:")
-                emit(f"{indent}    raise _fuel_error(_fuel, _inputs)")
-                emit(f"{indent}_steps += 1")
-                if box_mask:
-                    emit(f"{indent}_touched |= {box_mask}")
-            if rule is not None:
-                for line in rule.box(box):
-                    emit(f"{indent}{line}")
-            if isinstance(box, AssignBox):
-                target = gen.local_of[box.target]
-                emit(f"{indent}{target} = {gen.expr(box.expression)}")
-                if capped:
-                    emit(f"{indent}if {target} >= _capb "
-                         f"or {target} <= -_capb:")
-                    emit(f"{indent}    raise _cap_error(_cap, _inputs)")
-            elif isinstance(box, DecisionBox):
-                true_pc = pc_of[box.true_next]
-                false_pc = pc_of[box.false_next]
-                emit(f"{indent}_pc = {true_pc} "
-                     f"if {gen.pred(box.predicate)} else {false_pc}")
-                emit(f"{indent}continue")
-            elif isinstance(box, HaltBox):
-                value = gen.local_of[flowchart.output_variable]
-                if rule is None:
-                    emit(f"{indent}return ({value}, _steps, _touched, "
-                         f"{env_literal} if _capture_env else None)")
+                if per_box:
+                    body.append(f"{pad}if _steps >= _fuel:")
+                    body.append(f"{pad}    raise _fuel_error(_fuel, _inputs)")
+                    body.append(f"{pad}_steps += 1")
+                    if box_mask:
+                        body.append(f"{pad}_touched |= {box_mask}")
                 else:
-                    emit(f"{indent}{rule.halt(value)}")
-            elif isinstance(box, (PolicyChangeBox, DowngradeBox)):
-                # Label-layer effects only: no value change at this tier.
-                # The step and touch accounting above already covers them.
-                pass
-            elif isinstance(box, StartBox):  # pragma: no cover - validation
-                pass  # costs one step, touches nothing, falls through
-        if fallthrough is not None:
-            emit(f"{indent}_pc = {pc_of[fallthrough]}")
-            emit(f"{indent}continue")
+                    mask |= box_mask
+                if rule is not None:
+                    # Only a decision, the block's last box, reads the
+                    # step count: the path's steps so far, this block's
+                    # included.
+                    body.extend(pad + line for line in rule.box(box, steps))
+                if isinstance(box, AssignBox):
+                    target = gen.local_of[box.target]
+                    body.append(f"{pad}{target} = {gen.expr(box.expression)}")
+                    if capped:
+                        body.append(f"{pad}if {target} >= _capb "
+                                    f"or {target} <= -_capb:")
+                        body.append(
+                            f"{pad}    raise _cap_error(_cap, _inputs)")
+                elif isinstance(box, DecisionBox):
+                    body.append(f"{pad}if {gen.pred(box.predicate)}:")
+                elif isinstance(box, HaltBox):
+                    value = gen.local_of[flowchart.output_variable]
+                    settle(pad, steps, mask)
+                    if rule is None:
+                        body.append(f"{pad}return ({value}, _steps, _touched,"
+                                    f" {env_literal} if _capture_env"
+                                    " else None)")
+                    else:
+                        body.append(f"{pad}{rule.halt(value)}")
+                # Policy changes and downgrades are label-layer effects
+                # only, and a (degenerate) start box falls through: the
+                # step and touch accounting above covers them.
+            # Pushed in reverse, so the true branch's whole tree is
+            # emitted inside its ``if`` before the false branch after it.
+            for target, nesting in reversed(_block_exits(flowchart, chain,
+                                                         fallthrough)):
+                stack.append((target, pad + "    " * nesting, steps, mask))
+
+        block(arm, "", 0, 0)
+        while stack:
+            target, pad, steps, mask = stack.pop()
+            if target not in pc_of:
+                block(target, pad, steps, mask)
+                continue
+            settle(pad, steps, mask)
+            if target == arm:
+                body.append(f"{pad}continue")
+                loops = True
+            else:
+                body.append(f"{pad}_pc = {pc_of[target]}")
+                exits.append(len(body))
+                body.append(pad)
+        # A transfer leaves the arm's own loop, or else goes straight
+        # back to the dispatch loop.
+        for index in exits:
+            body[index] += "break" if loops else "continue"
+        return body, loops
+
+    def emit_arm(arm: NodeId, indent: str, capped: bool) -> None:
+        body, loops = arm_body(arm, capped)
+        if loops:
+            emit(f"{indent}while True:")
+            indent += "    "
+        for line in body:
+            emit(indent + line)
 
     def emit_machine(indent: str, capped: bool) -> None:
+        if len(arms) == 1:
+            emit_arm(arms[0], indent, capped)
+            return
         emit(f"{indent}while True:")
-        for leader in leaders:
-            chain, fallthrough = _block_chain(flowchart, leader,
-                                              leader_set)
-            branch = "if" if pc_of[leader] == 0 else "elif"
-            emit(f"{indent}    {branch} _pc == {pc_of[leader]}:")
-            boxes = [flowchart.boxes[node_id] for node_id in chain]
-            emit_body(boxes, fallthrough, indent + "        ", capped)
+        for arm in arms:
+            branch = "if" if pc_of[arm] == 0 else "elif"
+            emit(f"{indent}    {branch} _pc == {pc_of[arm]}:")
+            emit_arm(arm, indent + "        ", capped)
 
     # Two complete machines, selected once per call: the uncapped
-    # default runs exactly the pre-guard bulk-checked shape (arm
-    # dispatch inside the block loop measurably slows the hot kernel),
-    # and a live value cap runs its per-box guarded twin.
+    # default checks fuel once per block and settles once per path, and
+    # a live value cap runs its per-box guarded twin.
     emit("    if _capb is None:")
     emit_machine("        ", capped=False)
     emit("    else:")

@@ -54,7 +54,9 @@ def to_mask(label: Iterable[int]) -> int:
 
 
 def from_mask(mask: int) -> Label:
-    """Decode a bitmask back into a label."""
+    """Decode a bitmask back into a label; 0 is the shared :data:`EMPTY`."""
+    if not mask:
+        return EMPTY
     if mask < 0:
         raise ValueError(f"label masks are non-negative, got {mask}")
     indices = []

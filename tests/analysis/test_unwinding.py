@@ -24,7 +24,60 @@ from repro.flowchart.library import (downgrade_guarded_program,
 from repro.verify.enumerate import all_allow_policies
 
 
+#: The dynamic suite's unwinding results per policy: states explored,
+#: and each violation as (condition, node, excess, in force, pc).
+SUITE_RESULTS = {
+    "policy-tighten": {policy: (4, [("local-respect", "s0", [1], [], [])])
+                       for policy in ("allow()", "allow(1)", "allow(2)",
+                                      "allow(1, 2)")},
+    "policy-loosen": {"allow()": (4, []), "allow(1)": (4, []),
+                      "allow(2)": (4, []), "allow(1, 2)": (4, [])},
+    "policy-branch": {
+        "allow()": (7, [("local-respect", "s0", [1, 2], [], [2])]),
+        "allow(1)": (7, [("local-respect", "s0", [2], [1], [2])]),
+        "allow(2)": (7, [("local-respect", "s0", [1], [2], [2])]),
+        "allow(1, 2)": (5, [])},
+    "policy-loop": {
+        "allow()": (11, [("local-respect", "s0", [1, 2], [], [2]),
+                         ("local-respect", "s0", [2], [1], [2])]),
+        "allow(1)": (8, [("local-respect", "s0", [2], [1], [2])]),
+        "allow(2)": (11, [("local-respect", "s0", [1], [2], [2]),
+                          ("local-respect", "s0", [2], [1], [2])]),
+        "allow(1, 2)": (11, [("local-respect", "s0", [2], [1], [2])])},
+    "downgrade-launder": {"allow()": (4, []), "allow(1)": (4, []),
+                          "allow(2)": (4, []), "allow(1, 2)": (4, [])},
+    "downgrade-guarded": {
+        "allow()": (6, [("local-respect", "s0", [1, 2], [], [1])]),
+        "allow(1)": (6, [("local-respect", "s0", [2], [1], [1])]),
+        "allow(2)": (6, [("local-respect", "s0", [1], [2], [1])]),
+        "allow(1, 2)": (6, [])},
+    "downgrade-partial": {
+        "allow()": (4, [("local-respect", "s0", [1], [], [])]),
+        "allow(1)": (4, []),
+        "allow(2)": (4, [("local-respect", "s0", [1], [2], [])]),
+        "allow(1, 2)": (4, [])},
+    "downgrade-then-tighten": {"allow()": (5, []), "allow(1)": (5, []),
+                               "allow(2)": (5, []), "allow(1, 2)": (5, [])},
+}
+
+
 class TestUnwindingCheck:
+    def test_suite_results_are_pinned(self):
+        # The label codec is the surveillance one; the violations it
+        # decodes, and hence INT001/INT002, stay as recorded.
+        actual = {}
+        for fc in dynamic_policy_suite():
+            for policy in all_allow_policies(fc.arity):
+                result = unwinding_check(fc, policy)
+                violations = [(v.condition, v.node, sorted(v.excess),
+                               sorted(v.in_force), sorted(v.pc))
+                              for v in (result.local_respect
+                                        + result.step_consistency)]
+                assert result.certified == (not result.local_respect)
+                actual.setdefault(fc.name, {})[policy.name] = (
+                    result.states_explored, violations)
+        assert actual == SUITE_RESULTS
+
     def test_agrees_with_epoch_verdict_on_the_suite(self):
         for fc in dynamic_policy_suite():
             for policy in all_allow_policies(fc.arity):

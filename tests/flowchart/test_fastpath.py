@@ -14,14 +14,18 @@ from hypothesis import strategies as st
 
 from repro.core.domains import ProductDomain
 from repro.core.errors import (ArityMismatchError, ExecutionError,
-                               FuelExhaustedError, ReproError)
+                               FuelExhaustedError, ReproError,
+                               ValueCapExceededError)
 from repro.core.observability import VALUE_AND_TIME, VALUE_ONLY
 from repro.flowchart import (Assign, Ite, LoopExpr, StructuredProgram,
                              const, library, var)
 from repro.flowchart import fastpath
-from repro.flowchart.fastpath import (compile_flowchart, execute_compiled,
-                                      resolve_backend, run_flowchart)
+from repro.flowchart.boxes import AssignBox, DecisionBox, HaltBox, StartBox
+from repro.flowchart.fastpath import (LABEL_RULES, compile_flowchart,
+                                      execute_compiled, resolve_backend,
+                                      run_flowchart)
 from repro.flowchart.interpreter import as_program, execute
+from repro.flowchart.program import Flowchart
 from repro.verify.enumerate import default_grid
 
 SUITE = library.extended_suite()
@@ -64,6 +68,38 @@ def test_fuel_exhaustion_on_diverging_input():
         execute_compiled(flowchart, (10,), fuel=5)
     assert interp.value.fuel == comp.value.fuel == 5
     assert str(interp.value) == str(comp.value)
+
+
+def test_deep_true_branch_chain_compiles_and_agrees():
+    # Decision i's true branch holds decision i + 1, 150 deep.  Inline
+    # emission nests each true branch one level deeper, so the deeper
+    # blocks must get dispatch arms of their own: CPython refuses
+    # source indented 100 levels.
+    depth = 150
+    boxes = {"start": StartBox("d0"), "halt": HaltBox(),
+             "last": AssignBox("y", const(depth), "halt")}
+    for level in range(depth):
+        boxes[f"d{level}"] = DecisionBox(
+            var("x1").gt(level),
+            f"d{level + 1}" if level + 1 < depth else "last", f"a{level}")
+        boxes[f"a{level}"] = AssignBox("y", const(level), "halt")
+    flowchart = Flowchart(boxes, ["x1"], name="deep-chain")
+    for rule in LABEL_RULES:
+        compile_flowchart(flowchart, rule)
+
+    def outcome(engine, point, **budget):
+        try:
+            return ("ok",) + observed(engine(flowchart, point, **budget))
+        except (FuelExhaustedError, ValueCapExceededError) as error:
+            return (type(error).__name__, str(error))
+
+    for point in [(-1,), (0,), (40,), (75,), (149,), (150,), (400,)]:
+        steps = execute(flowchart, point).steps
+        for budget in [{}, {"fuel": steps}, {"fuel": steps - 1},
+                       {"value_cap": 6}, {"fuel": steps - 1, "value_cap": 6}]:
+            assert (outcome(execute, point, **budget)
+                    == outcome(execute_compiled, point, **budget)), (
+                point, budget)
 
 
 def test_division_and_modulus_by_zero_are_total():

@@ -4,22 +4,28 @@ The Observability Postulate makes the *failure mode* part of a
 program's observable behaviour: which typed fault fires (fuel vs cap),
 with which payload, on which input.  These properties drive the
 interpreter, the compiled fastpath, and the batch tier over the whole
-figure library plus adversarial value-blowup programs, under randomly
-drawn fuel and cap budgets, and require
-bit-identical outcomes — value and step count on success, fault type
-and payload on failure.
+figure library plus adversarial value-blowup programs and arbitrary
+box graphs (:mod:`tests.flowchart.box_graphs`: irreducible loops,
+self-looping decisions, programs that never halt), under randomly
+drawn fuel and cap budgets, and require bit-identical outcomes —
+value, step count and touched set on success, fault type and payload
+(and, between the interpreter and the compiled tier, message) on
+failure.
 """
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import FuelExhaustedError, ValueCapExceededError
 from repro.flowchart import library as figure_library
 from repro.flowchart.batchpath import K_CAP, K_FUEL, execute_batch
 from repro.flowchart.expr import BoolConst, Const, var
-from repro.flowchart.fastpath import execute_compiled
+from repro.flowchart.fastpath import (LABEL_RULES, compile_flowchart,
+                                      execute_compiled)
 from repro.flowchart.interpreter import execute
 from repro.flowchart.structured import (Assign, StructuredProgram, While)
+from tests.flowchart.box_graphs import SHAPES, box_graphs, shapes
 
 
 def _doubling():
@@ -44,16 +50,25 @@ def _squaring():
 
 PROGRAMS = figure_library.extended_suite() + [_doubling(), _squaring()]
 
+#: The programs above, or a drawn box graph.
+FLOWCHARTS = st.one_of(st.sampled_from(PROGRAMS), box_graphs())
+
 
 def outcome(engine, flowchart, inputs, fuel, value_cap):
     """A comparable fingerprint of one execution: result or typed fault."""
     try:
         result = engine(flowchart, inputs, fuel=fuel, value_cap=value_cap)
     except FuelExhaustedError as error:
-        return ("fuel", error.fuel)
+        return ("fuel", error.fuel, str(error))
     except ValueCapExceededError as error:
-        return ("cap", error.cap)
-    return ("ok", result.value, result.steps)
+        return ("cap", error.cap, str(error))
+    return ("ok", result.value, result.steps, result.touched)
+
+
+def notice(fingerprint):
+    """What a batch lane reports: a fault notice carries its kind and
+    budget, not the message."""
+    return fingerprint[:2] if fingerprint[0] != "ok" else fingerprint
 
 
 def batch_lane_outcome(rows, i):
@@ -62,13 +77,21 @@ def batch_lane_outcome(rows, i):
         return ("fuel", rows.fuel)
     if kind == K_CAP:
         return ("cap", rows.cap)
-    return ("ok", rows.value(i), rows.steps(i))
+    return ("ok", rows.value(i), rows.steps(i), rows.touched(i))
 
 
-@settings(max_examples=150, deadline=None)
+@pytest.mark.parametrize("shape", SHAPES)
+def test_box_graphs_draw_every_shape(shape):
+    find(box_graphs(), lambda flowchart: shape in shapes(flowchart),
+         settings=settings(max_examples=2000, database=None, deadline=None,
+                           phases=[Phase.generate]))
+
+
+# Twice the draws the programs alone had, so they keep their share.
+@settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_engines_agree_on_every_outcome(data):
-    flowchart = data.draw(st.sampled_from(PROGRAMS))
+    flowchart = data.draw(FLOWCHARTS)
     inputs = tuple(
         data.draw(st.integers(-6, 6), label=f"x{index + 1}")
         for index in range(flowchart.arity))
@@ -80,26 +103,26 @@ def test_engines_agree_on_every_outcome(data):
                        value_cap)
     batch = batch_lane_outcome(execute_batch(
         flowchart, [inputs], fuel=fuel, value_cap=value_cap), 0)
-    assert interpreted == compiled == batch, (
+    assert interpreted == compiled and notice(interpreted) == batch, (
         f"{flowchart.name}{inputs} fuel={fuel} cap={value_cap}: "
         f"interpreter {interpreted} != compiled {compiled} "
         f"!= batch {batch}")
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(data=st.data())
 def test_batch_lanes_agree_per_point(data):
     # One whole vector through execute_batch, every lane against the
     # interpreter: mixed OK/fuel/cap partitions (including vectors
     # where every lane faults) must agree point for point.
-    flowchart = data.draw(st.sampled_from(PROGRAMS))
+    flowchart = data.draw(FLOWCHARTS)
     points = data.draw(st.lists(
         st.tuples(*[st.integers(-6, 6)] * flowchart.arity),
         min_size=1, max_size=12), label="points")
     fuel = data.draw(st.integers(1, 400), label="fuel")
     value_cap = data.draw(st.one_of(st.none(), st.integers(1, 16)),
                           label="value_cap")
-    expected = [outcome(execute, flowchart, point, fuel, value_cap)
+    expected = [notice(outcome(execute, flowchart, point, fuel, value_cap))
                 for point in points]
     rows = execute_batch(flowchart, points, fuel=fuel, value_cap=value_cap)
     actual = [batch_lane_outcome(rows, i) for i in range(len(points))]
@@ -119,4 +142,37 @@ def test_blowup_always_faults_identically(x1, cap):
     flowchart = _doubling()
     interpreted = outcome(execute, flowchart, (x1,), 100_000, cap)
     compiled = outcome(execute_compiled, flowchart, (x1,), 100_000, cap)
-    assert interpreted == compiled == ("cap", cap)
+    assert interpreted == compiled
+    assert notice(interpreted) == ("cap", cap)
+
+
+def _squaring_chain(loop):
+    # y := x1 + 2, then 40 straight-line y := y * y (the body of an
+    # endless loop when ``loop``): 3 squared 40 times is 2^40 · 1.6
+    # bits wide, so a machine that ran the boxes past a small budget
+    # before checking it would not return.
+    squarings = [Assign("y", var("y") * var("y"))] * 40
+    body = [While(BoolConst(True), squarings)] if loop else squarings
+    return StructuredProgram(
+        ["x1"], [Assign("y", var("x1") + Const(2))] + body,
+        name="squaring-loop" if loop else "squaring-chain").compile()
+
+
+@pytest.mark.parametrize("loop", [False, True], ids=["chain", "loop"])
+def test_no_box_past_the_fuel_runs(loop):
+    # Fuel bounds time on every uncapped machine: a block of boxes that
+    # would cross the budget raises before any of them runs.
+    flowchart = _squaring_chain(loop)
+    for fuel in (1, 5, 12):
+        expected = outcome(execute, flowchart, (1,), fuel, None)
+        assert expected[0] == "fuel"
+        assert outcome(execute_compiled, flowchart, (1,), fuel,
+                       None) == expected
+        rows = execute_batch(flowchart, [(1,), (2,)], fuel=fuel,
+                             value_cap=None)
+        assert [batch_lane_outcome(rows, i) for i in range(2)] == [
+            notice(expected)] * 2
+        for rule in LABEL_RULES:
+            with pytest.raises(FuelExhaustedError):
+                compile_flowchart(flowchart, rule).function(
+                    (1,), fuel, [], None, None)

@@ -7,7 +7,10 @@ the fault, value, steps, the ȳ ∪ C̄ mask, the active policy, the epoch,
 the early stop and the first-test steps — those of a lane that ran out
 of fuel or broke the cap included, since J's first failing guard comes
 before the fault.  Inputs: the library suites at fixed budgets, and
-generated dynamic-policy programs over fuel 1–40 and cap none or 1–6.
+generated dynamic-policy programs and arbitrary box graphs
+(:mod:`tests.flowchart.box_graphs`: irreducible loops, self-looping
+decisions, programs that never halt) over fuel 1–40 and cap none or
+1–6.
 """
 
 import hypothesis.strategies as st
@@ -23,6 +26,7 @@ from repro.flowchart.fastpath import (LABEL_RULES, compile_flowchart,
 from repro.flowchart.interpreter import DEFAULT_FUEL
 from repro.robustness.faults import cap_notice, fuel_notice
 from repro.surveillance.dynamic import policy_free_runs
+from tests.flowchart.box_graphs import box_graphs
 from tests.integration.test_dynamic_policy_properties import (
     GRID, dynamic_programs)
 
@@ -66,12 +70,15 @@ def test_library_lanes_equal_the_walk(flowchart, rule):
                 fuel, cap)
 
 
-@settings(max_examples=60, deadline=None)
-@given(dynamic_programs(), st.sampled_from(sorted(LABEL_RULES)),
+# Twice the draws the generated programs alone had, so they keep their
+# share.
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(dynamic_programs().map(lambda program: program.compile()),
+                 box_graphs()),
+       st.sampled_from(sorted(LABEL_RULES)),
        st.integers(min_value=1, max_value=40),
        st.one_of(st.none(), st.integers(min_value=1, max_value=6)))
-def test_generated_lanes_equal_the_walk(program, rule, fuel, cap):
-    flowchart = program.compile()
+def test_generated_lanes_equal_the_walk(flowchart, rule, fuel, cap):
     assert (lane_fields(flowchart, GRID, rule, fuel, cap)
             == walk_fields(flowchart, GRID, rule, fuel, cap))
 

@@ -54,6 +54,9 @@ class TestMaskCodec:
             for b in universe:
                 assert mask_subset(to_mask(a), to_mask(b)) == (a <= b)
 
+    def test_zero_mask_is_the_shared_empty_label(self):
+        assert from_mask(0) is EMPTY
+
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
             to_mask({0})
