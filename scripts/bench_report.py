@@ -290,9 +290,10 @@ def bench_guards(smoke: bool) -> dict:
                "sweep_capped_s": sweep_capped,
                "sweep_armed_cap_overhead_pct": overhead(sweep_capped,
                                                         sweep_uncapped)}
-    # With no cap set, the dual-arm prologue and quarantine wrapping
-    # must cost nothing over BENCH_PR5.json's hooks-off kernel; the
-    # claim's first baseline, BENCH_PR4.json's, stays for the trail.
+    # With no cap set, the uncapped function (it has no cap test) and
+    # quarantine wrapping must cost nothing over BENCH_PR5.json's
+    # hooks-off kernel; the claim's first baseline, BENCH_PR4.json's,
+    # stays for the trail.
     for pr, claim in ((4, None), (5, "noop_overhead_under_3pct_vs_pr5")):
         versus(section, uncapped["best"], pr, "telemetry/hooks_off_s/best",
                "hooks_off", reference["best"], claim=claim)

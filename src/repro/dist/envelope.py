@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, Tuple
+from typing import Dict
 
 #: The pseudo-channel carrying the migrating control token.
 CONTROL_CHANNEL = "#ctl"
@@ -67,11 +67,6 @@ def ack_envelope(channel: str, seq: int, src: int, dst: int) -> Dict:
     """Acknowledges receipt of ``(channel, seq)`` — never chaos-faulted."""
     return {"kind": "ack", "channel": channel, "seq": int(seq),
             "src": src, "dst": dst}
-
-
-def envelope_id(envelope: Dict) -> Tuple[str, int]:
-    """The deterministic dedup identity of a data/control envelope."""
-    return (envelope["channel"], envelope["seq"])
 
 
 def verify_checksum(envelope: Dict) -> bool:

@@ -54,11 +54,12 @@ K_OK, K_FUEL, K_CAP = 0, 1, 2
 _FAULTED = (0, 0, 0, None)
 
 
-def compile_batch(flowchart: Flowchart,
-                  labels: Optional[str] = None) -> CompiledFlowchart:
+def compile_batch(flowchart: Flowchart, labels: Optional[str] = None,
+                  capped: bool = False) -> CompiledFlowchart:
     """The compiled-tier function every lane of ``flowchart`` calls,
-    labelled by the named rule if ``labels`` is given."""
-    return compile_flowchart(flowchart, labels)
+    labelled by the named rule if ``labels`` is given, testing the
+    value cap if ``capped``."""
+    return compile_flowchart(flowchart, labels, capped)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +150,7 @@ def execute_batch(flowchart: Flowchart,
                 f"flowchart {flowchart.name} takes {arity} "
                 f"inputs, got {len(point)}")
     if not flowchart.has_channels():
-        compiled = compile_batch(flowchart, labels)
+        compiled = compile_batch(flowchart, labels, cap is not None)
     elif labels is None:
         compiled = None
     else:

@@ -33,48 +33,51 @@ Step-count fidelity
 -------------------
 The interpreter checks ``steps >= fuel`` before executing each box, so
 a run raises iff it would execute more than ``fuel`` boxes, and the
-error carries only the fuel and the inputs.  The uncapped functions
-(plain and labelled) therefore check fuel once per block and settle
-steps once per *path*: each inline path from an arm adds up its boxes'
-steps and touch bits when the source is generated, each block on it
-checks ``_steps + k > _fuel`` before it runs (``k`` the path's steps
-through the block's end), and the path adds its steps to ``_steps``
-and its bits to ``_touched`` once, where it ends (back edge, arm
-transfer or halt).  A block that would cross the budget raises before
-any of its boxes runs, so no box past the budget ever runs: fuel bounds
-time.  Skipping the block's first boxes is exact *provided* none of
-them can raise from inside an expression and none is observed after
-the raise.  Expressions are total except
-:class:`~repro.flowchart.expr.LoopExpr` (whose own fuel can raise
-``ExecutionError``): a block holding one settles its path's steps
-before it and keeps the interpreter's per-box check, so the exception
-(fuel vs. loop error) is the interpreter's.
+error carries only the fuel and the inputs.  Every compiled function
+(plain and labelled, capped or not) therefore checks fuel once per
+block and settles steps once per *path*: each inline path from an arm
+adds up its boxes' steps and touch bits when the source is generated,
+each block on it checks ``_steps + k > _fuel`` before it runs (``k`` the
+path's steps through the block's end), and the path adds its steps to
+``_steps`` and its bits to ``_touched`` once, where it ends (back edge,
+arm transfer or halt).  A block that would cross the budget runs none
+of its boxes inline, so no box past the budget ever runs: fuel bounds
+time.  The function that tests a value cap (compiled only for runs
+that arm one) adds one test after each assignment and nothing else.
 
-The capped twins check fuel per box, interleaved with the cap check
-after each assignment, because which fault fires first (and, in a
-labelled function, the first-test steps a faulted lane keeps) depends
-on the box where the run stops.
+The budget edge
+---------------
+A block whose check fails raises the fuel fault at once, exactly the
+interpreter's fault, unless a box before its last could fault first:
+an assignment under an armed cap, or an expression holding a
+:class:`~repro.flowchart.expr.LoopExpr` (whose own fuel can raise
+``ExecutionError``).  Such a block hands its start state to the label
+walk :func:`repro.surveillance.dynamic._walk` (the interpreter's box
+rules), which runs its boxes up to the budget and raises whichever
+fault comes first, re-raised here with the compiled tier's message.
+The block's last box lies past the budget, so no decision runs in that
+stretch: a labelled lane's first-test list is already exact, and
+nothing is re-run.
 
 Fault-count fidelity
 --------------------
 ``touched`` is a per-run union of statically known per-box variable
 sets, so the compiler assigns every environment variable a bit and each
-path (each box, in the capped twin) a precomputed mask: one ``|=`` per
-executed path replaces two set operations per executed box.  The
-mask→frozenset decoding is memoised per compiled flowchart (runs
-revisit the same few masks).
+path a precomputed mask: one ``|=`` per executed path replaces two set
+operations per executed box.  The mask→frozenset decoding is memoised
+per compiled flowchart (runs revisit the same few masks).
 
 Labelled mode
 -------------
 Section 3 defines surveillance as a program transformation, so labels
 are computation like any other.  ``generate_source(Q, labels=rule)``
-emits, from the same skeleton (arms, inline blocks, the capped twin)
-with the exact fuel checks above, a function that keeps each variable's
-label as an int-mask local beside its value (bit ``i-1`` for input
-``x_i``) and returns the fields of the *policy-free* labelled run of
-:func:`repro.surveillance.dynamic.policy_free_runs`: ``(value, steps,
-ȳ ∪ C̄, active policy, epoch, early stop, first-test steps)``.  The
-rules (:data:`LABEL_RULES`) are ``timed`` (labels forget; each
+emits, from the same skeleton (arms, inline blocks, the cap test when
+one is armed) with the exact fuel checks above, a function that keeps
+each variable's label as an int-mask local beside its value (bit
+``i-1`` for input ``x_i``) and returns the fields of the *policy-free*
+labelled run of :func:`repro.surveillance.dynamic.policy_free_runs`:
+``(value, steps, ȳ ∪ C̄, active policy, epoch, early stop, first-test
+steps)``.  The rules (:data:`LABEL_RULES`) are ``timed`` (labels forget; each
 epoch-0 test appends ``(step, fresh indices)`` to the caller's list,
 and past a policy change a test outside the installed policy stops the
 run) and ``highwater`` (labels accumulate).  The caller passes the
@@ -94,9 +97,9 @@ call of the compiled function.  ``batch`` names a whole-grid mode, not
 an engine (:mod:`repro.flowchart.batchpath`).
 
 The one cache here is the per-flowchart compiled function, one per
-label rule (weak-keyed — dies with the graph).  Results are not
-memoised: a sweep task runs each grid point of its chunk once and
-decides every policy of the flowchart from that run
+label rule and cap flag (weak-keyed — dies with the graph).  Results
+are not memoised: a sweep task runs each grid point of its chunk once
+and decides every policy of the flowchart from that run
 (:mod:`repro.verify.parallel`), and ``repro serve`` caches responses.
 """
 
@@ -105,7 +108,6 @@ from __future__ import annotations
 import os
 import threading
 import weakref
-from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.errors import (ArityMismatchError, FuelExhaustedError,
@@ -114,7 +116,7 @@ from ..obs import runtime as _obs
 from ..robustness.faults import default_value_cap, resolve_value_cap
 from ..surveillance.labels import to_mask
 from .boxes import (AssignBox, Box, DecisionBox, DowngradeBox, HaltBox,
-                    NodeId, PolicyChangeBox, RecvBox, SendBox)
+                    NodeId, PolicyChangeBox)
 from .expr import (And, BinOp, BoolConst, Compare, Const, Expr, Ite,
                    LoopExpr, Neg, Not, Or, Pred, Var)
 from .interpreter import DEFAULT_FUEL, ExecutionResult, execute
@@ -295,18 +297,6 @@ def _contains_loop_expr(node) -> bool:
         return (_contains_loop_expr(node.predicate)
                 or _contains_loop_expr(node.then_value)
                 or _contains_loop_expr(node.else_value))
-    return False
-
-
-def _box_hazardous(box: Box) -> bool:
-    if isinstance(box, AssignBox):
-        return _contains_loop_expr(box.expression)
-    if isinstance(box, DecisionBox):
-        return _contains_loop_expr(box.predicate)
-    if isinstance(box, (SendBox, RecvBox)):
-        # Channel boxes mutate queue state the generated code does not
-        # model; channel programs run on the interpreter on every tier.
-        return True
     return False
 
 
@@ -532,7 +522,8 @@ class CompiledFlowchart:
             return names
 
 
-def generate_source(flowchart: Flowchart, labels: Optional[str] = None
+def generate_source(flowchart: Flowchart, labels: Optional[str] = None,
+                    capped: bool = False
                     ) -> Tuple[str, Dict[str, object], Tuple[str, ...]]:
     """Generate the executor source for a flowchart.
 
@@ -540,7 +531,9 @@ def generate_source(flowchart: Flowchart, labels: Optional[str] = None
     :func:`compile_flowchart` so tests and the curious can inspect the
     generated code.  ``labels`` names a rule of :data:`LABEL_RULES` for
     the labelled function (see "Labelled mode" above), called as
-    ``function(inputs, fuel, first_test, cap, cap_bound)``.
+    ``function(inputs, fuel, first_test, cap, cap_bound)``.  ``capped``
+    adds the value-cap test after each assignment; without it the
+    function ignores its cap arguments.
     """
     gen = _Codegen(flowchart)
     entry = flowchart.boxes[flowchart.start_id].successors()[0]
@@ -568,23 +561,22 @@ def generate_source(flowchart: Flowchart, labels: Optional[str] = None
 
     env_literal = "{" + ", ".join(
         f"{name!r}: {gen.local_of[name]}" for name in gen.env_names) + "}"
+    edge_cap = "_cap" if capped else "None"
 
-    def arm_body(arm: NodeId, capped: bool) -> Tuple[List[str], bool]:
+    def arm_body(arm: NodeId) -> Tuple[List[str], bool]:
         """One arm's inline tree of blocks: its lines, and whether a
         path jumps back to the arm's own leader.
 
-        Fuel accounting takes one of two shapes (see module docstring).
-        Uncapped, a block checks ``_steps + k > _fuel`` before it runs,
-        ``k`` being the steps of its path from the arm through the
-        block's end (a constant here), and the path adds its steps and
-        touch bits once, where it ends.  Capped, the interpreter's
-        per-box check is interleaved with the cap check after each
-        assignment, because a block where box *i* would blow the cap
-        and box *j > i* the fuel must raise what the interpreter
-        raises.  A block holding a box whose expression can raise (a
-        ``LoopExpr``) adds its path's steps before it and is checked
-        per box in both.  A labelled function keeps no touch mask; each
-        box's label statements precede its value statement.
+        A block checks ``_steps + k > _fuel`` before it runs, ``k``
+        being the steps of its path from the arm through the block's
+        end (a constant here), and the path adds its steps and touch
+        bits once, where it ends.  A failing check raises the fuel fault
+        unless a box before the block's last could fault first (an
+        assignment under an armed cap, or a ``LoopExpr``); then the
+        shared walk runs the block's boxes up to the budget and raises
+        whichever fault comes first (``_edge``).  A labelled function
+        keeps no touch mask; each box's label statements precede its
+        value statement.
         """
         body: List[str] = []
         exits: List[int] = []
@@ -602,26 +594,23 @@ def generate_source(flowchart: Flowchart, labels: Optional[str] = None
         def block(leader: NodeId, pad: str, steps: int, mask: int) -> None:
             chain, fallthrough = _block_chain(flowchart, leader, leader_set)
             boxes = [flowchart.boxes[node_id] for node_id in chain]
-            per_box = capped or any(_box_hazardous(box) for box in boxes)
-            if per_box:
-                settle(pad, steps, mask)
-                steps = mask = 0
+            body.append(f"{pad}if _steps + {steps + len(boxes)} > _fuel:")
+            # The block's last box lies past the budget, so only an
+            # assignment before it can fault first: under an armed cap,
+            # or through a LoopExpr.
+            if any(isinstance(box, AssignBox)
+                   and (capped or _contains_loop_expr(box.expression))
+                   for box in boxes[:-1]):
+                start = f"_steps + {steps}" if steps else "_steps"
+                body.append(f"{pad}    _edge(_inputs, _fuel, {edge_cap}, "
+                            f"{env_literal}, {start}, {leader!r})")
             else:
-                steps += len(boxes)
-                body.append(f"{pad}if _steps + {steps} > _fuel:")
                 body.append(f"{pad}    raise _fuel_error(_fuel, _inputs)")
+            steps += len(boxes)
             for box in boxes:
-                box_mask = (0 if rule is not None else
-                            _box_touch_bits(box, flowchart, gen.bit_of))
-                if per_box:
-                    body.append(f"{pad}if _steps >= _fuel:")
-                    body.append(f"{pad}    raise _fuel_error(_fuel, _inputs)")
-                    body.append(f"{pad}_steps += 1")
-                    if box_mask:
-                        body.append(f"{pad}_touched |= {box_mask}")
+                if rule is None:
+                    mask |= _box_touch_bits(box, flowchart, gen.bit_of)
                 else:
-                    mask |= box_mask
-                if rule is not None:
                     # Only a decision, the block's last box, reads the
                     # step count: the path's steps so far, this block's
                     # included.
@@ -674,35 +663,29 @@ def generate_source(flowchart: Flowchart, labels: Optional[str] = None
             body[index] += "break" if loops else "continue"
         return body, loops
 
-    def emit_arm(arm: NodeId, indent: str, capped: bool) -> None:
-        body, loops = arm_body(arm, capped)
+    def emit_arm(arm: NodeId, indent: str) -> None:
+        body, loops = arm_body(arm)
         if loops:
             emit(f"{indent}while True:")
             indent += "    "
         for line in body:
             emit(indent + line)
 
-    def emit_machine(indent: str, capped: bool) -> None:
-        if len(arms) == 1:
-            emit_arm(arms[0], indent, capped)
-            return
-        emit(f"{indent}while True:")
+    if len(arms) == 1:
+        emit_arm(arms[0], "    ")
+    else:
+        emit("    while True:")
         for arm in arms:
             branch = "if" if pc_of[arm] == 0 else "elif"
-            emit(f"{indent}    {branch} _pc == {pc_of[arm]}:")
-            emit_arm(arm, indent + "        ", capped)
-
-    # Two complete machines, selected once per call: the uncapped
-    # default checks fuel once per block and settles once per path, and
-    # a live value cap runs its per-box guarded twin.
-    emit("    if _capb is None:")
-    emit_machine("        ", capped=False)
-    emit("    else:")
-    emit_machine("        ", capped=True)
+            emit(f"        {branch} _pc == {pc_of[arm]}:")
+            emit_arm(arm, "            ")
 
     source = "\n".join(lines) + "\n"
 
     name = flowchart.name
+    # Weak: the compile cache is keyed weakly on the flowchart, and a
+    # strong reference from its own function would keep it alive.
+    graph = weakref.ref(flowchart)
 
     def _fuel_error(fuel: int, inputs) -> FuelExhaustedError:
         return FuelExhaustedError(
@@ -714,98 +697,66 @@ def generate_source(flowchart: Flowchart, labels: Optional[str] = None
             cap, f"flowchart {name} assigned a value wider than "
                  f"{cap} bits on input {tuple(inputs)!r}")
 
+    def _edge(inputs, fuel: int, cap: Optional[int], env: Dict[str, int],
+              steps: int, leader: NodeId) -> None:
+        """Raise the first fault of a block whose last box lies past the
+        budget: the shared walk runs its boxes from ``leader``, ``steps``
+        taken, and raises at that box at the latest.  No decision runs
+        in that stretch, so the labels (and a labelled lane's first
+        tests) are not needed."""
+        # Imported here: the surveillance package imports this module.
+        from ..surveillance.dynamic import _walk
+        flowchart = graph()
+        state = [leader, env, dict.fromkeys(env, 0), 0, None, 0, steps]
+        try:
+            _walk(flowchart, inputs, state, flowchart.boxes, channels=None,
+                  timed=False, forgetting=True, fuel=fuel, cap=cap,
+                  record=False, first_test=None, watch=None)
+        except FuelExhaustedError:
+            raise _fuel_error(fuel, inputs) from None
+        except ValueCapExceededError:
+            raise _cap_error(cap, inputs) from None
+
     gen.namespace["_fuel_error"] = _fuel_error
     gen.namespace["_cap_error"] = _cap_error
+    gen.namespace["_edge"] = _edge
     return source, gen.namespace, gen.env_names
 
 
 _compile_lock = threading.Lock()
-#: Each flowchart's compiled functions, by label rule (None: plain).
+#: Each flowchart's compiled functions, by label rule (None: plain) and
+#: whether a value cap is armed.
 _COMPILED: ("weakref.WeakKeyDictionary[Flowchart, "
-            "Dict[Optional[str], CompiledFlowchart]]") = (
+            "Dict[Tuple[Optional[str], bool], CompiledFlowchart]]") = (
     weakref.WeakKeyDictionary())
 
 
-def compile_flowchart(flowchart: Flowchart,
-                      labels: Optional[str] = None) -> CompiledFlowchart:
+def compile_flowchart(flowchart: Flowchart, labels: Optional[str] = None,
+                      capped: bool = False) -> CompiledFlowchart:
     """Compile (with per-flowchart caching) a flowchart to native code;
-    ``labels`` names the label rule of a labelled function."""
+    ``labels`` names the label rule of a labelled function, and
+    ``capped`` asks for the function that tests the value cap."""
+    key = (labels, capped)
     functions = _COMPILED.get(flowchart)
     if functions is not None:
-        compiled = functions.get(labels)
+        compiled = functions.get(key)
         if compiled is not None:
             return compiled
     with _compile_lock:
         functions = _COMPILED.setdefault(flowchart, {})
-        compiled = functions.get(labels)
+        compiled = functions.get(key)
         if compiled is not None:
             return compiled
-        source, namespace, env_names = generate_source(flowchart, labels)
-        rule = "" if labels is None else f":{labels}"
-        exec(compile(source, f"<fastpath:{flowchart.name}{rule}>", "exec"),
+        source, namespace, env_names = generate_source(flowchart, labels,
+                                                       capped)
+        tag = ("" if labels is None else f":{labels}") + (
+            ":capped" if capped else "")
+        exec(compile(source, f"<fastpath:{flowchart.name}{tag}>", "exec"),
              namespace)
-        compiled = functions[labels] = CompiledFlowchart(
+        compiled = functions[key] = CompiledFlowchart(
             flowchart.name, flowchart.arity, source,
             namespace["_compiled"], env_names, labels)
         return compiled
-
-
-# ---------------------------------------------------------------------------
-# LRU memo (the serve caches)
-# ---------------------------------------------------------------------------
-
-class _LRUMemo:
-    """A small thread-safe LRU map; maxsize <= 0 disables it."""
-
-    def __init__(self, maxsize: int) -> None:
-        self.maxsize = maxsize
-        self._data: "OrderedDict" = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key):
-        if self.maxsize <= 0:
-            return None
-        with self._lock:
-            try:
-                value = self._data.pop(key)
-            except KeyError:
-                self.misses += 1
-                return None
-            self._data[key] = value
-            self.hits += 1
-            return value
-
-    def put(self, key, value) -> None:
-        if self.maxsize <= 0:
-            return
-        with self._lock:
-            self._data[key] = value
-            self._data.move_to_end(key)
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
-            self.hits = 0
-            self.misses = 0
-
-    def stats(self) -> Dict[str, int]:
-        """One consistent snapshot of size/maxsize/hits/misses.
-
-        Taken under the memo lock so a concurrent ``put`` mid-trim can
-        never be observed as ``size > maxsize`` (unlocked reads could
-        tear exactly that way under the server's thread pool).
-        """
-        with self._lock:
-            return {"size": len(self._data), "maxsize": self.maxsize,
-                    "hits": self.hits, "misses": self.misses}
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._data)
 
 
 def clear_result_memo() -> None:
@@ -854,7 +805,7 @@ def execute_compiled(flowchart: Flowchart, inputs: Sequence[int],
     cap = (default_value_cap() if value_cap is None
            else resolve_value_cap(value_cap))
     bound = None if cap is None else 1 << cap
-    compiled = compile_flowchart(flowchart)
+    compiled = compile_flowchart(flowchart, capped=cap is not None)
     if _obs.active:
         try:
             value, steps, mask, env = compiled.function(

@@ -241,10 +241,6 @@ def observe(name: str, value: float, bounds=None) -> None:
     registry.histogram(name, bounds).observe(value)
 
 
-def set_gauge(name: str, value: float) -> None:
-    registry.gauge(name).set(value)
-
-
 # ---------------------------------------------------------------------------
 # Hooks for the instrumented hot layers (call only behind ``if active``)
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ Three layers:
   so repeated submissions of the same source reuse the per-flowchart
   compile caches in ``fastpath``/``batchpath`` (which are keyed by
   object identity and die with the graph);
-- response cache: an :class:`~repro.flowchart.fastpath._LRUMemo` over
-  rendered JSON-ready payloads;
+- response cache: an :class:`_LRUMemo` over rendered JSON-ready
+  payloads;
 - in-flight map: coalesces concurrent identical sweeps onto one
   computation (the server awaits the same future).
 """
@@ -22,15 +22,70 @@ Three layers:
 from __future__ import annotations
 
 import hashlib
+import threading
+from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
-from ..flowchart.fastpath import _LRUMemo
 from ..flowchart.program import Flowchart
 
 __all__ = ["ServeCache", "flowchart_fingerprint"]
 
 #: Compiled flowcharts kept per distinct submitted source.
 _FLOWCHART_CACHE_SIZE = 256
+
+
+class _LRUMemo:
+    """A small thread-safe LRU map; maxsize <= 0 disables it."""
+
+    def __init__(self, maxsize: int) -> None:
+        self.maxsize = maxsize
+        self._data: "OrderedDict" = OrderedDict()
+        self._lock = threading.Lock()
+        self.hits = 0
+        self.misses = 0
+
+    def get(self, key):
+        if self.maxsize <= 0:
+            return None
+        with self._lock:
+            try:
+                value = self._data.pop(key)
+            except KeyError:
+                self.misses += 1
+                return None
+            self._data[key] = value
+            self.hits += 1
+            return value
+
+    def put(self, key, value) -> None:
+        if self.maxsize <= 0:
+            return
+        with self._lock:
+            self._data[key] = value
+            self._data.move_to_end(key)
+            while len(self._data) > self.maxsize:
+                self._data.popitem(last=False)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._data.clear()
+            self.hits = 0
+            self.misses = 0
+
+    def stats(self) -> Dict[str, int]:
+        """One consistent snapshot of size/maxsize/hits/misses.
+
+        Taken under the memo lock so a concurrent ``put`` mid-trim can
+        never be observed as ``size > maxsize`` (unlocked reads could
+        tear exactly that way under the server's thread pool).
+        """
+        with self._lock:
+            return {"size": len(self._data), "maxsize": self.maxsize,
+                    "hits": self.hits, "misses": self.misses}
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._data)
 
 
 def flowchart_fingerprint(flowchart: Flowchart) -> str:

@@ -8,6 +8,9 @@ figure library is checked over the default sweep grid, plus targeted
 edge cases the library does not exercise.
 """
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -229,6 +232,39 @@ class TestCompilationCache:
         compiled = compile_flowchart(library.accumulate_program())
         assert "def _compiled" in compiled.source
         assert "_touched" in compiled.source
+
+    @pytest.mark.parametrize("rule", [None, *LABEL_RULES])
+    def test_only_a_capped_function_tests_the_cap(self, rule):
+        flowchart = library.gcd_program()
+        plain = compile_flowchart(flowchart, rule).source
+        capped = compile_flowchart(flowchart, rule, capped=True).source
+        # ``_capb`` is in every signature; only the capped body reads it.
+        assert "_capb" not in plain.split("\n", 1)[1]
+        assert "_capb" in capped.split("\n", 1)[1]
+        for source in (plain, capped):
+            assert "_steps >= _fuel" not in source
+
+    def test_capped_function_compiled_on_the_first_capped_run(self):
+        flowchart = library.gcd_program()
+        execute_compiled(flowchart, (12, 18))
+        functions = fastpath._COMPILED[flowchart]
+        assert list(functions) == [(None, False)]
+        execute_compiled(flowchart, (12, 18), value_cap=8)
+        assert list(functions) == [(None, False), (None, True)]
+        capped = compile_flowchart(flowchart, capped=True)
+        assert capped is functions[None, True]
+        assert capped is not compile_flowchart(flowchart)
+
+    def test_compiled_functions_do_not_keep_their_flowchart(self):
+        flowchart = library.gcd_program()
+        for rule in (None, *LABEL_RULES):
+            for capped in (False, True):
+                compile_flowchart(flowchart, rule, capped)
+        assert len(fastpath._COMPILED[flowchart]) == 6
+        graph = weakref.ref(flowchart)
+        del flowchart
+        gc.collect()
+        assert graph() is None
 
 
 class TestDispatchAndFallback:

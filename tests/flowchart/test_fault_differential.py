@@ -17,14 +17,18 @@ import pytest
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
-from repro.core.errors import FuelExhaustedError, ValueCapExceededError
+from repro import obs
+from repro.core.errors import (ExecutionError, FuelExhaustedError,
+                               ValueCapExceededError)
 from repro.flowchart import library as figure_library
 from repro.flowchart.batchpath import K_CAP, K_FUEL, execute_batch
-from repro.flowchart.expr import BoolConst, Const, var
+from repro.flowchart.expr import BoolConst, Const, LoopExpr, var
 from repro.flowchart.fastpath import (LABEL_RULES, compile_flowchart,
                                       execute_compiled)
 from repro.flowchart.interpreter import execute
-from repro.flowchart.structured import (Assign, StructuredProgram, While)
+from repro.flowchart.structured import (Assign, If, StructuredProgram,
+                                        While)
+from repro.surveillance.dynamic import policy_free_runs
 from tests.flowchart.box_graphs import SHAPES, box_graphs, shapes
 
 
@@ -158,21 +162,95 @@ def _squaring_chain(loop):
         name="squaring-loop" if loop else "squaring-chain").compile()
 
 
-@pytest.mark.parametrize("loop", [False, True], ids=["chain", "loop"])
-def test_no_box_past_the_fuel_runs(loop):
-    # Fuel bounds time on every uncapped machine: a block of boxes that
-    # would cross the budget raises before any of them runs.
+#: The faults a budget raises, by fault kind.
+RAISES = {"fuel": FuelExhaustedError, "cap": ValueCapExceededError}
+
+
+@pytest.mark.parametrize("loop, value_cap, faults", [
+    pytest.param(loop, value_cap, faults, id=shape + suffix)
+    for shape, loop in (("chain", False), ("loop", True))
+    for suffix, value_cap, faults in (
+        ("", None, ("fuel", "fuel", "fuel")),
+        ("-cap64", 64, ("fuel", "fuel", "cap")))])
+def test_no_box_past_the_fuel_runs(loop, value_cap, faults):
+    # Fuel bounds time on every machine: a block of boxes that would
+    # cross the budget runs none of them past it.  Under a 64-bit cap
+    # the sixth squaring, inside a budget of 12, breaks the cap first.
     flowchart = _squaring_chain(loop)
-    for fuel in (1, 5, 12):
-        expected = outcome(execute, flowchart, (1,), fuel, None)
-        assert expected[0] == "fuel"
+    capped = value_cap is not None
+    bound = 1 << value_cap if capped else None
+    for fuel, fault in zip((1, 5, 12), faults):
+        expected = outcome(execute, flowchart, (1,), fuel, value_cap)
+        assert expected[0] == fault
         assert outcome(execute_compiled, flowchart, (1,), fuel,
-                       None) == expected
+                       value_cap) == expected
         rows = execute_batch(flowchart, [(1,), (2,)], fuel=fuel,
-                             value_cap=None)
+                             value_cap=value_cap)
         assert [batch_lane_outcome(rows, i) for i in range(2)] == [
             notice(expected)] * 2
         for rule in LABEL_RULES:
-            with pytest.raises(FuelExhaustedError):
-                compile_flowchart(flowchart, rule).function(
-                    (1,), fuel, [], None, None)
+            with pytest.raises(RAISES[fault]):
+                compile_flowchart(flowchart, rule, capped).function(
+                    (1,), fuel, [], value_cap, bound)
+
+
+def _edge_program(loop):
+    # if x1 > 0 { y := x1 * 4096; y := y + 1 }: at input 1 and fuel 2
+    # the two-box block after the decision crosses the budget, and its
+    # first box, inside the budget, faults first: it breaks a cap of 8
+    # bits, or (``loop``) runs a LoopExpr past its own fuel.
+    first = (LoopExpr(BoolConst(True), {"y": var("y") + Const(1)}, "y",
+                      fuel=3)
+             if loop else var("x1") * Const(4096))
+    return StructuredProgram(
+        ["x1"], [If(var("x1").gt(Const(0)),
+                    [Assign("y", first), Assign("y", var("y") + Const(1))])],
+        name="edge-loop" if loop else "edge-cap").compile()
+
+
+@pytest.mark.parametrize("fuel", [2, 3])
+def test_a_cap_broken_inside_the_budget_wins(fuel):
+    flowchart = _edge_program(loop=False)
+    expected = outcome(execute, flowchart, (1,), fuel, 8)
+    assert expected[0] == "cap"
+    assert outcome(execute_compiled, flowchart, (1,), fuel, 8) == expected
+    rows = execute_batch(flowchart, [(1,)], fuel=fuel, value_cap=8)
+    assert batch_lane_outcome(rows, 0) == notice(expected)
+    lanes = {rule: execute_batch(flowchart, [(1,)], fuel=fuel, value_cap=8,
+                                 labels=rule) for rule in LABEL_RULES}
+    assert [batch.kind(0) for batch in lanes.values()] == [K_CAP, K_CAP]
+    # The timed lane keeps the test it made before the fault.
+    walked = policy_free_runs(flowchart, [(1,)], timed=True, fuel=fuel,
+                              value_cap=8)
+    assert lanes["timed"].rows[0][6] == walked[0].first_test == [(1, 1)]
+
+
+@pytest.mark.parametrize("value_cap", [None, 8])
+@pytest.mark.parametrize("fuel", [2, 3])
+def test_a_loop_fault_inside_the_budget_wins(fuel, value_cap):
+    flowchart = _edge_program(loop=True)
+    runs = [lambda: execute(flowchart, (1,), fuel=fuel, value_cap=value_cap),
+            lambda: execute_compiled(flowchart, (1,), fuel=fuel,
+                                     value_cap=value_cap),
+            lambda: execute_batch(flowchart, [(1,)], fuel=fuel,
+                                  value_cap=value_cap)]
+    runs += [lambda rule=rule: execute_batch(
+        flowchart, [(1,)], fuel=fuel, value_cap=value_cap, labels=rule)
+        for rule in LABEL_RULES]
+    faults = []
+    for run in runs:
+        with pytest.raises(ExecutionError) as error:
+            run()
+        faults.append((type(error.value), str(error.value)))
+    assert faults == [(ExecutionError, "LoopExpr exceeded fuel 3")] * 5
+
+
+def test_a_capped_budget_edge_counts_one_fault():
+    flowchart = _edge_program(loop=False)
+    with obs.observed(metrics=True, reset=True) as registry:
+        with pytest.raises(ValueCapExceededError):
+            execute_compiled(flowchart, (1,), fuel=2, value_cap=8)
+        counters = registry.snapshot()["counters"]
+    assert counters["run.value_cap_exceeded"] == 1
+    assert "run.fuel_exhausted" not in counters
+    assert not [name for name in counters if name.startswith("run.count.")]

@@ -13,8 +13,8 @@ import threading
 
 import pytest
 
-from repro.flowchart.fastpath import _LRUMemo
 from repro.obs.metrics import MetricsRegistry
+from repro.serve.cache import _LRUMemo
 
 THREADS = 8
 ROUNDS = 400

@@ -292,9 +292,9 @@ class TestLibraryPrograms:
         compiled = Counter()
         generate = fastpath.generate_source
 
-        def counting(flowchart, labels=None):
+        def counting(flowchart, *args, **kwargs):
             compiled[flowchart.name] += 1
-            return generate(flowchart, labels)
+            return generate(flowchart, *args, **kwargs)
 
         monkeypatch.setattr(fastpath, "generate_source", counting)
         fastpath.clear_caches()

@@ -311,17 +311,19 @@ class TestSharedRuns:
     def test_labelled_sweeps_take_no_walk(self, family, monkeypatch):
         # Channel-free flowcharts run their labels in batch lanes of the
         # labelled function on every shared schedule: the interpreter's
-        # label walk is never taken.
+        # label walk is never taken.  Every label walk starts at
+        # ``_start``; a lane crossing its budget under the cap resumes
+        # the walk mid-block to find its fault, and starts none.
         from repro.surveillance import dynamic
 
         walks = []
-        walk = dynamic._walk
+        start = dynamic._start
 
         def counted(*args, **kwargs):
             walks.append(args[0].name)
-            return walk(*args, **kwargs)
+            return start(*args, **kwargs)
 
-        monkeypatch.setattr(dynamic, "_walk", counted)
+        monkeypatch.setattr(dynamic, "_start", counted)
         for backend in SHARED:
             for schedule in SCHEDULES.values():
                 sweep(family, backend, programs=PROGRAMS + MIXED,

@@ -433,10 +433,10 @@ class TestPlanShippedOnce:
         log = tmp_path / "compilations.log"
         generate_source = fastpath.generate_source
 
-        def counted(flowchart, labels=None):
+        def counted(flowchart, *args, **kwargs):
             with open(log, "a") as handle:
                 handle.write(f"{flowchart.name}\n")
-            return generate_source(flowchart, labels)
+            return generate_source(flowchart, *args, **kwargs)
 
         monkeypatch.setattr(fastpath, "generate_source", counted)
         # Fresh flowcharts: nothing in this process has compiled them.
