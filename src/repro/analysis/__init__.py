@@ -1,22 +1,25 @@
 """flowlint: static analysis for flowchart programs.
 
 A pass-manager-driven analyzer over :class:`repro.flowchart.Flowchart`
-programs.  The centrepiece is the *influence pass* — a static fixpoint
-over the same powerset-of-inputs labels Section 3's surveillance
-mechanism tracks dynamically — which certifies or rejects a program
-against an ``allow(J)`` policy without executing it.  Around it sit a
-timing-channel pass (Theorem 3's observable-time caveat, detected
-statically) and hygiene passes, plus a precision harness quantifying
-what the static verdict gives up against dynamic surveillance and the
-maximal mechanism.
+programs.  The centrepiece is the *influence fixpoint* — one static
+fixpoint over the same powerset-of-inputs labels Section 3's
+surveillance mechanism tracks dynamically, its states kept per (box,
+policy in force) — whose one verdict certifies or rejects a program
+against an ``allow(J)`` policy without executing it, judging each halt
+by the policy in force there.  The influence and epochs passes report
+that verdict; around them sit a timing-channel pass (Theorem 3's
+observable-time caveat, detected statically), the unwinding checker
+and hygiene passes, plus a precision harness quantifying what the
+static verdict gives up against dynamic surveillance and the maximal
+mechanism.
 
-Surface: ``repro lint`` on the CLI; :func:`lint_flowchart` /
+Surface: ``repro lint`` and ``repro explain --static`` on the CLI;
+:func:`lint_flowchart` / :func:`influence_analysis` /
 :func:`precision_harness` from code.
 """
 
 from .diagnostics import Diagnostic, LintReport, Severity
-from .epochs import (DynamicPolicyPass, EpochInfluenceAnalysis,
-                     epoch_influence_analysis, epoch_verdict)
+from .epochs import DynamicPolicyPass
 from .influence import (EMPTY, InfluenceAnalysis, Label, StaticVerdict,
                         influence_analysis, static_verdict)
 from .manager import (AnalysisContext, AnalysisPass, PassManager,
@@ -38,7 +41,6 @@ __all__ = [
     "DivisionByZeroPass",
     "DynamicPolicyPass",
     "EMPTY",
-    "EpochInfluenceAnalysis",
     "InfluenceAnalysis",
     "InfluencePass",
     "Label",
@@ -56,8 +58,6 @@ __all__ = [
     "UnwindingViolation",
     "arm_steps",
     "default_passes",
-    "epoch_influence_analysis",
-    "epoch_verdict",
     "influence_analysis",
     "lint_flowchart",
     "pair_precision",

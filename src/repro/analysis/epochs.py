@@ -1,28 +1,16 @@
-"""Epoch-aware influence: verify every flow against the policy in force
-when the flow *completes*.
+"""Dynamic-policy diagnostics: each flow judged by the policy in force
+when it *completes*.
 
 Van Delft, Hunt, and Sands ("Very Static Enforcement of Dynamic
 Policies") observe that under a policy that changes mid-program, the
 natural security criterion judges each flow by the policy in force at
 the moment the flow reaches the observer — not the policy under which
-the data was written.  The fixed-policy influence fixpoint
-(:mod:`repro.analysis.influence`) checks halts against one J and is
-therefore *unsound* the moment a ``policy_change`` box can tighten the
-policy after a licensed write.
-
-This module generalises the fixpoint: abstract states are keyed by
-``(node, policy-in-force)``, so the analysis tracks, for every box, the
-per-epoch label environment under every policy regime that can be in
-force when control reaches it.  Transfers mirror the dynamic
-surveillance semantics exactly:
-
-- assignment: high-water accumulate of operand ∪ PC ∪ implicit labels
-  (so static labels dominate both surveillance variants per epoch);
-- decision: PC accumulates the test label;
-- ``policy_change(P)``: the state flows into the successor's ``P``
-  bucket — the policy key *changes*, the labels do not;
-- ``downgrade v(D)``: ``v``'s label drops D pointwise (monotone in the
-  entry state, so the fixpoint still converges).
+the data was written.  The influence fixpoint
+(:mod:`repro.analysis.influence`) already keeps its states per (box,
+policy in force) and its verdict checks every halt against the policy
+in force there; this pass reports that verdict on flowcharts with
+``policy_change``/``downgrade`` boxes, one diagnostic per failing
+(halt, policy in force) check, plus what only a policy change shows.
 
 Diagnostics:
 
@@ -43,231 +31,12 @@ DYN003    info      a halt is reachable under several distinct in-force
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import FrozenSet, List, Optional, Set
 
-from ..core.errors import PolicyError
-from ..core.policy import AllowPolicy
-from ..flowchart.boxes import (AssignBox, DecisionBox, DowngradeBox, HaltBox,
-                               NodeId, PolicyChangeBox, RecvBox, SendBox)
+from ..flowchart.boxes import HaltBox, NodeId
 from ..flowchart.program import Flowchart
-from ..staticflow.cfgcertify import control_dependencies
 from .diagnostics import Diagnostic, Severity
-from .influence import StaticVerdict
 from .manager import AnalysisContext, AnalysisPass
-
-Label = FrozenSet[int]
-PolicyKey = FrozenSet[int]
-
-EMPTY: Label = frozenset()
-
-
-class EpochInfluenceAnalysis:
-    """Fixpoint result keyed by (node, policy-in-force).
-
-    ``var_states[n][P]`` / ``pc_states[n][P]`` are *entry* states: the
-    label environment when control arrives at ``n`` with policy ``P``
-    in force.  ``iterations`` counts fixpoint sweeps over the graph.
-    """
-
-    def __init__(self, flowchart: Flowchart, initial_allowed: Label,
-                 var_states: Dict[NodeId, Dict[PolicyKey, Dict[str, Label]]],
-                 pc_states: Dict[NodeId, Dict[PolicyKey, Label]],
-                 iterations: int) -> None:
-        self.flowchart = flowchart
-        self.initial_allowed = frozenset(initial_allowed)
-        self.var_states = var_states
-        self.pc_states = pc_states
-        self.iterations = iterations
-
-    def policies_at(self, node: NodeId) -> List[PolicyKey]:
-        """The in-force policies under which ``node`` is reachable."""
-        return sorted(self.var_states.get(node, {}), key=sorted)
-
-    def label_at(self, node: NodeId, variable: str,
-                 policy: Optional[PolicyKey] = None) -> Label:
-        """Entry label of ``variable`` at ``node``.
-
-        With ``policy``, the label in that epoch bucket; without, the
-        union over every in-force policy (the epoch-blind summary).
-        """
-        buckets = self.var_states.get(node, {})
-        if policy is not None:
-            return buckets.get(frozenset(policy), {}).get(variable, EMPTY)
-        label: Label = EMPTY
-        for state in buckets.values():
-            label |= state.get(variable, EMPTY)
-        return label
-
-    def pc_at(self, node: NodeId,
-              policy: Optional[PolicyKey] = None) -> Label:
-        buckets = self.pc_states.get(node, {})
-        if policy is not None:
-            return buckets.get(frozenset(policy), EMPTY)
-        label: Label = EMPTY
-        for pc in buckets.values():
-            label |= pc
-        return label
-
-    def halt_observations(self) -> Dict[NodeId, Dict[PolicyKey, Label]]:
-        """Per-halt, per-in-force-policy observable label ``ȳ ∪ C̄``."""
-        output = self.flowchart.output_variable
-        observations: Dict[NodeId, Dict[PolicyKey, Label]] = {}
-        for halt_id in self.flowchart.halt_ids():
-            row: Dict[PolicyKey, Label] = {}
-            for policy_key, state in self.var_states.get(halt_id,
-                                                         {}).items():
-                row[policy_key] = (state.get(output, EMPTY)
-                                   | self.pc_states[halt_id][policy_key])
-            observations[halt_id] = row
-        return observations
-
-    def verdict(self) -> StaticVerdict:
-        """Certified iff every (halt, in-force policy) check passes.
-
-        Reuses :class:`~repro.analysis.influence.StaticVerdict` so the
-        precision harness consumes either verdict uniformly;
-        ``halt_labels`` carries the per-halt label union and ``allowed``
-        the *initial* policy (each epoch was checked against its own).
-        """
-        certified = True
-        halt_labels: Dict[NodeId, Label] = {}
-        output_label: Label = EMPTY
-        for halt_id, row in self.halt_observations().items():
-            union: Label = EMPTY
-            for policy_key, label in row.items():
-                union |= label
-                if not label <= policy_key:
-                    certified = False
-            halt_labels[halt_id] = union
-            output_label |= union
-        return StaticVerdict(certified, output_label, self.initial_allowed,
-                             halt_labels)
-
-    def __repr__(self) -> str:
-        buckets = sum(len(row) for row in self.var_states.values())
-        return (f"EpochInfluenceAnalysis({self.flowchart.name}: "
-                f"{len(self.var_states)} boxes, {buckets} epoch states, "
-                f"iterations={self.iterations})")
-
-
-def epoch_influence_analysis(flowchart: Flowchart,
-                             initial_allowed: Label
-                             ) -> EpochInfluenceAnalysis:
-    """Run the per-epoch influence fixpoint.
-
-    Entry states per (node, in-force policy); merge is pointwise union
-    within a bucket and bucket creation across policies.  All transfers
-    are monotone in the entry state (including the downgrade's constant
-    set-difference), so iteration over the finite lattice terminates.
-    """
-    order = flowchart.reachable_from(flowchart.start_id)
-    predecessors = flowchart.predecessors()
-    dependencies = control_dependencies(flowchart)
-    initial_policy: PolicyKey = frozenset(initial_allowed)
-
-    initial_vars: Dict[str, Label] = {
-        name: frozenset((position,))
-        for position, name in enumerate(flowchart.input_variables, 1)}
-
-    var_states: Dict[NodeId, Dict[PolicyKey, Dict[str, Label]]] = {
-        node: {} for node in order}
-    pc_states: Dict[NodeId, Dict[PolicyKey, Label]] = {
-        node: {} for node in order}
-    var_states[flowchart.start_id] = {initial_policy: dict(initial_vars)}
-    pc_states[flowchart.start_id] = {initial_policy: EMPTY}
-
-    def read_label(state: Dict[str, Label], names) -> Label:
-        label: Label = EMPTY
-        for name in names:
-            label |= state.get(name, EMPTY)
-        return label
-
-    def implicit_label(node: NodeId) -> Label:
-        """Rule-2 implicit flows, epoch-blind (union over buckets —
-        a sound over-approximation of the controlling tests' labels)."""
-        label: Label = EMPTY
-        for decision_id in dependencies[node]:
-            decision = flowchart.boxes[decision_id]
-            for state in var_states[decision_id].values():
-                label |= read_label(state, decision.predicate.variables())
-        return label
-
-    def out_states(node: NodeId
-                   ) -> List[Tuple[PolicyKey, Dict[str, Label], Label]]:
-        """Transfer every bucket of ``node`` through its box."""
-        box = flowchart.boxes[node]
-        results = []
-        for policy_key in var_states[node]:
-            state = dict(var_states[node][policy_key])
-            pc = pc_states[node][policy_key]
-            out_policy = policy_key
-            if isinstance(box, AssignBox):
-                incoming = (read_label(state, box.expression.variables())
-                            | pc | implicit_label(node))
-                state[box.target] = state.get(box.target, EMPTY) | incoming
-            elif isinstance(box, DecisionBox):
-                pc = pc | read_label(state, box.predicate.variables())
-            elif isinstance(box, PolicyChangeBox):
-                out_policy = frozenset(box.allowed)
-            elif isinstance(box, DowngradeBox):
-                dropped = frozenset(box.indices)
-                state[box.variable] = state.get(box.variable,
-                                                EMPTY) - dropped
-            elif isinstance(box, SendBox):
-                # Channel pseudo-variable transfer, mirroring the plain
-                # influence fixpoint (see repro.analysis.influence).
-                key = f"#chan:{box.channel}"
-                incoming = (read_label(state, (box.variable,))
-                            | pc | implicit_label(node))
-                state[key] = state.get(key, EMPTY) | incoming
-            elif isinstance(box, RecvBox):
-                key = f"#chan:{box.channel}"
-                incoming = state.get(key, EMPTY) | pc | implicit_label(node)
-                state[box.variable] = (state.get(box.variable, EMPTY)
-                                       | incoming)
-            results.append((out_policy, state, pc))
-        return results
-
-    iterations = 0
-    changed = True
-    while changed:
-        iterations += 1
-        changed = False
-        for node in order:
-            if node == flowchart.start_id:
-                continue
-            for predecessor in predecessors[node]:
-                for policy_key, state, pc in out_states(predecessor):
-                    bucket = var_states[node].setdefault(policy_key, {})
-                    for name, label in state.items():
-                        combined = bucket.get(name, EMPTY) | label
-                        if combined != bucket.get(name):
-                            bucket[name] = combined
-                            changed = True
-                    old_pc = pc_states[node].get(policy_key)
-                    combined_pc = (old_pc or EMPTY) | pc
-                    if combined_pc != old_pc:
-                        pc_states[node][policy_key] = combined_pc
-                        changed = True
-
-    return EpochInfluenceAnalysis(flowchart, initial_allowed, var_states,
-                                  pc_states, iterations)
-
-
-def epoch_verdict(flowchart: Flowchart, policy: AllowPolicy,
-                  analysis: Optional[EpochInfluenceAnalysis] = None
-                  ) -> StaticVerdict:
-    """Convenience: epoch fixpoint + completion-time verdict."""
-    if not isinstance(policy, AllowPolicy):
-        raise PolicyError(
-            "the epoch verdict is defined for allow(...) policies")
-    if policy.arity != flowchart.arity:
-        raise PolicyError(
-            f"policy arity {policy.arity} != flowchart arity "
-            f"{flowchart.arity}")
-    if analysis is None or analysis.initial_allowed != policy.allowed:
-        analysis = epoch_influence_analysis(flowchart, policy.allowed)
-    return analysis.verdict()
 
 
 def _live_after(flowchart: Flowchart, node: NodeId) -> FrozenSet[str]:
@@ -289,13 +58,13 @@ def _live_after(flowchart: Flowchart, node: NodeId) -> FrozenSet[str]:
 
 
 class DynamicPolicyPass(AnalysisPass):
-    """Epoch-aware soundness verdict for dynamic-policy flowcharts.
+    """The influence verdict on dynamic-policy flowcharts.
 
-    Owns the FLOW-style certification whenever the flowchart contains
-    ``policy_change``/``downgrade`` boxes (the plain influence pass
-    defers — its single-policy verdict is unsound there); emits
-    DYN001/DYN002/DYN003 plus a FLOW002 certification info when every
-    epoch checks out.  Skips classic flowcharts entirely.
+    Reports certification whenever the flowchart contains
+    ``policy_change``/``downgrade`` boxes (the influence pass reports
+    the others): DYN001 per failing (halt, policy in force) check,
+    DYN002/DYN003, and a FLOW002 certification info when every epoch
+    checks out.  Skips classic flowcharts entirely.
     """
 
     name = "epochs"
@@ -308,38 +77,36 @@ class DynamicPolicyPass(AnalysisPass):
         flowchart = context.flowchart
         if not flowchart.has_dynamic_policy():
             return []
-        analysis = context.epoch_influence()
+        analysis = context.influence()
         self.iterations = analysis.iterations
+        verdict = analysis.verdict(context.policy)
         diagnostics: List[Diagnostic] = []
 
-        observations = analysis.halt_observations()
-        certified = True
+        observations = verdict.observations
         for halt_id in sorted(observations, key=str):
             row = observations[halt_id]
-            for policy_key in sorted(row, key=sorted):
-                label = row[policy_key]
-                excess = label - policy_key
+            in_force_order = sorted(row, key=sorted)
+            for in_force in in_force_order:
+                label = row[in_force]
+                excess = label - in_force
                 if excess:
-                    certified = False
                     diagnostics.append(Diagnostic(
                         "DYN001", Severity.ERROR, self.name,
                         f"flow completes under policy "
-                        f"allow({sorted(policy_key)}) which does not admit "
+                        f"allow({sorted(in_force)}) which does not admit "
                         f"input(s) {sorted(excess)} "
                         f"(observable influence {sorted(label)})",
                         node=halt_id,
-                        data={"in_force": sorted(policy_key),
+                        data={"in_force": sorted(in_force),
                               "influence": sorted(label),
                               "excess": sorted(excess)}))
             if len(row) > 1:
+                policies = [sorted(key) for key in in_force_order]
                 diagnostics.append(Diagnostic(
                     "DYN003", Severity.INFO, self.name,
                     f"halt reachable under {len(row)} distinct in-force "
-                    f"policies: "
-                    f"{[sorted(key) for key in sorted(row, key=sorted)]}",
-                    node=halt_id,
-                    data={"policies": [sorted(key)
-                                       for key in sorted(row, key=sorted)]}))
+                    f"policies: {policies}",
+                    node=halt_id, data={"policies": policies}))
 
         inputs = frozenset(flowchart.input_variables)
         for change_id in sorted(flowchart.policy_change_ids(), key=str):
@@ -347,9 +114,9 @@ class DynamicPolicyPass(AnalysisPass):
             new_policy = frozenset(box.allowed)
             live = _live_after(flowchart, change_id) - inputs
             for old_policy in analysis.policies_at(change_id):
-                state = analysis.var_states[change_id][old_policy]
                 for variable in sorted(live):
-                    label = state.get(variable, EMPTY)
+                    label = analysis.label_at(change_id, variable,
+                                              old_policy)
                     if (label and label <= old_policy
                             and not label <= new_policy):
                         diagnostics.append(Diagnostic(
@@ -364,14 +131,13 @@ class DynamicPolicyPass(AnalysisPass):
                                   "old_policy": sorted(old_policy),
                                   "new_policy": sorted(box.allowed)}))
 
-        if certified:
-            verdict = analysis.verdict()
+        if verdict.certified:
             diagnostics.append(Diagnostic(
                 "FLOW002", Severity.INFO, self.name,
                 f"statically certified across all epochs: every halt's "
                 f"observable influence fits the policy in force there "
                 f"(output influence {sorted(verdict.output_label)})",
                 data={"output_label": sorted(verdict.output_label),
-                      "initial_allowed": sorted(analysis.initial_allowed),
+                      "initial_allowed": sorted(verdict.allowed),
                       "iterations": analysis.iterations}))
         return diagnostics

@@ -40,7 +40,6 @@ class AnalysisContext:
         self._control_dependencies = None
         self._influence: Optional[InfluenceAnalysis] = None
         self._predecessors = None
-        self._epoch_influence = None
         self._unwinding = None
 
     def dominators(self) -> Dict[NodeId, FrozenSet[NodeId]]:
@@ -59,25 +58,17 @@ class AnalysisContext:
         return self._control_dependencies
 
     def influence(self) -> InfluenceAnalysis:
+        """The influence fixpoint, epoch 0 keyed by the policy if any."""
         if self._influence is None:
-            self._influence = influence_analysis(self.flowchart)
+            self._influence = influence_analysis(
+                self.flowchart,
+                None if self.policy is None else self.policy.allowed)
         return self._influence
 
     def predecessors(self):
         if self._predecessors is None:
             self._predecessors = self.flowchart.predecessors()
         return self._predecessors
-
-    def epoch_influence(self):
-        """Epoch-aware influence fixpoint (requires a policy)."""
-        if self._epoch_influence is None:
-            if self.policy is None:
-                raise ValueError(
-                    "epoch influence analysis requires a policy")
-            from .epochs import epoch_influence_analysis
-            self._epoch_influence = epoch_influence_analysis(
-                self.flowchart, self.policy.allowed)
-        return self._epoch_influence
 
     def unwinding(self):
         """Exact-state unwinding check (requires a policy)."""
@@ -123,9 +114,6 @@ class PassManager:
                 f"duplicate pass name {analysis_pass.name!r}")
         self.passes.append(analysis_pass)
         return self
-
-    def pass_names(self) -> List[str]:
-        return [analysis_pass.name for analysis_pass in self.passes]
 
     def run(self, flowchart: Flowchart,
             policy: Optional[AllowPolicy] = None) -> LintReport:

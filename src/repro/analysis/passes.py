@@ -7,12 +7,13 @@ code      severity  meaning
 ========  ========  =====================================================
 FLOW001   error     static influence verdict: output may depend on a
                     disallowed input (per offending halt box)
-FLOW002   info      static influence verdict: certified (output label
-                    within the policy) — emitted by the plain influence
-                    pass on fixed-policy flowcharts and by the epoch
-                    pass on dynamic-policy ones
-DYN001    error     epoch verdict: a flow completes under an in-force
-                    policy that does not admit its influence (see
+FLOW002   info      static influence verdict: certified (every halt's
+                    label within the policy in force there) — emitted
+                    by the influence pass on fixed-policy flowcharts and
+                    by the epochs pass on dynamic-policy ones
+DYN001    error     the same verdict on a dynamic-policy flowchart: a
+                    flow completes under an in-force policy that does
+                    not admit its influence (see
                     :mod:`repro.analysis.epochs`)
 DYN002    warning   a flow licensed at write time is retroactively
                     disallowed by a later policy change
@@ -70,9 +71,8 @@ class InfluencePass(AnalysisPass):
 
     def run(self, context: AnalysisContext) -> List[Diagnostic]:
         if context.flowchart.has_dynamic_policy():
-            # A single-policy verdict is unsound once the policy can
-            # change mid-program (a later `policy allow(...)` may
-            # tighten it); the epoch pass owns certification there.
+            # The epochs pass reports this verdict per (halt, policy in
+            # force) on flowcharts that change or downgrade policies.
             return []
         analysis = context.influence()
         self.iterations = analysis.iterations

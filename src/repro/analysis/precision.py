@@ -28,11 +28,12 @@ completeness gap is everything else: pairs where the ladder's lower
 rungs reject inputs the upper rungs accept.
 
 Pair *families*: classic pairs (no dynamic-policy boxes) keep the
-ladder above verbatim.  ``policy-change`` and ``downgrader`` pairs use
-the epoch-aware verdict (:mod:`repro.analysis.epochs`) as their static
-rung and the *dynamic surveillance monitor* as their semantic soundness
-reference — the fixed-policy NI baseline (``exhaustive_sound``) is
-still reported but no longer arbitrates ``unsound_static``, because an
+ladder above verbatim.  ``policy-change`` and ``downgrader`` pairs share
+the static rung (the influence verdict judges each halt by the policy
+in force there) and take the *dynamic surveillance monitor* as their
+semantic soundness reference — the fixed-policy NI baseline
+(``exhaustive_sound``) is still reported but no longer arbitrates
+``unsound_static``, because an
 admitted intransitive downgrade *intentionally* violates NI while being
 exactly the behaviour the dynamic policy licenses.  Downgrader pairs
 additionally record the unwinding checker's explored state-space size
@@ -294,17 +295,10 @@ def pair_precision(flowchart: Flowchart, policy, domain,
     else:
         family = "classic"
 
+    static = influence_analysis(flowchart).verdict(policy).certified
     unwinding_certified = unwinding_states = unwinding_iterations = None
-    if family == "classic":
-        analysis = influence_analysis(flowchart)
-        static = analysis.verdict(policy).certified
-    else:
-        # The single-policy influence verdict is unsound under a
-        # mid-program policy change; the epoch verdict owns the static
-        # rung for dynamic families.
-        from .epochs import epoch_verdict
+    if family != "classic":
         from .unwinding import unwinding_check
-        static = epoch_verdict(flowchart, policy).certified
         unwinding = unwinding_check(flowchart, policy)
         unwinding_certified = unwinding.certified
         unwinding_states = unwinding.states_explored

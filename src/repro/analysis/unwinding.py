@@ -17,12 +17,13 @@ monitor's own state space:
   allowed by the in-force policy nor discharged by the downgrade leaks
   through the decision to declassify.
 
-Unlike the epoch fixpoint (:mod:`repro.analysis.epochs`), which merges
-states per (node, policy) bucket, the unwinding checker enumerates the
-monitor's *exact* reachable abstract states — no merging — so it is a
-decision procedure for the finite label space rather than an
-approximation.  It records the explored state-space size and worklist
-iteration count; the precision harness persists both per pair.
+Unlike the influence fixpoint (:mod:`repro.analysis.influence`), which
+merges states per (box, policy in force), the unwinding checker
+enumerates the monitor's *exact* reachable abstract states — no
+merging — so it is a decision procedure for the finite label space
+rather than an approximation.  It records the explored state-space
+size and worklist iteration count; the precision harness persists both
+per pair.
 """
 
 from __future__ import annotations

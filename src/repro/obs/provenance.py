@@ -16,10 +16,12 @@ Two producers build the same :class:`Explanation` record:
   interpreter-level mechanism, the instrumented flowchart, and the
   compiled backend are extensionally equal (bench E04), this one
   derivation explains a rejection from *any* execution backend.
-- :func:`explain_static` reads the flowlint influence fixpoint
-  (:mod:`repro.analysis.influence`) and lists the assignments and
-  decisions whose static labels carry the excess indices — the
-  compile-time counterpart, defined even without a concrete point.
+- :func:`explain_static` reads the flowlint influence fixpoint and
+  its one verdict (:mod:`repro.analysis.influence`, the verdict
+  ``repro lint`` reports) and lists the assignments and decisions
+  whose static labels carry the excess indices, ending at each
+  (halt, policy in force) check — the compile-time counterpart,
+  defined even without a concrete point.
 
 When the runtime's ``explain`` flag is on
 (``obs.enable(..., explain=True)``), the surveillance mechanisms and
@@ -333,17 +335,29 @@ def explain_static(flowchart: "Flowchart",
 
     Lists, in reachability order, every assignment whose static label
     carries an excess index and every decision whose test label does,
-    ending at the halt boxes whose observable label escapes J.  This is
-    the chain a flowlint FLOW001 rejection is justified by.
+    ending at the (halt, policy in force) checks whose observable label
+    escapes that policy.  This is the chain behind flowlint's verdict:
+    the same analysis and the same verdict, so it accepts exactly the
+    pairs ``repro lint`` certifies (FLOW002).
     """
     from ..analysis.influence import influence_analysis
-    from ..flowchart.boxes import AssignBox, DecisionBox, HaltBox
+    from ..flowchart.boxes import AssignBox, DecisionBox
 
-    analysis = influence_analysis(flowchart)
+    analysis = influence_analysis(flowchart, policy.allowed)
     verdict = analysis.verdict(policy)
     allowed = policy.allowed
     excess = verdict.excess
     focus = excess if excess else verdict.output_label
+
+    def check_text(label, in_force) -> str:
+        # Name the policy a check ran against when it is not J: after
+        # a policy_change the halt answers to the policy in force there.
+        text = (f"{_label_text(label)} {'⊆' if label <= in_force else '⊄'}"
+                f" J = {_label_text(in_force)}")
+        return text if in_force == allowed else text + " (in force)"
+
+    def j_first(in_force):
+        return in_force != allowed, sorted(in_force)
 
     chain: List[ChainStep] = []
     for position, name in enumerate(flowchart.input_variables, 1):
@@ -384,27 +398,32 @@ def explain_static(flowchart: "Flowchart",
                     None, test_label,
                     sorted(box.predicate.variables())))
 
-    halt_labels = analysis.halt_labels()
+    # One check per (halt, policy in force) and ȳ per policy in force
+    # for the clause: the failing ones on a rejection, all on a
+    # certificate.
     site: Optional[NodeId] = None
-    for halt_id, label in halt_labels.items():
-        escaped = label - allowed
-        if (escaped and verdict.certified is False) or (
-                not excess and isinstance(flowchart.boxes[halt_id],
-                                          HaltBox)):
-            chain.append(ChainStep(
-                None, halt_id, "check",
-                f"halt: observable label {_label_text(label)} "
-                f"{'⊆' if label <= allowed else '⊄'} "
-                f"J = {_label_text(allowed)}",
-                None, label))
+    observed: Dict[frozenset, frozenset] = {}
+    for halt_id, row in verdict.observations.items():
+        for in_force in sorted(row, key=j_first):
+            label = row[in_force]
+            observed[in_force] = observed.get(in_force, frozenset()) | label
+            escaped = label - in_force
+            if escaped or not excess:
+                chain.append(ChainStep(
+                    None, halt_id, "check",
+                    f"halt: observable label {check_text(label, in_force)}",
+                    None, label))
             if escaped and site is None:
                 site = halt_id
-    if site is None and halt_labels:
-        site = next(iter(sorted(halt_labels)))
+    if site is None and verdict.halt_labels:
+        site = next(iter(sorted(verdict.halt_labels)))
 
-    clause = (f"static verdict: ȳ = {_label_text(verdict.output_label)} "
-              f"{'⊆' if verdict.certified else '⊄'} "
-              f"J = {_label_text(allowed)}")
+    clause = "static verdict: " + "; ".join(
+        f"ȳ = {check_text(label, in_force)}"
+        for in_force, label in sorted(
+            (observed or {allowed: frozenset()}).items(),
+            key=lambda item: j_first(item[0]))
+        if not excess or not label <= in_force)
     return Explanation(
         flowchart.name, policy.name, None,
         "accepted" if verdict.certified else "violation",

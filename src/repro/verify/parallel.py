@@ -134,8 +134,7 @@ from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor,
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.domains import ProductDomain
-from ..core.errors import (FuelExhaustedError, MessageError, ReproError,
-                           SweepInterruptedError, ValueCapExceededError)
+from ..core.errors import ReproError, SweepInterruptedError
 from ..core.mechanism import (ViolationNotice, is_violation,
                               program_mechanism_name)
 from ..core.policy import AllowPolicy, allow
@@ -147,8 +146,9 @@ from ..obs import runtime as _obs
 from ..obs.audit import (AuditLedger, RecordHead, RecordLine,
                          budget_fingerprint, canonical_object_around,
                          classify_notice, decision_payload)
-from ..robustness.faults import (cap_notice, crash_notice, fuel_notice,
-                                 message_notice, resolve_value_cap)
+from ..robustness.faults import (DECLARED_FAULTS, cap_notice, crash_notice,
+                                 fault_notice, fuel_notice,
+                                 resolve_value_cap)
 from ..surveillance.dynamic import policy_free_runs, surveillance_name
 from ..surveillance.instrument import (EPOCH_VAR, PC_LABEL, VIOLATION_FLAG,
                                        instrument, instrumented_name,
@@ -263,12 +263,8 @@ def evaluate_chunk(mechanism, policy, points: Iterable[Tuple],
         try:
             try:
                 output = mechanism(*point)
-            except FuelExhaustedError as error:
-                output = fuel_notice(error.fuel)
-            except ValueCapExceededError as error:
-                output = cap_notice(error.cap)
-            except MessageError as error:
-                output = message_notice(error.detail)
+            except DECLARED_FAULTS as error:
+                output = fault_notice(error)
         finally:
             _obs.span_finish(point_span)
         outputs.append(output)
@@ -378,7 +374,6 @@ def _evaluate_chunk_batch(flowchart: Flowchart, family: str,
                           policies: Sequence[AllowPolicy],
                           points: List[Tuple], fuel: int,
                           value_cap: Optional[int],
-                          span: Optional[str] = None,
                           plan: Optional[chaos.FaultPlan] = None
                           ) -> List[ChunkSummary]:
     """Every policy's summary of a chunk, from runs they all share.
@@ -404,11 +399,9 @@ def _evaluate_chunk_batch(flowchart: Flowchart, family: str,
     A chaos poison point raises ``MemoryError`` *before* anything
     executes; the caller's quarantine machinery then bisects the chunk
     per-point exactly as it would a per-point chunk, so quarantined
-    rows agree across backends.  ``span`` is accepted for signature
-    symmetry: the batch path records chunk-level tallies, not
-    per-point spans.
+    rows agree across backends.  The batch path records chunk-level
+    tallies, not per-point spans.
     """
-    del span  # no per-point spans on the batch path
     if plan is None:
         plan = chaos.current_plan()
     if plan is not None:
@@ -1176,21 +1169,9 @@ class _Recorder:
                     _obs.inc("sweep.checkpoints_written")
                     _obs.emit("checkpoint_written", pair=pair_index,
                               chunk=chunk_index, accepts=summary.accepts)
-            chunk_span = self.chunk_spans.pop(key, None)
-            _obs.span_finish(chunk_span, accepts=summary.accepts)
             self.seconds[pair_index] += elapsed
-            # Point accounting happens here, in the parent, so process
-            # pool sweeps (whose workers carry their own disabled
-            # registries) still report complete sweep.points_* counters.
-            if _obs.active:
-                _obs.record_chunk_evaluated(len(points), summary.accepts)
-                _obs.inc("sweep.chunks_done")
-                fields = {"pair": pair_index, "chunk": chunk_index,
-                          "points": len(points), "accepts": summary.accepts,
-                          "elapsed_s": round(elapsed, 6)}
-                if chunk_span is not None:
-                    fields["span"] = chunk_span.id
-                _obs.emit("chunk_done", **fields)
+            self._chunk_done(pair_index, chunk_index, len(points),
+                             summary.accepts, elapsed)
             self.remaining[pair_index] -= 1
             if self.remaining[pair_index] == 0:
                 self._merge(pair_index, self.seconds[pair_index] or
@@ -1205,16 +1186,31 @@ class _Recorder:
         """The one-chunk path: each pair's only summary is its row."""
         pair_indices, _, points = task
         for pair_index, summary in zip(pair_indices, summaries):
-            _obs.span_finish(self.chunk_spans.pop((pair_index, 0), None),
-                             accepts=summary.accepts)
-            if _obs.active:
-                _obs.inc("sweep.chunks_done")
-                _obs.record_chunk_evaluated(len(points), summary.accepts)
+            self._chunk_done(pair_index, 0, len(points), summary.accepts,
+                             elapsed)
             # Folding a single summary through merge_chunks would
             # rebuild its class dict only to rediscover its own
             # conflict flag.
             self._finish(pair_index, not summary.conflict, summary.accepts,
                          elapsed, {summary.backend: 1})
+
+    def _chunk_done(self, pair_index: int, chunk_index: int, points: int,
+                    accepts: int, elapsed: float) -> None:
+        """Close a chunk's span and count its points."""
+        chunk_span = self.chunk_spans.pop((pair_index, chunk_index), None)
+        _obs.span_finish(chunk_span, accepts=accepts)
+        # Point accounting happens here, in the parent, so process
+        # pool sweeps (whose workers carry their own disabled
+        # registries) still report complete sweep.points_* counters.
+        if _obs.active:
+            _obs.record_chunk_evaluated(points, accepts)
+            _obs.inc("sweep.chunks_done")
+            fields = {"pair": pair_index, "chunk": chunk_index,
+                      "points": points, "accepts": accepts,
+                      "elapsed_s": round(elapsed, 6)}
+            if chunk_span is not None:
+                fields["span"] = chunk_span.id
+            _obs.emit("chunk_done", **fields)
 
     def _merge(self, pair_index: int, seconds: float) -> None:
         """Fold a pair's chunk summaries, in domain order, into its row."""

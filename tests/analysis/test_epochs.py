@@ -1,8 +1,8 @@
-"""Tests for the epoch-aware influence fixpoint (DYN001–DYN003).
+"""Tests for the influence verdict on dynamic policies (DYN001–DYN003).
 
 The core obligations:
 
-- the epoch verdict judges each flow by the policy in force when it
+- the verdict judges each flow by the policy in force when it
   *completes* (van Delft/Hunt/Sands), so a tightening policy change is
   rejected even though the write was licensed when it happened;
 - per-epoch static labels dominate the dynamic monitor's labels at
@@ -15,8 +15,8 @@ The core obligations:
 
 import pytest
 
-from repro.analysis import (DynamicPolicyPass, epoch_influence_analysis,
-                            epoch_verdict, lint_flowchart)
+from repro.analysis import (DynamicPolicyPass, influence_analysis,
+                            lint_flowchart, static_verdict)
 from repro.core.policy import AllowPolicy
 from repro.flowchart.library import (downgrade_guarded_program,
                                      downgrade_launder_program,
@@ -43,42 +43,54 @@ class TestEpochVerdict:
         # so no initial policy can license it.
         fc = policy_tighten_program()
         for policy in all_allow_policies(2):
-            assert not epoch_verdict(fc, policy).certified
+            assert not static_verdict(fc, policy).certified
 
     def test_loosening_certified_under_every_policy(self):
         # y := x1 + x2; policy allow(1, 2): completion-time policy
         # admits everything regardless of the initial one.
         fc = policy_loosen_program()
         for policy in all_allow_policies(2):
-            assert epoch_verdict(fc, policy).certified
+            assert static_verdict(fc, policy).certified
 
     def test_fixed_policy_influence_would_be_unsound_here(self):
-        # The latent bug this subsystem exists to close: the
-        # single-policy influence verdict certifies the tightening
-        # program against allow(1) — the dynamic monitor rejects every
-        # input.  The epoch verdict must disagree with the fixed one.
-        from repro.analysis import influence_analysis
-
+        # A verdict that checked every halt against the initial J
+        # would certify the tightening program against allow(1), yet
+        # the dynamic monitor rejects every input.  The one verdict
+        # checks the halt against the policy in force there.
         fc = policy_tighten_program()
         policy = AllowPolicy([1], 2)
-        assert influence_analysis(fc).verdict(policy).certified
-        assert not epoch_verdict(fc, policy).certified
+        assert not influence_analysis(fc).verdict(policy).certified
+        assert not influence_analysis(
+            fc, policy.allowed).verdict(policy).certified
         assert all(surveil(fc, point, policy.allowed).violated
                    for point in GRID)
+
+    def test_verdict_does_not_depend_on_the_epoch0_key(self):
+        # Epoch 0 is keyed by whatever J the analysis ran with, or by
+        # None; every key gives every J the same checks.
+        for fc in dynamic_policy_suite():
+            policies = all_allow_policies(fc.arity)
+            unkeyed = influence_analysis(fc)
+            for policy in policies:
+                expected = unkeyed.verdict(policy).observations
+                for other in policies:
+                    keyed = influence_analysis(fc, other.allowed)
+                    assert keyed.verdict(policy).observations == expected, (
+                        fc.name, policy.name, other.name)
 
     def test_downgrade_discharges_designated_indices(self):
         # y := x1 + x2; downgrade y(2): statically certified for
         # allow(1) because the admitted edge dropped index 2.
         fc = downgrade_partial_program()
-        assert epoch_verdict(fc, AllowPolicy([1], 2)).certified
-        assert not epoch_verdict(fc, AllowPolicy([2], 2)).certified
+        assert static_verdict(fc, AllowPolicy([1], 2)).certified
+        assert not static_verdict(fc, AllowPolicy([2], 2)).certified
 
     def test_certified_implies_monitor_accepts_grid(self):
         # Static-epoch certification must imply the dynamic monitor
         # never fires — the family's soundness obligation.
         for fc in dynamic_policy_suite():
             for policy in all_allow_policies(fc.arity):
-                if epoch_verdict(fc, policy).certified:
+                if static_verdict(fc, policy).certified:
                     for point in GRID:
                         assert not surveil(fc, point,
                                            policy.allowed).violated, \
@@ -111,8 +123,8 @@ class TestDiagnostics:
         assert "DYN001" not in found
         assert report.exit_code == 0
         flow002 = [d for d in report.diagnostics if d.code == "FLOW002"]
-        # The certification came from the epoch pass, not the (gated)
-        # fixed-policy influence pass.
+        # The certification came from the epochs pass; the influence
+        # pass stays silent on dynamic flowcharts.
         assert all(d.pass_name == "epochs" for d in flow002)
 
     def test_influence_pass_defers_on_dynamic_flowcharts(self):
@@ -135,7 +147,7 @@ class TestPerEpochContainment:
                              ids=lambda fc: fc.name)
     def test_static_dominates_dynamic_per_bucket(self, flowchart):
         for policy in all_allow_policies(flowchart.arity):
-            analysis = epoch_influence_analysis(flowchart, policy.allowed)
+            analysis = influence_analysis(flowchart, policy.allowed)
             observed = []
 
             def observer(node, labels, pc_label, active, epoch):
@@ -160,7 +172,7 @@ class TestPerEpochContainment:
         # post-loop assignment is reachable under the initial policy
         # (zero iterations) and under allow(1).
         fc = policy_loop_program()
-        analysis = epoch_influence_analysis(fc, frozenset((2,)))
+        analysis = influence_analysis(fc, frozenset((2,)))
         halt = next(iter(fc.halt_ids()))
         assert len(analysis.policies_at(halt)) == 2
 
@@ -191,4 +203,4 @@ class TestPassPlumbing:
         # tightening rejection above.
         fc = downgrade_launder_program()
         for policy in all_allow_policies(2):
-            assert epoch_verdict(fc, policy).certified
+            assert static_verdict(fc, policy).certified

@@ -2,8 +2,8 @@
 
 Obligations:
 
-- the exact reachable-state enumeration agrees with the epoch fixpoint
-  on certification across the whole dynamic suite × every policy (the
+- the exact reachable-state enumeration agrees with the influence
+  verdict on certification across the whole dynamic suite × every policy (the
   fixpoint is an approximation; on this finite label space the two
   must coincide on the library);
 - INT001 (local respect) fires exactly when some reachable observation
@@ -13,7 +13,7 @@ Obligations:
 - state-space size and iteration counts are recorded and positive.
 """
 
-from repro.analysis import (UnwindingPass, epoch_verdict, lint_flowchart,
+from repro.analysis import (UnwindingPass, lint_flowchart, static_verdict,
                             unwinding_check)
 from repro.core.policy import AllowPolicy
 from repro.flowchart.library import (downgrade_guarded_program,
@@ -82,7 +82,7 @@ class TestUnwindingCheck:
         for fc in dynamic_policy_suite():
             for policy in all_allow_policies(fc.arity):
                 unwinding = unwinding_check(fc, policy)
-                epoch = epoch_verdict(fc, policy)
+                epoch = static_verdict(fc, policy)
                 assert unwinding.certified == epoch.certified, \
                     (fc.name, policy.name)
 

@@ -5,9 +5,13 @@ injected at random positions must satisfy the two contracts the
 hand-written dynamic suite pins:
 
 - *per-epoch static containment*: at every program counter the monitor
-  visits, under whatever policy is then in force, the epoch-aware
-  influence fixpoint's labels (for that policy bucket) dominate the
-  monitor's labels — static ⊇ dynamic, bucket by bucket;
+  visits, under whatever policy is then in force, the influence
+  fixpoint's labels (for that policy bucket) dominate the monitor's
+  labels — static ⊇ dynamic, bucket by bucket — and a certified
+  (flowchart, policy) pair never fires the monitor.  Arbitrary box
+  graphs (:mod:`tests.flowchart.box_graphs`: irreducible loops,
+  self-loops, programs that never halt) are checked too; a run that
+  runs out of fuel still checks the boxes it visited;
 - *engine agreement*: the interpreter-level surveillance mechanism,
   the compiled instrumented mechanism, and the batch tier produce
   identical outputs point-for-point, epoch-tagged notices included.
@@ -27,7 +31,9 @@ from repro.surveillance.dynamic import surveil, surveillance_mechanism
 from repro.surveillance.instrument import (EPOCH_VAR, VIOLATION_FLAG,
                                            instrument,
                                            instrumented_mechanism)
-from repro.analysis import epoch_influence_analysis
+from repro.analysis import influence_analysis, static_verdict
+from repro.robustness.faults import DECLARED_FAULTS
+from tests.flowchart.box_graphs import box_graphs
 
 GRID = [(a, b) for a in range(3) for b in range(3)]
 DOMAIN = ProductDomain.integer_grid(0, 2, 2)
@@ -116,12 +122,30 @@ def dynamic_programs():
 POLICIES = [AllowPolicy(sorted(s), 2)
             for s in ([], [1], [2], [1, 2])]
 
+#: Generated programs and arbitrary box graphs, in equal shares.
+FLOWCHARTS = st.one_of(
+    dynamic_programs().map(lambda program: program.compile()),
+    box_graphs())
 
-@settings(max_examples=40, deadline=None)
-@given(dynamic_programs(), st.sampled_from(POLICIES))
-def test_static_per_epoch_labels_dominate_dynamic(program, policy):
-    flowchart = program.compile()
-    analysis = epoch_influence_analysis(flowchart, policy.allowed)
+#: Enough for every generated program; a box graph may never halt.
+FUEL = 300
+
+
+def surveil_within_fuel(flowchart, point, allowed, **hooks):
+    """The surveillance run, or ``None`` when it faulted (the observer
+    has still seen every box the run visited)."""
+    try:
+        return surveil(flowchart, point, allowed, fuel=FUEL, **hooks)
+    except DECLARED_FAULTS:
+        return None
+
+
+# Twice the draws the generated programs alone had, so they keep their
+# share.
+@settings(max_examples=80, deadline=None)
+@given(FLOWCHARTS, st.sampled_from(POLICIES))
+def test_static_per_epoch_labels_dominate_dynamic(flowchart, policy):
+    analysis = influence_analysis(flowchart, policy.allowed)
     observed = []
 
     def observer(node, labels, pc_label, active, epoch):
@@ -129,7 +153,8 @@ def test_static_per_epoch_labels_dominate_dynamic(program, policy):
 
     for point in GRID:
         observed.clear()
-        surveil(flowchart, point, policy.allowed, policy_observer=observer)
+        surveil_within_fuel(flowchart, point, policy.allowed,
+                            policy_observer=observer)
         for node, labels, pc_label, active in observed:
             assert pc_label <= analysis.pc_at(node, active), (point, node)
             for name, label in labels.items():
@@ -156,16 +181,14 @@ def test_three_engines_agree_on_epoch_tagged_notices(program, policy):
             assert str(reference) == f"Λ@e{env.get(EPOCH_VAR, 0)}", point
 
 
-@settings(max_examples=30, deadline=None)
-@given(dynamic_programs(), st.sampled_from(POLICIES))
-def test_epoch_certification_implies_monitor_silence(program, policy):
-    # The soundness direction of the tentpole, on random programs: a
-    # statically certified (flowchart, policy) pair never triggers the
-    # monitor anywhere on the grid.
-    from repro.analysis import epoch_verdict
-
-    flowchart = program.compile()
-    if not epoch_verdict(flowchart, policy).certified:
+@settings(max_examples=60, deadline=None)
+@given(FLOWCHARTS, st.sampled_from(POLICIES))
+def test_epoch_certification_implies_monitor_silence(flowchart, policy):
+    # The soundness direction of the static verdict, on random
+    # programs: a statically certified (flowchart, policy) pair never
+    # triggers the monitor anywhere on the grid.
+    if not static_verdict(flowchart, policy).certified:
         return
     for point in GRID:
-        assert not surveil(flowchart, point, policy.allowed).violated, point
+        run = surveil_within_fuel(flowchart, point, policy.allowed)
+        assert run is None or not run.violated, point

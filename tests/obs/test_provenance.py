@@ -114,6 +114,58 @@ class TestStaticExplain:
                     flowchart.name, point)
 
 
+class TestOneStaticVerdict:
+    """``explain --static`` reads the analysis and the verdict lint does."""
+
+    def test_accepts_exactly_what_lint_certifies(self):
+        from repro.analysis import lint_flowchart
+        from repro.cli import LIBRARY
+        from repro.verify.enumerate import all_allow_policies
+
+        disagreements = []
+        for name, build in sorted(LIBRARY.items()):
+            flowchart = build()
+            for policy in all_allow_policies(flowchart.arity):
+                accepted = (obs.explain_static(flowchart, policy).verdict
+                            == "accepted")
+                codes = {diagnostic.code for diagnostic in
+                         lint_flowchart(flowchart, policy).diagnostics}
+                if accepted != ("FLOW002" in codes):
+                    disagreements.append((name, policy.name))
+        assert not disagreements
+
+    def test_certified_dynamic_pairs_never_fire_the_monitor(self):
+        from repro.surveillance.dynamic import surveil
+        from repro.verify.enumerate import all_allow_policies
+
+        fired = []
+        for flowchart in library.dynamic_policy_suite():
+            for policy in all_allow_policies(flowchart.arity):
+                if obs.explain_static(flowchart,
+                                      policy).verdict != "accepted":
+                    continue
+                for point in default_grid(flowchart.arity):
+                    if surveil(flowchart, point, policy.allowed).violated:
+                        fired.append((flowchart.name, policy.name, point))
+        assert not fired
+
+    def test_checks_name_the_policy_in_force(self):
+        explanation = obs.explain_static(library.policy_tighten_program(),
+                                         allow(1, arity=2))
+        assert explanation.verdict == "violation"
+        assert explanation.disallowed == [1]
+        assert explanation.clause == ("static verdict: ȳ = {1} ⊄ "
+                                      "J = {} (in force)")
+        assert explanation.chain[-1].detail == (
+            "halt: observable label {1} ⊄ J = {} (in force)")
+
+    def test_downgrade_discharges_the_checked_label(self):
+        explanation = obs.explain_static(library.downgrade_partial_program(),
+                                         allow(1, arity=2))
+        assert explanation.verdict == "accepted"
+        assert explanation.clause == "static verdict: ȳ = {1} ⊆ J = {1}"
+
+
 class TestExplanationEvents:
     def test_event_round_trips_through_renderer(self):
         flowchart = library.mixer_program()

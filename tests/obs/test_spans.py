@@ -121,6 +121,21 @@ class TestSweepSpanTrees:
                for node in obs.build_span_tree(ring.events()).spans.values()}
         assert "chunk" in ops and "point" not in ops
 
+    def test_serial_and_thread_traces_count_the_same_points(self):
+        # A serial sweep records each pair's shared run as its one
+        # chunk; the trace must count that chunk's points all the same.
+        summaries = []
+        for executor in ("serial", "thread"):
+            ring = obs.RingBufferSink(capacity=65536)
+            with obs.observed(sinks=[ring], reset=True):
+                parallel_soundness_sweep(
+                    [library.mixer_program(), library.gcd_program()],
+                    "surveillance", executor=executor, max_workers=2)
+            summaries.append(obs.summarize(ring.events()))
+        serial, thread = summaries
+        assert serial["points_evaluated"] == thread["points_evaluated"] == 72
+        assert serial["points_accepted"] == thread["points_accepted"]
+
     def test_parallel_process_executor(self, tmp_path):
         # Worker events reach the parent's trace only on fork-start
         # platforms (the workers inherit the sink fd); elsewhere the
