@@ -51,10 +51,9 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Union
 
-from ..flowchart.boxes import (AssignBox, DecisionBox, HaltBox, NodeId,
-                               StartBox)
-from ..flowchart.expr import (And, BinOp, BoolConst, Compare, Const, Expr,
-                              Ite, LoopExpr, Neg, Not, Or, Pred, Var)
+from ..flowchart.boxes import AssignBox, DecisionBox, HaltBox, NodeId
+from ..flowchart.expr import (And, BinOp, Compare, Const, Expr, Ite, LoopExpr,
+                              Neg, Not, Or, Pred)
 from .diagnostics import Diagnostic, Severity
 from .manager import AnalysisContext, AnalysisPass
 from .timing import TimingChannelPass

@@ -18,10 +18,11 @@ Two producers build the same :class:`Explanation` record:
   derivation explains a rejection from *any* execution backend.
 - :func:`explain_static` reads the flowlint influence fixpoint and
   its one verdict (:mod:`repro.analysis.influence`, the verdict
-  ``repro lint`` reports) and lists the assignments and decisions
-  whose static labels carry the excess indices, ending at each
-  (halt, policy in force) check — the compile-time counterpart,
-  defined even without a concrete point.
+  ``repro lint`` reports) and lists the assignments, decisions and
+  downgrades whose static labels carry the excess indices, and the
+  policy changes that installed a policy a check ran against, ending
+  at each (halt, policy in force) check — the compile-time
+  counterpart, defined even without a concrete point.
 
 When the runtime's ``explain`` flag is on
 (``obs.enable(..., explain=True)``), the surveillance mechanisms and
@@ -52,7 +53,10 @@ class ChainStep:
     ``kind`` is one of ``"input"`` (an input variable introduced its
     index), ``"assign"`` (a surveillance-rule-2 label join), ``"decision"``
     (a rule-3 fold into C̄), or ``"check"`` (the rule-4 halt test / the
-    timed rule-3′ guard that issued the verdict).
+    timed rule-3′ guard that issued the verdict); the static chain also
+    lists ``"downgrade"`` (indices a declassifier dropped from a label)
+    and ``"policy"`` (a policy change installing a policy a check ran
+    against).
     """
 
     __slots__ = ("step", "node", "kind", "detail", "target", "label",
@@ -334,14 +338,18 @@ def explain_static(flowchart: "Flowchart",
     """Provenance from the static influence fixpoint — no point needed.
 
     Lists, in reachability order, every assignment whose static label
-    carries an excess index and every decision whose test label does,
-    ending at the (halt, policy in force) checks whose observable label
-    escapes that policy.  This is the chain behind flowlint's verdict:
-    the same analysis and the same verdict, so it accepts exactly the
-    pairs ``repro lint`` certifies (FLOW002).
+    carries an excess index, every decision whose test label does,
+    every downgrade whose target's label does (with the indices it
+    drops and the label it leaves), and every policy change installing
+    a policy that a listed check ran against, ending at the (halt,
+    policy in force) checks whose observable label escapes that policy.
+    This is the chain behind flowlint's verdict: the same analysis and
+    the same verdict, so it accepts exactly the pairs ``repro lint``
+    certifies (FLOW002).
     """
     from ..analysis.influence import influence_analysis
-    from ..flowchart.boxes import AssignBox, DecisionBox
+    from ..flowchart.boxes import (AssignBox, DecisionBox, DowngradeBox,
+                                   PolicyChangeBox)
 
     analysis = influence_analysis(flowchart, policy.allowed)
     verdict = analysis.verdict(policy)
@@ -358,6 +366,29 @@ def explain_static(flowchart: "Flowchart",
 
     def j_first(in_force):
         return in_force != allowed, sorted(in_force)
+
+    # One check per (halt, policy in force) and ȳ per policy in force
+    # for the clause: the failing ones on a rejection, all on a
+    # certificate.
+    site: Optional[NodeId] = None
+    observed: Dict[frozenset, frozenset] = {}
+    checks: List[ChainStep] = []
+    checked: Set[frozenset] = set()
+    for halt_id, row in verdict.observations.items():
+        for in_force in sorted(row, key=j_first):
+            label = row[in_force]
+            observed[in_force] = observed.get(in_force, frozenset()) | label
+            escaped = label - in_force
+            if escaped or not excess:
+                checks.append(ChainStep(
+                    None, halt_id, "check",
+                    f"halt: observable label {check_text(label, in_force)}",
+                    None, label))
+                checked.add(in_force)
+            if escaped and site is None:
+                site = halt_id
+    if site is None and verdict.halt_labels:
+        site = next(iter(sorted(verdict.halt_labels)))
 
     chain: List[ChainStep] = []
     for position, name in enumerate(flowchart.input_variables, 1):
@@ -397,26 +428,23 @@ def explain_static(flowchart: "Flowchart",
                     f"{_label_text(test_label)} into C̄",
                     None, test_label,
                     sorted(box.predicate.variables())))
-
-    # One check per (halt, policy in force) and ȳ per policy in force
-    # for the clause: the failing ones on a rejection, all on a
-    # certificate.
-    site: Optional[NodeId] = None
-    observed: Dict[frozenset, frozenset] = {}
-    for halt_id, row in verdict.observations.items():
-        for in_force in sorted(row, key=j_first):
-            label = row[in_force]
-            observed[in_force] = observed.get(in_force, frozenset()) | label
-            escaped = label - in_force
-            if escaped or not excess:
+        elif isinstance(box, DowngradeBox):
+            label = analysis.var_influence.get(node, {}).get(box.variable,
+                                                            frozenset())
+            if label & focus:
+                left = label - frozenset(box.indices)
                 chain.append(ChainStep(
-                    None, halt_id, "check",
-                    f"halt: observable label {check_text(label, in_force)}",
-                    None, label))
-            if escaped and site is None:
-                site = halt_id
-    if site is None and verdict.halt_labels:
-        site = next(iter(sorted(verdict.halt_labels)))
+                    None, node, "downgrade",
+                    f"downgrade {box.variable} drops "
+                    f"{_label_text(box.indices)}, leaves {_label_text(left)}",
+                    box.variable, left, (box.variable,)))
+        elif isinstance(box, PolicyChangeBox):
+            if frozenset(box.allowed) in checked:
+                chain.append(ChainStep(
+                    None, node, "policy",
+                    f"policy change puts J = {_label_text(box.allowed)} "
+                    "in force", None, box.allowed))
+    chain.extend(checks)
 
     clause = "static verdict: " + "; ".join(
         f"ȳ = {check_text(label, in_force)}"

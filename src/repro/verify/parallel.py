@@ -51,7 +51,11 @@ called once per point) remains where it is the only path or the
 reference: ``backend="interpreted"``, explain mode, quarantine
 bisection, callable factories, and channel programs of the ``program``
 and ``surveillance`` families.  Every path summarises its outputs with
-the one plain-Python :func:`_summarize_outputs`.
+the one plain-Python :func:`_summarize_outputs`, over the class layout
+of the chunk's policy (:func:`_class_layout`): the partition a policy
+induces on a chunk belongs to the policy and the points alone, so the
+plan builds each (grid, chunk, policy) layout once and every flowchart
+that sweeps that grid decides from it (:meth:`_Plan.layout`).
 
 Fuel
 ----
@@ -268,7 +272,7 @@ def evaluate_chunk(mechanism, policy, points: Iterable[Tuple],
         finally:
             _obs.span_finish(point_span)
         outputs.append(output)
-    return _summarize_outputs(policy, points, outputs)
+    return _summarize_outputs(_class_layout(policy, points), outputs)
 
 
 #: Factory families the batch path evaluates whole-chunk.  Each runs a
@@ -302,24 +306,37 @@ def _class_keys(policy, points) -> List:
     return [()] * len(points)
 
 
-def _summarize_outputs(policy, points, outputs: List,
+def _class_layout(policy, points) -> Tuple[List[Tuple], List[int]]:
+    """The partition ``policy`` induces on a chunk, in domain order.
+
+    ``(firsts, rep)``: each class key in first-seen order with its first
+    position, and for each point the first position of its class.  It
+    depends on the policy and the points alone, never on a flowchart or
+    its outputs (M is sound for I iff M factors through I), so every
+    flowchart that sweeps the chunk can be decided from one layout.
+    """
+    first: Dict = {}
+    rep = [first.setdefault(key, position)
+           for position, key in enumerate(_class_keys(policy, points))]
+    return list(first.items()), rep
+
+
+def _summarize_outputs(layout: Tuple[List[Tuple], List[int]], outputs: List,
                        backend: Optional[str] = None,
                        accepts: Optional[int] = None) -> ChunkSummary:
     """ChunkSummary of per-point outputs, in domain order.
 
     The one summariser of every sweep path: the factorization check
-    groups the points by ``policy(*point)`` and asks for one output per
-    class.  Each class keeps its first output in domain order (the
-    reversed ``dict`` keeps each key's last write) and its first-seen
-    position; the chunk conflicts iff some point's output differs from
-    its class's.  ``accepts`` is the count of non-notice outputs, for a
-    caller that already knows it.
+    asks for one output per class of the chunk's ``layout``
+    (:func:`_class_layout`).  Each class keeps the output at its first
+    position; the chunk conflicts iff some class has two members and
+    some point's output differs from its class's.  ``accepts`` is the
+    count of non-notice outputs, for a caller that already knows it.
     """
-    keys = _class_keys(policy, points)
-    first = dict(zip(reversed(keys), reversed(outputs)))
-    classes = dict.fromkeys(keys)
-    classes.update(first)
-    conflict = list(map(first.__getitem__, keys)) != outputs
+    firsts, rep = layout
+    classes = {key: outputs[position] for key, position in firsts}
+    conflict = (len(firsts) < len(rep)
+                and list(map(outputs.__getitem__, rep)) != outputs)
     if accepts is None:
         accepts = len(outputs) - sum(map(is_violation, outputs))
     return ChunkSummary(accepts, classes, conflict, backend=backend)
@@ -372,19 +389,20 @@ def _decode_batch(batch, flowchart: Flowchart,
 
 def _evaluate_chunk_batch(flowchart: Flowchart, family: str,
                           policies: Sequence[AllowPolicy],
-                          points: List[Tuple], fuel: int,
-                          value_cap: Optional[int],
+                          points: List[Tuple], layouts: Sequence[Tuple],
+                          fuel: int, value_cap: Optional[int],
                           plan: Optional[chaos.FaultPlan] = None
                           ) -> List[ChunkSummary]:
     """Every policy's summary of a chunk, from runs they all share.
 
-    Each summary is row-identical to :func:`evaluate_chunk` over the
-    same points with the family's mechanism for that policy: same
-    accepts, same first-seen class representatives in domain order,
-    same conflict flag, same ``Λ``/``Λ@e{n}``/``Λ@t``/``Λ!fuel[N]``/
-    ``Λ!cap[C]`` notices.  Every point runs once with no policy — the
-    labels x̄ and C̄ never depend on J — and each policy then costs only
-    a bitmask decision:
+    ``layouts`` holds each policy's class layout of ``points``
+    (:func:`_class_layout`).  Each summary is row-identical to
+    :func:`evaluate_chunk` over the same points with the family's
+    mechanism for that policy: same accepts, same first-seen class
+    representatives in domain order, same conflict flag, same
+    ``Λ``/``Λ@e{n}``/``Λ@t``/``Λ!fuel[N]``/``Λ!cap[C]`` notices.
+    Every point runs once with no policy — the labels x̄ and C̄ never
+    depend on J — and each policy then costs only a bitmask decision:
 
     - ``program`` runs the flowchart on the batch tier;
     - ``surveillance`` runs ``instrument(flowchart, allow(1..k))`` on
@@ -410,7 +428,7 @@ def _evaluate_chunk_batch(flowchart: Flowchart, family: str,
                 raise MemoryError(f"chaos poison point {tuple(point)!r}")
     if family in _LABEL_FAMILIES:
         return _evaluate_walk_chunk(flowchart, family, policies, points,
-                                    fuel, value_cap)
+                                    layouts, fuel, value_cap)
     surveillance = family == "surveillance"
     target = flowchart
     if surveillance:
@@ -421,7 +439,7 @@ def _evaluate_chunk_batch(flowchart: Flowchart, family: str,
                           need_env=surveillance)
     codes, outputs, refusals = _decode_batch(batch, flowchart, surveillance)
     summaries = []
-    for policy in policies:
+    for policy, layout in zip(policies, layouts):
         allowed = to_mask(policy.allowed) if refusals else 0
         refused = [lanes for mask, lanes in refusals.items()
                    if mask & ~allowed]
@@ -435,8 +453,7 @@ def _evaluate_chunk_batch(flowchart: Flowchart, family: str,
         if _obs.active:
             _record_tally(Counter(policy_codes), flowchart, target.name,
                           fuel, batch.cap)
-        summaries.append(_summarize_outputs(policy, points, policy_outputs,
-                                            "batch",
+        summaries.append(_summarize_outputs(layout, policy_outputs, "batch",
                                             policy_codes.count(K_OK)))
     return summaries
 
@@ -464,7 +481,8 @@ def _record_tally(tally: Counter, flowchart: Flowchart, ran: str,
 
 def _evaluate_walk_chunk(flowchart: Flowchart, family: str,
                          policies: Sequence[AllowPolicy],
-                         points: List[Tuple], fuel: int,
+                         points: List[Tuple], layouts: Sequence[Tuple],
+                         fuel: int,
                          value_cap: Optional[int]) -> List[ChunkSummary]:
     """A label-rule family's chunk, every policy decided from one
     policy-free labelled run per point (:func:`_decide_labelled`).
@@ -490,17 +508,18 @@ def _evaluate_walk_chunk(flowchart: Flowchart, family: str,
                    K_CAP: cap_notice(batch.cap)}
         faults = [notices[kind] for kind in batch.kinds]
         rows, tier = batch.rows, "batch"
-    return _decide_labelled(flowchart, family, policies, points, faults,
+    return _decide_labelled(flowchart, family, policies, layouts, faults,
                             rows, fuel, value_cap, tier)
 
 
 def _decide_labelled(flowchart: Flowchart, family: str,
-                     policies: Sequence[AllowPolicy], points: List[Tuple],
+                     policies: Sequence[AllowPolicy], layouts: Sequence[Tuple],
                      faults: List, rows: List[Tuple], fuel: int,
                      value_cap: Optional[int],
                      tier: str) -> List[ChunkSummary]:
     """Every policy's summary of a chunk from its policy-free labelled
-    runs: each lane decoded once, each policy decided once per group.
+    runs: each lane decoded once, each policy decided once per group,
+    and summarised over that policy's class layout.
 
     ``faults[i]`` is lane i's declared-fault notice or None, ``rows[i]``
     its ``(value, steps, ȳ ∪ C̄, active policy, epoch, early stop,
@@ -565,7 +584,7 @@ def _decide_labelled(flowchart: Flowchart, family: str,
                    for fault, refused, row in zip(faults, violated, rows)]
         tally = Counter(records)
     summaries = []
-    for policy in policies:
+    for policy, layout in zip(policies, layouts):
         outside = ~to_mask(policy.allowed)
         outputs, policy_accepts = base, accepts
         policy_tally = None if tally is None else tally.copy()
@@ -595,7 +614,7 @@ def _decide_labelled(flowchart: Flowchart, family: str,
         if policy_tally is not None:
             _record_runs(policy_tally, flowchart, fuel, value_cap,
                          LABEL_RULES[family][0])
-        summaries.append(_summarize_outputs(policy, points, outputs, tier,
+        summaries.append(_summarize_outputs(layout, outputs, tier,
                                             policy_accepts))
     return summaries
 
@@ -832,8 +851,9 @@ class _Plan:
     A task is one chunk of one flowchart's grid for the listed pairs of
     that flowchart.  A process pool sends the plan to each worker once
     (:func:`_start_worker`), so the worker's flowcharts keep their
-    identity and its compile and instrument caches hit.  Mechanisms are
-    built once per process and dropped when the plan is pickled.
+    identity and its compile and instrument caches hit.  Mechanisms and
+    class layouts are built once per process and dropped when the plan
+    is pickled; layouts live and die with their plan.
     """
 
     def __init__(self, flowcharts: Sequence[Flowchart], mechanism_factory,
@@ -862,6 +882,14 @@ class _Plan:
         # flowchart's pair indices: its policies share one domain.
         self.pairs: List[Tuple[Flowchart, AllowPolicy, ProductDomain]] = []
         self.groups: List[Tuple[int, ...]] = []
+        # Each pair's grid, numbered by its components: every chunk is a
+        # slice of that grid's row-major order cut by the plan's one
+        # chunking, so (grid, chunk, policy) names a class layout
+        # exactly.  Only a grid that several flowcharts sweep keeps its
+        # layouts; the others are built, used and dropped.
+        grids: Dict[Tuple, int] = {}
+        self._grid: List[int] = []
+        users: Counter = Counter()
         for flowchart in flowcharts:
             domain = grid(flowchart.arity)
             first = len(self.pairs)
@@ -869,6 +897,11 @@ class _Plan:
                               for policy in policies(flowchart.arity))
             if len(self.pairs) > first:
                 self.groups.append(tuple(range(first, len(self.pairs))))
+                number = grids.setdefault(domain.components, len(grids))
+                self._grid.extend([number] * (len(self.pairs) - first))
+                users[number] += 1
+        self._kept = {number for number, count in users.items() if count > 1}
+        self._layouts: Dict[Tuple, Tuple] = {}
         self.points = sum(len(domain) for _, _, domain in self.pairs)
         # Shared runs decide every chunk of a registered family, except
         # on the interpreter (the per-point reference) and under explain
@@ -898,6 +931,7 @@ class _Plan:
     def __getstate__(self) -> Dict:
         state = dict(self.__dict__)
         state["_mechanisms"] = {}
+        state["_layouts"] = {}
         return state
 
     def chunks(self, chunk_size: Optional[int],
@@ -922,6 +956,23 @@ class _Plan:
                 self.factory, flowchart, policy, domain, self.fuel,
                 value_cap=self.value_cap, backend=self.mech_backend)
         return mechanism
+
+    def layout(self, pair_index: int, chunk_index: int,
+               points: List[Tuple]) -> Tuple[List[Tuple], List[int]]:
+        """The class layout of the pair's policy over one chunk of its
+        grid (:func:`_class_layout`), built on first use in this process.
+        Equal allow-policies share one.  Thread workers share the dict:
+        a race builds one layout twice, and the two are equal."""
+        _, policy, _ = self.pairs[pair_index]
+        grid = self._grid[pair_index]
+        key = (grid, chunk_index,
+               policy.indices if isinstance(policy, AllowPolicy) else policy)
+        layout = self._layouts.get(key)
+        if layout is None:
+            layout = _class_layout(policy, points)
+            if grid in self._kept:
+                self._layouts[key] = layout
+        return layout
 
     def name(self, pair_index: int) -> str:
         """The name of the pair's mechanism; a registered family's is
@@ -955,7 +1006,7 @@ class _Plan:
                 f"injected failure for chunk ({pair_indices[0]}, "
                 f"{chunk_index})")
         if self.shared is not None:
-            return self._run_shared(pair_indices, points)
+            return self._run_shared(pair_indices, chunk_index, points)
         summaries = []
         for pair_index, span in zip(pair_indices, spans):
             summary = evaluate_chunk(self.mechanism(pair_index),
@@ -975,7 +1026,7 @@ class _Plan:
         crash: Optional[BaseException] = None
         if self.shared is not None:
             try:
-                return self._run_shared(pair_indices, points)
+                return self._run_shared(pair_indices, chunk_index, points)
             except Exception as error:
                 crash = error
         summaries = []
@@ -991,12 +1042,14 @@ class _Plan:
             summaries.append(summary)
         return summaries
 
-    def _run_shared(self, pair_indices: Sequence[int],
+    def _run_shared(self, pair_indices: Sequence[int], chunk_index: int,
                     points: List[Tuple]) -> List[ChunkSummary]:
+        layouts = [self.layout(pair_index, chunk_index, points)
+                   for pair_index in pair_indices]
         return _evaluate_chunk_batch(
             self.pairs[pair_indices[0]][0], self.shared,
             [self.pairs[pair_index][1] for pair_index in pair_indices],
-            points, self.fuel, self.value_cap, plan=self.chaos)
+            points, layouts, self.fuel, self.value_cap, plan=self.chaos)
 
 
 #: The plan a process-pool worker received when it started.

@@ -11,19 +11,24 @@ hand-written dynamic suite pins:
   (flowchart, policy) pair never fires the monitor.  Arbitrary box
   graphs (:mod:`tests.flowchart.box_graphs`: irreducible loops,
   self-loops, programs that never halt) are checked too; a run that
-  runs out of fuel still checks the boxes it visited;
+  runs out of fuel still checks the boxes it visited.  A decision that
+  loops to itself is pinned as an explicit example: the draws reach
+  one too rarely to catch a fixpoint that skips self-loop edges on
+  every run;
 - *engine agreement*: the interpreter-level surveillance mechanism,
   the compiled instrumented mechanism, and the batch tier produce
   identical outputs point-for-point, epoch-tagged notices included.
 """
 
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.core import ProductDomain
 from repro.core.policy import AllowPolicy
 from repro.flowchart.batchpath import execute_batch
-from repro.flowchart.expr import Const, Var, var
+from repro.flowchart.boxes import AssignBox, DecisionBox, HaltBox, StartBox
+from repro.flowchart.expr import Compare, Const, Var, var
+from repro.flowchart.program import Flowchart
 from repro.flowchart.structured import (Assign, Downgrade, If,
                                         PolicyChange, StructuredProgram,
                                         While)
@@ -130,6 +135,17 @@ FLOWCHARTS = st.one_of(
 #: Enough for every generated program; a box graph may never halt.
 FUEL = 300
 
+#: A decision that loops to itself: ``b0: if x1 == 0 goto b0 else b1``,
+#: then ``b1: y := x2``.  At x1 = 0 the run loops until the fuel runs
+#: out, and the observer sees b0 again with C̄ ⊇ {1}, which only the
+#: self-loop edge carries back to b0.
+SELF_LOOP = Flowchart({
+    "start": StartBox("b0"),
+    "b0": DecisionBox(Compare("==", Var("x1"), Const(0)), "b0", "b1"),
+    "b1": AssignBox("y", Var("x2"), "halt"),
+    "halt": HaltBox(),
+}, ("x1", "x2"), "y", name="self-loop")
+
 
 def surveil_within_fuel(flowchart, point, allowed, **hooks):
     """The surveillance run, or ``None`` when it faulted (the observer
@@ -144,6 +160,7 @@ def surveil_within_fuel(flowchart, point, allowed, **hooks):
 # share.
 @settings(max_examples=80, deadline=None)
 @given(FLOWCHARTS, st.sampled_from(POLICIES))
+@example(SELF_LOOP, POLICIES[0])
 def test_static_per_epoch_labels_dominate_dynamic(flowchart, policy):
     analysis = influence_analysis(flowchart, policy.allowed)
     observed = []

@@ -166,6 +166,48 @@ class TestOneStaticVerdict:
         assert explanation.clause == "static verdict: ȳ = {1} ⊆ J = {1}"
 
 
+class TestDynamicPolicySteps:
+    """The static chain shows the boxes that change labels or policies."""
+
+    def test_downgrade_step_names_the_dropped_indices(self):
+        flowchart = library.downgrade_partial_program()
+        explanation = obs.explain_static(flowchart, allow(1, arity=2))
+        assert [step.kind for step in explanation.chain] == [
+            "input", "assign", "downgrade", "check"]
+        step = explanation.chain[2]
+        assert step.detail == "downgrade y drops {2}, leaves {1}"
+        assert step.label == [1] and step.target == "y"
+        assert type(flowchart.boxes[step.node]).__name__ == "DowngradeBox"
+        assert "[downgrade] downgrade y drops {2}, leaves {1}  -> {1}" in (
+            explanation.render())
+
+    def test_policy_step_names_the_box_that_put_the_policy_in_force(self):
+        flowchart = library.policy_tighten_program()
+        explanation = obs.explain_static(flowchart, allow(1, arity=2))
+        assert [step.kind for step in explanation.chain] == [
+            "input", "assign", "policy", "check"]
+        step = explanation.chain[2]
+        assert step.detail == "policy change puts J = {} in force"
+        assert type(flowchart.boxes[step.node]).__name__ == "PolicyChangeBox"
+        assert explanation.chain[3].detail.endswith("J = {} (in force)")
+
+    def test_policy_change_no_listed_check_ran_against_is_left_out(self):
+        # policy-branch under allow(1) fails only its epoch-0 check.
+        explanation = obs.explain_static(library.policy_branch_program(),
+                                         allow(1, arity=2))
+        assert explanation.verdict == "violation"
+        assert "policy" not in {step.kind for step in explanation.chain}
+
+    def test_classic_programs_show_neither(self):
+        from repro.verify.enumerate import all_allow_policies
+
+        for flowchart in library.extended_suite():
+            for policy in all_allow_policies(flowchart.arity):
+                kinds = {step.kind for step in
+                         obs.explain_static(flowchart, policy).chain}
+                assert kinds <= {"input", "assign", "decision", "check"}
+
+
 class TestExplanationEvents:
     def test_event_round_trips_through_renderer(self):
         flowchart = library.mixer_program()

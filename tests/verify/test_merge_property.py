@@ -6,7 +6,8 @@ order, any cut points, including empty chunks) must produce exactly the
 including sweeps where every output is a violation notice and sweeps
 where every run exhausts its fuel.  The chunk summariser every sweep
 path calls, ``_summarize_outputs``, must equal the per-point loop it
-replaced, class order included.
+replaced, class order included, also when one held class layout
+summarises the outputs of several flowcharts.
 """
 
 from hypothesis import given, settings
@@ -17,8 +18,8 @@ from repro.core.policy import SecurityPolicy, allow
 from repro.flowchart import library
 from repro.verify import FACTORIES
 from repro.verify.enumerate import default_grid, fuel_notice
-from repro.verify.parallel import (_summarize_outputs, evaluate_chunk,
-                                   merge_chunks)
+from repro.verify.parallel import (_class_layout, _summarize_outputs,
+                                   evaluate_chunk, merge_chunks)
 
 
 def chunked(points, cuts):
@@ -118,6 +119,14 @@ def summary_policy(kind, arity, data):
     return SecurityPolicy(lambda *point: sum(point) % 3, arity)
 
 
+def draw_outputs(data, points):
+    if data.draw(st.booleans(), label="per point"):
+        # One output per distinct point, as a mechanism gives.
+        table = {point: data.draw(OUTPUTS) for point in dict.fromkeys(points)}
+        return [table[point] for point in points]
+    return [data.draw(OUTPUTS) for _ in points]
+
+
 @settings(deadline=None, max_examples=300)
 @given(data=st.data())
 def test_summary_matches_per_point_loop(data):
@@ -127,12 +136,28 @@ def test_summary_matches_per_point_loop(data):
     policy = summary_policy(kind, arity, data)
     points = data.draw(st.lists(st.tuples(*[VALUES] * arity), max_size=40),
                        label="points")
-    if data.draw(st.booleans(), label="per point"):
-        # One output per distinct point, as a mechanism gives.
-        table = {point: data.draw(OUTPUTS) for point in dict.fromkeys(points)}
-        outputs = [table[point] for point in points]
-    else:
-        outputs = [data.draw(OUTPUTS) for _ in points]
-    summary = _summarize_outputs(policy, points, outputs)
+    outputs = draw_outputs(data, points)
+    summary = _summarize_outputs(_class_layout(policy, points), outputs)
     assert (summary.accepts, list(summary.classes.items()),
             summary.conflict) == per_point_summary(policy, points, outputs)
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data())
+def test_one_held_layout_summarises_many_output_vectors(data):
+    # A plan decides every flowchart that sweeps a chunk from one
+    # layout: each summary over it must still be the per-point loop's,
+    # whatever the other summaries saw.
+    arity = data.draw(st.integers(1, 3), label="arity")
+    kind = data.draw(st.sampled_from(["none", "one", "all", "callable"]),
+                     label="policy")
+    policy = summary_policy(kind, arity, data)
+    points = data.draw(st.lists(st.tuples(*[VALUES] * arity), max_size=40),
+                       label="points")
+    layout = _class_layout(policy, points)
+    for _ in range(2):
+        outputs = draw_outputs(data, points)
+        summary = _summarize_outputs(layout, outputs)
+        assert (summary.accepts, list(summary.classes.items()),
+                summary.conflict) == per_point_summary(policy, points,
+                                                       outputs)
